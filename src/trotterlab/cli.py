@@ -10,8 +10,8 @@ calculus-check   quantization calculus defects versus N
 query-count      smallest step counts reaching a target error
 
 Configuration is a JSON object; unknown keys are rejected. Every command
-understands ``domain``, ``potential``, ``observables``, ``schemes``,
-``out`` and ``seed`` plus its own parameter lists (see COMMAND_DEFAULTS).
+understands ``domain``, ``potential``, ``observables``, ``schemes`` and
+``out`` plus its own parameter lists (see COMMAND_DEFAULTS).
 Output is a deterministic CSV (17 significant digits, LF line endings);
 fit reports go to standard output. With ``--assert`` the command's
 acceptance criteria are evaluated and a failing run exits with code 2,
@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import experiments as xp
 from .errors import ParseError, TrotterlabError, ValidationError
+from .evolve import SplittingScheme
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -55,11 +56,7 @@ _S_FIXED_GLOBAL = 0.02
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one experiment invocation.
-
-    ``seed`` is reserved for synthetic test-data generation and does not
-    influence the (deterministic) experiments themselves.
-    """
+    """Validated parameters of one experiment invocation."""
 
     command: str
     domain: tuple[float, float] = xp.DEFAULT_DOMAIN
@@ -75,7 +72,6 @@ class RunConfig:
     N_values: tuple[int, ...] = (16, 32, 64, 128, 256)
     epsilons: tuple[float, ...] = (3e-2, 1e-2)
     out: str | None = None
-    seed: int = 0
 
 
 def _check(condition: bool, field: str, message: str) -> None:
@@ -144,10 +140,6 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         elif key == "out":
             _check(value is None or isinstance(value, str), key, "needs a string path")
             updates[key] = value
-        elif key == "seed":
-            _check(isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-                   key, "needs a nonnegative integer")
-            updates[key] = value
     cfg = replace(cfg, **updates)
     _validate(cfg)
     return cfg
@@ -159,8 +151,9 @@ def _validate(cfg: RunConfig) -> None:
     for name in cfg.observables:
         _check(name in xp.OBSERVABLES, "observables",
                f"unknown id {name!r}; choose from {sorted(xp.OBSERVABLES)}")
+    schemes = [scheme.value for scheme in SplittingScheme]
     for name in cfg.schemes:
-        _check(name in ("Lie1", "Strang2"), "schemes", f"unknown scheme {name!r}")
+        _check(name in schemes, "schemes", f"unknown scheme {name!r}; choose from {schemes}")
     _check(cfg.mode in ("local", "global"), "mode", "must be 'local' or 'global'")
     if cfg.command == "sweep-s":
         _check(cfg.mode == "local", "mode", "sweep-s is single-step; use long-time for global runs")
@@ -171,6 +164,11 @@ def _validate(cfg: RunConfig) -> None:
     _check(all(0.0 < h <= 1.0 for h in cfg.h_values), "h_values", "entries must lie in (0, 1]")
     _check(cfg.t_total > 0, "t_total", "must be positive")
     _check(cfg.s_fixed > 0, "s_fixed", "must be positive")
+    if cfg.command in ("sweep-s", "long-time"):
+        for s in cfg.s_values:
+            xp.step_count(s, cfg.mode, cfg.t_total, "s_values")
+    elif cfg.command == "sweep-h":
+        xp.step_count(cfg.s_fixed, cfg.mode, cfg.t_total, "s_fixed")
     _check(all(n >= 16 and (n & (n - 1)) == 0 for n in cfg.N_values), "N_values",
            "entries must be powers of two >= 16")
     _check(all(0.0 < e < 1.0 for e in cfg.epsilons), "epsilons", "entries must lie in (0, 1)")

@@ -13,20 +13,8 @@ class NonHermitian(TrotterlabError):
     """Matrix is not Hermitian within the accepted tolerance."""
 
 
-class DimensionOverflow(TrotterlabError):
-    """A Kronecker construction would exceed the configured dimension cap."""
-
-
 class EmptyInput(TrotterlabError):
     """A transform was requested on an empty vector."""
-
-
-class NonPowerOfTwo(TrotterlabError):
-    """Fast transform requested for a length that is not a power of two."""
-
-
-class DimensionMismatch(TrotterlabError):
-    """Operator and operand sizes do not agree."""
 
 
 class NotSplit(TrotterlabError):

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
+from .errors import PacketTouchesBoundary, UnnormalizedState
 from .fourier import DiagonalKind, FactoredOperator, dft_cols, idft_cols
 from .hamiltonian import GridSpec, HamiltonianPair
-from .numkit import expm_hermitian, hermiticity_defect, spectral_norm
+from .numkit import expm_hermitian, require_hermitian, spectral_norm
 
 __all__ = [
     "SplittingScheme",
@@ -44,6 +44,16 @@ class SplittingScheme(enum.Enum):
 
     LIE1 = "Lie1"
     STRANG2 = "Strang2"
+
+
+# One split step as (operator, fraction of s) rows in application order:
+# A is the kinetic part, B the potential. Lie1 applies exp(-i A s/h) then
+# exp(-i B s/h); Strang2 sandwiches the kinetic factor between two
+# half-steps of the potential.
+_STAGES = {
+    SplittingScheme.LIE1: (("A", 1.0), ("B", 1.0)),
+    SplittingScheme.STRANG2: (("B", 0.5), ("A", 1.0), ("B", 0.5)),
+}
 
 
 @dataclass(frozen=True)
@@ -80,20 +90,10 @@ def exact_unitary(hamiltonian: np.ndarray, t: float, h: float) -> np.ndarray:
 
 def _step_factors(pair: HamiltonianPair, scheme: SplittingScheme,
                   s: float, h: float) -> list[FactoredOperator]:
-    """Unitary phase factors of one split step, in application order.
-
-    Lie1 applies exp(-i A s/h) then exp(-i B s/h); Strang2 sandwiches the
-    kinetic factor between two half-steps of the potential.
-    """
-    a, b = pair.kinetic.factored, pair.potential.factored
-    if a is None or b is None:
-        raise ValueError("split stepping needs factored kinetic and potential operators")
-    exp_a = FactoredOperator(a.kind, np.exp(-1j * s / h * a.diag))
-    if scheme is SplittingScheme.LIE1:
-        exp_b = FactoredOperator(b.kind, np.exp(-1j * s / h * b.diag))
-        return [exp_a, exp_b]
-    exp_b_half = FactoredOperator(b.kind, np.exp(-1j * s / (2.0 * h) * b.diag))
-    return [exp_b_half, exp_a, exp_b_half]
+    """Unitary phase factors exp(-i X (fraction * s) / h) of one split step."""
+    ops = {"A": pair.kinetic.factored, "B": pair.potential.factored}
+    return [FactoredOperator(ops[name].kind, np.exp(-1j * (frac * s) / h * ops[name].diag))
+            for name, frac in _STAGES[scheme]]
 
 
 def _apply_left(factor: FactoredOperator, mat: np.ndarray) -> np.ndarray:
@@ -127,9 +127,7 @@ def heisenberg_exact(observable: np.ndarray, hamiltonian: np.ndarray,
     Both the Hamiltonian and the observable must be Hermitian; the result
     then is too, with the same spectrum as the input.
     """
-    defect = hermiticity_defect(observable)
-    if defect > 1e-10:
-        raise NonHermitian(f"observable has relative Hermiticity defect {defect:.3e}")
+    require_hermitian(observable)
     u = exact_unitary(hamiltonian, t, h) if exact_u is None else exact_u
     return u.conj().T @ observable @ u
 

@@ -46,6 +46,7 @@ __all__ = [
     "roundoff_floor",
     "sweep_timestep",
     "sweep_h",
+    "step_count",
     "commutator_scan",
     "calculus_suite",
     "query_count",
@@ -200,8 +201,27 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _map_rows(rows_for, items, threads: int) -> list[tuple]:
+    """Concatenate the row lists of every sweep point, in item order."""
+    return [row for chunk in _map_ordered(rows_for, items, threads) for row in chunk]
+
+
 def _scheme(obj) -> SplittingScheme:
     return obj if isinstance(obj, SplittingScheme) else SplittingScheme(obj)
+
+
+def step_count(s: float, mode: str, t_total: float, field: str) -> int:
+    """Steps of size s in one run: 1 in ``local`` mode, t_total / s in ``global``.
+
+    Raises ValidationError naming ``field`` when s does not divide t_total,
+    so that the horizon reached is exactly the one the metadata reports.
+    """
+    if mode == "local":
+        return 1
+    n = round(t_total / s)
+    if n < 1 or abs(n * s - t_total) > 1e-9 * t_total:
+        raise ValidationError(field, f"step {s} does not divide t={t_total}")
+    return n
 
 
 def _build_setup(h: float, domain, potential_id: str, observable_ids):
@@ -210,6 +230,47 @@ def _build_setup(h: float, domain, potential_id: str, observable_ids):
     observables = {name: OBSERVABLES[name](grid) for name in observable_ids}
     packet = gaussian_wavepacket(grid, WAVEPACKET_X0, WAVEPACKET_P0, h)
     return grid, pair, observables, packet
+
+
+def _error_rows(setup, schemes, s: float, n: int, h: float,
+                with_unitary: bool = False) -> list[tuple]:
+    """Error rows of one sweep point: n steps of size s on one grid setup."""
+    grid, pair, observables, packet = setup
+    out = []
+    for scheme in schemes:
+        plan = EvolutionPlan(scheme, s, n, h)
+        u = exact_unitary(pair.total, plan.t, h)
+        if with_unitary:
+            out.append((s, h, grid.N, scheme.value, "-", "unitary_error",
+                        unitary_error(pair, plan, exact_u=u)))
+        for name, obs in observables.items():
+            err = observable_error(obs, pair, plan, exact_u=u)
+            exp_err = expectation_error(obs, pair, plan, packet, exact_u=u)
+            out.append((s, h, grid.N, scheme.value, name, "observable_error", err))
+            out.append((s, h, grid.N, scheme.value, name, "expectation_error", exp_err))
+    return out
+
+
+def _fit_table(table: SweepTable, x: str, window, floor: float) -> ExperimentResult:
+    """Fit every (scheme, observable, metric) series of a sweep table against x.
+
+    Keys read ``scheme/metric`` for observable-free series (observable
+    ``-``) and ``scheme/observable/metric`` otherwise.
+    """
+    idx = [table.columns.index(c) for c in ("scheme", "observable", "metric")]
+    fits, excluded = {}, {}
+    for scheme, obs, metric in sorted({tuple(row[i] for i in idx) for row in table.rows}):
+        key = f"{scheme}/{metric}" if obs == "-" else f"{scheme}/{obs}/{metric}"
+        pts = table.series(x, scheme=scheme, observable=obs, metric=metric)
+        report, excluded[key] = _fit_series(pts, window, floor)
+        if report is not None:
+            fits[key] = report
+    return ExperimentResult(table, fits, excluded)
+
+
+def _sweep_metadata(mode: str, potential_id: str, t_total: float, **extra) -> dict:
+    return {"mode": mode, "grid_relation": "N=(b-a)/(2*pi*h)", "potential": potential_id,
+            "t_total": "" if mode == "local" else f"{t_total:.17g}", **extra}
 
 
 def sweep_timestep(*, s_values: Sequence[float], h: float,
@@ -225,44 +286,14 @@ def sweep_timestep(*, s_values: Sequence[float], h: float,
     be integral.
     """
     schemes = [_scheme(s) for s in schemes]
-    grid, pair, observables, packet = _build_setup(h, domain, potential_id, observable_ids)
-    hamiltonian = pair.total
-
-    def rows_for(s: float) -> list[tuple]:
-        if mode == "local":
-            n = 1
-        else:
-            n = round(t_total / s)
-            if n < 1 or abs(n * s - t_total) > 1e-9 * t_total:
-                raise ValidationError("s_values", f"step {s} does not divide t={t_total}")
-        out = []
-        for scheme in schemes:
-            plan = EvolutionPlan(scheme, s, n, h)
-            u = exact_unitary(hamiltonian, plan.t, h)
-            for name, obs in observables.items():
-                err = observable_error(obs, pair, plan, exact_u=u)
-                exp_err = expectation_error(obs, pair, plan, packet, exact_u=u)
-                out.append((s, h, grid.N, scheme.value, name, "observable_error", err))
-                out.append((s, h, grid.N, scheme.value, name, "expectation_error", exp_err))
-        return out
-
-    rows = [row for chunk in _map_ordered(rows_for, sorted(s_values), threads) for row in chunk]
-    table = SweepTable.build(SWEEP_COLUMNS, rows, {
-        "mode": mode, "grid_relation": "N=(b-a)/(2*pi*h)", "potential": potential_id,
-        "t_total": "" if mode == "local" else f"{t_total:.17g}",
-    })
-
+    steps = {s: step_count(s, mode, t_total, "s_values") for s in s_values}
+    setup = _build_setup(h, domain, potential_id, observable_ids)
+    rows = _map_rows(lambda s: _error_rows(setup, schemes, s, steps[s], h),
+                     sorted(s_values), threads)
+    table = SweepTable.build(SWEEP_COLUMNS, rows,
+                             _sweep_metadata(mode, potential_id, t_total))
     window = FIT_WINDOW_LOCAL_S if mode == "local" else None
-    fits, excluded = {}, {}
-    for scheme in schemes:
-        for name in observables:
-            for metric in ("observable_error", "expectation_error"):
-                key = f"{scheme.value}/{name}/{metric}"
-                pts = table.series("s", scheme=scheme.value, observable=name, metric=metric)
-                report, excluded[key] = _fit_series(pts, window, roundoff_floor(grid.N))
-                if report is not None:
-                    fits[key] = report
-    return ExperimentResult(table, fits, excluded)
+    return _fit_table(table, "s", window, roundoff_floor(setup[0].N))
 
 
 def sweep_h(*, h_values: Sequence[float], s_fixed: float,
@@ -274,54 +305,20 @@ def sweep_h(*, h_values: Sequence[float], s_fixed: float,
     """Unitary, observable and expectation errors versus the Planck constant.
 
     The grid follows the canonical relation N = (b-a)/(2 pi h) at every h.
-    ``local`` runs one step of size s_fixed; ``global`` runs to t_total.
+    ``local`` runs one step of size s_fixed; ``global`` runs to t_total,
+    which s_fixed must divide.
     """
     schemes = [_scheme(s) for s in schemes]
+    n = step_count(s_fixed, mode, t_total, "s_fixed")
 
     def rows_for(h: float) -> list[tuple]:
-        grid, pair, observables, packet = _build_setup(h, domain, potential_id, observable_ids)
-        if mode == "local":
-            n = 1
-        else:
-            n = round(t_total / s_fixed)
-            if n < 1:
-                raise ValidationError("s_fixed", f"step {s_fixed} exceeds t={t_total}")
-        out = []
-        for scheme in schemes:
-            plan = EvolutionPlan(scheme, s_fixed, n, h)
-            u = exact_unitary(pair.total, plan.t, h)
-            out.append((s_fixed, h, grid.N, scheme.value, "-", "unitary_error",
-                        unitary_error(pair, plan, exact_u=u)))
-            for name, obs in observables.items():
-                err = observable_error(obs, pair, plan, exact_u=u)
-                exp_err = expectation_error(obs, pair, plan, packet, exact_u=u)
-                out.append((s_fixed, h, grid.N, scheme.value, name, "observable_error", err))
-                out.append((s_fixed, h, grid.N, scheme.value, name, "expectation_error", exp_err))
-        return out
+        setup = _build_setup(h, domain, potential_id, observable_ids)
+        return _error_rows(setup, schemes, s_fixed, n, h, with_unitary=True)
 
-    rows = [row for chunk in _map_ordered(rows_for, sorted(h_values), threads) for row in chunk]
-    n_max = max(row[2] for row in rows)
-    table = SweepTable.build(SWEEP_COLUMNS, rows, {
-        "mode": mode, "grid_relation": "N=(b-a)/(2*pi*h)", "potential": potential_id,
-        "s_fixed": f"{s_fixed:.17g}",
-        "t_total": "" if mode == "local" else f"{t_total:.17g}",
-    })
-
-    fits, excluded = {}, {}
-    for scheme in schemes:
-        key = f"{scheme.value}/unitary_error"
-        pts = table.series("h", scheme=scheme.value, observable="-", metric="unitary_error")
-        report, excluded[key] = _fit_series(pts, FIT_WINDOW_H, roundoff_floor(n_max))
-        if report is not None:
-            fits[key] = report
-        for name in observable_ids:
-            for metric in ("observable_error", "expectation_error"):
-                key = f"{scheme.value}/{name}/{metric}"
-                pts = table.series("h", scheme=scheme.value, observable=name, metric=metric)
-                report, excluded[key] = _fit_series(pts, FIT_WINDOW_H, roundoff_floor(n_max))
-                if report is not None:
-                    fits[key] = report
-    return ExperimentResult(table, fits, excluded)
+    rows = _map_rows(rows_for, sorted(h_values), threads)
+    table = SweepTable.build(SWEEP_COLUMNS, rows, _sweep_metadata(
+        mode, potential_id, t_total, s_fixed=f"{s_fixed:.17g}"))
+    return _fit_table(table, "h", FIT_WINDOW_H, roundoff_floor(max(row[2] for row in rows)))
 
 
 def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
@@ -349,7 +346,7 @@ def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
         )
         return [(h, grid.N, metric, val) for metric, val in zip(metrics, values)]
 
-    rows = [row for chunk in _map_ordered(rows_for, sorted(h_values), threads) for row in chunk]
+    rows = _map_rows(rows_for, sorted(h_values), threads)
     table = SweepTable.build(("h", "N", "metric", "value"), rows, {
         "grid_relation": "N=(b-a)/(2*pi*h)", "potential": potential_id,
     })
@@ -378,7 +375,7 @@ def calculus_suite(n_values: Sequence[int], t_flow: float = 0.5,
             (n, h, "egorov_remainder", qz.egorov_remainder(a, b, t_flow, ctx)),
         ]
 
-    rows = [row for chunk in _map_ordered(rows_for, sorted(n_values), threads) for row in chunk]
+    rows = _map_rows(rows_for, sorted(n_values), threads)
     table = SweepTable.build(("N", "h", "metric", "value"), rows,
                              {"pair": "cos_x/cos_xi", "t_flow": f"{t_flow:.17g}"})
     fits, excluded = {}, {}

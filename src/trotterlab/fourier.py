@@ -5,10 +5,9 @@ transform is unnormalized,
 
     (F v)_k = sum_j v_j exp(-2i pi k j / N),
 
-and the inverse carries the 1/N factor. The fast paths are restricted to
-power-of-two lengths, which covers every production sweep; a quadratic
-fallback handles arbitrary lengths for the higher-level constructors so
-that property tests are not limited to powers of two.
+and the inverse carries the 1/N factor. Transforms run through numpy's
+pocketfft, which costs O(N log N) for every length N; the dense
+``dft_matrix`` is kept as the oracle the fast path is checked against.
 """
 
 from __future__ import annotations
@@ -18,21 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, NonFinite, NonPowerOfTwo
+from .errors import EmptyInput, NonFinite
 
 __all__ = [
     "DiagonalKind",
     "FactoredOperator",
-    "dft",
-    "idft",
-    "dft_naive",
-    "idft_naive",
     "dft_matrix",
     "dft_cols",
     "idft_cols",
     "circulant",
     "materialize",
-    "apply_factored",
 ]
 
 
@@ -47,26 +41,6 @@ def _as_vector(v) -> np.ndarray:
     return arr
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def dft(v) -> np.ndarray:
-    """Unnormalized forward transform; length must be a power of two."""
-    arr = _as_vector(v)
-    if not _is_pow2(arr.size):
-        raise NonPowerOfTwo(f"fast transform needs a power-of-two length, got {arr.size}")
-    return np.fft.fft(arr)
-
-
-def idft(v) -> np.ndarray:
-    """Inverse transform with the 1/N factor; length must be a power of two."""
-    arr = _as_vector(v)
-    if not _is_pow2(arr.size):
-        raise NonPowerOfTwo(f"fast transform needs a power-of-two length, got {arr.size}")
-    return np.fft.ifft(arr)
-
-
 def dft_matrix(n: int) -> np.ndarray:
     """Dense forward-transform matrix of size n."""
     if n < 1:
@@ -75,41 +49,14 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(j, j) / n)
 
 
-def dft_naive(v) -> np.ndarray:
-    """Quadratic-cost forward transform valid for any length."""
-    arr = _as_vector(v)
-    return dft_matrix(arr.size) @ arr
-
-
-def idft_naive(v) -> np.ndarray:
-    """Quadratic-cost inverse transform valid for any length."""
-    arr = _as_vector(v)
-    return dft_matrix(arr.size).conj().T @ arr / arr.size
-
-
-def _forward(arr: np.ndarray) -> np.ndarray:
-    return np.fft.fft(arr) if _is_pow2(arr.size) else dft_matrix(arr.size) @ arr
-
-
-def _inverse(arr: np.ndarray) -> np.ndarray:
-    if _is_pow2(arr.size):
-        return np.fft.ifft(arr)
-    return dft_matrix(arr.size).conj().T @ arr / arr.size
-
-
 def dft_cols(mat: np.ndarray) -> np.ndarray:
     """Forward transform applied to every column (or to a vector)."""
-    if _is_pow2(mat.shape[0]):
-        return np.fft.fft(mat, axis=0)
-    return dft_matrix(mat.shape[0]) @ mat
+    return np.fft.fft(mat, axis=0)
 
 
 def idft_cols(mat: np.ndarray) -> np.ndarray:
     """Inverse transform applied to every column (or to a vector)."""
-    n = mat.shape[0]
-    if _is_pow2(n):
-        return np.fft.ifft(mat, axis=0)
-    return dft_matrix(n).conj().T @ mat / n
+    return np.fft.ifft(mat, axis=0)
 
 
 class DiagonalKind(enum.Enum):
@@ -154,20 +101,10 @@ def materialize(op: FactoredOperator) -> np.ndarray:
     return idft_cols(op.diag[:, None] * dft_matrix(n))
 
 
-def apply_factored(op: FactoredOperator, v) -> np.ndarray:
-    """Apply a factored operator to a vector."""
-    arr = _as_vector(v)
-    if arr.size != op.dim:
-        raise DimensionMismatch(f"operator dim {op.dim} != vector length {arr.size}")
-    if op.kind is DiagonalKind.POSITION:
-        return op.diag * arr
-    return _inverse(op.diag * _forward(arr))
-
-
 def circulant(first_column) -> np.ndarray:
     """Circulant matrix with the given first column.
 
     Built as ``F^-1 diag(F c) F``; entry (i, j) equals c[(i - j) mod N].
     """
     col = _as_vector(first_column)
-    return materialize(FactoredOperator(DiagonalKind.FOURIER, _forward(col)))
+    return materialize(FactoredOperator(DiagonalKind.FOURIER, dft_cols(col)))

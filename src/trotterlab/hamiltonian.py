@@ -19,7 +19,6 @@ import numpy as np
 from . import fourier
 from .errors import BadCutoff, NonRealPotential, OddN
 from .fourier import DiagonalKind, FactoredOperator
-from .numkit import kron_sum
 from .symbols import TorusSymbol
 
 __all__ = [
@@ -39,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Spatial domain, grid count per axis, Planck constant and dimension.
+    """Spatial domain, grid count, and Planck constant of a one-dimensional grid.
 
     The canonical meshing ties the grid to the Planck constant through
     N = (b - a) / (2 pi h); on [-pi, pi] that reads N = 1/h. Use
@@ -52,7 +51,6 @@ class GridSpec:
     b_dom: float
     N: int
     h: float
-    d: int = 1
 
     def __post_init__(self):
         if not self.b_dom > self.a_dom:
@@ -61,17 +59,15 @@ class GridSpec:
             raise ValueError(f"need N >= 1, got {self.N}")
         if not self.h > 0:
             raise ValueError(f"need h > 0, got {self.h}")
-        if self.d < 1:
-            raise ValueError(f"need d >= 1, got {self.d}")
 
     @classmethod
-    def canonical(cls, a_dom: float, b_dom: float, h: float, d: int = 1) -> "GridSpec":
+    def canonical(cls, a_dom: float, b_dom: float, h: float) -> "GridSpec":
         """Grid with N rounded from the canonical relation N = (b-a)/(2 pi h)."""
         exact = (b_dom - a_dom) / (2.0 * math.pi * h)
         n = round(exact)
         if n < 1 or abs(n - exact) > 0.5 + 1e-9:
             raise ValueError(f"no integer grid count near {exact} for h={h}")
-        return cls(a_dom, b_dom, n, h, d)
+        return cls(a_dom, b_dom, n, h)
 
     @property
     def length(self) -> float:
@@ -95,10 +91,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridOperator:
-    """Dense matrix together with its factored (fast) form when one exists."""
+    """Dense matrix together with its factored (fast) form."""
 
     dense: np.ndarray
-    factored: FactoredOperator | None
+    factored: FactoredOperator
 
     def __post_init__(self):
         arr = np.array(self.dense, dtype=np.complex128, copy=True)
@@ -131,11 +127,9 @@ def _signed_bins(n: int) -> np.ndarray:
 def build_fd_kinetic(grid: GridSpec) -> GridOperator:
     """Central-difference discretization of -(h^2/2) Lap.
 
-    One dimension gives the circulant with first column
-    (h^2 N^2 / (2 (b-a)^2)) * [2, -1, 0, ..., 0, -1]; its Fourier
-    eigenvalues are (h^2 N^2 / (b-a)^2) (1 - cos(2 pi k / N)). Higher
-    dimensions are Kronecker sums of the one-dimensional block and carry
-    no factored form.
+    The circulant with first column (h^2 N^2 / (2 (b-a)^2)) * [2, -1, 0,
+    ..., 0, -1]; its Fourier eigenvalues are
+    (h^2 N^2 / (b-a)^2) (1 - cos(2 pi k / N)).
     """
     n = grid.N
     if n < 2:
@@ -146,20 +140,15 @@ def build_fd_kinetic(grid: GridSpec) -> GridOperator:
     col[1] = -pref
     col[-1] += -pref
     diag = 2.0 * pref * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
-    if grid.d == 1:
-        return GridOperator(fourier.circulant(col),
-                            FactoredOperator(DiagonalKind.FOURIER, diag))
-    block = fourier.circulant(col)
-    return GridOperator(kron_sum([block] * grid.d), None)
+    return GridOperator(fourier.circulant(col), FactoredOperator(DiagonalKind.FOURIER, diag))
 
 
 def build_sp_kinetic(grid: GridSpec) -> GridOperator:
-    """Fourier-collocation discretization of -(h^2/2) Lap (one dimension).
+    """Fourier-collocation discretization of -(h^2/2) Lap.
 
     Diagonal in the Fourier basis with entries
     (h^2 / 2) (2 pi / (b-a))^2 k^2 for k in {-N/2, ..., N/2 - 1}.
     """
-    _require_1d(grid)
     if grid.N % 2:
         raise OddN(f"collocation kinetic needs even N, got {grid.N}")
     k = _signed_bins(grid.N)
@@ -188,7 +177,6 @@ def build_modified_sp_kinetic(grid: GridSpec, cutoff: float) -> GridOperator:
     [-1/2 + c, 1/2 - c] and supported inside (-(1-c)/2, (1-c)/2).
     Interior bins match the unmodified kinetic exactly.
     """
-    _require_1d(grid)
     if not 0.0 < cutoff < 0.5:
         raise BadCutoff(f"cutoff must lie in (0, 1/2), got {cutoff}")
     if grid.N % 2:
@@ -210,7 +198,6 @@ def build_potential(v: Union[Callable[[np.ndarray], np.ndarray], TorusSymbol],
     ``v`` is either a callable on physical coordinates or an x-only torus
     symbol evaluated at the rescaled nodes (x - a)/(b - a).
     """
-    _require_1d(grid)
     if isinstance(v, TorusSymbol):
         values = np.asarray(v.evaluate(grid.to_torus(grid.nodes), 0.0))
     else:
@@ -246,7 +233,6 @@ def momentum_observable(grid: GridSpec) -> np.ndarray:
     the Nyquist wrap; worst-case (operator norm) split-step errors for it
     grow like 1/h, unlike symbol-class observables.
     """
-    _require_1d(grid)
     if grid.N % 2:
         raise OddN(f"momentum observable needs even N, got {grid.N}")
     diag = grid.h * (2.0 * np.pi / grid.length) * _signed_bins(grid.N)
@@ -262,7 +248,6 @@ def momentum_fd_observable(grid: GridSpec) -> np.ndarray:
     apply to it, and the flat error curves of the h sweeps are reproduced
     with this realization.
     """
-    _require_1d(grid)
     diag = grid.h * grid.N / grid.length * np.sin(2.0 * np.pi * np.arange(grid.N) / grid.N)
     return fourier.materialize(FactoredOperator(DiagonalKind.FOURIER, diag))
 
@@ -274,11 +259,5 @@ def cosine_observable(grid: GridSpec, harmonic: int = 1) -> np.ndarray:
     error constants; the query-count experiment uses harmonic 3 so its
     target accuracies sit in the asymptotic second-order regime.
     """
-    _require_1d(grid)
     return np.diag(np.cos(harmonic * grid.nodes)).astype(np.complex128)
 
-
-def _require_1d(grid: GridSpec) -> None:
-    if grid.d != 1:
-        raise ValueError("only the one-dimensional builder is implemented; "
-                         "combine one-dimensional blocks with kron_sum for d > 1")

@@ -1,5 +1,5 @@
 """Dense complex linear algebra: Hermitian eigendecomposition, unitary
-matrix exponentials, spectral norms and Kronecker sums.
+matrix exponentials, spectral norms and the Hermiticity gate.
 
 Matrices are plain square ``numpy.ndarray`` values of dtype complex128.
 All functions are pure and deterministic; nothing here mutates its inputs.
@@ -7,29 +7,25 @@ All functions are pure and deterministic; nothing here mutates its inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOverflow, NonFinite, NonHermitian
+from .errors import NonFinite, NonHermitian
 
 __all__ = [
     "EigenSystem",
     "hermitian_eig",
     "expm_hermitian",
     "spectral_norm",
-    "kron_sum",
     "hermiticity_defect",
+    "require_hermitian",
 ]
 
 # Accepted relative distance between a matrix and its adjoint. Checked with
 # Frobenius norms: the gate only needs to separate round-off asymmetry
 # (~1e-15) from genuinely non-Hermitian input, and Frobenius keeps it O(n^2).
 HERMITICITY_RTOL = 1e-10
-
-# Default cap on the product dimension of a Kronecker sum.
-KRON_DIM_CAP = 4096
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -50,10 +46,12 @@ def hermiticity_defect(matrix) -> float:
     return float(np.linalg.norm(arr - arr.conj().T) / scale)
 
 
-def _require_hermitian(arr: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
-    defect = hermiticity_defect(arr)
-    if defect > rtol:
-        raise NonHermitian(f"relative Hermiticity defect {defect:.3e} exceeds {rtol:.1e}")
+def require_hermitian(matrix) -> None:
+    """Raise NonHermitian when the relative defect exceeds ``HERMITICITY_RTOL``."""
+    defect = hermiticity_defect(matrix)
+    if defect > HERMITICITY_RTOL:
+        raise NonHermitian(
+            f"relative Hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.1e}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ def hermitian_eig(matrix) -> EigenSystem:
     ``HERMITICITY_RTOL`` and NonFinite on NaN/Inf entries.
     """
     arr = _as_square(matrix)
-    _require_hermitian(arr)
+    require_hermitian(arr)
     w, v = np.linalg.eigh(arr)
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
@@ -108,23 +106,3 @@ def spectral_norm(matrix) -> float:
         return 0.0
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
-
-def kron_sum(blocks, cap: int = KRON_DIM_CAP) -> np.ndarray:
-    """Kronecker sum ``sum_j I (x) ... (x) block_j (x) ... (x) I``.
-
-    ``block_j`` sits in slot j of a d-fold tensor product, d = len(blocks).
-    Raises DimensionOverflow when the product dimension exceeds ``cap``.
-    """
-    mats = [_as_square(b) for b in blocks]
-    if not mats:
-        raise ValueError("kron_sum needs at least one block")
-    dims = [m.shape[0] for m in mats]
-    total = math.prod(dims)
-    if total > cap:
-        raise DimensionOverflow(f"product dimension {total} exceeds cap {cap}")
-    out = np.zeros((total, total), dtype=np.complex128)
-    for j, block in enumerate(mats):
-        left = math.prod(dims[:j]) if j else 1
-        right = math.prod(dims[j + 1:]) if j + 1 < len(dims) else 1
-        out += np.kron(np.kron(np.eye(left), block), np.eye(right))
-    return out

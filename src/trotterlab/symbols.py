@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _REALITY_TOL = 1e-12
-_ZERO_TOL = 0.0  # coefficients are kept verbatim; nothing is pruned silently
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

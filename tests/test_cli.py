@@ -37,9 +37,19 @@ class TestParseConfig:
         assert err.value.field == "h"
 
     def test_unknown_key_rejected(self):
+        for key in ("stepsize", "seed"):
+            with pytest.raises(ValidationError) as err:
+                parse_config(f'{{"command": "sweep-s", "{key}": 0}}')
+            assert err.value.field == key
+            assert "unknown key" in str(err.value)
+
+    def test_step_that_does_not_divide_horizon_rejected(self):
         with pytest.raises(ValidationError) as err:
-            parse_config('{"command": "sweep-s", "stepsize": 0.1}')
-        assert err.value.field == "stepsize"
+            parse_config('{"command": "sweep-h", "mode": "global", "s_fixed": 0.3}')
+        assert err.value.field == "s_fixed"
+        with pytest.raises(ValidationError) as err:
+            parse_config('{"command": "long-time", "s_values": [0.25, 0.3]}')
+        assert err.value.field == "s_values"
 
     def test_bad_json_gives_position(self):
         with pytest.raises(ParseError) as err:

@@ -4,6 +4,7 @@ import pytest
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
 from trotterlab.fourier import DiagonalKind, FactoredOperator
 from trotterlab.evolve import (
+    _STAGES,
     EvolutionPlan,
     SplittingScheme,
     evolve_state,
@@ -118,6 +119,12 @@ class TestTrotterStep:
         forward = trotter_step_unitary(pair, SplittingScheme.STRANG2, 0.3, h)
         backward = trotter_step_unitary(pair, SplittingScheme.STRANG2, -0.3, h)
         assert spectral_norm(forward @ backward - np.eye(grid.N)) <= 1e-9 * grid.N
+
+    def test_every_scheme_spends_one_full_step_per_operator(self):
+        for scheme in SplittingScheme:
+            stages = _STAGES[scheme]
+            for op in ("A", "B"):
+                assert sum(frac for name, frac in stages if name == op) == 1.0
 
 
 class TestHeisenberg:
@@ -349,16 +356,16 @@ class TestAlternateKinetics:
 
 class TestNonPowerOfTwoGrid:
     def test_full_stack_on_n_ten(self):
-        # h = 0.1 on [-pi, pi] gives N = 10; everything routes through the
-        # quadratic transform fallback and stays consistent
-        h = 0.1
-        grid = GridSpec.canonical(-np.pi, np.pi, h)
-        assert grid.N == 10
-        pair = build_pair(grid)
-        obs = cosine_observable(grid)
-        plan = EvolutionPlan(SplittingScheme.STRANG2, 0.2, 1, h)
-        fast = trotter_step_unitary(pair, SplittingScheme.STRANG2, 0.2, h)
-        dense = dense_step(pair, SplittingScheme.STRANG2, 0.2, h)
-        assert spectral_norm(fast - dense) <= 1e-9 * grid.N
-        err = observable_error(obs, pair, plan)
-        assert 0.0 < err < 2.0
+        # h = 0.1 on [-pi, pi] gives N = 10 and h = 1/25 gives the odd
+        # N = 25; the FFT path handles any length and stays consistent
+        for h, n in ((0.1, 10), (1.0 / 25, 25)):
+            grid = GridSpec.canonical(-np.pi, np.pi, h)
+            assert grid.N == n
+            pair = build_pair(grid)
+            obs = cosine_observable(grid)
+            plan = EvolutionPlan(SplittingScheme.STRANG2, 0.2, 1, h)
+            fast = trotter_step_unitary(pair, SplittingScheme.STRANG2, 0.2, h)
+            dense = dense_step(pair, SplittingScheme.STRANG2, 0.2, h)
+            assert spectral_norm(fast - dense) <= 1e-9 * grid.N
+            err = observable_error(obs, pair, plan)
+            assert 0.0 < err < 2.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trotterlab import experiments
 from trotterlab.errors import TooFewPoints, Unreachable, ValidationError
 from trotterlab.experiments import (
     FIT_WINDOW_LOCAL_S,
@@ -168,6 +169,17 @@ class TestSweepH:
         res = sweep_h(h_values=[2.0**-k for k in range(5, 9)], s_fixed=0.1,
                       mode="local", observable_ids=("cos_x",), schemes=("Lie1",))
         assert -0.25 <= res.fits["Lie1/cos_x/observable_error"].slope <= 0.25
+
+    def test_global_mode_rejects_non_divisor_before_compute(self, monkeypatch):
+        # 0.3 does not divide t = 1: three steps would stop at t = 0.9
+        def no_compute(*args, **kwargs):
+            raise AssertionError("grid built before the step was validated")
+
+        monkeypatch.setattr(experiments, "build_pair", no_compute)
+        with pytest.raises(ValidationError) as err:
+            sweep_h(h_values=[2.0**-4], s_fixed=0.3, mode="global", t_total=1.0,
+                    observable_ids=("cos_x",), schemes=("Lie1",))
+        assert err.value.field == "s_fixed"
 
 
 @pytest.fixture(scope="module")

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from trotterlab.errors import DimensionMismatch, EmptyInput, NonPowerOfTwo
+from trotterlab.errors import EmptyInput
 from trotterlab.fourier import (
     DiagonalKind,
     FactoredOperator,
-    apply_factored,
     circulant,
-    dft,
+    dft_cols,
     dft_matrix,
-    dft_naive,
-    idft,
-    idft_naive,
+    idft_cols,
     materialize,
 )
+
+# Powers of two and other lengths share one transform path.
+LENGTHS = (3, 5, 8, 12, 16)
 
 
 def naive_forward(v):
@@ -37,61 +37,54 @@ def naive_inverse(v):
 
 class TestTransforms:
     def test_delta_to_constant(self):
-        assert np.allclose(dft([1, 0, 0, 0]), [1, 1, 1, 1])
+        assert np.allclose(dft_cols([1, 0, 0, 0]), [1, 1, 1, 1])
 
     def test_constant_to_scaled_delta(self):
-        assert np.allclose(dft([1, 1, 1, 1]), [4, 0, 0, 0], atol=1e-14)
+        assert np.allclose(dft_cols([1, 1, 1, 1]), [4, 0, 0, 0], atol=1e-14)
 
     def test_matches_double_loop_oracle(self):
+        # the fast path and the dense oracle matrix both agree with the loop
         rng = np.random.default_rng(31)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.abs(dft(v) - naive_forward(v)).max() < 1e-12
+        for n in LENGTHS:
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert np.abs(dft_cols(v) - naive_forward(v)).max() < 1e-12 * n
+            assert np.abs(dft_matrix(n) @ v - naive_forward(v)).max() < 1e-11
 
     def test_inverse_matches_double_loop_oracle(self):
         rng = np.random.default_rng(32)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.abs(idft(v) - naive_inverse(v)).max() < 1e-12
+        for n in LENGTHS:
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert np.abs(idft_cols(v) - naive_inverse(v)).max() < 1e-12 * n
 
     def test_round_trip(self):
         rng = np.random.default_rng(33)
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.abs(idft(dft(v)) - v).max() <= 1e-12 * 16
+        assert np.abs(idft_cols(dft_cols(v)) - v).max() <= 1e-12 * 16
 
     def test_scaled_delta_to_ones(self):
         n = 8
         v = np.zeros(n)
         v[0] = n
-        assert np.allclose(idft(v), np.ones(n))
+        assert np.allclose(idft_cols(v), np.ones(n))
 
     def test_normalized_forward_is_isometry(self):
         rng = np.random.default_rng(34)
         for n in (4, 32, 128):
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert np.linalg.norm(dft(v) / np.sqrt(n)) == pytest.approx(
+            assert np.linalg.norm(dft_cols(v) / np.sqrt(n)) == pytest.approx(
                 np.linalg.norm(v), abs=1e-12 * n)
 
     def test_normalized_inverse_matrix_unitary(self):
         # Q = sqrt(N) * F^-1 is unitary
         n = 16
-        q = np.sqrt(n) * np.column_stack([idft(col) for col in np.eye(n)])
+        q = np.sqrt(n) * idft_cols(np.eye(n))
         assert np.abs(q.conj().T @ q - np.eye(n)).max() < 1e-12
-
-    def test_power_of_two_enforced(self):
-        with pytest.raises(NonPowerOfTwo):
-            dft([1.0, 2.0, 3.0])
-        with pytest.raises(NonPowerOfTwo):
-            idft([1.0, 2.0, 3.0])
-
-    def test_naive_fallback_any_length(self):
-        rng = np.random.default_rng(35)
-        for n in (3, 5, 12):
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert np.abs(dft_naive(v) - naive_forward(v)).max() < 1e-11
-            assert np.abs(idft_naive(dft_naive(v)) - v).max() < 1e-11
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            dft([])
+            circulant([])
+        with pytest.raises(EmptyInput):
+            dft_matrix(0)
 
 
 class TestCirculant:
@@ -122,13 +115,12 @@ class TestCirculant:
         assert np.abs(circulant(col)[:, 0] - col).max() < 1e-10
 
     def test_convolution_theorem(self):
-        # circulant(u) circulant(v) = circulant(w) with w_hat = u_hat * v_hat,
-        # checked on power-of-two and arbitrary lengths
+        # circulant(u) circulant(v) = circulant(w) with w_hat = u_hat * v_hat
         rng = np.random.default_rng(37)
-        for n in (8, 6, 10):
+        for n in LENGTHS:
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            w = idft_naive(dft_naive(u) * dft_naive(v))
+            w = idft_cols(dft_cols(u) * dft_cols(v))
             assert np.abs(circulant(u) @ circulant(v) - circulant(w)).max() <= 1e-9 * n
 
 
@@ -149,26 +141,22 @@ class TestFactoredOperator:
     def test_apply_position_identity(self):
         op = FactoredOperator(DiagonalKind.POSITION, np.ones(8))
         v = np.arange(8, dtype=complex)
-        assert np.array_equal(apply_factored(op, v), v)
+        assert np.array_equal(materialize(op) @ v, v)
 
     def test_apply_fourier_identity(self):
-        op = FactoredOperator(DiagonalKind.FOURIER, np.ones(8))
+        # applying a Fourier-diagonal operator: F^-1 diag(d) F v
         rng = np.random.default_rng(39)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.abs(apply_factored(op, v) - v).max() < 1e-12
+        assert np.abs(idft_cols(np.ones(8) * dft_cols(v)) - v).max() < 1e-12
 
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(40)
-        n = 16
-        d = np.exp(1j * rng.standard_normal(n))
-        op = FactoredOperator(DiagonalKind.FOURIER, d)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.abs(apply_factored(op, v) - materialize(op) @ v).max() <= 1e-10 * n
-
-    def test_length_mismatch(self):
-        op = FactoredOperator(DiagonalKind.POSITION, np.ones(4))
-        with pytest.raises(DimensionMismatch):
-            apply_factored(op, np.ones(5))
+        for n in LENGTHS:
+            d = np.exp(1j * rng.standard_normal(n))
+            op = FactoredOperator(DiagonalKind.FOURIER, d)
+            mat = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+            fast = idft_cols(d[:, None] * dft_cols(mat))
+            assert np.abs(fast - materialize(op) @ mat).max() <= 1e-10 * n
 
     def test_diag_immutable(self):
         op = FactoredOperator(DiagonalKind.POSITION, np.ones(4))

@@ -14,7 +14,7 @@ from trotterlab.hamiltonian import (
     momentum_fd_observable,
     momentum_observable,
 )
-from trotterlab.numkit import hermitian_eig, kron_sum, spectral_norm
+from trotterlab.numkit import hermitian_eig, spectral_norm
 from trotterlab.quantize import QuantizationContext, quantize
 from trotterlab.symbols import constant, cosine_x, cosine_xi
 
@@ -68,15 +68,6 @@ class TestFdKinetic:
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
         op = build_fd_kinetic(grid)
         assert np.abs(materialize(op.factored) - op.dense).max() < 1e-12
-
-    def test_two_dimensional_kron_assembly(self):
-        # oracle: explicit Kronecker-sum assembly of two N=4 blocks
-        grid1 = GridSpec(0.0, 1.0, 4, 1.0)
-        block = build_fd_kinetic(grid1).dense
-        grid2 = GridSpec(0.0, 1.0, 4, 1.0, d=2)
-        built = build_fd_kinetic(grid2).dense
-        expected = kron_sum([block, block])
-        assert np.abs(built - expected).max() < 1e-12
 
     def test_matches_torus_quantization(self):
         # fd kinetic = prefactor * op_N(2 - 2 cos(2 pi xi)) after rescaling

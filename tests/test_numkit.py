@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from trotterlab.errors import DimensionOverflow, NonFinite, NonHermitian
+from trotterlab.errors import NonFinite, NonHermitian
 from trotterlab.numkit import (
     EigenSystem,
     expm_hermitian,
     hermitian_eig,
-    kron_sum,
     spectral_norm,
 )
 
@@ -52,6 +51,13 @@ class TestHermitianEig:
     def test_rejects_nan(self):
         with pytest.raises(NonFinite):
             hermitian_eig(np.array([[np.nan, 0], [0, 1]]))
+
+    def test_reconstruct_helper(self):
+        rng = np.random.default_rng(8)
+        m = random_hermitian(rng, 5)
+        eig = hermitian_eig(m)
+        assert isinstance(eig, EigenSystem)
+        assert np.abs(eig.reconstruct() - m).max() < 1e-12
 
 
 class TestExpmHermitian:
@@ -112,39 +118,3 @@ class TestSpectralNorm:
         w2 = hermitian_eig(u @ m @ u.conj().T).eigenvalues
         assert np.abs(w1 - w2).max() <= 1e-8
 
-
-class TestKronSum:
-    def test_single_block(self):
-        b = np.array([[1, 2], [2, 1]], dtype=complex)
-        assert np.array_equal(kron_sum([b]), b)
-
-    def test_two_identities(self):
-        out = kron_sum([np.eye(2), np.eye(2)])
-        assert np.allclose(out, 2 * np.eye(4))
-
-    def test_matches_loop_assembly(self):
-        # oracle: assemble sum_j I x block_j x I by explicit index loops
-        rng = np.random.default_rng(4)
-        blocks = [random_hermitian(rng, 3), random_hermitian(rng, 2)]
-        expected = np.zeros((6, 6), dtype=complex)
-        for i1 in range(3):
-            for j1 in range(3):
-                for i2 in range(2):
-                    for j2 in range(2):
-                        row, col = i1 * 2 + i2, j1 * 2 + j2
-                        if i2 == j2:
-                            expected[row, col] += blocks[0][i1, j1]
-                        if i1 == j1:
-                            expected[row, col] += blocks[1][i2, j2]
-        assert np.abs(kron_sum(blocks) - expected).max() < 1e-14
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionOverflow):
-            kron_sum([np.eye(64), np.eye(64), np.eye(64)], cap=4096)
-
-    def test_reconstruct_helper(self):
-        rng = np.random.default_rng(8)
-        m = random_hermitian(rng, 5)
-        eig = hermitian_eig(m)
-        assert isinstance(eig, EigenSystem)
-        assert np.abs(eig.reconstruct() - m).max() < 1e-12
