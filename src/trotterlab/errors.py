@@ -53,6 +53,10 @@ class Unreachable(TrotterlabError):
     """Step-count search exceeded its cap without meeting the target."""
 
 
+class NonMonotone(TrotterlabError):
+    """Error curve rises again above the step count a search returned."""
+
+
 class ParseError(TrotterlabError):
     """Configuration document is not syntactically valid."""
 

@@ -1,11 +1,11 @@
 """Exact and split-step propagators with Heisenberg-picture error functionals.
 
-The exact propagator e^{-i H t / h} goes through a dense Hermitian
-eigendecomposition. Split steps never form dense products: each factor is
-diagonal in position or in the Fourier basis, so applying a step to an
-N x N observable costs O(N^2 log N). The error functionals compare the
-step-evolved observable (or unitary, or expectation value) against the
-exact dynamics in the spectral norm.
+The exact propagator U(t) = e^{-i H t / h} goes through a dense Hermitian
+eigendecomposition. Each split-step factor is diagonal in position or in
+the Fourier basis, so the one-step matrix W is assembled in O(N^2 log N),
+and W^n is formed by binary powering in O(N^3 log n); state vectors step
+in O(N log N). The observable and unitary errors both read the relative
+propagator V = W^n U^dag, which a sweep forms once per plan.
 """
 
 from __future__ import annotations
@@ -18,13 +18,15 @@ import numpy as np
 from .errors import PacketTouchesBoundary, UnnormalizedState
 from .fourier import DiagonalKind, FactoredOperator, dft_cols, idft_cols
 from .hamiltonian import GridSpec, HamiltonianPair
-from .numkit import expm_hermitian, require_hermitian, spectral_norm
+from .numkit import EigenSystem, hermitian_eig, hermitian_norm, require_hermitian, spectral_norm
 
 __all__ = [
     "SplittingScheme",
     "EvolutionPlan",
     "exact_unitary",
     "trotter_step_unitary",
+    "step_power",
+    "relative_propagator",
     "heisenberg_exact",
     "heisenberg_trotter",
     "evolve_state",
@@ -83,9 +85,10 @@ class EvolutionPlan:
         return self.n * self.s
 
 
-def exact_unitary(hamiltonian: np.ndarray, t: float, h: float) -> np.ndarray:
-    """Dense propagator e^{-i H t / h} of a Hermitian matrix."""
-    return expm_hermitian(hamiltonian, -t / h)
+def exact_unitary(hamiltonian: np.ndarray | EigenSystem, t: float, h: float) -> np.ndarray:
+    """Dense propagator e^{-i H t / h} of a Hermitian matrix or of its EigenSystem."""
+    eig = hamiltonian if isinstance(hamiltonian, EigenSystem) else hermitian_eig(hamiltonian)
+    return eig.exp(-t / h)
 
 
 def _step_factors(pair: HamiltonianPair, scheme: SplittingScheme,
@@ -96,21 +99,14 @@ def _step_factors(pair: HamiltonianPair, scheme: SplittingScheme,
             for name, frac in _STAGES[scheme]]
 
 
-def _apply_left(factor: FactoredOperator, mat: np.ndarray) -> np.ndarray:
-    diag = factor.diag if mat.ndim == 1 else factor.diag[:, None]
-    if factor.kind is DiagonalKind.POSITION:
-        return diag * mat
-    return idft_cols(diag * dft_cols(mat))
-
-
 def _apply_factors(factors, mat: np.ndarray) -> np.ndarray:
     for factor in factors:
-        mat = _apply_left(factor, mat)
+        diag = factor.diag if mat.ndim == 1 else factor.diag[:, None]
+        if factor.kind is DiagonalKind.POSITION:
+            mat = diag * mat
+        else:
+            mat = idft_cols(diag * dft_cols(mat))
     return mat
-
-
-def _dagger_factors(factors) -> list[FactoredOperator]:
-    return [FactoredOperator(f.kind, np.conj(f.diag)) for f in reversed(factors)]
 
 
 def trotter_step_unitary(pair: HamiltonianPair, scheme: SplittingScheme,
@@ -120,32 +116,35 @@ def trotter_step_unitary(pair: HamiltonianPair, scheme: SplittingScheme,
     return _apply_factors(factors, np.eye(pair.grid.N, dtype=np.complex128))
 
 
-def heisenberg_exact(observable: np.ndarray, hamiltonian: np.ndarray,
-                     t: float, h: float, exact_u: np.ndarray | None = None) -> np.ndarray:
-    """Exactly evolved observable U^dag O U with U = e^{-i H t / h}.
+def step_power(pair: HamiltonianPair, plan: EvolutionPlan) -> np.ndarray:
+    """n-step propagator W^n, the one-step matrix raised by binary powering."""
+    return np.linalg.matrix_power(trotter_step_unitary(pair, plan.scheme, plan.s, plan.h),
+                                  plan.n)
 
-    Both the Hamiltonian and the observable must be Hermitian; the result
-    then is too, with the same spectrum as the input.
+
+def relative_propagator(pair: HamiltonianPair, plan: EvolutionPlan,
+                        exact_u: np.ndarray | None = None) -> np.ndarray:
+    """V = W^n U(t)^dag. The spectral norm is unitarily invariant, so
+    ||V - 1|| = ||W^n - U|| and ||V^dag O V - O|| = ||W^n^dag O W^n - U^dag O U||.
     """
+    u = exact_unitary(pair.total, plan.t, plan.h) if exact_u is None else exact_u
+    return step_power(pair, plan) @ u.conj().T
+
+
+def heisenberg_exact(observable: np.ndarray, hamiltonian: np.ndarray,
+                     t: float, h: float) -> np.ndarray:
+    """Exactly evolved observable U^dag O U with U = e^{-i H t / h}; H and O Hermitian."""
     require_hermitian(observable)
-    u = exact_unitary(hamiltonian, t, h) if exact_u is None else exact_u
+    u = exact_unitary(hamiltonian, t, h)
     return u.conj().T @ observable @ u
 
 
 def heisenberg_trotter(observable: np.ndarray, pair: HamiltonianPair,
                        plan: EvolutionPlan) -> np.ndarray:
-    """Observable conjugated by n split steps: W^dag O W with W the step power.
-
-    Conjugation proceeds step by step, exposing the per-step evolution at
-    no asymptotic cost over forming W^n first.
-    """
-    factors = _step_factors(pair, plan.scheme, plan.s, plan.h)
-    dag = _dagger_factors(factors)
-    out = np.asarray(observable, dtype=np.complex128)
-    for _ in range(plan.n):
-        out = _apply_factors(dag, out.conj().T)   # U^dag O^dag
-        out = _apply_factors(dag, out.conj().T)   # U^dag (O U) = U^dag O U
-    return out
+    """Hermitian observable conjugated by n split steps: (W^n)^dag O W^n."""
+    require_hermitian(observable)
+    w = step_power(pair, plan)
+    return w.conj().T @ observable @ w
 
 
 def evolve_state(state: np.ndarray, pair: HamiltonianPair, plan: EvolutionPlan) -> np.ndarray:
@@ -158,26 +157,23 @@ def evolve_state(state: np.ndarray, pair: HamiltonianPair, plan: EvolutionPlan) 
 
 
 def observable_error(observable: np.ndarray, pair: HamiltonianPair, plan: EvolutionPlan,
-                     exact_u: np.ndarray | None = None) -> float:
+                     rel_u: np.ndarray | None = None) -> float:
     """Spectral-norm distance between split and exact Heisenberg evolution at t = n s.
 
-    ``exact_u`` lets sweeps reuse one eigendecomposition of A + B across
-    many observables and schemes.
+    Taken as ||V^dag O V - O|| with V the ``relative_propagator`` (``rel_u``
+    lets a sweep share it), by eigenvalues since the difference is Hermitian.
+    A non-Hermitian observable raises NonHermitian before any compute.
     """
-    approx = heisenberg_trotter(observable, pair, plan)
-    exact = heisenberg_exact(observable, pair.total, plan.t, plan.h, exact_u=exact_u)
-    return spectral_norm(approx - exact)
+    require_hermitian(observable)
+    v = relative_propagator(pair, plan) if rel_u is None else rel_u
+    return hermitian_norm(v.conj().T @ observable @ v - observable)
 
 
 def unitary_error(pair: HamiltonianPair, plan: EvolutionPlan,
-                  exact_u: np.ndarray | None = None) -> float:
-    """Spectral-norm distance between the step power and the exact propagator."""
-    factors = _step_factors(pair, plan.scheme, plan.s, plan.h)
-    walk = np.eye(pair.grid.N, dtype=np.complex128)
-    for _ in range(plan.n):
-        walk = _apply_factors(factors, walk)
-    exact = exact_unitary(pair.total, plan.t, plan.h) if exact_u is None else exact_u
-    return spectral_norm(walk - exact)
+                  rel_u: np.ndarray | None = None) -> float:
+    """Spectral-norm distance ||W^n - U|| = ||V - 1|| of step power and exact propagator."""
+    v = relative_propagator(pair, plan) if rel_u is None else rel_u
+    return spectral_norm(v - np.eye(v.shape[0]))
 
 
 def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float, h: float) -> np.ndarray:

@@ -15,8 +15,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import numkit
 from . import quantize as qz
-from .errors import TooFewPoints, Unreachable, ValidationError
+from .errors import NonMonotone, TooFewPoints, Unreachable, ValidationError
 from .evolve import (
     ROUNDOFF_FLOOR_PER_DIM,
     EvolutionPlan,
@@ -25,6 +26,7 @@ from .evolve import (
     expectation_error,
     gaussian_wavepacket,
     observable_error,
+    relative_propagator,
     unitary_error,
 )
 from .hamiltonian import (
@@ -34,7 +36,6 @@ from .hamiltonian import (
     momentum_fd_observable,
     momentum_observable,
 )
-from .numkit import spectral_norm
 from .quantize import QuantizationContext
 from .symbols import cosine_x, cosine_xi
 
@@ -229,22 +230,23 @@ def _build_setup(h: float, domain, potential_id: str, observable_ids):
     pair = build_pair(grid, potential=POTENTIALS[potential_id])
     observables = {name: OBSERVABLES[name](grid) for name in observable_ids}
     packet = gaussian_wavepacket(grid, WAVEPACKET_X0, WAVEPACKET_P0, h)
-    return grid, pair, observables, packet
+    return grid, pair, observables, packet, numkit.hermitian_eig(pair.total)
 
 
 def _error_rows(setup, schemes, s: float, n: int, h: float,
                 with_unitary: bool = False) -> list[tuple]:
     """Error rows of one sweep point: n steps of size s on one grid setup."""
-    grid, pair, observables, packet = setup
+    grid, pair, observables, packet, eig = setup
+    u = exact_unitary(eig, n * s, h)
     out = []
     for scheme in schemes:
         plan = EvolutionPlan(scheme, s, n, h)
-        u = exact_unitary(pair.total, plan.t, h)
+        rel_u = relative_propagator(pair, plan, exact_u=u)
         if with_unitary:
             out.append((s, h, grid.N, scheme.value, "-", "unitary_error",
-                        unitary_error(pair, plan, exact_u=u)))
+                        unitary_error(pair, plan, rel_u)))
         for name, obs in observables.items():
-            err = observable_error(obs, pair, plan, exact_u=u)
+            err = observable_error(obs, pair, plan, rel_u)
             exp_err = expectation_error(obs, pair, plan, packet, exact_u=u)
             out.append((s, h, grid.N, scheme.value, name, "observable_error", err))
             out.append((s, h, grid.N, scheme.value, name, "expectation_error", exp_err))
@@ -338,11 +340,11 @@ def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
         a, b = pair.kinetic.dense / h, pair.potential.dense / h
         comm = a @ b - b @ a
         values = (
-            spectral_norm(a),
-            spectral_norm(b),
-            spectral_norm(comm),
-            spectral_norm(a @ comm - comm @ a),
-            spectral_norm(b @ comm - comm @ b),
+            numkit.spectral_norm(a),
+            numkit.spectral_norm(b),
+            numkit.spectral_norm(comm),
+            numkit.spectral_norm(a @ comm - comm @ a),
+            numkit.spectral_norm(b @ comm - comm @ b),
         )
         return [(h, grid.N, metric, val) for metric, val in zip(metrics, values)]
 
@@ -392,8 +394,9 @@ def query_count(epsilon: float, scheme, h: float, *,
                 cap: int = 2**15) -> int:
     """Smallest step count n with observable error at most epsilon at t_total.
 
-    Doubling search for an upper bound, then bisection on the (empirically
-    monotone) error-versus-n curve. Raises Unreachable past ``cap`` steps.
+    Doubling search for an upper bound, then bisection, which assumes the
+    error falls as n grows: NonMonotone is raised when one of the next three
+    counts above the answer misses epsilon. Raises Unreachable past ``cap``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -401,14 +404,13 @@ def query_count(epsilon: float, scheme, h: float, *,
     grid = GridSpec.canonical(domain[0], domain[1], h)
     pair = build_pair(grid, potential=POTENTIALS[potential_id])
     obs = OBSERVABLES[observable_id](grid)
+    u = exact_unitary(pair.total, t_total, h)
 
     def error_at(n: int) -> float:
         plan = EvolutionPlan(scheme, t_total / n, n, h)
-        return observable_error(obs, pair, plan)
+        return observable_error(obs, pair, plan, relative_propagator(pair, plan, exact_u=u))
 
-    if error_at(1) <= epsilon:
-        return 1
-    low, high = 1, 2
+    low, high = 0, 1
     while error_at(high) > epsilon:
         low, high = high, high * 2
         if high > cap:
@@ -419,6 +421,9 @@ def query_count(epsilon: float, scheme, h: float, *,
             high = mid
         else:
             low = mid
+    for n in range(high + 1, high + 4):
+        if error_at(n) > epsilon:
+            raise NonMonotone(f"n={high} reaches error {epsilon} but n={n} does not")
     return high
 
 

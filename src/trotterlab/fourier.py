@@ -88,17 +88,12 @@ class FactoredOperator:
         arr.flags.writeable = False
         object.__setattr__(self, "diag", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
 
 def materialize(op: FactoredOperator) -> np.ndarray:
     """Dense matrix of a factored operator."""
     if op.kind is DiagonalKind.POSITION:
         return np.diag(op.diag).astype(np.complex128)
-    n = op.dim
-    return idft_cols(op.diag[:, None] * dft_matrix(n))
+    return idft_cols(op.diag[:, None] * dft_matrix(op.diag.size))
 
 
 def circulant(first_column) -> np.ndarray:

@@ -74,10 +74,6 @@ class GridSpec:
         return self.b_dom - self.a_dom
 
     @property
-    def spacing(self) -> float:
-        return self.length / self.N
-
-    @property
     def nodes(self) -> np.ndarray:
         return self.a_dom + self.length * np.arange(self.N) / self.N
 
@@ -100,10 +96,6 @@ class GridOperator:
         arr = np.array(self.dense, dtype=np.complex128, copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "dense", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.dense.shape[0]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Dense complex linear algebra: Hermitian eigendecomposition, unitary
-matrix exponentials, spectral norms and the Hermiticity gate.
+"""Dense complex linear algebra: Hermitian eigendecomposition (reused for
+``exp(i theta M)`` at any angle), spectral norms by SVD or, for Hermitian
+input, by eigenvalues, and the Hermiticity gate.
 
 Matrices are plain square ``numpy.ndarray`` values of dtype complex128.
 All functions are pure and deterministic; nothing here mutates its inputs.
@@ -18,6 +19,7 @@ __all__ = [
     "hermitian_eig",
     "expm_hermitian",
     "spectral_norm",
+    "hermitian_norm",
     "hermiticity_defect",
     "require_hermitian",
 ]
@@ -66,13 +68,14 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
+
+    def exp(self, theta: float) -> np.ndarray:
+        """Unitary ``exp(i * theta * M)`` as ``V diag(exp(i theta w)) V^dag``."""
+        v = self.eigenvectors
+        return (v * np.exp(1j * theta * self.eigenvalues)) @ v.conj().T
 
 
 def hermitian_eig(matrix) -> EigenSystem:
@@ -88,15 +91,8 @@ def hermitian_eig(matrix) -> EigenSystem:
 
 
 def expm_hermitian(matrix, theta: float) -> np.ndarray:
-    """Unitary exponential ``exp(i * theta * M)`` of a Hermitian matrix M.
-
-    Computed through the full eigendecomposition, which keeps the result
-    unitary to round-off for every angle.
-    """
-    eig = hermitian_eig(matrix)
-    phases = np.exp(1j * theta * eig.eigenvalues)
-    v = eig.eigenvectors
-    return (v * phases) @ v.conj().T
+    """Unitary exponential ``exp(i * theta * M)`` of a Hermitian matrix M."""
+    return hermitian_eig(matrix).exp(theta)
 
 
 def spectral_norm(matrix) -> float:
@@ -106,3 +102,12 @@ def spectral_norm(matrix) -> float:
         return 0.0
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
+
+def hermitian_norm(matrix) -> float:
+    """Spectral norm of a Hermitian matrix: its largest eigenvalue modulus.
+
+    Taken of the Hermitian part (M + M^dag) / 2, which drops the round-off
+    asymmetry of a matrix that is Hermitian in exact arithmetic.
+    """
+    arr = _as_square(matrix)
+    return float(np.abs(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))).max())

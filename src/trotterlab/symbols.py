@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import NonFinite, NotSplit
 
@@ -188,8 +187,12 @@ def sine_xi(m: int = 1, amplitude: float = 1.0) -> TorusSymbol:
 
 
 def product(a: TorusSymbol, b: TorusSymbol) -> TorusSymbol:
-    """Pointwise product; exact coefficient-space convolution."""
-    return TorusSymbol(convolve2d(a.coeffs, b.coeffs, mode="full"))
+    """Pointwise product; exact coefficient-space (full 2-D) convolution."""
+    rows, cols = a.coeffs.shape
+    out = np.zeros((rows + b.coeffs.shape[0] - 1, cols + b.coeffs.shape[1] - 1), dtype=complex)
+    for (i, j), c in np.ndenumerate(b.coeffs):
+        out[i:i + rows, j:j + cols] += c * a.coeffs
+    return TorusSymbol(out)
 
 
 def poisson_bracket(a: TorusSymbol, b: TorusSymbol) -> TorusSymbol:

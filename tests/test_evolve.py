@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import trotterlab.evolve as evolve
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
 from trotterlab.fourier import DiagonalKind, FactoredOperator
 from trotterlab.evolve import (
@@ -205,6 +206,21 @@ class TestErrorFunctionals:
             errs = [observable_error(obs, pair, EvolutionPlan(scheme, s, 1, h))
                     for s in (2.0**-5, 2.0**-6)]
             assert errs[0] / errs[1] == pytest.approx(factor, rel=0.1)
+
+    def test_non_hermitian_observable_rejected_before_compute(self, setup, monkeypatch):
+        h, grid, pair = setup
+        bad = cosine_observable(grid)
+        bad[0, 1] = 1.0
+
+        def no_compute(*args):
+            raise AssertionError("split step assembled before the Hermiticity gate")
+
+        monkeypatch.setattr(evolve, "_step_factors", no_compute)
+        plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 3, h)
+        with pytest.raises(NonHermitian):
+            observable_error(bad, pair, plan)
+        with pytest.raises(NonHermitian):
+            heisenberg_trotter(bad, pair, plan)
 
     def test_commuting_split_zero_unitary_error(self, setup):
         h, grid, _ = setup

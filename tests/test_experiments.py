@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trotterlab import experiments
-from trotterlab.errors import TooFewPoints, Unreachable, ValidationError
+from trotterlab.errors import NonMonotone, TooFewPoints, Unreachable, ValidationError
 from trotterlab.experiments import (
     FIT_WINDOW_LOCAL_S,
     ExperimentResult,
@@ -275,6 +275,14 @@ class TestQueryCount:
     def test_unreachable(self):
         with pytest.raises(Unreachable):
             query_count(1e-13, "Lie1", 2.0**-4, cap=64)
+
+    def test_non_monotone_curve_detected(self, monkeypatch):
+        # the search lands on n = 4, but the error rises past epsilon at n = 5
+        errors = {1: 0.5, 2: 0.3, 3: 0.2, 4: 0.05, 5: 0.2}
+        monkeypatch.setattr(experiments, "observable_error",
+                            lambda obs, pair, plan, rel_u=None: errors.get(plan.n, 0.01))
+        with pytest.raises(NonMonotone):
+            query_count(0.1, "Strang2", 2.0**-3)
 
     def test_study_contains_quarter_epsilons(self):
         res = query_count_study(epsilons=(3e-2,), h_values=(2.0**-5,), schemes=("Strang2",))

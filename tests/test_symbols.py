@@ -83,6 +83,20 @@ class TestCalculus:
             assert prod.evaluate(x, xi) == pytest.approx(
                 a.evaluate(x, xi) * b.evaluate(x, xi), abs=1e-12)
 
+    def test_product_matches_coefficient_loop(self):
+        # reference: c[k + k', kap + kap'] accumulates a[k, kap] * b[k', kap']
+        rng = np.random.default_rng(5)
+        a = TorusSymbol(rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
+        b = TorusSymbol(rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1)))
+        want = np.zeros((7, 5), dtype=complex)
+        for (i, j), x in np.ndenumerate(a.coeffs):
+            for (k, m), y in np.ndenumerate(b.coeffs):
+                want[i + k, j + m] += x * y
+        assert np.abs(product(a, b).coeffs - want).max() <= 1e-14
+        # an x-only by xi-only product has one term per coefficient: exact
+        ax, bxi = cosine_x(3), sine_xi(2)
+        assert np.array_equal(product(ax, bxi).coeffs, ax.coeffs @ bxi.coeffs)
+
     def test_bracket_antisymmetry(self):
         a = cosine_x() + sine_xi(2)
         assert np.abs(poisson_bracket(a, a).coeffs).max() < 1e-12
