@@ -165,9 +165,13 @@ def _validate(cfg: RunConfig) -> None:
     _check(cfg.t_total > 0, "t_total", "must be positive")
     _check(cfg.s_fixed > 0, "s_fixed", "must be positive")
     if cfg.command in ("sweep-s", "long-time"):
+        xp.canonical_grid(cfg.h, cfg.domain, "h")
         for s in cfg.s_values:
             xp.step_count(s, cfg.mode, cfg.t_total, "s_values")
-    elif cfg.command == "sweep-h":
+    elif cfg.command in ("sweep-h", "commutator-scan", "query-count"):
+        for h in cfg.h_values:
+            xp.canonical_grid(h, cfg.domain, "h_values")
+    if cfg.command == "sweep-h":
         xp.step_count(cfg.s_fixed, cfg.mode, cfg.t_total, "s_fixed")
     _check(all(n >= 16 and (n & (n - 1)) == 0 for n in cfg.N_values), "N_values",
            "entries must be powers of two >= 16")
@@ -254,13 +258,8 @@ def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[Crite
 
 
 def _dispatch(cfg: RunConfig, threads: int) -> xp.ExperimentResult:
-    if cfg.command == "sweep-s":
-        return xp.sweep_timestep(s_values=cfg.s_values, h=cfg.h, mode="local",
-                                 domain=cfg.domain, potential_id=cfg.potential,
-                                 observable_ids=cfg.observables, schemes=cfg.schemes,
-                                 threads=threads)
-    if cfg.command == "long-time":
-        return xp.sweep_timestep(s_values=cfg.s_values, h=cfg.h, mode="global",
+    if cfg.command in ("sweep-s", "long-time"):   # modes fixed by _validate
+        return xp.sweep_timestep(s_values=cfg.s_values, h=cfg.h, mode=cfg.mode,
                                  t_total=cfg.t_total, domain=cfg.domain,
                                  potential_id=cfg.potential, observable_ids=cfg.observables,
                                  schemes=cfg.schemes, threads=threads)

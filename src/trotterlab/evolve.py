@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -195,12 +196,13 @@ def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float, h: float) -> np.nd
     return psi
 
 
-def expectation_error(observable: np.ndarray, pair: HamiltonianPair, plan: EvolutionPlan,
-                      state: np.ndarray, exact_u: np.ndarray | None = None) -> float:
-    """|<psi| T_split |psi> - <psi| T_exact |psi>| for a unit state.
+def expectation_error(observables: Iterable[np.ndarray], pair: HamiltonianPair,
+                      plan: EvolutionPlan, state: np.ndarray,
+                      exact_u: np.ndarray | None = None) -> list[float]:
+    """|<psi| T_split |psi> - <psi| T_exact |psi>| of each observable, for a unit state.
 
-    Always bounded by the corresponding operator-norm error
-    (Cauchy-Schwarz), which sweeps assert row by row.
+    The state is stepped and propagated once for all observables. Each error is
+    bounded by its operator-norm error (Cauchy-Schwarz); sweeps assert it row by row.
     """
     psi = np.asarray(state, dtype=np.complex128)
     norm = np.linalg.norm(psi)
@@ -209,6 +211,5 @@ def expectation_error(observable: np.ndarray, pair: HamiltonianPair, plan: Evolu
     split_state = evolve_state(psi, pair, plan)
     u = exact_unitary(pair.total, plan.t, plan.h) if exact_u is None else exact_u
     exact_state = u @ psi
-    split_val = np.vdot(split_state, observable @ split_state).real
-    exact_val = np.vdot(exact_state, observable @ exact_state).real
-    return abs(split_val - exact_val)
+    return [abs(np.vdot(split_state, obs @ split_state).real
+                - np.vdot(exact_state, obs @ exact_state).real) for obs in observables]

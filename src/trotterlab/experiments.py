@@ -48,6 +48,7 @@ __all__ = [
     "sweep_timestep",
     "sweep_h",
     "step_count",
+    "canonical_grid",
     "commutator_scan",
     "calculus_suite",
     "query_count",
@@ -225,11 +226,18 @@ def step_count(s: float, mode: str, t_total: float, field: str) -> int:
     return n
 
 
-def _build_setup(h: float, domain, potential_id: str, observable_ids):
-    grid = GridSpec.canonical(domain[0], domain[1], h)
+def canonical_grid(h: float, domain, field: str) -> GridSpec:
+    """GridSpec.canonical on ``domain``; a non-integral N raises ValidationError naming ``field``."""
+    try:
+        return GridSpec.canonical(domain[0], domain[1], h)
+    except ValueError as err:
+        raise ValidationError(field, str(err)) from None
+
+
+def _build_setup(grid: GridSpec, potential_id: str, observable_ids):
     pair = build_pair(grid, potential=POTENTIALS[potential_id])
     observables = {name: OBSERVABLES[name](grid) for name in observable_ids}
-    packet = gaussian_wavepacket(grid, WAVEPACKET_X0, WAVEPACKET_P0, h)
+    packet = gaussian_wavepacket(grid, WAVEPACKET_X0, WAVEPACKET_P0, grid.h)
     return grid, pair, observables, packet, numkit.hermitian_eig(pair.total)
 
 
@@ -245,9 +253,9 @@ def _error_rows(setup, schemes, s: float, n: int, h: float,
         if with_unitary:
             out.append((s, h, grid.N, scheme.value, "-", "unitary_error",
                         unitary_error(pair, plan, rel_u)))
-        for name, obs in observables.items():
+        exp_errs = expectation_error(observables.values(), pair, plan, packet, exact_u=u)
+        for (name, obs), exp_err in zip(observables.items(), exp_errs):
             err = observable_error(obs, pair, plan, rel_u)
-            exp_err = expectation_error(obs, pair, plan, packet, exact_u=u)
             out.append((s, h, grid.N, scheme.value, name, "observable_error", err))
             out.append((s, h, grid.N, scheme.value, name, "expectation_error", exp_err))
     return out
@@ -289,7 +297,7 @@ def sweep_timestep(*, s_values: Sequence[float], h: float,
     """
     schemes = [_scheme(s) for s in schemes]
     steps = {s: step_count(s, mode, t_total, "s_values") for s in s_values}
-    setup = _build_setup(h, domain, potential_id, observable_ids)
+    setup = _build_setup(canonical_grid(h, domain, "h"), potential_id, observable_ids)
     rows = _map_rows(lambda s: _error_rows(setup, schemes, s, steps[s], h),
                      sorted(s_values), threads)
     table = SweepTable.build(SWEEP_COLUMNS, rows,
@@ -312,12 +320,13 @@ def sweep_h(*, h_values: Sequence[float], s_fixed: float,
     """
     schemes = [_scheme(s) for s in schemes]
     n = step_count(s_fixed, mode, t_total, "s_fixed")
+    grids = [canonical_grid(h, domain, "h_values") for h in sorted(h_values)]
 
-    def rows_for(h: float) -> list[tuple]:
-        setup = _build_setup(h, domain, potential_id, observable_ids)
-        return _error_rows(setup, schemes, s_fixed, n, h, with_unitary=True)
+    def rows_for(grid: GridSpec) -> list[tuple]:
+        setup = _build_setup(grid, potential_id, observable_ids)
+        return _error_rows(setup, schemes, s_fixed, n, grid.h, with_unitary=True)
 
-    rows = _map_rows(rows_for, sorted(h_values), threads)
+    rows = _map_rows(rows_for, grids, threads)
     table = SweepTable.build(SWEEP_COLUMNS, rows, _sweep_metadata(
         mode, potential_id, t_total, s_fixed=f"{s_fixed:.17g}"))
     return _fit_table(table, "h", FIT_WINDOW_H, roundoff_floor(max(row[2] for row in rows)))
@@ -333,9 +342,10 @@ def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
     """
     metrics = ("norm_A_over_h", "norm_B_over_h", "norm_comm_AB",
                "norm_comm_A_AB", "norm_comm_B_AB")
+    grids = [canonical_grid(h, domain, "h_values") for h in sorted(h_values)]
 
-    def rows_for(h: float) -> list[tuple]:
-        grid = GridSpec.canonical(domain[0], domain[1], h)
+    def rows_for(grid: GridSpec) -> list[tuple]:
+        h = grid.h
         pair = build_pair(grid, potential=POTENTIALS[potential_id])
         a, b = pair.kinetic.dense / h, pair.potential.dense / h
         comm = a @ b - b @ a
@@ -348,7 +358,7 @@ def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
         )
         return [(h, grid.N, metric, val) for metric, val in zip(metrics, values)]
 
-    rows = _map_rows(rows_for, sorted(h_values), threads)
+    rows = _map_rows(rows_for, grids, threads)
     table = SweepTable.build(("h", "N", "metric", "value"), rows, {
         "grid_relation": "N=(b-a)/(2*pi*h)", "potential": potential_id,
     })
@@ -401,7 +411,7 @@ def query_count(epsilon: float, scheme, h: float, *,
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     scheme = _scheme(scheme)
-    grid = GridSpec.canonical(domain[0], domain[1], h)
+    grid = canonical_grid(h, domain, "h")
     pair = build_pair(grid, potential=POTENTIALS[potential_id])
     obs = OBSERVABLES[observable_id](grid)
     u = exact_unitary(pair.total, t_total, h)
@@ -437,6 +447,8 @@ def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
     slope fit of count versus 1/epsilon available from one table.
     """
     schemes = [_scheme(s) for s in schemes]
+    for h in h_values:
+        canonical_grid(h, domain, "h_values")
     eps_all = sorted({float(e) for e in epsilons} | {float(e) / 4.0 for e in epsilons})
     tasks = [(scheme, h, eps) for scheme in schemes for h in sorted(h_values)
              for eps in eps_all]

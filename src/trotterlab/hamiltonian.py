@@ -62,11 +62,12 @@ class GridSpec:
 
     @classmethod
     def canonical(cls, a_dom: float, b_dom: float, h: float) -> "GridSpec":
-        """Grid with N rounded from the canonical relation N = (b-a)/(2 pi h)."""
+        """Grid with N = (b-a)/(2 pi h), which must be a positive integer within
+        1e-9 N: any other h raises ValueError instead of being re-meshed."""
         exact = (b_dom - a_dom) / (2.0 * math.pi * h)
         n = round(exact)
-        if n < 1 or abs(n - exact) > 0.5 + 1e-9:
-            raise ValueError(f"no integer grid count near {exact} for h={h}")
+        if n < 1 or abs(n - exact) > 1e-9 * exact:
+            raise ValueError(f"h={h} gives N=(b-a)/(2 pi h)={exact:.17g}, not an integer")
         return cls(a_dom, b_dom, n, h)
 
     @property
@@ -207,11 +208,8 @@ def build_pair(grid: GridSpec,
                kinetic: str = "fd",
                cutoff: float = 0.125) -> HamiltonianPair:
     """Assemble the split Hamiltonian for a grid; kinetic is 'fd', 'sp' or 'sp_mod'."""
-    builders = {
-        "fd": lambda g: build_fd_kinetic(g),
-        "sp": lambda g: build_sp_kinetic(g),
-        "sp_mod": lambda g: build_modified_sp_kinetic(g, cutoff),
-    }
+    builders = {"fd": build_fd_kinetic, "sp": build_sp_kinetic,
+                "sp_mod": lambda g: build_modified_sp_kinetic(g, cutoff)}
     if kinetic not in builders:
         raise ValueError(f"unknown kinetic discretization {kinetic!r}")
     return HamiltonianPair(builders[kinetic](grid), build_potential(potential, grid), grid)

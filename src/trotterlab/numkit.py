@@ -20,7 +20,6 @@ __all__ = [
     "expm_hermitian",
     "spectral_norm",
     "hermitian_norm",
-    "hermiticity_defect",
     "require_hermitian",
 ]
 
@@ -39,18 +38,12 @@ def _as_square(matrix) -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(matrix) -> float:
-    """Frobenius distance to the adjoint, relative to the matrix norm."""
+def require_hermitian(matrix) -> None:
+    """Raise NonHermitian when the Frobenius distance to the adjoint, relative
+    to the matrix norm, exceeds ``HERMITICITY_RTOL``."""
     arr = np.asarray(matrix)
     scale = np.linalg.norm(arr)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(arr - arr.conj().T) / scale)
-
-
-def require_hermitian(matrix) -> None:
-    """Raise NonHermitian when the relative defect exceeds ``HERMITICITY_RTOL``."""
-    defect = hermiticity_defect(matrix)
+    defect = 0.0 if scale == 0.0 else float(np.linalg.norm(arr - arr.conj().T) / scale)
     if defect > HERMITICITY_RTOL:
         raise NonHermitian(
             f"relative Hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.1e}")

@@ -78,15 +78,14 @@ class TorusSymbol:
     def evaluate(self, x, xi):
         """Evaluate at (x, xi); broadcasts over array arguments.
 
-        Evaluation is automatically 1-periodic in both variables.
+        Modes are formed on x and xi as given, then contracted as
+        sum_k E_x[k] (C E_xi)[k]: a tensor grid costs no exponential per
+        point. Evaluation is automatically 1-periodic in both variables.
         """
         x = np.asarray(x, dtype=np.float64)
         xi = np.asarray(xi, dtype=np.float64)
-        out = np.zeros(np.broadcast(x, xi).shape, dtype=np.complex128)
-        kx, kxi = self.order_x, self.order_xi
-        for i, j in np.argwhere(self.coeffs != 0):
-            k, kap = i - kx, j - kxi
-            out = out + self.coeffs[i, j] * np.exp(2j * np.pi * (k * x + kap * xi))
+        folded = _modes(xi, self.order_xi) @ self.coeffs.T
+        out = np.einsum("...k,...k->...", _modes(x, self.order_x), folded)
         if out.ndim == 0:
             return complex(out)
         return out
@@ -125,12 +124,10 @@ class TorusSymbol:
         1024 points per axis (extrema of low-order trigonometric
         polynomials are lattice-commensurate, so this is ample).
         """
-        if self.is_x_only():
+        if self.is_x_only() or self.is_xi_only():
             grid = np.arange(resolution) / resolution
-            return float(np.abs(self.evaluate(grid, 0.0)).max())
-        if self.is_xi_only():
-            grid = np.arange(resolution) / resolution
-            return float(np.abs(self.evaluate(0.0, grid)).max())
+            axes = (grid, 0.0) if self.is_x_only() else (0.0, grid)
+            return float(np.abs(self.evaluate(*axes)).max())
         side = min(resolution, 1024)
         grid = np.arange(side) / side
         return float(np.abs(self.evaluate(grid[:, None], grid[None, :])).max())
@@ -147,6 +144,11 @@ class TorusSymbol:
         return TorusSymbol(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
+
+
+def _modes(values: np.ndarray, order: int) -> np.ndarray:
+    """exp(2i pi k v) for k = -order .. order along a new last axis."""
+    return np.exp(2j * np.pi * np.multiply.outer(values, np.arange(-order, order + 1)))
 
 
 def _pad(symbol: TorusSymbol, kx: int, kxi: int) -> np.ndarray:
@@ -259,14 +261,15 @@ def pullback_split_flow(a: TorusSymbol, generator: TorusSymbol, t: float,
     automatically because ``a`` is evaluated as a 1-periodic polynomial.
     """
     grid = np.arange(resolution) / resolution
+    on_x, on_xi = _modes(grid, a.order_x), _modes(grid, a.order_xi)
     if generator.is_x_only():
+        # a(x_i, xi_j - t r_i) = sum_kap [sum_k c E_x[i, k] e^{-2i pi kap t r_i}] E_xi[j, kap]
         rate = _real_values(np.asarray(generator.dx().evaluate(grid, 0.0)), "generator derivative")
-        x = grid[:, None]
-        xi = grid[None, :] - t * rate[:, None]
+        values = ((on_x @ a.coeffs) * _modes(-t * rate, a.order_xi)) @ on_xi.T
     elif generator.is_xi_only():
+        # a(x_i + t r_j, xi_j) = sum_k E_x[i, k] [e^{2i pi k t r_j} (C E_xi)[j, k]]
         rate = _real_values(np.asarray(generator.dxi().evaluate(0.0, grid)), "generator derivative")
-        x = grid[:, None] + t * rate[None, :]
-        xi = grid[None, :]
+        values = on_x @ (_modes(t * rate, a.order_x) * (on_xi @ a.coeffs.T)).T
     else:
         raise NotSplit("flow generator must depend on x only or on xi only")
-    return SampledSymbol(a.evaluate(x, xi))
+    return SampledSymbol(values)

@@ -1,0 +1,121 @@
+"""Property tests of the quantization and symbol-sampling kernels on any grid.
+
+Grid sizes N run over 3..40, odd and non-power-of-two included. Coefficient
+lattices reach past N in both directions, so the fold of k modulo N and the
+fold of kap over l are both exercised. Examples are derandomized so that
+every run draws the same cases.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_quantize import brute_force_quantize
+
+from trotterlab.fourier import dft_matrix
+from trotterlab.quantize import QuantizationContext, quantize
+from trotterlab.symbols import TorusSymbol, pullback_split_flow
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+sizes = st.integers(3, 40)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def grid_and_orders(draw):
+    """N with lattice orders up to N/2 + 2, so 2K + 1 exceeds N for most draws."""
+    n = draw(sizes)
+    return n, draw(st.integers(0, n // 2 + 2)), draw(st.integers(0, n // 2 + 2))
+
+
+def random_symbol(seed: int, kx: int, kxi: int, real: bool = False) -> TorusSymbol:
+    rng = np.random.default_rng(seed)
+    shape = (2 * kx + 1, 2 * kxi + 1)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if real:
+        coeffs = (coeffs + np.conj(coeffs[::-1, ::-1])) / 2
+    return TorusSymbol(coeffs)
+
+
+def pointwise(symbol: TorusSymbol, x: float, xi: float) -> complex:
+    """Oracle: the trigonometric sum written out at one point."""
+    k = np.arange(-symbol.order_x, symbol.order_x + 1)[:, None]
+    kap = np.arange(-symbol.order_xi, symbol.order_xi + 1)[None, :]
+    return complex(np.sum(symbol.coeffs * np.exp(2j * np.pi * (k * x + kap * xi))))
+
+
+@PROPERTY
+@given(shape=grid_and_orders(), seed=seeds)
+@example(shape=(5, 4, 7), seed=1)   # odd N, both lattice extents wider than N
+def test_quantize_matches_coordinate_sum(shape, seed):
+    n, kx, kxi = shape
+    sym = random_symbol(seed, kx, kxi)
+    fast = quantize(sym, QuantizationContext(n))
+    assert np.abs(fast - brute_force_quantize(sym, n)).max() <= 1e-10
+
+
+@PROPERTY
+@given(shape=grid_and_orders(), seed=seeds)
+def test_real_symbols_quantize_hermitian(shape, seed):
+    n, kx, kxi = shape
+    mat = quantize(random_symbol(seed, kx, kxi, real=True), QuantizationContext(n))
+    assert np.abs(mat - mat.conj().T).max() <= 1e-12 * max(1.0, np.abs(mat).max())
+
+
+@PROPERTY
+@given(shape=grid_and_orders(), seed=seeds)
+def test_x_only_symbols_quantize_to_diagonals(shape, seed):
+    n, kx, _ = shape
+    sym = random_symbol(seed, kx, 0)
+    mat = quantize(sym, QuantizationContext(n))
+    nodes = np.arange(n) / n
+    assert np.abs(mat - np.diag(sym.evaluate(nodes, 0.0))).max() <= 1e-12 * (2 * kx + 1)
+
+
+@PROPERTY
+@given(shape=grid_and_orders(), seed=seeds)
+def test_xi_only_symbols_quantize_to_circulants(shape, seed):
+    n, _, kxi = shape
+    sym = random_symbol(seed, 0, kxi)
+    mat = quantize(sym, QuantizationContext(n))
+    idx = np.arange(n)
+    assert np.abs(mat - mat[0, (idx[None, :] - idx[:, None]) % n]).max() <= 1e-12 * n
+    f = dft_matrix(n)
+    symbol_on_grid = np.diag(sym.evaluate(0.0, idx / n))
+    assert np.abs(mat - np.linalg.inv(f) @ symbol_on_grid @ f).max() <= 1e-10 * n
+
+
+@PROPERTY
+@given(kx=st.integers(0, 6), kxi=st.integers(0, 6), seed=seeds,
+       rows=st.integers(1, 9), cols=st.integers(1, 9))
+def test_tensor_grid_evaluate_matches_pointwise_sum(kx, kxi, seed, rows, cols):
+    sym = random_symbol(seed, kx, kxi)
+    rng = np.random.default_rng(seed + 1)
+    x, xi = rng.uniform(-2.0, 2.0, rows), rng.uniform(-2.0, 2.0, cols)
+    want = np.array([[pointwise(sym, a, b) for b in xi] for a in x])
+    assert np.abs(sym.evaluate(x[:, None], xi[None, :]) - want).max() <= 1e-11
+    # inputs of different ndim broadcast: a vector against a scalar, either way
+    assert np.abs(sym.evaluate(x, xi[0]) - want[:, 0]).max() <= 1e-11
+    assert np.abs(sym.evaluate(x[0], xi) - want[0, :]).max() <= 1e-11
+    assert abs(sym.evaluate(x[0], xi[0]) - want[0, 0]) <= 1e-11
+
+
+@PROPERTY
+@given(kx=st.integers(0, 5), kxi=st.integers(0, 5), order=st.integers(0, 3),
+       on_x=st.booleans(), t=st.floats(-1.0, 1.0), log_m=st.integers(1, 6), seed=seeds)
+def test_pullback_matches_evaluation_at_flowed_points(kx, kxi, order, on_x, t, log_m, seed):
+    a = random_symbol(seed, kx, kxi)
+    generator = random_symbol(seed + 1, order, 0, real=True) if on_x else \
+        random_symbol(seed + 1, 0, order, real=True)
+    m = 2**log_m
+    grid = np.arange(m) / m
+    if on_x:    # (x, xi) -> (x, xi - t b'(x))
+        rate = generator.dx().evaluate(grid, 0.0).real
+        x, xi = grid[:, None], grid[None, :] - t * rate[:, None]
+    else:       # (x, xi) -> (x + t b'(xi), xi)
+        rate = generator.dxi().evaluate(0.0, grid).real
+        x, xi = grid[:, None] + t * rate[None, :], grid[None, :]
+    want = np.array([[pointwise(a, p, q) for p, q in zip(row_x, row_xi)]
+                     for row_x, row_xi in zip(*np.broadcast_arrays(x, xi))])
+    flowed = pullback_split_flow(a, generator, t, resolution=m)
+    assert np.abs(flowed.values - want).max() <= 1e-10

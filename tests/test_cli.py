@@ -36,6 +36,14 @@ class TestParseConfig:
             parse_config('{"command": "sweep-s", "h": 2.0}')
         assert err.value.field == "h"
 
+    def test_off_lattice_h_rejected(self):
+        for doc, field in (('{"command": "sweep-s", "h": 0.0137}', "h"),
+                           ('{"command": "sweep-h", "h_values": [0.125, 0.0137]}', "h_values"),
+                           ('{"command": "query-count", "h_values": [0.0137]}', "h_values")):
+            with pytest.raises(ValidationError) as err:
+                parse_config(doc)
+            assert err.value.field == field
+
     def test_unknown_key_rejected(self):
         for key in ("stepsize", "seed"):
             with pytest.raises(ValidationError) as err:

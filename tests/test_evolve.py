@@ -279,17 +279,18 @@ class TestExpectationError:
         obs = cosine_observable(grid)
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 4, h)
-        assert expectation_error(obs, pair, plan, psi) < 1e-10
+        assert expectation_error([obs], pair, plan, psi)[0] < 1e-10
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_dominated_by_observable_error(self, setup, scheme):
         h, grid, pair = setup
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
-        for obs in (cosine_observable(grid), momentum_observable(grid)):
-            for s, n in ((0.25, 1), (0.1, 4)):
-                plan = EvolutionPlan(scheme, s, n, h)
-                assert (expectation_error(obs, pair, plan, psi)
-                        <= observable_error(obs, pair, plan) + 1e-12)
+        observables = (cosine_observable(grid), momentum_observable(grid))
+        for s, n in ((0.25, 1), (0.1, 4)):
+            plan = EvolutionPlan(scheme, s, n, h)
+            errors = expectation_error(observables, pair, plan, psi)
+            for obs, err in zip(observables, errors, strict=True):
+                assert err <= observable_error(obs, pair, plan) + 1e-12
 
     def test_matches_matrix_expectation(self, setup):
         h, grid, pair = setup
@@ -299,14 +300,14 @@ class TestExpectationError:
         t_trot = heisenberg_trotter(obs, pair, plan)
         t_exact = heisenberg_exact(obs, pair.total, plan.t, h)
         direct = abs(np.vdot(psi, t_trot @ psi).real - np.vdot(psi, t_exact @ psi).real)
-        assert expectation_error(obs, pair, plan, psi) == pytest.approx(direct, abs=1e-12)
+        assert expectation_error([obs], pair, plan, psi) == [pytest.approx(direct, abs=1e-12)]
 
     def test_unnormalized_state_rejected(self, setup):
         h, grid, pair = setup
         obs = cosine_observable(grid)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 1, h)
         with pytest.raises(UnnormalizedState):
-            expectation_error(obs, pair, plan, np.ones(grid.N))
+            expectation_error([obs], pair, plan, np.ones(grid.N))
 
 
 class TestEvolveState:

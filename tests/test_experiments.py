@@ -182,6 +182,28 @@ class TestSweepH:
         assert err.value.field == "s_fixed"
 
 
+class TestGridRelation:
+    # h = 0.0137 on [-pi, pi] asks for N = 72.99..., which no grid has
+    @pytest.mark.parametrize("sweep, field", [
+        (lambda: sweep_timestep(s_values=[0.1], h=0.0137), "h"),
+        (lambda: sweep_h(h_values=[2.0**-4, 0.0137], s_fixed=0.1), "h_values"),
+        (lambda: commutator_scan([2.0**-4, 0.0137]), "h_values"),
+        (lambda: query_count_study(epsilons=[0.1], h_values=[2.0**-4, 0.0137]), "h_values"),
+    ], ids=["sweep_timestep", "sweep_h", "commutator_scan", "query_count_study"])
+    def test_off_lattice_h_rejected_before_compute(self, monkeypatch, sweep, field):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("grid built before h was validated")
+
+        monkeypatch.setattr(experiments, "build_pair", no_compute)
+        with pytest.raises(ValidationError) as err:
+            sweep()
+        assert err.value.field == field
+
+    def test_shifted_domain_accepted(self):
+        grid = experiments.canonical_grid(2.0**-8, (-np.pi + 0.37, np.pi + 0.37), "h")
+        assert grid.N == 256 and abs(grid.relation_residual) <= 1e-9 * 256
+
+
 @pytest.fixture(scope="module")
 def scan():
     return commutator_scan([2.0**-k for k in range(3, 9)])

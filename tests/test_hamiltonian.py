@@ -39,6 +39,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.canonical(-np.pi, np.pi, 4.0)
 
+    def test_canonical_rejects_non_integral_count(self):
+        # N = 1/h = 72.99... would otherwise be re-meshed to 73 silently
+        with pytest.raises(ValueError, match="not an integer"):
+            GridSpec.canonical(-np.pi, np.pi, 0.0137)
+
     def test_invalid_domain(self):
         with pytest.raises(ValueError):
             GridSpec(1.0, 0.0, 4, 1.0)

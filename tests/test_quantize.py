@@ -189,6 +189,13 @@ class TestCalculusRemainders:
     def test_cv_gap_position_symbol_nonpositive(self):
         assert cv_gap(cosine_x(), QuantizationContext(8)) <= 1e-12
 
+    def test_cv_gap_matches_svd_norm(self):
+        sym = cosine_x() + cosine_xi() + 0.3 * product(sine_x(2), cosine_xi())
+        for n in (16, 33, 64):
+            ctx = QuantizationContext(n)
+            by_svd = spectral_norm(quantize(sym, ctx)) - sym.sup_abs()
+            assert cv_gap(sym, ctx) == pytest.approx(by_svd, abs=1e-12)
+
     def test_cv_gap_ratio_bounded(self):
         # norm <= sup + C h with one C across the sweep; measured ratios are
         # negative (about -19), so C = 25 has ample margin
