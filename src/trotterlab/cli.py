@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 from . import experiments as xp
 from .errors import ParseError, TrotterlabError, ValidationError
@@ -49,8 +50,7 @@ COMMAND_DEFAULTS: dict[str, dict] = {
                     "schemes": ("Strang2",), "observables": ("cos_3x",)},
 }
 
-# sweep-h global mode defaults to the long-horizon step size when the
-# user does not set one explicitly.
+# Default step of sweep-h in global mode: the long-horizon step size.
 _S_FIXED_GLOBAL = 0.02
 
 
@@ -79,14 +79,16 @@ def _check(condition: bool, field: str, message: str) -> None:
         raise ValidationError(field, message)
 
 
+def _number(value, field: str) -> float:
+    # abs(value) <= max float also rejects NaN, infinities and ints too large for a float
+    _check(isinstance(value, (int, float)) and not isinstance(value, bool)
+           and abs(value) <= sys.float_info.max, field, f"needs a finite number, got {value!r}")
+    return float(value)
+
+
 def _float_tuple(value, field: str) -> tuple[float, ...]:
     _check(isinstance(value, (list, tuple)) and len(value) > 0, field, "needs a nonempty list")
-    out = []
-    for item in value:
-        _check(isinstance(item, (int, float)) and not isinstance(item, bool),
-               field, f"non-numeric entry {item!r}")
-        out.append(float(item))
-    return tuple(out)
+    return tuple(_number(item, field) for item in value)
 
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:
@@ -132,10 +134,8 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
             _check(all(v == int(v) for v in vals), key, "entries must be integers")
             updates[key] = tuple(int(v) for v in vals)
         elif key in ("h", "t_total", "s_fixed"):
-            _check(isinstance(value, (int, float)) and not isinstance(value, bool),
-                   key, "needs a number")
-            updates[key] = float(value)
-        elif key == "mode":
+            updates[key] = _number(value, key)
+        elif key in ("mode", "potential"):
             updates[key] = str(value)
         elif key == "out":
             _check(value is None or isinstance(value, str), key, "needs a string path")
@@ -164,18 +164,34 @@ def _validate(cfg: RunConfig) -> None:
     _check(all(0.0 < h <= 1.0 for h in cfg.h_values), "h_values", "entries must lie in (0, 1]")
     _check(cfg.t_total > 0, "t_total", "must be positive")
     _check(cfg.s_fixed > 0, "s_fixed", "must be positive")
+    if cfg.command != "calculus-check":
+        field = "h" if cfg.command in ("sweep-s", "long-time") else "h_values"
+        used = () if cfg.command == "commutator-scan" else cfg.observables
+        for h in (cfg.h,) if field == "h" else cfg.h_values:
+            n = xp.canonical_grid(h, cfg.domain, field).N
+            _check(n % 2 == 0 or "momentum_spectral" not in used, field,
+                   f"momentum_spectral needs even N, got N = {n} at h = {h:g}")
     if cfg.command in ("sweep-s", "long-time"):
-        xp.canonical_grid(cfg.h, cfg.domain, "h")
         for s in cfg.s_values:
             xp.step_count(s, cfg.mode, cfg.t_total, "s_values")
-    elif cfg.command in ("sweep-h", "commutator-scan", "query-count"):
-        for h in cfg.h_values:
-            xp.canonical_grid(h, cfg.domain, "h_values")
     if cfg.command == "sweep-h":
         xp.step_count(cfg.s_fixed, cfg.mode, cfg.t_total, "s_fixed")
     _check(all(n >= 16 and (n & (n - 1)) == 0 for n in cfg.N_values), "N_values",
            "entries must be powers of two >= 16")
     _check(all(0.0 < e < 1.0 for e in cfg.epsilons), "epsilons", "entries must lie in (0, 1)")
+
+
+# Acceptance thresholds of criteria 1-5 and 8, shared by --assert and the test gate.
+THRESHOLDS = {
+    "s_order": {"local": {"Lie1": (1.8, 2.2), "Strang2": (2.7, 3.3)},
+                "global": {"Lie1": (0.8, 1.2), "Strang2": (1.8, 2.2)}},
+    "unitary_growth": (-1.3, -0.7), "norm_scaling": (-1.3, -0.7),
+    "h_flat_slope": (-0.25, 0.25), "h_flat_ratio": 3.0,   # max/min of in-window errors <= 3.0
+    "order": {"composition": 1.8, "commutator": 2.7, "egorov": 1.8},   # minimum slopes
+    "cv_gap_slack": 1e-9,             # last cv_gap/h ratio <= first + slack
+    "query_spread": 1,                # max - min step count over h
+    "quarter_eps_ratio": (1.5, 2.7),  # steps(eps/4) / steps(eps)
+}
 
 
 @dataclass(frozen=True)
@@ -185,9 +201,9 @@ class CriterionCheck:
     detail: str
 
 
-def _in_range(name: str, value: float, lo: float, hi: float) -> CriterionCheck:
+def _in_range(name, value, lo, hi, label="value") -> CriterionCheck:
     return CriterionCheck(name, lo <= value <= hi,
-                          f"value={value:.6g} target=[{lo:g}, {hi:g}]")
+                          f"{label}={value:.6g} target=[{lo:g}, {hi:g}]")
 
 
 def _slope_check(name, fits, key, lo, hi) -> CriterionCheck:
@@ -197,63 +213,54 @@ def _slope_check(name, fits, key, lo, hi) -> CriterionCheck:
     return _in_range(name, fit.slope, lo, hi)
 
 
-def _at_least(name: str, value: float, lo: float) -> CriterionCheck:
-    return CriterionCheck(name, value >= lo, f"value={value:.6g} target>={lo:g}")
-
-
 def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[CriterionCheck]:
-    """Acceptance checks for one command's result."""
+    """Acceptance checks for one command's result, against THRESHOLDS."""
+    t = THRESHOLDS
     checks: list[CriterionCheck] = []
     if cfg.command in ("sweep-s", "long-time"):
-        ranges = ({"Lie1": (1.8, 2.2), "Strang2": (2.7, 3.3)} if cfg.mode == "local"
-                  else {"Lie1": (0.8, 1.2), "Strang2": (1.8, 2.2)})
         for scheme in cfg.schemes:
             for obs in cfg.observables:
                 checks.append(_slope_check(f"s-order/{scheme}/{obs}", result.fits,
-                                           f"{scheme}/{obs}/observable_error", *ranges[scheme]))
+                                           f"{scheme}/{obs}/observable_error",
+                                           *t["s_order"][cfg.mode][scheme]))
     elif cfg.command == "sweep-h":
         for scheme in cfg.schemes:
             checks.append(_slope_check(f"unitary-growth/{scheme}", result.fits,
-                                       f"{scheme}/unitary_error", -1.3, -0.7))
+                                       f"{scheme}/unitary_error", *t["unitary_growth"]))
             for obs in cfg.observables:
                 checks.append(_slope_check(f"h-flat-slope/{scheme}/{obs}", result.fits,
-                                           f"{scheme}/{obs}/observable_error", -0.25, 0.25))
+                                           f"{scheme}/{obs}/observable_error", *t["h_flat_slope"]))
                 values = [v for hval, v in result.table.series(
                     "h", scheme=scheme, observable=obs, metric="observable_error")
                     if hval <= xp.FIT_WINDOW_H[1]]
-                ratio = max(values) / min(values)
-                checks.append(CriterionCheck(f"h-flat-ratio/{scheme}/{obs}", ratio <= 3.0,
-                                             f"max/min={ratio:.6g} target<=3"))
+                ratio = max(values) / min(values) if values else math.inf
+                checks.append(CriterionCheck(f"h-flat-ratio/{scheme}/{obs}",
+                                             ratio <= t["h_flat_ratio"],
+                                             f"max/min={ratio:.6g} target<={t['h_flat_ratio']:g}"))
     elif cfg.command == "commutator-scan":
         for metric, fit in sorted(result.fits.items()):
-            checks.append(_in_range(f"norm-scaling/{metric}", fit.slope, -1.3, -0.7))
+            checks.append(_in_range(f"norm-scaling/{metric}", fit.slope, *t["norm_scaling"]))
     elif cfg.command == "calculus-check":
-        checks.append(_at_least("composition-order", result.fits["composition_remainder"].slope, 1.8))
-        checks.append(_at_least("commutator-order", result.fits["commutator_remainder"].slope, 2.7))
-        checks.append(_at_least("egorov-order", result.fits["egorov_remainder"].slope, 1.8))
+        for name, lo in t["order"].items():
+            slope = result.fits[f"{name}_remainder"].slope
+            checks.append(CriterionCheck(f"{name}-order", slope >= lo, f"value={slope:.6g} target>={lo:g}"))
         ratios = [v for _, v in result.table.series("N", metric="cv_gap_over_h")]
-        finite = all(math.isfinite(r) for r in ratios)
-        trend = ratios[-1] <= ratios[0] + 1e-9 * max(1.0, abs(ratios[0]))
-        checks.append(CriterionCheck("cv-gap-bounded", finite and trend,
-                                     f"ratios={['%.4g' % r for r in ratios]}"))
+        ok = all(map(math.isfinite, ratios)) and ratios[-1] <= ratios[0] + t["cv_gap_slack"]
+        checks.append(CriterionCheck("cv-gap-bounded", ok, f"ratios={['%.4g' % r for r in ratios]}"))
     elif cfg.command == "query-count":
         hs = sorted(cfg.h_values)
         for scheme in cfg.schemes:
             for eps in sorted(cfg.epsilons):
-                counts = {h: result.table.select(scheme=scheme, h=h, epsilon=eps)[0][-1]
-                          for h in hs}
-                quarter = {h: result.table.select(scheme=scheme, h=h, epsilon=eps / 4.0)[0][-1]
-                           for h in hs}
+                counts, quarter = ({h: result.table.select(scheme=scheme, h=h, epsilon=e)[0][-1]
+                                    for h in hs} for e in (eps, eps / 4.0))
                 if len(hs) >= 2:
                     spread = max(counts.values()) - min(counts.values())
                     checks.append(CriterionCheck(
-                        f"h-independent/{scheme}/eps={eps:g}", spread <= 1,
-                        f"counts={counts} spread={spread} target<=1"))
-                for h in hs:
-                    ratio = quarter[h] / counts[h]
-                    checks.append(CriterionCheck(
-                        f"quarter-eps-ratio/{scheme}/eps={eps:g}/h={h:g}",
-                        1.5 <= ratio <= 2.7, f"ratio={ratio:.6g} target=[1.5, 2.7]"))
+                        f"h-independent/{scheme}/eps={eps:g}", spread <= t["query_spread"],
+                        f"counts={counts} spread={spread} target<={t['query_spread']}"))
+                checks += [_in_range(f"quarter-eps-ratio/{scheme}/eps={eps:g}/h={h:g}",
+                                     quarter[h] / counts[h], *t["quarter_eps_ratio"], "ratio")
+                           for h in hs]
     return checks
 
 
@@ -305,11 +312,10 @@ def run(cfg: RunConfig, assert_criteria: bool = False, out: str | None = None,
     if not assert_criteria:
         return 0
     checks = evaluate_criteria(cfg, result)
-    failed = [c for c in checks if not c.passed]
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"criterion {check.name}: {status} ({check.detail})", file=stream)
-    return 2 if failed else 0
+    return 0 if all(c.passed for c in checks) else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -341,11 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            with open(args.config) as fh:
-                text = fh.read()
-        else:
-            text = "{}"
+        text = Path(args.config).read_text() if args.config else "{}"
         cfg = parse_config(text, command=args.command)
         return run(cfg, assert_criteria=args.assert_criteria, out=args.out,
                    threads=max(1, args.threads))

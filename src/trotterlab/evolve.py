@@ -202,7 +202,7 @@ def expectation_error(observables: Iterable[np.ndarray], pair: HamiltonianPair,
     """|<psi| T_split |psi> - <psi| T_exact |psi>| of each observable, for a unit state.
 
     The state is stepped and propagated once for all observables. Each error is
-    bounded by its operator-norm error (Cauchy-Schwarz); sweeps assert it row by row.
+    bounded by its operator-norm error (Cauchy-Schwarz); acceptance criterion 7 checks it.
     """
     psi = np.asarray(state, dtype=np.complex128)
     norm = np.linalg.norm(psi)

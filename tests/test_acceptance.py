@@ -1,32 +1,28 @@
 """Acceptance gate: one test per shipped criterion, at stated tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
-line per criterion. The heavy sweeps (criteria 1-3) are computed once in
-module-scoped fixtures and reused by the domination check (criterion 7).
+line per criterion. Criteria 1-5 and 8 run the CLI's own configuration
+of their command (its defaults, through ``parse_config``) and are judged
+by ``cli.evaluate_criteria``, the evaluator and threshold table of
+``trotterlab <command> --assert``. The heavy sweeps (criteria 1-3) are
+computed once in module-scoped fixtures and reused by the domination
+check (criterion 7).
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
+from test_quantize import brute_force_quantize
 
+from trotterlab.cli import _dispatch, evaluate_criteria, parse_config
 from trotterlab.evolve import SplittingScheme, trotter_step_unitary
-from trotterlab.experiments import (
-    FIT_WINDOW_H,
-    calculus_suite,
-    commutator_scan,
-    query_count,
-    sweep_h,
-    sweep_timestep,
-)
 from trotterlab.fourier import dft_matrix
 from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.numkit import expm_hermitian, hermitian_eig, spectral_norm
 from trotterlab.quantize import QuantizationContext, quantize
 from trotterlab.symbols import cosine_x, cosine_xi, product, sine_x
-
-S_LADDER = [2.0**-k for k in range(4, 12)]
-H_LADDER = [2.0**-k for k in range(3, 11)]
 
 
 def report(num, name, passed, detail, seconds=None):
@@ -42,118 +38,60 @@ def timed(fn):
     return out, time.time() - t0
 
 
+def run_command(command, **doc):
+    """Run ``command`` at its CLI defaults updated by ``doc``: (cfg, result, seconds)."""
+    cfg = parse_config(json.dumps(doc), command=command)
+    result, seconds = timed(lambda: _dispatch(cfg, 1))
+    return cfg, result, seconds
+
+
+def judge(num, name, runs, time_bound):
+    """Report the CLI criteria of ``runs`` as one acceptance line."""
+    checks = [c for cfg, result, _ in runs for c in evaluate_criteria(cfg, result)]
+    seconds = sum(t for _, _, t in runs)
+    ok = bool(checks) and all(c.passed for c in checks) and seconds < time_bound
+    detail = " ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}[{c.detail}]" for c in checks)
+    report(num, name, ok, detail, seconds)
+
+
 @pytest.fixture(scope="module")
 def local_s():
-    return timed(lambda: sweep_timestep(
-        s_values=S_LADDER, h=2.0**-6, mode="local",
-        observable_ids=("cos_x", "momentum_fd", "momentum_spectral")))
+    return run_command("sweep-s", observables=["cos_x", "momentum_fd", "momentum_spectral"])
 
 
 @pytest.fixture(scope="module")
 def global_s():
-    return timed(lambda: sweep_timestep(
-        s_values=S_LADDER, h=2.0**-8, mode="global", t_total=1.0))
+    return run_command("long-time")
 
 
 @pytest.fixture(scope="module")
 def h_local():
-    return timed(lambda: sweep_h(h_values=H_LADDER, s_fixed=0.1, mode="local"))
+    return run_command("sweep-h")
 
 
 @pytest.fixture(scope="module")
 def h_global():
-    return timed(lambda: sweep_h(h_values=H_LADDER, s_fixed=0.02, mode="global",
-                                 t_total=1.0))
+    return run_command("sweep-h", mode="global")
 
 
 def test_criterion_1_local_s_order(local_s):
-    result, seconds = local_s
-    ranges = {"Lie1": (1.8, 2.2), "Strang2": (2.7, 3.3)}
-    details = []
-    ok = True
-    for scheme, (lo, hi) in ranges.items():
-        for obs in ("cos_x", "momentum_fd", "momentum_spectral"):
-            slope = result.fits[f"{scheme}/{obs}/observable_error"].slope
-            details.append(f"{scheme}/{obs}={slope:.3f}")
-            ok &= lo <= slope <= hi
-    ok &= seconds < 10.0
-    report(1, "local-s-order", ok, " ".join(details), seconds)
+    judge(1, "local-s-order", [local_s], 10.0)
 
 
 def test_criterion_2_global_s_order(global_s):
-    result, seconds = global_s
-    ranges = {"Lie1": (0.8, 1.2), "Strang2": (1.8, 2.2)}
-    details = []
-    ok = True
-    for scheme, (lo, hi) in ranges.items():
-        for obs in ("cos_x", "momentum_fd"):
-            slope = result.fits[f"{scheme}/{obs}/observable_error"].slope
-            details.append(f"{scheme}/{obs}={slope:.3f}")
-            ok &= lo <= slope <= hi
-    ok &= seconds < 300.0
-    report(2, "global-s-order", ok, " ".join(details), seconds)
+    judge(2, "global-s-order", [global_s], 300.0)
 
 
 def test_criterion_3_h_uniformity(h_local, h_global):
-    details = []
-    ok = True
-    seconds = h_local[1] + h_global[1]
-    for label, (result, _) in (("local", h_local), ("global", h_global)):
-        for scheme in ("Lie1", "Strang2"):
-            u_slope = result.fits[f"{scheme}/unitary_error"].slope
-            details.append(f"{label}/{scheme}/unitary={u_slope:.2f}")
-            ok &= -1.3 <= u_slope <= -0.7
-            for obs in ("cos_x", "momentum_fd"):
-                slope = result.fits[f"{scheme}/{obs}/observable_error"].slope
-                vals = [v for h, v in result.table.series(
-                    "h", scheme=scheme, observable=obs, metric="observable_error")
-                    if h <= FIT_WINDOW_H[1]]
-                ratio = max(vals) / min(vals)
-                details.append(f"{label}/{scheme}/{obs}=({slope:.2f},x{ratio:.2f})")
-                ok &= -0.25 <= slope <= 0.25 and ratio <= 3.0
-    ok &= seconds < 900.0
-    report(3, "h-uniformity", ok, " ".join(details), seconds)
+    judge(3, "h-uniformity", [h_local, h_global], 900.0)
 
 
 def test_criterion_4_norm_scalings():
-    result, seconds = timed(lambda: commutator_scan([2.0**-k for k in range(3, 9)]))
-    details = []
-    ok = True
-    for metric, fit in sorted(result.fits.items()):
-        details.append(f"{metric}={fit.slope:.3f}")
-        ok &= -1.3 <= fit.slope <= -0.7
-    ok &= seconds < 120.0
-    report(4, "norm-scalings", ok, " ".join(details), seconds)
+    judge(4, "norm-scalings", [run_command("commutator-scan")], 120.0)
 
 
 def test_criterion_5_calculus_suite():
-    result, seconds = timed(lambda: calculus_suite([16, 32, 64, 128, 256], t_flow=0.5))
-    comp = result.fits["composition_remainder"].slope
-    comm = result.fits["commutator_remainder"].slope
-    ego = result.fits["egorov_remainder"].slope
-    ratios = [v for _, v in result.table.series("N", metric="cv_gap_over_h")]
-    cv_ok = all(np.isfinite(r) for r in ratios) and ratios[-1] <= ratios[0] + 1e-9
-    ok = comp >= 1.8 and comm >= 2.7 and ego >= 1.8 and cv_ok and seconds < 120.0
-    report(5, "calculus-suite", ok,
-           f"comp={comp:.2f} comm={comm:.2f} egorov={ego:.2f} "
-           f"cv_ratios={[round(r, 2) for r in ratios]}", seconds)
-
-
-def brute_force_quantize(symbol, n):
-    kx, kxi = symbol.order_x, symbol.order_xi
-    out = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(-kx, kx + 1):
-                for l in range(-8, 9):
-                    kap = j - m - l * n
-                    if abs(kap) > kxi:
-                        continue
-                    acc += (symbol.coefficient(k, kap) * (-1.0) ** (k * l)
-                            * np.exp(1j * np.pi * (j + m) * k / n))
-            out[m, j] = acc
-    return out
+    judge(5, "calculus-suite", [run_command("calculus-check")], 120.0)
 
 
 def test_criterion_6_quantization_specializations():
@@ -189,7 +127,7 @@ def test_criterion_6_quantization_specializations():
 def test_criterion_7_expectation_domination(local_s, global_s, h_local, h_global):
     worst = -np.inf
     rows = 0
-    for result in (local_s[0], global_s[0], h_local[0], h_global[0]):
+    for _, result, _ in (local_s, global_s, h_local, h_global):
         table = result.table
         idx = {name: table.columns.index(name) for name in table.columns}
         exp_rows = {}
@@ -208,29 +146,7 @@ def test_criterion_7_expectation_domination(local_s, global_s, h_local, h_global
 
 
 def test_criterion_8_query_count_h_independence():
-    def check():
-        out = {}
-        for eps in (3e-2, 1e-2):
-            for h in (2.0**-6, 2.0**-8):
-                out[(eps, h)] = (query_count(eps, "Strang2", h),
-                                 query_count(eps / 4.0, "Strang2", h))
-        return out
-
-    counts, seconds = timed(check)
-    details = []
-    ok = True
-    for eps in (3e-2, 1e-2):
-        n_coarse = counts[(eps, 2.0**-6)][0]
-        n_fine = counts[(eps, 2.0**-8)][0]
-        ok &= abs(n_coarse - n_fine) <= 1
-        details.append(f"eps={eps:g}: n(2^-6)={n_coarse} n(2^-8)={n_fine}")
-        for h in (2.0**-6, 2.0**-8):
-            n0, n4 = counts[(eps, h)]
-            ratio = n4 / n0
-            ok &= 1.5 <= ratio <= 2.7
-            details.append(f"ratio(eps={eps:g},h={h:g})={ratio:.2f}")
-    ok &= seconds < 300.0
-    report(8, "query-count-h-independence", ok, " ".join(details), seconds)
+    judge(8, "query-count-h-independence", [run_command("query-count")], 300.0)
 
 
 def test_criterion_9_oracle_equivalence():

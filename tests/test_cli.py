@@ -44,6 +44,39 @@ class TestParseConfig:
                 parse_config(doc)
             assert err.value.field == field
 
+    @pytest.mark.parametrize("command, doc, field", [
+        pytest.param("long-time", '{"t_total": Infinity}', "t_total", id="t_total"),
+        pytest.param("calculus-check", '{"N_values": [16, NaN]}', "N_values", id="N_values"),
+        pytest.param("sweep-s", '{"domain": [-Infinity, 1]}', "domain", id="domain"),
+        pytest.param("sweep-s", '{"h": NaN}', "h", id="h"),
+        pytest.param("sweep-s", '{"s_values": [0.0625, -Infinity]}', "s_values", id="s_values"),
+        pytest.param("sweep-h", '{"s_fixed": 1%s}' % ("0" * 400), "s_fixed",
+                     id="s_fixed-int-beyond-float"),
+    ])
+    def test_non_finite_number_rejected(self, command, doc, field, tmp_path, capsys):
+        with pytest.raises(ValidationError) as err:
+            parse_config(doc, command=command)
+        assert err.value.field == field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(doc)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+    def test_odd_grid_rejected_for_spectral_momentum(self):
+        # domain [0, 2 pi] puts N = 1/h points on the grid: h = 0.2 gives N = 5
+        base = {"observables": ["momentum_spectral"], "domain": [0, 6.283185307179586]}
+        for doc, field in (({"command": "sweep-h", "h_values": [0.25, 0.2]}, "h_values"),
+                           ({"command": "sweep-s", "h": 0.2}, "h"),
+                           ({"command": "query-count", "h_values": [0.2]}, "h_values")):
+            with pytest.raises(ValidationError) as err:
+                parse_config(json.dumps({**base, **doc}))
+            assert err.value.field == field
+            assert "even N" in str(err.value)
+        # the central-difference momentum and the commutator scan accept odd N
+        parse_config(json.dumps({**base, "command": "sweep-h", "h_values": [0.25, 0.2],
+                                 "observables": ["momentum_fd"]}))
+        parse_config(json.dumps({**base, "command": "commutator-scan", "h_values": [0.2]}))
+
     def test_unknown_key_rejected(self):
         for key in ("stepsize", "seed"):
             with pytest.raises(ValidationError) as err:
@@ -77,6 +110,12 @@ class TestParseConfig:
             parse_config('{"command": "sweep-s", "objservables": []}')
         with pytest.raises(ValidationError):
             parse_config('{"command": "sweep-s", "observables": ["x_hat"]}')
+
+    def test_potential_key_applied(self):
+        assert parse_config('{"command": "sweep-h", "potential": "zero"}').potential == "zero"
+        with pytest.raises(ValidationError) as err:
+            parse_config('{"command": "sweep-h", "potential": "quartic"}')
+        assert err.value.field == "potential"
 
     def test_bad_n_values_rejected(self):
         with pytest.raises(ValidationError):
@@ -152,6 +191,16 @@ class TestRun:
         assert code == 2
         assert "commutator-order: FAIL" in stream.getvalue()
 
+    def test_assert_empty_h_window_exit_two(self, tmp_path):
+        # both h lie above the fit window: the flatness ratio fails instead of crashing
+        doc = {"command": "sweep-h", "h_values": [0.125, 0.0625],
+               "schemes": ["Lie1"], "observables": ["cos_x"]}
+        stream = io.StringIO()
+        code = run(parse_config(json.dumps(doc)), assert_criteria=True,
+                   out=str(tmp_path / "x.csv"), stream=stream)
+        assert code == 2
+        assert "h-flat-ratio/Lie1/cos_x: FAIL" in stream.getvalue()
+
     def test_fit_reports_printed(self, tmp_path):
         cfg = parse_config(json.dumps(SMALL_SCAN))
         stream = io.StringIO()
@@ -197,13 +246,18 @@ class TestMain:
         assert out.exists()
         assert "criterion" in capsys.readouterr().out
 
-    def test_threads_flag(self, tmp_path):
-        cfg_path = tmp_path / "scan.json"
-        cfg_path.write_text(json.dumps(SMALL_SCAN))
+    @pytest.mark.parametrize("doc", [
+        SMALL_SCAN,
+        {"command": "long-time", "h": 2.0**-5, "s_values": [0.25, 0.125, 0.0625]},
+        {"command": "sweep-h", "h_values": [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]},
+    ], ids=lambda doc: doc["command"])
+    def test_threads_flag(self, doc, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["commutator-scan", "--config", str(cfg_path), "--out", str(out1)]) == 0
-        assert main(["commutator-scan", "--config", str(cfg_path), "--out", str(out2),
-                     "--threads", "4"]) == 0
+        assert main([doc["command"], "--config", str(cfg_path), "--out", str(out1)]) == 0
+        assert main([doc["command"], "--config", str(cfg_path), "--out", str(out2),
+                     "--threads", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 

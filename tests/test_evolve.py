@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import trotterlab.evolve as evolve
+from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
 from trotterlab.fourier import DiagonalKind, FactoredOperator
 from trotterlab.evolve import (
@@ -242,7 +243,8 @@ class TestErrorFunctionals:
             plan = EvolutionPlan(SplittingScheme.LIE1, 0.1, 1, h)
             errs.append(unitary_error(pair, plan))
         slope = np.log(errs[1] / errs[0]) / np.log(hs[1] / hs[0])
-        assert -1.3 <= slope <= -0.7
+        lo, hi = THRESHOLDS["unitary_growth"]
+        assert lo <= slope <= hi
 
 
 class TestWavepacket:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trotterlab import experiments
+from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonMonotone, TooFewPoints, Unreachable, ValidationError
 from trotterlab.experiments import (
     FIT_WINDOW_LOCAL_S,
@@ -223,7 +224,7 @@ class TestMomentumRealizations:
             "h", scheme="Lie1", observable="momentum_spectral",
             metric="observable_error")]
         assert fit.slope < -0.7
-        assert max(vals) / min(vals) > 3.0
+        assert max(vals) / min(vals) > THRESHOLDS["h_flat_ratio"]
 
     def test_fd_momentum_h_uniform(self):
         hs = [2.0**-k for k in range(5, 9)]
@@ -232,13 +233,14 @@ class TestMomentumRealizations:
         vals = [v for _, v in res.table.series(
             "h", scheme="Lie1", observable="momentum_fd",
             metric="observable_error")]
-        assert max(vals) / min(vals) <= 3.0
+        assert max(vals) / min(vals) <= THRESHOLDS["h_flat_ratio"]
 
 
 class TestCommutatorScan:
     def test_all_slopes_in_range(self, scan):
+        lo, hi = THRESHOLDS["norm_scaling"]
         for key, fit in scan.fits.items():
-            assert -1.3 <= fit.slope <= -0.7, (key, fit.slope)
+            assert lo <= fit.slope <= hi, (key, fit.slope)
 
     def test_doubling_ratio(self, scan):
         series = dict(scan.table.series("h", metric="norm_comm_AB"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import BadCutoff, NonRealPotential, OddN
 from trotterlab.fourier import materialize
 from trotterlab.hamiltonian import (
@@ -248,6 +249,7 @@ class TestBuilderInvariants:
             norms["AB"].append(spectral_norm(comm))
             norms["AAB"].append(spectral_norm(a @ comm - comm @ a))
             norms["BAB"].append(spectral_norm(b @ comm - comm @ b))
+        lo, hi = THRESHOLDS["norm_scaling"]
         for name, vals in norms.items():
             slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
-            assert -1.3 <= slope <= -0.7, (name, slope)
+            assert lo <= slope <= hi, (name, slope)
