@@ -246,19 +246,26 @@ class TestMain:
         assert out.exists()
         assert "criterion" in capsys.readouterr().out
 
+    def test_threads_flag(self, tmp_path):
+        _assert_threads_invariant(SMALL_SCAN, tmp_path)
+
     @pytest.mark.parametrize("doc", [
-        SMALL_SCAN,
         {"command": "long-time", "h": 2.0**-5, "s_values": [0.25, 0.125, 0.0625]},
         {"command": "sweep-h", "h_values": [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]},
     ], ids=lambda doc: doc["command"])
-    def test_threads_flag(self, doc, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main([doc["command"], "--config", str(cfg_path), "--out", str(out1)]) == 0
-        assert main([doc["command"], "--config", str(cfg_path), "--out", str(out2),
-                     "--threads", "2"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_threads_flag_sweeps(self, doc, tmp_path):
+        _assert_threads_invariant(doc, tmp_path)
+
+
+def _assert_threads_invariant(doc, tmp_path):
+    """The CSV of `doc`'s command is byte-identical for --threads 1 and 2."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([doc["command"], "--config", str(cfg_path), "--out", str(out1)]) == 0
+    assert main([doc["command"], "--config", str(cfg_path), "--out", str(out2),
+                 "--threads", "2"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestCriteria:
