@@ -167,10 +167,17 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command != "calculus-check":
         field = "h" if cfg.command in ("sweep-s", "long-time") else "h_values"
         used = () if cfg.command == "commutator-scan" else cfg.observables
-        for h in (cfg.h,) if field == "h" else cfg.h_values:
-            n = xp.canonical_grid(h, cfg.domain, field).N
-            _check(n % 2 == 0 or "momentum_spectral" not in used, field,
-                   f"momentum_spectral needs even N, got N = {n} at h = {h:g}")
+        grids = [xp.canonical_grid(h, cfg.domain, field)
+                 for h in ((cfg.h,) if field == "h" else cfg.h_values)]
+        for grid in grids:
+            _check(grid.N % 2 == 0 or "momentum_spectral" not in used, field,
+                   f"momentum_spectral needs even N, got N = {grid.N} at h = {grid.h:g}")
+        if cfg.command in ("sweep-s", "long-time", "sweep-h"):   # the sweeps that evolve a packet
+            for grid in grids:
+                xp.wavepacket(grid, field)
+    if cfg.command == "query-count":
+        _check(len(cfg.observables) == 1, "observables",
+               f"query-count searches one observable, got {len(cfg.observables)}")
     if cfg.command in ("sweep-s", "long-time"):
         for s in cfg.s_values:
             xp.step_count(s, cfg.mode, cfg.t_total, "s_values")
@@ -206,10 +213,13 @@ def _in_range(name, value, lo, hi, label="value") -> CriterionCheck:
                           f"{label}={value:.6g} target=[{lo:g}, {hi:g}]")
 
 
-def _slope_check(name, fits, key, lo, hi) -> CriterionCheck:
-    fit = fits.get(key)
+def _slope_check(name, result: xp.ExperimentResult, key, lo, hi) -> CriterionCheck:
+    fit = result.fits.get(key)
     if fit is None:
-        return CriterionCheck(name, False, "no usable fit (series at round-off floor)")
+        floored = result.excluded.get(key, 0)
+        reason = (f"series at round-off floor, {floored} points excluded" if floored
+                  else "fewer than three points in the fit window")
+        return CriterionCheck(name, False, f"no usable fit ({reason})")
     return _in_range(name, fit.slope, lo, hi)
 
 
@@ -220,15 +230,15 @@ def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[Crite
     if cfg.command in ("sweep-s", "long-time"):
         for scheme in cfg.schemes:
             for obs in cfg.observables:
-                checks.append(_slope_check(f"s-order/{scheme}/{obs}", result.fits,
+                checks.append(_slope_check(f"s-order/{scheme}/{obs}", result,
                                            f"{scheme}/{obs}/observable_error",
                                            *t["s_order"][cfg.mode][scheme]))
     elif cfg.command == "sweep-h":
         for scheme in cfg.schemes:
-            checks.append(_slope_check(f"unitary-growth/{scheme}", result.fits,
+            checks.append(_slope_check(f"unitary-growth/{scheme}", result,
                                        f"{scheme}/unitary_error", *t["unitary_growth"]))
             for obs in cfg.observables:
-                checks.append(_slope_check(f"h-flat-slope/{scheme}/{obs}", result.fits,
+                checks.append(_slope_check(f"h-flat-slope/{scheme}/{obs}", result,
                                            f"{scheme}/{obs}/observable_error", *t["h_flat_slope"]))
                 values = [v for hval, v in result.table.series(
                     "h", scheme=scheme, observable=obs, metric="observable_error")

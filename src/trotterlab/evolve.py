@@ -1,11 +1,13 @@
 """Exact and split-step propagators with Heisenberg-picture error functionals.
 
 The exact propagator U(t) = e^{-i H t / h} goes through a dense Hermitian
-eigendecomposition. Each split-step factor is diagonal in position or in
-the Fourier basis, so the one-step matrix W is assembled in O(N^2 log N),
-and W^n is formed by binary powering in O(N^3 log n); state vectors step
-in O(N log N). The observable and unitary errors both read the relative
-propagator V = W^n U^dag, which a sweep forms once per plan.
+eigendecomposition (real for the real symmetric H of the grid). Each
+split-step factor is diagonal in position or in the Fourier basis, so the
+one-step matrix W is assembled in O(N^2 log N), and W^n is formed by binary
+powering in O(N^3 log n); state vectors step in O(N log N). The observable
+and unitary errors both read the relative propagator V = W^n U^dag, which a
+sweep forms once per plan. Observables stay factored: O V is a row scaling
+in the basis that diagonalizes O, and O applies to states by FFT.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import PacketTouchesBoundary, UnnormalizedState
+from .errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
 from .fourier import DiagonalKind, FactoredOperator, dft_cols, idft_cols
 from .hamiltonian import GridSpec, HamiltonianPair
-from .numkit import EigenSystem, hermitian_eig, hermitian_norm, require_hermitian, spectral_norm
+from .numkit import (HERMITICITY_RTOL, EigenSystem, hermitian_eig, hermitian_norm,
+                     require_hermitian, unitary_distance)
 
 __all__ = [
     "SplittingScheme",
@@ -157,24 +160,43 @@ def evolve_state(state: np.ndarray, pair: HamiltonianPair, plan: EvolutionPlan) 
     return out
 
 
-def observable_error(observable: np.ndarray, pair: HamiltonianPair, plan: EvolutionPlan,
+def _real_diagonal(observable: FactoredOperator) -> np.ndarray:
+    """Real diagonal of a factored observable (Hermitian iff it is real), or NonHermitian."""
+    diag = observable.diag
+    imag = np.abs(diag.imag).max()
+    if imag > HERMITICITY_RTOL * np.abs(diag).max():
+        raise NonHermitian(f"observable diagonal has imaginary part {imag:.3e}; "
+                           f"relative tolerance {HERMITICITY_RTOL:.1e}")
+    return diag.real
+
+
+def observable_error(observable: FactoredOperator, pair: HamiltonianPair, plan: EvolutionPlan,
                      rel_u: np.ndarray | None = None) -> float:
     """Spectral-norm distance between split and exact Heisenberg evolution at t = n s.
 
     Taken as ||V^dag O V - O|| with V the ``relative_propagator`` (``rel_u``
     lets a sweep share it), by eigenvalues since the difference is Hermitian.
-    A non-Hermitian observable raises NonHermitian before any compute.
+    A Fourier-diagonal O = F^-1 D F is handled in the Fourier basis, where
+    V becomes F V F^-1: the norm is unitarily invariant. A non-Hermitian
+    observable raises NonHermitian before any compute.
     """
-    require_hermitian(observable)
+    diag = _real_diagonal(observable)
     v = relative_propagator(pair, plan) if rel_u is None else rel_u
-    return hermitian_norm(v.conj().T @ observable @ v - observable)
+    if observable.kind is DiagonalKind.FOURIER:
+        v = idft_cols(dft_cols(v).T).T      # F V F^-1, as F^-1 is symmetric
+    # conj(V^dag D V) = V^T (D conj(V)) has the same norm and needs no V^dag copy
+    scaled = v.conj()
+    scaled *= diag[:, None]
+    diff = v.T @ scaled
+    diff[np.diag_indices_from(diff)] -= diag
+    return hermitian_norm(diff)
 
 
 def unitary_error(pair: HamiltonianPair, plan: EvolutionPlan,
                   rel_u: np.ndarray | None = None) -> float:
     """Spectral-norm distance ||W^n - U|| = ||V - 1|| of step power and exact propagator."""
     v = relative_propagator(pair, plan) if rel_u is None else rel_u
-    return spectral_norm(v - np.eye(v.shape[0]))
+    return unitary_distance(v)
 
 
 def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float, h: float) -> np.ndarray:
@@ -196,14 +218,19 @@ def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float, h: float) -> np.nd
     return psi
 
 
-def expectation_error(observables: Iterable[np.ndarray], pair: HamiltonianPair,
+def expectation_error(observables: Iterable[FactoredOperator], pair: HamiltonianPair,
                       plan: EvolutionPlan, state: np.ndarray,
                       exact_u: np.ndarray | None = None) -> list[float]:
     """|<psi| T_split |psi> - <psi| T_exact |psi>| of each observable, for a unit state.
 
-    The state is stepped and propagated once for all observables. Each error is
-    bounded by its operator-norm error (Cauchy-Schwarz); acceptance criterion 7 checks it.
+    The state is stepped and propagated once for all observables, and each
+    observable is applied to both states by FFT. Each error is bounded by its
+    operator-norm error (Cauchy-Schwarz); acceptance criterion 7 checks it.
+    A non-Hermitian observable raises NonHermitian before any compute.
     """
+    observables = list(observables)
+    for obs in observables:
+        _real_diagonal(obs)
     psi = np.asarray(state, dtype=np.complex128)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
@@ -211,5 +238,6 @@ def expectation_error(observables: Iterable[np.ndarray], pair: HamiltonianPair,
     split_state = evolve_state(psi, pair, plan)
     u = exact_unitary(pair.total, plan.t, plan.h) if exact_u is None else exact_u
     exact_state = u @ psi
-    return [abs(np.vdot(split_state, obs @ split_state).real
-                - np.vdot(exact_state, obs @ exact_state).real) for obs in observables]
+    return [abs(np.vdot(split_state, _apply_factors((obs,), split_state)).real
+                - np.vdot(exact_state, _apply_factors((obs,), exact_state)).real)
+            for obs in observables]

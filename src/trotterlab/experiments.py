@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numkit
 from . import quantize as qz
-from .errors import NonMonotone, TooFewPoints, Unreachable, ValidationError
+from .errors import NonMonotone, PacketTouchesBoundary, TooFewPoints, Unreachable, ValidationError
 from .evolve import (
     ROUNDOFF_FLOOR_PER_DIM,
     EvolutionPlan,
@@ -29,6 +29,7 @@ from .evolve import (
     relative_propagator,
     unitary_error,
 )
+from .fourier import FactoredOperator
 from .hamiltonian import (
     GridSpec,
     build_pair,
@@ -49,6 +50,7 @@ __all__ = [
     "sweep_h",
     "step_count",
     "canonical_grid",
+    "wavepacket",
     "commutator_scan",
     "calculus_suite",
     "query_count",
@@ -84,7 +86,7 @@ POTENTIALS: dict[str, Callable] = {
 # bounds cover it and the flat h-sweep curves are reproduced. The spectral
 # realization has a sawtooth symbol whose Nyquist jump makes worst-case
 # errors grow like 1/h; it stays available for side-by-side runs.
-OBSERVABLES: dict[str, Callable[[GridSpec], np.ndarray]] = {
+OBSERVABLES: dict[str, Callable[[GridSpec], FactoredOperator]] = {
     "cos_x": cosine_observable,
     "cos_3x": lambda grid: cosine_observable(grid, harmonic=3),
     "momentum_fd": momentum_fd_observable,
@@ -234,10 +236,19 @@ def canonical_grid(h: float, domain, field: str) -> GridSpec:
         raise ValidationError(field, str(err)) from None
 
 
-def _build_setup(grid: GridSpec, potential_id: str, observable_ids):
+def wavepacket(grid: GridSpec, field: str) -> np.ndarray:
+    """The sweeps' coherent state on ``grid``; one that touches the domain edge
+    raises ValidationError naming ``field``."""
+    try:
+        return gaussian_wavepacket(grid, WAVEPACKET_X0, WAVEPACKET_P0, grid.h)
+    except PacketTouchesBoundary as err:
+        raise ValidationError(field, f"at h = {grid.h:g}: {err}") from None
+
+
+def _build_setup(grid: GridSpec, potential_id: str, observable_ids, field: str):
     pair = build_pair(grid, potential=POTENTIALS[potential_id])
     observables = {name: OBSERVABLES[name](grid) for name in observable_ids}
-    packet = gaussian_wavepacket(grid, WAVEPACKET_X0, WAVEPACKET_P0, grid.h)
+    packet = wavepacket(grid, field)
     return grid, pair, observables, packet, numkit.hermitian_eig(pair.total)
 
 
@@ -297,7 +308,7 @@ def sweep_timestep(*, s_values: Sequence[float], h: float,
     """
     schemes = [_scheme(s) for s in schemes]
     steps = {s: step_count(s, mode, t_total, "s_values") for s in s_values}
-    setup = _build_setup(canonical_grid(h, domain, "h"), potential_id, observable_ids)
+    setup = _build_setup(canonical_grid(h, domain, "h"), potential_id, observable_ids, "h")
     rows = _map_rows(lambda s: _error_rows(setup, schemes, s, steps[s], h),
                      sorted(s_values), threads)
     table = SweepTable.build(SWEEP_COLUMNS, rows,
@@ -323,7 +334,7 @@ def sweep_h(*, h_values: Sequence[float], s_fixed: float,
     grids = [canonical_grid(h, domain, "h_values") for h in sorted(h_values)]
 
     def rows_for(grid: GridSpec) -> list[tuple]:
-        setup = _build_setup(grid, potential_id, observable_ids)
+        setup = _build_setup(grid, potential_id, observable_ids, "h_values")
         return _error_rows(setup, schemes, s_fixed, n, grid.h, with_unitary=True)
 
     rows = _map_rows(rows_for, grids, threads)

@@ -31,7 +31,8 @@ __all__ = [
 
 
 def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.complex128)
+    arr = np.asarray(v)
+    arr = arr.astype(np.result_type(arr, np.float64), copy=False)   # real stays real
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
@@ -97,9 +98,7 @@ def materialize(op: FactoredOperator) -> np.ndarray:
 
 
 def circulant(first_column) -> np.ndarray:
-    """Circulant matrix with the given first column.
-
-    Built as ``F^-1 diag(F c) F``; entry (i, j) equals c[(i - j) mod N].
-    """
+    """Circulant ``F^-1 diag(F c) F`` gathered exactly as c[(i - j) mod N], in c's dtype."""
     col = _as_vector(first_column)
-    return materialize(FactoredOperator(DiagonalKind.FOURIER, dft_cols(col)))
+    idx = np.arange(col.size)
+    return col[np.subtract.outer(idx, idx) % col.size]

@@ -3,9 +3,10 @@
 The physical domain [a, b] with periodic boundary maps to the unit torus by
 x -> (x - a)/(b - a); all domain rescaling lives here so the quantization
 module can stay domain-free. Kinetic operators are circulant (diagonal in
-the Fourier basis), potentials and position observables diagonal in
-position space; both carry their factored form alongside the dense matrix
-so propagators can use the O(N log N) path.
+the Fourier basis) and potentials diagonal in position space; both carry
+their factored form alongside the dense (float64 for ``fd`` and potentials,
+so H is real symmetric) matrix for the O(N log N) path. Observables are
+factored operators only.
 """
 
 from __future__ import annotations
@@ -88,13 +89,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridOperator:
-    """Dense matrix together with its factored (fast) form."""
+    """Dense matrix (float64 or complex128) together with its factored (fast) form."""
 
     dense: np.ndarray
     factored: FactoredOperator
 
     def __post_init__(self):
-        arr = np.array(self.dense, dtype=np.complex128, copy=True)
+        arr = np.array(self.dense, copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "dense", arr)
 
@@ -128,7 +129,7 @@ def build_fd_kinetic(grid: GridSpec) -> GridOperator:
     if n < 2:
         raise ValueError("finite-difference stencil needs N >= 2")
     pref = grid.h**2 * n**2 / (2.0 * grid.length**2)
-    col = np.zeros(n, dtype=np.complex128)
+    col = np.zeros(n)
     col[0] = 2.0 * pref
     col[1] = -pref
     col[-1] += -pref
@@ -200,7 +201,7 @@ def build_potential(v: Union[Callable[[np.ndarray], np.ndarray], TorusSymbol],
         raise NonRealPotential("potential values have a non-negligible imaginary part")
     diag = values.real.astype(np.float64)
     op = FactoredOperator(DiagonalKind.POSITION, diag)
-    return GridOperator(np.diag(diag).astype(np.complex128), op)
+    return GridOperator(np.diag(diag), op)
 
 
 def build_pair(grid: GridSpec,
@@ -215,8 +216,8 @@ def build_pair(grid: GridSpec,
     return HamiltonianPair(builders[kinetic](grid), build_potential(potential, grid), grid)
 
 
-def momentum_observable(grid: GridSpec) -> np.ndarray:
-    """Spectral derivative observable -i h d/dx as a Hermitian matrix.
+def momentum_observable(grid: GridSpec) -> FactoredOperator:
+    """Spectral derivative observable -i h d/dx, diagonal in the Fourier basis.
 
     Fourier multiplier h (2 pi / (b-a)) k over k in {-N/2, ..., N/2 - 1}.
     Its symbol is a sawtooth in the frequency variable, discontinuous at
@@ -226,11 +227,11 @@ def momentum_observable(grid: GridSpec) -> np.ndarray:
     if grid.N % 2:
         raise OddN(f"momentum observable needs even N, got {grid.N}")
     diag = grid.h * (2.0 * np.pi / grid.length) * _signed_bins(grid.N)
-    return fourier.materialize(FactoredOperator(DiagonalKind.FOURIER, diag))
+    return FactoredOperator(DiagonalKind.FOURIER, diag)
 
 
-def momentum_fd_observable(grid: GridSpec) -> np.ndarray:
-    """Central-difference realization of -i h d/dx as a Hermitian matrix.
+def momentum_fd_observable(grid: GridSpec) -> FactoredOperator:
+    """Central-difference realization of -i h d/dx, diagonal in the Fourier basis.
 
     Fourier multiplier (h N / (b-a)) sin(2 pi k / N): a smooth periodic
     symbol that agrees with the spectral momentum to second order in k/N.
@@ -239,15 +240,15 @@ def momentum_fd_observable(grid: GridSpec) -> np.ndarray:
     with this realization.
     """
     diag = grid.h * grid.N / grid.length * np.sin(2.0 * np.pi * np.arange(grid.N) / grid.N)
-    return fourier.materialize(FactoredOperator(DiagonalKind.FOURIER, diag))
+    return FactoredOperator(DiagonalKind.FOURIER, diag)
 
 
-def cosine_observable(grid: GridSpec, harmonic: int = 1) -> np.ndarray:
-    """Multiplication by cos(harmonic * x) at the grid nodes.
+def cosine_observable(grid: GridSpec, harmonic: int = 1) -> FactoredOperator:
+    """Multiplication by cos(harmonic * x) at the grid nodes, diagonal in position.
 
     Higher harmonics carry larger derivatives and hence larger split-step
     error constants; the query-count experiment uses harmonic 3 so its
     target accuracies sit in the asymptotic second-order regime.
     """
-    return np.diag(np.cos(harmonic * grid.nodes)).astype(np.complex128)
+    return FactoredOperator(DiagonalKind.POSITION, np.cos(harmonic * grid.nodes))
 

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra: Hermitian eigendecomposition (reused for
-``exp(i theta M)`` at any angle), spectral norms by SVD or, for Hermitian
-input, by eigenvalues, and the Hermiticity gate.
+"""Dense real or complex linear algebra: Hermitian eigendecomposition (reused
+for ``exp(i theta M)`` at any angle), spectral norms by SVD or, for Hermitian
+input, by eigenvalues, ``||V - 1||`` of a unitary, and the Hermiticity gate.
 
-Matrices are plain square ``numpy.ndarray`` values of dtype complex128.
-All functions are pure and deterministic; nothing here mutates its inputs.
+Matrices are plain square float64 or complex128 ``numpy.ndarray`` values;
+real input stays real (real ``eigh``, real products). All functions are pure
+and deterministic; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "expm_hermitian",
     "spectral_norm",
     "hermitian_norm",
+    "unitary_distance",
     "require_hermitian",
 ]
 
@@ -28,9 +30,18 @@ __all__ = [
 # (~1e-15) from genuinely non-Hermitian input, and Frobenius keeps it O(n^2).
 HERMITICITY_RTOL = 1e-10
 
+# ||V - 1|| from the eigenvalues of V + V^dag carries an absolute error of
+# about eps N / ||V - 1|| (eps = 2.2e-16): the eigenvalue is off by about
+# eps N, the unitarity defect of a computed V, and the square root divides
+# that by 2 ||V - 1||. Keeping the error within a quarter of the round-off
+# floor 1e-11 N needs ||V - 1|| >= 4 eps / 1e-11 = 8.9e-5; below this switch
+# point the SVD of V - 1 is used instead.
+UNITARY_EIG_MIN = 1e-4
+
 
 def _as_square(matrix) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=np.complex128)
+    arr = np.asarray(matrix)
+    arr = arr.astype(np.result_type(arr, np.float64), copy=False)   # real stays real
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -55,7 +66,7 @@ class EigenSystem:
 
     ``eigenvalues`` is real and sorted ascending; ``eigenvectors`` holds the
     corresponding orthonormal eigenvectors as columns, so that
-    ``M = V @ diag(w) @ V.conj().T``.
+    ``M = V @ diag(w) @ V.conj().T``; V is real for real symmetric M.
     """
 
     eigenvalues: np.ndarray
@@ -66,13 +77,22 @@ class EigenSystem:
         return (v * self.eigenvalues) @ v.conj().T
 
     def exp(self, theta: float) -> np.ndarray:
-        """Unitary ``exp(i * theta * M)`` as ``V diag(exp(i theta w)) V^dag``."""
-        v = self.eigenvectors
-        return (v * np.exp(1j * theta * self.eigenvalues)) @ v.conj().T
+        """Unitary ``exp(i * theta * M)`` as ``V diag(exp(i theta w)) V^dag``.
+
+        With real V its real and imaginary parts are the real products
+        ``(V cos) V^T`` and ``(V sin) V^T``.
+        """
+        v, phase = self.eigenvectors, theta * self.eigenvalues
+        if np.iscomplexobj(v):
+            return (v * np.exp(1j * phase)) @ v.conj().T
+        out = np.empty(v.shape, dtype=np.complex128)
+        np.matmul(v * np.cos(phase), v.T, out=out.real)
+        np.matmul(v * np.sin(phase), v.T, out=out.imag)
+        return out
 
 
 def hermitian_eig(matrix) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix, eigenvalues ascending.
+    """Eigendecompose a Hermitian matrix (real ``eigh`` if real), eigenvalues ascending.
 
     Raises NonHermitian when the input is not Hermitian within
     ``HERMITICITY_RTOL`` and NonFinite on NaN/Inf entries.
@@ -96,11 +116,33 @@ def spectral_norm(matrix) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def _plus_adjoint(arr: np.ndarray) -> np.ndarray:
+    """M + M^dag, formed in one new array."""
+    out = np.conjugate(arr.T)
+    out += arr
+    return out
+
+
 def hermitian_norm(matrix) -> float:
     """Spectral norm of a Hermitian matrix: its largest eigenvalue modulus.
 
     Taken of the Hermitian part (M + M^dag) / 2, which drops the round-off
     asymmetry of a matrix that is Hermitian in exact arithmetic.
     """
+    herm = _plus_adjoint(_as_square(matrix))
+    herm *= 0.5
+    return float(np.abs(np.linalg.eigvalsh(herm)).max())
+
+
+def unitary_distance(matrix) -> float:
+    """Spectral norm ||V - 1|| of a unitary V.
+
+    For unitary V, (V - 1)^dag (V - 1) = 2 - (V + V^dag), so the norm is
+    sqrt(2 - lambda_min(V + V^dag)): one Hermitian eigenvalue problem instead
+    of an SVD. Below ``UNITARY_EIG_MIN`` the SVD of V - 1 is used.
+    """
     arr = _as_square(matrix)
-    return float(np.abs(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))).max())
+    dist = float(np.sqrt(max(2.0 - np.linalg.eigvalsh(_plus_adjoint(arr))[0], 0.0)))
+    if dist >= UNITARY_EIG_MIN:
+        return dist
+    return spectral_norm(arr - np.eye(arr.shape[0]))

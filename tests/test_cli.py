@@ -73,9 +73,35 @@ class TestParseConfig:
             assert err.value.field == field
             assert "even N" in str(err.value)
         # the central-difference momentum and the commutator scan accept odd N
-        parse_config(json.dumps({**base, "command": "sweep-h", "h_values": [0.25, 0.2],
+        # (h = 1/25 gives N = 25 with the wave packet clear of the domain edge)
+        parse_config(json.dumps({"command": "sweep-h", "h_values": [0.04],
                                  "observables": ["momentum_fd"]}))
         parse_config(json.dumps({**base, "command": "commutator-scan", "h_values": [0.2]}))
+
+    def test_packet_at_domain_edge_rejected_before_compute(self, tmp_path, capsys):
+        # at h = 1/4 the grid has N = 4 nodes and the packet is not negligible at
+        # the last one; the check runs in validation and names the field
+        for doc, field in (({"command": "sweep-h", "h_values": [0.125, 0.25]}, "h_values"),
+                           ({"command": "sweep-s", "h": 0.25}, "h"),
+                           ({"command": "long-time", "h": 0.25}, "h")):
+            with pytest.raises(ValidationError) as err:
+                parse_config(json.dumps(doc))
+            assert err.value.field == field
+            assert "h = 0.25" in str(err.value)
+        path = tmp_path / "edge.json"
+        path.write_text('{"h_values": [0.25]}')
+        assert main(["sweep-h", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "error: h_values: " in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        # the commutator scan and the query count evolve no packet
+        parse_config('{"command": "commutator-scan", "h_values": [0.25, 0.125, 0.0625]}')
+
+    def test_query_count_takes_one_observable(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config('{"command": "query-count", "observables": ["cos_3x", "cos_x"]}')
+        assert err.value.field == "observables"
+        assert parse_config('{"command": "query-count", "observables": ["cos_x"]}').observables \
+            == ("cos_x",)
 
     def test_unknown_key_rejected(self):
         for key in ("stepsize", "seed"):
@@ -200,6 +226,23 @@ class TestRun:
                    out=str(tmp_path / "x.csv"), stream=stream)
         assert code == 2
         assert "h-flat-ratio/Lie1/cos_x: FAIL" in stream.getvalue()
+
+    @pytest.mark.parametrize("doc, reason", [
+        # two grids, neither inside the fit window h <= 2^-5; nothing at the floor
+        ({"h_values": [0.125, 0.0625]}, "(fewer than three points in the fit window)"),
+        # zero potential: the split is exact, so every error sits at the floor
+        ({"h_values": [2.0**-5, 2.0**-6, 2.0**-7], "potential": "zero"},
+         "(series at round-off floor, 3 points excluded)"),
+    ], ids=["window", "floor"])
+    def test_missing_fit_reason(self, doc, reason, tmp_path):
+        doc = {"command": "sweep-h", "schemes": ["Lie1"], "observables": ["cos_x"], **doc}
+        stream = io.StringIO()
+        code = run(parse_config(json.dumps(doc)), assert_criteria=True,
+                   out=str(tmp_path / "x.csv"), stream=stream)
+        assert code == 2
+        lines = stream.getvalue().splitlines()
+        for name in ("unitary-growth/Lie1", "h-flat-slope/Lie1/cos_x"):
+            assert f"criterion {name}: FAIL (no usable fit {reason})" in lines
 
     def test_fit_reports_printed(self, tmp_path):
         cfg = parse_config(json.dumps(SMALL_SCAN))

@@ -4,7 +4,7 @@ import pytest
 import trotterlab.evolve as evolve
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
-from trotterlab.fourier import DiagonalKind, FactoredOperator
+from trotterlab.fourier import DiagonalKind, FactoredOperator, materialize
 from trotterlab.evolve import (
     _STAGES,
     EvolutionPlan,
@@ -132,7 +132,7 @@ class TestTrotterStep:
 class TestHeisenberg:
     def test_exact_zero_time(self, setup):
         h, grid, pair = setup
-        obs = cosine_observable(grid)
+        obs = materialize(cosine_observable(grid))
         assert np.abs(heisenberg_exact(obs, pair.total, 0.0, h) - obs).max() < 1e-12
 
     def test_exact_identity_invariant(self, setup):
@@ -150,14 +150,14 @@ class TestHeisenberg:
 
     def test_trotter_zero_steps(self, setup):
         h, grid, pair = setup
-        obs = cosine_observable(grid)
+        obs = materialize(cosine_observable(grid))
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.1, 0, h)
         assert np.abs(heisenberg_trotter(obs, pair, plan) - obs).max() == 0.0
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_trotter_matches_dense_conjugation(self, setup, scheme):
         h, grid, pair = setup
-        obs = momentum_observable(grid)
+        obs = materialize(momentum_observable(grid))
         plan = EvolutionPlan(scheme, 0.2, 3, h)
         w = np.linalg.matrix_power(dense_step(pair, scheme, 0.2, h), 3)
         expected = w.conj().T @ obs @ w
@@ -166,7 +166,7 @@ class TestHeisenberg:
 
     def test_two_steps_equal_squared_step(self, setup):
         h, grid, pair = setup
-        obs = cosine_observable(grid)
+        obs = materialize(cosine_observable(grid))
         plan = EvolutionPlan(SplittingScheme.STRANG2, 0.15, 2, h)
         u = trotter_step_unitary(pair, SplittingScheme.STRANG2, 0.15, h)
         w = u @ u
@@ -175,7 +175,7 @@ class TestHeisenberg:
 
     def test_preserves_hermiticity_and_spectrum(self, setup):
         h, grid, pair = setup
-        obs = cosine_observable(grid)
+        obs = materialize(cosine_observable(grid))
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.1, 5, h)
         evolved = heisenberg_trotter(obs, pair, plan)
         assert spectral_norm(evolved - evolved.conj().T) <= 1e-10 * grid.N
@@ -196,7 +196,7 @@ class TestErrorFunctionals:
         h, grid, pair = setup
         obs = cosine_observable(grid)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.5, 2, h)
-        assert observable_error(obs, pair, plan) <= 2 * spectral_norm(obs) + 1e-12
+        assert observable_error(obs, pair, plan) <= 2 * spectral_norm(materialize(obs)) + 1e-12
 
     def test_single_step_error_orders(self, setup):
         # halving s divides the one-step error by ~4 (first order scheme)
@@ -209,9 +209,12 @@ class TestErrorFunctionals:
             assert errs[0] / errs[1] == pytest.approx(factor, rel=0.1)
 
     def test_non_hermitian_observable_rejected_before_compute(self, setup, monkeypatch):
+        # a factored observable is Hermitian exactly when its diagonal is real
         h, grid, pair = setup
-        bad = cosine_observable(grid)
-        bad[0, 1] = 1.0
+        diag = np.cos(grid.nodes).astype(complex)
+        diag[1] += 1e-3j
+        bad = FactoredOperator(DiagonalKind.POSITION, diag)
+        psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
 
         def no_compute(*args):
             raise AssertionError("split step assembled before the Hermiticity gate")
@@ -221,7 +224,11 @@ class TestErrorFunctionals:
         with pytest.raises(NonHermitian):
             observable_error(bad, pair, plan)
         with pytest.raises(NonHermitian):
-            heisenberg_trotter(bad, pair, plan)
+            observable_error(FactoredOperator(DiagonalKind.FOURIER, diag), pair, plan)
+        with pytest.raises(NonHermitian):
+            expectation_error([cosine_observable(grid), bad], pair, plan, psi)
+        with pytest.raises(NonHermitian):
+            heisenberg_trotter(materialize(bad), pair, plan)
 
     def test_commuting_split_zero_unitary_error(self, setup):
         h, grid, _ = setup
@@ -299,8 +306,8 @@ class TestExpectationError:
         obs = cosine_observable(grid)
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 2, h)
-        t_trot = heisenberg_trotter(obs, pair, plan)
-        t_exact = heisenberg_exact(obs, pair.total, plan.t, h)
+        t_trot = heisenberg_trotter(materialize(obs), pair, plan)
+        t_exact = heisenberg_exact(materialize(obs), pair.total, plan.t, h)
         direct = abs(np.vdot(psi, t_trot @ psi).real - np.vdot(psi, t_exact @ psi).real)
         assert expectation_error([obs], pair, plan, psi) == [pytest.approx(direct, abs=1e-12)]
 

@@ -180,12 +180,12 @@ class TestModifiedSpKinetic:
 class TestObservables:
     def test_momentum_annihilates_constants(self):
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        p = momentum_observable(grid)
+        p = materialize(momentum_observable(grid))
         assert np.abs(p @ np.ones(grid.N)).max() < 1e-12
 
     def test_momentum_plane_wave_eigenvalue(self):
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        p = momentum_observable(grid)
+        p = materialize(momentum_observable(grid))
         wave = np.exp(1j * 2 * np.pi * (grid.nodes - grid.a_dom) / grid.length)
         expected = grid.h * 2 * np.pi / grid.length
         assert np.abs(p @ wave - expected * wave).max() < 1e-12
@@ -196,20 +196,20 @@ class TestObservables:
 
     def test_momentum_norm(self):
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-6)
-        p = momentum_observable(grid)
+        p = materialize(momentum_observable(grid))
         expected = grid.h * (2 * np.pi / grid.length) * grid.N / 2
         assert spectral_norm(p) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.5)   # O(1) under canonical meshing
 
     def test_momentum_hermitian(self):
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        for p in (momentum_observable(grid), momentum_fd_observable(grid)):
+        for p in map(materialize, (momentum_observable(grid), momentum_fd_observable(grid))):
             assert spectral_norm(p - p.conj().T) <= 1e-12 * grid.N
 
     def test_fd_momentum_agrees_at_low_frequency(self):
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-5)
-        p_sp = momentum_observable(grid)
-        p_fd = momentum_fd_observable(grid)
+        p_sp = materialize(momentum_observable(grid))
+        p_fd = materialize(momentum_fd_observable(grid))
         wave = np.exp(1j * 2 * np.pi * (grid.nodes - grid.a_dom) / grid.length)
         lam_sp = (p_sp @ wave / wave)[0]
         lam_fd = (p_fd @ wave / wave)[0]
@@ -217,13 +217,13 @@ class TestObservables:
 
     def test_cosine_observable_values(self):
         grid = GridSpec(-np.pi, np.pi, 4, 0.25)
-        obs = cosine_observable(grid)
+        obs = materialize(cosine_observable(grid))
         assert np.allclose(np.diag(obs).real, [-1.0, 0.0, 1.0, 0.0], atol=1e-15)
         assert spectral_norm(obs) <= 1.0 + 1e-12
 
     def test_cosine_matches_potential_builder(self):
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        assert np.array_equal(cosine_observable(grid), build_potential(np.cos, grid).dense)
+        assert np.array_equal(materialize(cosine_observable(grid)), build_potential(np.cos, grid).dense)
 
 
 class TestBuilderInvariants:
