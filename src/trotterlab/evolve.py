@@ -184,7 +184,8 @@ def observable_error(observable: FactoredOperator, pair: HamiltonianPair, plan: 
     v = relative_propagator(pair, plan) if rel_u is None else rel_u
     if observable.kind is DiagonalKind.FOURIER:
         v = idft_cols(dft_cols(v).T).T      # F V F^-1, as F^-1 is symmetric
-    # conj(V^dag D V) = V^T (D conj(V)) has the same norm and needs no V^dag copy
+    # conj(V^dag D V) = V^T (D conj(V)) has the same norm: one conjugated copy
+    # of V, scaled in place, and one product with the transposed view
     scaled = v.conj()
     scaled *= diag[:, None]
     diff = v.T @ scaled
