@@ -7,10 +7,10 @@ numkit       dense Hermitian linear algebra (eig, expm, norms, Hermiticity gate)
 fourier      transform conventions, circulants, factored diagonal operators
 symbols      phase-space symbols on the unit torus and their calculus
 quantize     discrete Weyl quantization and semiclassical calculus checks
-hamiltonian  grid discretizations of kinetic/potential operators, observables
-evolve       exact and split-step propagators, Heisenberg error functionals
+hamiltonian  the central-difference grid Hamiltonian (kinetic + potential), observables
+evolve       exact and split-step propagators, observable/unitary/expectation errors
 experiments  parameter sweeps, slope fits, machine-readable tables
-cli          command-line front end and JSON configuration
+cli          command-line front end, JSON configuration and the run defaults
 """
 
 from .evolve import EvolutionPlan, SplittingScheme

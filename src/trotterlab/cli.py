@@ -1,21 +1,12 @@
 """Command-line entry point: configuration, dispatch, CSV emission.
 
-Commands
---------
-sweep-s          single-step observable error versus the step size s
-long-time        fixed-horizon observable error versus s
-sweep-h          unitary/observable errors versus the Planck constant
-commutator-scan  norms of the h-scaled split operators and nested commutators
-calculus-check   quantization calculus defects versus N
-query-count      smallest step counts reaching a target error
-
-Configuration is a JSON object; unknown keys are rejected. Every command
-understands ``domain``, ``potential``, ``observables``, ``schemes`` and
-``out`` plus its own parameter lists (see COMMAND_DEFAULTS).
-Output is a deterministic CSV (17 significant digits, LF line endings);
-fit reports go to standard output. With ``--assert`` the command's
-acceptance criteria are evaluated and a failing run exits with code 2,
-while crashes and invalid input exit with code 1.
+Configuration is a JSON object. ``COMMAND_DEFAULTS`` is the one table of
+run defaults: a command reads exactly the keys of its entry plus ``out``
+(``trotterlab <command> --help`` lists them), and any other key is rejected
+by name. Output is a deterministic CSV (17 significant digits, LF line
+endings); fit reports go to standard output. With ``--assert`` the
+command's acceptance criteria are evaluated and a failing run exits with
+code 2, while crashes and invalid input exit with code 1.
 """
 
 from __future__ import annotations
@@ -24,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import experiments as xp
@@ -34,44 +25,68 @@ from .evolve import SplittingScheme
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 _S_LADDER = tuple(2.0**-k for k in range(4, 12))
-_H_LADDER_WIDE = tuple(2.0**-k for k in range(3, 11))
-_H_LADDER_SCAN = tuple(2.0**-k for k in range(3, 9))
 
-COMMANDS = ("sweep-s", "sweep-h", "long-time", "commutator-scan",
-            "calculus-check", "query-count")
+# Keys of the commands that build a grid Hamiltonian, of those that also
+# evolve observables, and of those that run to a horizon t_total.
+_GRID = {"domain": xp.DEFAULT_DOMAIN, "potential": "cos"}
+_EVOLVE = {**_GRID, "observables": ("cos_x", "momentum_fd"), "schemes": ("Lie1", "Strang2")}
+_HORIZON = {**_EVOLVE, "t_total": 1.0}
 
+# The one table of run defaults. A command reads exactly the keys of its
+# entry, plus "out"; a {mode: value} entry gives the default in each mode.
 COMMAND_DEFAULTS: dict[str, dict] = {
-    "sweep-s": {"s_values": _S_LADDER, "h": 2.0**-6, "mode": "local"},
-    "long-time": {"s_values": _S_LADDER, "h": 2.0**-8, "mode": "global", "t_total": 1.0},
-    "sweep-h": {"h_values": _H_LADDER_WIDE, "mode": "local", "s_fixed": 0.1, "t_total": 1.0},
-    "commutator-scan": {"h_values": _H_LADDER_SCAN},
+    "sweep-s": {**_EVOLVE, "s_values": _S_LADDER, "h": 2.0**-6, "mode": "local"},
+    "long-time": {**_HORIZON, "s_values": _S_LADDER, "h": 2.0**-8, "mode": "global"},
+    "sweep-h": {**_HORIZON, "h_values": tuple(2.0**-k for k in range(3, 11)), "mode": "local",
+                "s_fixed": {"local": 0.1, "global": 0.02}},   # global: the long-horizon step
+    "commutator-scan": {**_GRID, "h_values": tuple(2.0**-k for k in range(3, 9))},
     "calculus-check": {"N_values": (16, 32, 64, 128, 256)},
-    "query-count": {"epsilons": (3e-2, 1e-2), "h_values": (2.0**-6, 2.0**-8),
+    "query-count": {**_HORIZON, "epsilons": (3e-2, 1e-2), "h_values": (2.0**-6, 2.0**-8),
                     "schemes": ("Strang2",), "observables": ("cos_3x",)},
 }
+COMMANDS = tuple(COMMAND_DEFAULTS)
 
-# Default step of sweep-h in global mode: the long-horizon step size.
-_S_FIXED_GLOBAL = 0.02
+# The keys that take a list, and the keys whose values name a known entry.
+_LISTS = ("domain", "observables", "schemes", "s_values", "h_values", "N_values", "epsilons")
+_CHOICES = {"potential": xp.POTENTIALS, "observables": xp.OBSERVABLES,
+            "schemes": [scheme.value for scheme in SplittingScheme], "mode": ("local", "global")}
+
+# What every number of a key (each entry, for the lists) must satisfy.
+_RANGES = {
+    "s_values": (lambda v: v > 0, "entries must be positive"),
+    "h": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "h_values": (lambda v: 0.0 < v <= 1.0, "entries must lie in (0, 1]"),
+    "t_total": (lambda v: v > 0, "must be positive"),
+    "s_fixed": (lambda v: v > 0, "must be positive"),
+    "N_values": (lambda n: n >= 16 and (n & (n - 1)) == 0, "entries must be powers of two >= 16"),
+    "epsilons": (lambda v: 0.0 < v < 1.0, "entries must lie in (0, 1)"),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one experiment invocation."""
+    """Validated parameters of one experiment invocation. A key the command
+    does not read stays None; the defaults live in COMMAND_DEFAULTS."""
 
     command: str
-    domain: tuple[float, float] = xp.DEFAULT_DOMAIN
-    potential: str = "cos"
-    observables: tuple[str, ...] = ("cos_x", "momentum_fd")
-    schemes: tuple[str, ...] = ("Lie1", "Strang2")
-    s_values: tuple[float, ...] = _S_LADDER
-    h: float = 2.0**-6
-    h_values: tuple[float, ...] = _H_LADDER_WIDE
-    mode: str = "local"
-    t_total: float = 1.0
-    s_fixed: float = 0.1
-    N_values: tuple[int, ...] = (16, 32, 64, 128, 256)
-    epsilons: tuple[float, ...] = (3e-2, 1e-2)
+    domain: tuple[float, float] | None = None
+    potential: str | None = None
+    observables: tuple[str, ...] | None = None
+    schemes: tuple[str, ...] | None = None
+    s_values: tuple[float, ...] | None = None
+    h: float | None = None
+    h_values: tuple[float, ...] | None = None
+    mode: str | None = None
+    t_total: float | None = None
+    s_fixed: float | None = None
+    N_values: tuple[int, ...] | None = None
+    epsilons: tuple[float, ...] | None = None
     out: str | None = None
+
+
+def _keys(command: str) -> list[str]:
+    """The configuration keys ``command`` reads."""
+    return sorted(COMMAND_DEFAULTS[command]) + ["out"]
 
 
 def _check(condition: bool, field: str, message: str) -> None:
@@ -86,9 +101,30 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
-def _float_tuple(value, field: str) -> tuple[float, ...]:
-    _check(isinstance(value, (list, tuple)) and len(value) > 0, field, "needs a nonempty list")
-    return tuple(_number(item, field) for item in value)
+def _value(key: str, value):
+    """One configuration value, converted to its RunConfig type and checked on its own."""
+    if key == "out":
+        _check(value is None or isinstance(value, str), key, "needs a string path")
+        return value
+    if key in _LISTS:
+        _check(isinstance(value, (list, tuple)) and len(value) > 0, key, "needs a nonempty list")
+    items = value if key in _LISTS else [value]
+    if key in _CHOICES:
+        items = tuple(str(item) for item in items)
+        for name in items:
+            _check(name in _CHOICES[key], key,
+                   f"unknown id {name!r}; choose from {sorted(_CHOICES[key])}")
+    else:
+        items = tuple(_number(item, key) for item in items)
+        if key == "domain":
+            _check(len(items) == 2 and items[1] > items[0], key, "needs [a, b] with b > a")
+        if key == "N_values":
+            _check(all(v == int(v) for v in items), key, "entries must be integers")
+            items = tuple(int(v) for v in items)
+        if key in _RANGES:
+            ok, message = _RANGES[key]
+            _check(all(map(ok, items)), key, message)
+    return items if key in _LISTS else items[0]
 
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:
@@ -112,80 +148,40 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     _check(cmd is not None, "command", "missing")
     _check(cmd in COMMANDS, "command", f"unknown command {cmd!r}")
 
-    cfg = replace(RunConfig(command=cmd), **COMMAND_DEFAULTS[cmd])
-    if cmd == "sweep-h" and doc.get("mode") == "global" and "s_fixed" not in doc:
-        cfg = replace(cfg, s_fixed=_S_FIXED_GLOBAL)
-
-    known = {f.name for f in fields(RunConfig)} - {"command"}
-    updates = {}
-    for key, value in sorted(doc.items()):
-        _check(key in known, key, "unknown key")
-        if key == "domain":
-            vals = _float_tuple(value, key)
-            _check(len(vals) == 2 and vals[1] > vals[0], key, "needs [a, b] with b > a")
-            updates[key] = (vals[0], vals[1])
-        elif key in ("observables", "schemes"):
-            _check(isinstance(value, (list, tuple)) and value, key, "needs a nonempty list")
-            updates[key] = tuple(str(v) for v in value)
-        elif key in ("s_values", "h_values", "epsilons"):
-            updates[key] = _float_tuple(value, key)
-        elif key == "N_values":
-            vals = _float_tuple(value, key)
-            _check(all(v == int(v) for v in vals), key, "entries must be integers")
-            updates[key] = tuple(int(v) for v in vals)
-        elif key in ("h", "t_total", "s_fixed"):
-            updates[key] = _number(value, key)
-        elif key in ("mode", "potential"):
-            updates[key] = str(value)
-        elif key == "out":
-            _check(value is None or isinstance(value, str), key, "needs a string path")
-            updates[key] = value
-    cfg = replace(cfg, **updates)
+    table, keys = COMMAND_DEFAULTS[cmd], _keys(cmd)
+    for key in sorted(doc):
+        _check(key in keys, key, f"unknown key; {cmd} reads {', '.join(keys)}")
+    # the mode picks the per-mode defaults, so it is checked before they are read
+    mode = _value("mode", doc["mode"]) if "mode" in doc else table.get("mode")
+    values = {key: default[mode] if isinstance(default, dict) else default
+              for key, default in table.items()}
+    values.update(doc)
+    cfg = RunConfig(command=cmd, **{key: _value(key, value) for key, value in sorted(values.items())})
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    _check(cfg.potential in xp.POTENTIALS, "potential",
-           f"unknown id {cfg.potential!r}; choose from {sorted(xp.POTENTIALS)}")
-    for name in cfg.observables:
-        _check(name in xp.OBSERVABLES, "observables",
-               f"unknown id {name!r}; choose from {sorted(xp.OBSERVABLES)}")
-    schemes = [scheme.value for scheme in SplittingScheme]
-    for name in cfg.schemes:
-        _check(name in schemes, "schemes", f"unknown scheme {name!r}; choose from {schemes}")
-    _check(cfg.mode in ("local", "global"), "mode", "must be 'local' or 'global'")
+    """The checks that span keys, each where the command reads its keys."""
     if cfg.command == "sweep-s":
         _check(cfg.mode == "local", "mode", "sweep-s is single-step; use long-time for global runs")
     if cfg.command == "long-time":
         _check(cfg.mode == "global", "mode", "long-time is a fixed-horizon run")
-    _check(all(s > 0 for s in cfg.s_values), "s_values", "entries must be positive")
-    _check(0.0 < cfg.h <= 1.0, "h", "must lie in (0, 1]")
-    _check(all(0.0 < h <= 1.0 for h in cfg.h_values), "h_values", "entries must lie in (0, 1]")
-    _check(cfg.t_total > 0, "t_total", "must be positive")
-    _check(cfg.s_fixed > 0, "s_fixed", "must be positive")
-    if cfg.command != "calculus-check":
-        field = "h" if cfg.command in ("sweep-s", "long-time") else "h_values"
-        used = () if cfg.command == "commutator-scan" else cfg.observables
-        grids = [xp.canonical_grid(h, cfg.domain, field)
-                 for h in ((cfg.h,) if field == "h" else cfg.h_values)]
+    field, hs = ("h", (cfg.h,)) if cfg.h is not None else ("h_values", cfg.h_values or ())
+    grids = [xp.canonical_grid(h, cfg.domain, field) for h in hs]
+    for grid in grids:
+        _check(grid.N % 2 == 0 or "momentum_spectral" not in (cfg.observables or ()), field,
+               f"momentum_spectral needs even N, got N = {grid.N} at h = {grid.h:g}")
+    if cfg.command in ("sweep-s", "long-time", "sweep-h"):   # the sweeps that evolve a packet
         for grid in grids:
-            _check(grid.N % 2 == 0 or "momentum_spectral" not in used, field,
-                   f"momentum_spectral needs even N, got N = {grid.N} at h = {grid.h:g}")
-        if cfg.command in ("sweep-s", "long-time", "sweep-h"):   # the sweeps that evolve a packet
-            for grid in grids:
-                xp.wavepacket(grid, field)
+            xp.wavepacket(grid, field)
     if cfg.command == "query-count":
         _check(len(cfg.observables) == 1, "observables",
                f"query-count searches one observable, got {len(cfg.observables)}")
-    if cfg.command in ("sweep-s", "long-time"):
-        for s in cfg.s_values:
-            xp.step_count(s, cfg.mode, cfg.t_total, "s_values")
-    if cfg.command == "sweep-h":
+    for s in cfg.s_values or ():
+        xp.step_count(s, cfg.mode, cfg.t_total, "s_values")
+    if cfg.s_fixed is not None:
         xp.step_count(cfg.s_fixed, cfg.mode, cfg.t_total, "s_fixed")
-    _check(all(n >= 16 and (n & (n - 1)) == 0 for n in cfg.N_values), "N_values",
-           "entries must be powers of two >= 16")
-    _check(all(0.0 < e < 1.0 for e in cfg.epsilons), "epsilons", "entries must lie in (0, 1)")
 
 
 # Acceptance thresholds of criteria 1-5 and 8, shared by --assert and the test gate.
@@ -335,16 +331,17 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    help_text = {
-        "sweep-s": "single-step observable error versus step size (keys: s_values, h)",
-        "sweep-h": "errors versus Planck constant (keys: h_values, s_fixed, mode, t_total)",
-        "long-time": "fixed-horizon error versus step size (keys: s_values, h, t_total)",
-        "commutator-scan": "scaled operator/commutator norms (keys: h_values)",
-        "calculus-check": "quantization calculus defects (keys: N_values)",
-        "query-count": "step counts to target error (keys: epsilons, h_values, schemes)",
+    summary = {
+        "sweep-s": "single-step observable error versus the step size s",
+        "long-time": "fixed-horizon observable error versus s",
+        "sweep-h": "unitary/observable errors versus the Planck constant",
+        "commutator-scan": "norms of the h-scaled split operators and nested commutators",
+        "calculus-check": "quantization calculus defects versus N",
+        "query-count": "smallest step counts reaching a target error",
     }
     for name in COMMANDS:
-        cmd = sub.add_parser(name, help=help_text[name])
+        text = f"{summary[name]} (keys: {', '.join(_keys(name))})"
+        cmd = sub.add_parser(name, help=text, description=text)
         cmd.add_argument("--config", help="JSON configuration file (defaults used when omitted)")
         cmd.add_argument("--assert", dest="assert_criteria", action="store_true",
                          help="evaluate acceptance criteria; exit 2 on failure")

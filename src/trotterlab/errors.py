@@ -33,10 +33,6 @@ class OddN(TrotterlabError):
     """Construction requires an even number of grid points."""
 
 
-class BadCutoff(TrotterlabError):
-    """Smooth frequency cutoff parameter outside (0, 1/2)."""
-
-
 class PacketTouchesBoundary(TrotterlabError):
     """Wavepacket amplitude at the domain boundary is not negligible."""
 

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
 from .fourier import DiagonalKind, FactoredOperator, dft_cols, idft_cols
 from .hamiltonian import GridSpec, HamiltonianPair
-from .numkit import (HERMITICITY_RTOL, EigenSystem, hermitian_eig, hermitian_norm,
-                     require_hermitian, unitary_distance)
+from .numkit import HERMITICITY_RTOL, EigenSystem, hermitian_eig, hermitian_norm, unitary_distance
 
 __all__ = [
     "SplittingScheme",
@@ -31,8 +30,6 @@ __all__ = [
     "trotter_step_unitary",
     "step_power",
     "relative_propagator",
-    "heisenberg_exact",
-    "heisenberg_trotter",
     "evolve_state",
     "observable_error",
     "unitary_error",
@@ -133,22 +130,6 @@ def relative_propagator(pair: HamiltonianPair, plan: EvolutionPlan,
     """
     u = exact_unitary(pair.total, plan.t, plan.h) if exact_u is None else exact_u
     return step_power(pair, plan) @ u.conj().T
-
-
-def heisenberg_exact(observable: np.ndarray, hamiltonian: np.ndarray,
-                     t: float, h: float) -> np.ndarray:
-    """Exactly evolved observable U^dag O U with U = e^{-i H t / h}; H and O Hermitian."""
-    require_hermitian(observable)
-    u = exact_unitary(hamiltonian, t, h)
-    return u.conj().T @ observable @ u
-
-
-def heisenberg_trotter(observable: np.ndarray, pair: HamiltonianPair,
-                       plan: EvolutionPlan) -> np.ndarray:
-    """Hermitian observable conjugated by n split steps: (W^n)^dag O W^n."""
-    require_hermitian(observable)
-    w = step_power(pair, plan)
-    return w.conj().T @ observable @ w
 
 
 def evolve_state(state: np.ndarray, pair: HamiltonianPair, plan: EvolutionPlan) -> np.ndarray:

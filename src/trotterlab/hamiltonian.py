@@ -1,11 +1,10 @@
-"""Grid discretizations of H = -(h^2/2) Lap + V(x) and of observables.
+"""Grid discretization of H = -(h^2/2) Lap + V(x) and of observables.
 
-The physical domain [a, b] with periodic boundary maps to the unit torus by
-x -> (x - a)/(b - a); all domain rescaling lives here so the quantization
-module can stay domain-free. Kinetic operators are circulant (diagonal in
-the Fourier basis) and potentials diagonal in position space; both carry
-their factored form alongside the dense (float64 for ``fd`` and potentials,
-so H is real symmetric) matrix for the O(N log N) path. Observables are
+The kinetic part is the central-difference (``fd``) stencil on the periodic
+grid over [a, b]: a circulant, diagonal in the Fourier basis, whose symbol on
+the unit torus, 2 - 2 cos(2 pi xi), is smooth. The potential is diagonal in
+position space. Both carry their factored form alongside the dense float64
+matrix (so H is real symmetric) for the O(N log N) path. Observables are
 factored operators only.
 """
 
@@ -13,22 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from . import fourier
-from .errors import BadCutoff, NonRealPotential, OddN
+from .errors import NonRealPotential, OddN
 from .fourier import DiagonalKind, FactoredOperator
-from .symbols import TorusSymbol
 
 __all__ = [
     "GridSpec",
     "GridOperator",
     "HamiltonianPair",
     "build_fd_kinetic",
-    "build_sp_kinetic",
-    "build_modified_sp_kinetic",
     "build_potential",
     "build_pair",
     "momentum_observable",
@@ -83,9 +79,6 @@ class GridSpec:
     def relation_residual(self) -> float:
         return self.N - self.length / (2.0 * math.pi * self.h)
 
-    def to_torus(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.a_dom) / self.length
-
 
 @dataclass(frozen=True)
 class GridOperator:
@@ -113,11 +106,6 @@ class HamiltonianPair:
         return self.kinetic.dense + self.potential.dense
 
 
-def _signed_bins(n: int) -> np.ndarray:
-    # Native DFT bin order [0 .. N/2-1, -N/2 .. -1].
-    return np.fft.fftfreq(n) * n
-
-
 def build_fd_kinetic(grid: GridSpec) -> GridOperator:
     """Central-difference discretization of -(h^2/2) Lap.
 
@@ -137,65 +125,10 @@ def build_fd_kinetic(grid: GridSpec) -> GridOperator:
     return GridOperator(fourier.circulant(col), FactoredOperator(DiagonalKind.FOURIER, diag))
 
 
-def build_sp_kinetic(grid: GridSpec) -> GridOperator:
-    """Fourier-collocation discretization of -(h^2/2) Lap.
-
-    Diagonal in the Fourier basis with entries
-    (h^2 / 2) (2 pi / (b-a))^2 k^2 for k in {-N/2, ..., N/2 - 1}.
-    """
-    if grid.N % 2:
-        raise OddN(f"collocation kinetic needs even N, got {grid.N}")
-    k = _signed_bins(grid.N)
-    diag = 0.5 * grid.h**2 * (2.0 * np.pi / grid.length) ** 2 * k**2
-    op = FactoredOperator(DiagonalKind.FOURIER, diag)
-    return GridOperator(fourier.materialize(op), op)
-
-
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: exactly 0 for t <= 0 and exactly 1 for t >= 1.
-
-    Standard bump-function ratio f(t) / (f(t) + f(1-t)) with f(t) = e^{-1/t}.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore"):
-        fa = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        fb = np.where(1 - t > 0, np.exp(-1.0 / np.maximum(1 - t, 1e-300)), 0.0)
-    return fa / (fa + fb)
-
-
-def build_modified_sp_kinetic(grid: GridSpec, cutoff: float) -> GridOperator:
-    """Collocation kinetic with a smooth high-frequency cutoff.
-
-    The diagonal symbol is xi^2 chi(xi) on normalized frequencies
-    xi = k/N in [-1/2, 1/2): chi is smooth, identically 1 on
-    [-1/2 + c, 1/2 - c] and supported inside (-(1-c)/2, (1-c)/2).
-    Interior bins match the unmodified kinetic exactly.
-    """
-    if not 0.0 < cutoff < 0.5:
-        raise BadCutoff(f"cutoff must lie in (0, 1/2), got {cutoff}")
-    if grid.N % 2:
-        raise OddN(f"collocation kinetic needs even N, got {grid.N}")
-    k = _signed_bins(grid.N)
-    u = np.abs(np.fft.fftfreq(grid.N))            # |k|/N
-    plateau = 0.5 - cutoff
-    support = 0.5 * (1.0 - cutoff)
-    chi = _smooth_step((support - u) / (support - plateau))
-    diag = 0.5 * grid.h**2 * (2.0 * np.pi / grid.length) ** 2 * (k**2 * chi)
-    op = FactoredOperator(DiagonalKind.FOURIER, diag)
-    return GridOperator(fourier.materialize(op), op)
-
-
-def build_potential(v: Union[Callable[[np.ndarray], np.ndarray], TorusSymbol],
-                    grid: GridSpec) -> GridOperator:
-    """Multiplication operator diag(V(x_0), ..., V(x_{N-1})).
-
-    ``v`` is either a callable on physical coordinates or an x-only torus
-    symbol evaluated at the rescaled nodes (x - a)/(b - a).
-    """
-    if isinstance(v, TorusSymbol):
-        values = np.asarray(v.evaluate(grid.to_torus(grid.nodes), 0.0))
-    else:
-        values = np.asarray(v(grid.nodes), dtype=np.complex128)
+def build_potential(v: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> GridOperator:
+    """Multiplication operator diag(V(x_0), ..., V(x_{N-1})) of a callable on
+    physical coordinates."""
+    values = np.asarray(v(grid.nodes), dtype=np.complex128)
     scale = max(np.abs(values).max(), 1.0)
     if np.abs(values.imag).max() > 1e-12 * scale:
         raise NonRealPotential("potential values have a non-negligible imaginary part")
@@ -204,16 +137,9 @@ def build_potential(v: Union[Callable[[np.ndarray], np.ndarray], TorusSymbol],
     return GridOperator(np.diag(diag), op)
 
 
-def build_pair(grid: GridSpec,
-               potential: Union[Callable, TorusSymbol] = np.cos,
-               kinetic: str = "fd",
-               cutoff: float = 0.125) -> HamiltonianPair:
-    """Assemble the split Hamiltonian for a grid; kinetic is 'fd', 'sp' or 'sp_mod'."""
-    builders = {"fd": build_fd_kinetic, "sp": build_sp_kinetic,
-                "sp_mod": lambda g: build_modified_sp_kinetic(g, cutoff)}
-    if kinetic not in builders:
-        raise ValueError(f"unknown kinetic discretization {kinetic!r}")
-    return HamiltonianPair(builders[kinetic](grid), build_potential(potential, grid), grid)
+def build_pair(grid: GridSpec, potential: Callable = np.cos) -> HamiltonianPair:
+    """Assemble the split Hamiltonian of a grid: the fd kinetic plus the potential."""
+    return HamiltonianPair(build_fd_kinetic(grid), build_potential(potential, grid), grid)
 
 
 def momentum_observable(grid: GridSpec) -> FactoredOperator:
@@ -226,7 +152,8 @@ def momentum_observable(grid: GridSpec) -> FactoredOperator:
     """
     if grid.N % 2:
         raise OddN(f"momentum observable needs even N, got {grid.N}")
-    diag = grid.h * (2.0 * np.pi / grid.length) * _signed_bins(grid.N)
+    k = np.fft.fftfreq(grid.N) * grid.N      # native DFT bin order [0 .. N/2-1, -N/2 .. -1]
+    diag = grid.h * (2.0 * np.pi / grid.length) * k
     return FactoredOperator(DiagonalKind.FOURIER, diag)
 
 

@@ -72,10 +72,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def exp(self, theta: float) -> np.ndarray:
         """Unitary ``exp(i * theta * M)`` as ``V diag(exp(i theta w)) V^dag``.
 

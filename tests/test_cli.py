@@ -1,6 +1,6 @@
 import io
 import json
-from importlib import resources
+import math
 
 import pytest
 
@@ -14,10 +14,6 @@ from trotterlab.cli import (
     run,
 )
 from trotterlab.errors import ParseError, ValidationError
-
-
-def preset_text(name: str) -> str:
-    return resources.files("trotterlab").joinpath(f"presets/{name}").read_text()
 
 
 class TestParseConfig:
@@ -76,7 +72,8 @@ class TestParseConfig:
         # (h = 1/25 gives N = 25 with the wave packet clear of the domain edge)
         parse_config(json.dumps({"command": "sweep-h", "h_values": [0.04],
                                  "observables": ["momentum_fd"]}))
-        parse_config(json.dumps({**base, "command": "commutator-scan", "h_values": [0.2]}))
+        parse_config(json.dumps({"domain": base["domain"], "command": "commutator-scan",
+                                 "h_values": [0.2]}))
 
     def test_packet_at_domain_edge_rejected_before_compute(self, tmp_path, capsys):
         # at h = 1/4 the grid has N = 4 nodes and the packet is not negligible at
@@ -147,17 +144,44 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config('{"command": "calculus-check", "N_values": [12]}')
 
-    def test_lte_s_preset_matches_paper_defaults(self):
-        cfg = parse_config(preset_text("lte_s.json"))
-        assert cfg.command == "sweep-s"
-        assert cfg.h == pytest.approx(1.0 / 64.0)
-        assert cfg.s_values == tuple(2.0**-k for k in range(4, 12))
+    def test_defaults_pinned(self):
+        # the run defaults of every command, written out; None marks a key it does not read
+        evolve = {"domain": (-math.pi, math.pi), "potential": "cos",
+                  "observables": ("cos_x", "momentum_fd"), "schemes": ("Lie1", "Strang2")}
+        s_ladder = tuple(2.0**-k for k in range(4, 12))
+        expected = {
+            "sweep-s": {**evolve, "s_values": s_ladder, "h": 2.0**-6, "mode": "local"},
+            "long-time": {**evolve, "s_values": s_ladder, "h": 2.0**-8, "mode": "global",
+                          "t_total": 1.0},
+            "sweep-h": {**evolve, "h_values": tuple(2.0**-k for k in range(3, 11)),
+                        "mode": "local", "s_fixed": 0.1, "t_total": 1.0},
+            "commutator-scan": {"domain": (-math.pi, math.pi), "potential": "cos",
+                                "h_values": tuple(2.0**-k for k in range(3, 9))},
+            "calculus-check": {"N_values": (16, 32, 64, 128, 256)},
+            "query-count": {**evolve, "observables": ("cos_3x",), "schemes": ("Strang2",),
+                            "epsilons": (0.03, 0.01), "h_values": (2.0**-6, 2.0**-8),
+                            "t_total": 1.0},
+        }
+        assert sorted(expected) == sorted(COMMAND_DEFAULTS)
+        for command, values in expected.items():
+            assert parse_config("{}", command=command) == RunConfig(command, **values)
+        assert parse_config('{"mode": "global"}', command="sweep-h") == RunConfig(
+            "sweep-h", **{**expected["sweep-h"], "mode": "global", "s_fixed": 0.02})
 
-    def test_all_presets_parse(self):
-        for name in ("lte_s.json", "lte_h.json", "long_s.json", "long_h.json",
-                     "commutator_scan.json", "calculus_check.json", "query_count.json"):
-            cfg = parse_config(preset_text(name))
-            assert cfg.command in COMMAND_DEFAULTS
+    @pytest.mark.parametrize("command, doc", [
+        pytest.param(command, doc, id=f"{command}-{'-'.join(doc)}") for command, doc in (
+            ("calculus-check", {"h": 0.5, "domain": [0, 1], "t_total": 3}),
+            ("commutator-scan", {"observables": ["cos_x"]}),
+            ("commutator-scan", {"schemes": ["Lie1"]}),
+            ("sweep-s", {"t_total": 1.0}),
+            ("sweep-s", {"h_values": [0.125]}),
+            ("sweep-h", {"h": 0.125}),
+            ("query-count", {"mode": "global"}))])
+    def test_key_the_command_does_not_read_rejected(self, command, doc):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(doc), command=command)
+        assert err.value.field == sorted(doc)[0]
+        assert f"unknown key; {command} reads " in str(err.value)
 
     def test_global_sweep_h_default_step(self):
         cfg = parse_config('{"command": "sweep-h", "mode": "global"}')
@@ -273,6 +297,17 @@ class TestMain:
         for command in ("sweep-s", "sweep-h", "long-time", "commutator-scan",
                         "calculus-check", "query-count"):
             assert command in text
+
+    def test_subcommand_help_lists_the_keys_it_reads(self, capsys):
+        expected = {"sweep-s": "domain, h, mode, observables, potential, s_values, schemes, out",
+                    "calculus-check": "N_values, out",
+                    "query-count": "domain, epsilons, h_values, observables, potential, schemes, "
+                                   "t_total, out"}
+        for command, keys in expected.items():
+            for argv in (["--help"], [command, "--help"]):
+                with pytest.raises(SystemExit):
+                    main(argv)
+                assert f"(keys: {keys})" in " ".join(capsys.readouterr().out.split())
 
     def test_missing_config_file_exit_one(self, capsys):
         code = main(["commutator-scan", "--config", "/no/such/file.json"])

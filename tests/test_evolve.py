@@ -13,9 +13,8 @@ from trotterlab.evolve import (
     exact_unitary,
     expectation_error,
     gaussian_wavepacket,
-    heisenberg_exact,
-    heisenberg_trotter,
     observable_error,
+    step_power,
     trotter_step_unitary,
     unitary_error,
 )
@@ -44,6 +43,18 @@ def commuting_pair(grid):
     zero = GridOperator(np.zeros((grid.N, grid.N), dtype=complex),
                         FactoredOperator(DiagonalKind.FOURIER, np.zeros(grid.N)))
     return HamiltonianPair(zero, build_potential(np.cos, grid), grid)
+
+
+def heisenberg_exact(observable, hamiltonian, t, h):
+    """Oracle: the exactly evolved observable U^dag O U with U = e^{-i H t / h}."""
+    u = exact_unitary(hamiltonian, t, h)
+    return u.conj().T @ observable @ u
+
+
+def heisenberg_trotter(observable, pair, plan):
+    """Oracle: the observable conjugated by n split steps, (W^n)^dag O W^n."""
+    w = step_power(pair, plan)
+    return w.conj().T @ observable @ w
 
 
 def dense_step(pair, scheme, s, h):
@@ -227,8 +238,6 @@ class TestErrorFunctionals:
             observable_error(FactoredOperator(DiagonalKind.FOURIER, diag), pair, plan)
         with pytest.raises(NonHermitian):
             expectation_error([cosine_observable(grid), bad], pair, plan, psi)
-        with pytest.raises(NonHermitian):
-            heisenberg_trotter(materialize(bad), pair, plan)
 
     def test_commuting_split_zero_unitary_error(self, setup):
         h, grid, _ = setup
@@ -347,37 +356,6 @@ class TestEvolutionPlan:
             EvolutionPlan(SplittingScheme.LIE1, 0.1, -1, 0.1)
         with pytest.raises(ValueError):
             EvolutionPlan(SplittingScheme.LIE1, 0.1, 1, 0.0)
-
-
-class TestAlternateKinetics:
-    @pytest.mark.parametrize("kinetic", ["sp", "sp_mod"])
-    def test_collocation_kinetics_evolve(self, kinetic):
-        # the collocation kinetics carry factored forms and run through the
-        # same fast split stepping as the finite-difference default
-        h = 2.0**-5
-        grid = GridSpec.canonical(-np.pi, np.pi, h)
-        pair = build_pair(grid, kinetic=kinetic)
-        u = trotter_step_unitary(pair, SplittingScheme.STRANG2, 0.1, h)
-        assert spectral_norm(u.conj().T @ u - np.eye(grid.N)) <= 1e-9 * grid.N
-        obs = cosine_observable(grid)
-        errs = [observable_error(obs, pair, EvolutionPlan(SplittingScheme.STRANG2, s, 1, h))
-                for s in (2.0**-5, 2.0**-6)]
-        assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.15)
-
-    def test_modified_kinetic_matches_plain_on_smooth_states(self):
-        # a zero-momentum packet on a fine grid keeps its frequency
-        # support well inside the untouched band, so the taper is
-        # invisible to its dynamics (a p0 = 0.5 packet sits at the
-        # Nyquist momentum and would see it)
-        h = 2.0**-8
-        grid = GridSpec.canonical(-np.pi, np.pi, h)
-        plain = build_pair(grid, kinetic="sp")
-        tapered = build_pair(grid, kinetic="sp_mod", cutoff=0.125)
-        psi = gaussian_wavepacket(grid, 0.0, 0.0, h)
-        plan = EvolutionPlan(SplittingScheme.STRANG2, 0.05, 4, h)
-        out_plain = evolve_state(psi, plain, plan)
-        out_tapered = evolve_state(psi, tapered, plan)
-        assert np.abs(out_plain - out_tapered).max() < 1e-8
 
 
 class TestNonPowerOfTwoGrid:

@@ -2,22 +2,20 @@ import numpy as np
 import pytest
 
 from trotterlab.cli import THRESHOLDS
-from trotterlab.errors import BadCutoff, NonRealPotential, OddN
+from trotterlab.errors import NonRealPotential, OddN
 from trotterlab.fourier import materialize
 from trotterlab.hamiltonian import (
     GridSpec,
     build_fd_kinetic,
-    build_modified_sp_kinetic,
     build_pair,
     build_potential,
-    build_sp_kinetic,
     cosine_observable,
     momentum_fd_observable,
     momentum_observable,
 )
 from trotterlab.numkit import hermitian_eig, spectral_norm
 from trotterlab.quantize import QuantizationContext, quantize
-from trotterlab.symbols import constant, cosine_x, cosine_xi
+from trotterlab.symbols import constant, cosine_xi
 
 
 class TestGridSpec:
@@ -29,11 +27,6 @@ class TestGridSpec:
     def test_nodes(self):
         grid = GridSpec(-np.pi, np.pi, 4, 1.0)
         assert np.allclose(grid.nodes, [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
-
-    def test_torus_map(self):
-        grid = GridSpec(-np.pi, np.pi, 8, 0.1)
-        assert grid.to_torus(-np.pi) == pytest.approx(0.0)
-        assert grid.to_torus(0.0) == pytest.approx(0.5)
 
     def test_canonical_rejects_empty_grid(self):
         # h so large the canonical count rounds to zero
@@ -106,75 +99,10 @@ class TestPotential:
         op = build_potential(np.cos, grid)
         assert spectral_norm(op.dense) == pytest.approx(np.abs(np.cos(grid.nodes)).max())
 
-    def test_torus_symbol_input(self):
-        # cos(2 pi u) at u = (x + pi) / (2 pi) equals -cos(x) wait: cos(2 pi u) = cos(x + pi)
-        grid = GridSpec(-np.pi, np.pi, 8, 0.125)
-        op = build_potential(cosine_x(), grid)
-        expected = np.cos(grid.nodes + np.pi)
-        assert np.abs(np.diag(op.dense).real - expected).max() < 1e-12
-
     def test_complex_potential_rejected(self):
         grid = GridSpec(-np.pi, np.pi, 8, 0.125)
         with pytest.raises(NonRealPotential):
             build_potential(lambda x: np.exp(1j * x), grid)
-
-
-class TestSpKinetic:
-    def test_constant_vector_annihilated(self):
-        grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        op = build_sp_kinetic(grid)
-        assert np.abs(op.dense @ np.ones(grid.N)).max() < 1e-12
-
-    def test_single_mode_eigenvalue(self):
-        grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        op = build_sp_kinetic(grid)
-        wave = np.exp(1j * 2 * np.pi * (grid.nodes - grid.a_dom) / grid.length)
-        expected = 0.5 * grid.h**2 * (2 * np.pi / grid.length) ** 2
-        assert np.abs(op.dense @ wave - expected * wave).max() < 1e-12
-
-    def test_norm_value(self):
-        grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-5)
-        op = build_sp_kinetic(grid)
-        expected = 0.5 * grid.h**2 * (2 * np.pi / grid.length) ** 2 * (grid.N / 2) ** 2
-        assert spectral_norm(op.dense) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(np.abs(op.factored.diag).max())
-
-    def test_odd_n_rejected(self):
-        with pytest.raises(OddN):
-            build_sp_kinetic(GridSpec(-np.pi, np.pi, 7, 0.1))
-
-
-class TestModifiedSpKinetic:
-    def test_zero_mode_zero(self):
-        grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        op = build_modified_sp_kinetic(grid, 0.125)
-        assert op.factored.diag[0] == 0.0
-
-    def test_interior_bins_exact(self):
-        grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-5)
-        cutoff = 0.125
-        plain = build_sp_kinetic(grid).factored.diag
-        tapered = build_modified_sp_kinetic(grid, cutoff).factored.diag
-        frac = np.abs(np.fft.fftfreq(grid.N))
-        interior = frac <= 0.5 - cutoff
-        assert np.array_equal(plain[interior], tapered[interior])
-
-    def test_only_outer_bins_change(self):
-        grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-5)
-        cutoff = 0.125
-        plain = build_sp_kinetic(grid).factored.diag
-        tapered = build_modified_sp_kinetic(grid, cutoff).factored.diag
-        frac = np.abs(np.fft.fftfreq(grid.N))
-        outer = frac > 0.5 - cutoff
-        assert np.all(np.abs(tapered[outer]) < np.abs(plain[outer]))
-        support = 0.5 * (1 - cutoff)
-        assert np.all(tapered[frac >= support] == 0.0)
-
-    def test_bad_cutoff(self):
-        grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        for c in (0.0, 0.5, -0.1, 0.75):
-            with pytest.raises(BadCutoff):
-                build_modified_sp_kinetic(grid, c)
 
 
 class TestObservables:
@@ -227,10 +155,10 @@ class TestObservables:
 
 
 class TestBuilderInvariants:
-    @pytest.mark.parametrize("kinetic", ["fd", "sp", "sp_mod"])
+    @pytest.mark.parametrize("kinetic", ["fd"])   # the one kinetic discretization
     def test_all_builders_hermitian(self, kinetic):
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-5)
-        pair = build_pair(grid, kinetic=kinetic)
+        pair = build_pair(grid)
         n = grid.N
         assert spectral_norm(pair.kinetic.dense - pair.kinetic.dense.conj().T) <= 1e-12 * n
         assert spectral_norm(pair.potential.dense - pair.potential.dense.conj().T) <= 1e-12 * n
