@@ -16,6 +16,25 @@ from trotterlab.cli import (
 from trotterlab.errors import ParseError, ValidationError
 
 
+# The paper's run documents, one per command, as a user writes them.
+PAPER_RUNS = {
+    "lte_s": {"command": "sweep-s", "h": 2.0**-6,
+              "s_values": [2.0**-k for k in range(4, 12)]},
+    "lte_h": {"command": "sweep-h", "mode": "local", "s_fixed": 0.1,
+              "h_values": [2.0**-k for k in range(3, 11)]},
+    "long_s": {"command": "long-time", "h": 2.0**-8,
+               "s_values": [2.0**-k for k in range(4, 12)], "t_total": 1.0},
+    "long_h": {"command": "sweep-h", "mode": "global", "s_fixed": 0.02, "t_total": 1.0,
+               "h_values": [2.0**-k for k in range(3, 11)]},
+    "commutator_scan": {"command": "commutator-scan",
+                        "h_values": [2.0**-k for k in range(3, 9)]},
+    "calculus_check": {"command": "calculus-check", "N_values": [16, 32, 64, 128, 256]},
+    "query_count": {"command": "query-count", "epsilons": [0.03, 0.01],
+                    "h_values": [2.0**-6, 2.0**-8], "schemes": ["Strang2"],
+                    "observables": ["cos_3x"]},
+}
+
+
 class TestParseConfig:
     def test_minimal_document_gives_defaults(self):
         cfg = parse_config('{"command": "sweep-s"}')
@@ -143,6 +162,20 @@ class TestParseConfig:
     def test_bad_n_values_rejected(self):
         with pytest.raises(ValidationError):
             parse_config('{"command": "calculus-check", "N_values": [12]}')
+
+    def test_lte_s_preset_matches_paper_defaults(self):
+        cfg = parse_config(json.dumps(PAPER_RUNS["lte_s"]))
+        assert cfg.command == "sweep-s"
+        assert cfg.h == pytest.approx(1.0 / 64.0)
+        assert cfg.s_values == tuple(2.0**-k for k in range(4, 12))
+        assert cfg == parse_config("{}", command="sweep-s")
+
+    def test_all_presets_parse(self):
+        for doc in PAPER_RUNS.values():
+            cfg = parse_config(json.dumps(doc))
+            assert cfg.command in COMMAND_DEFAULTS
+            mode = {"mode": doc["mode"]} if "mode" in doc else {}
+            assert cfg == parse_config(json.dumps(mode), command=cfg.command)
 
     def test_defaults_pinned(self):
         # the run defaults of every command, written out; None marks a key it does not read
