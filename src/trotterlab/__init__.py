@@ -8,7 +8,7 @@ fourier      transform conventions, circulants, factored diagonal operators
 symbols      phase-space symbols on the unit torus and their calculus
 quantize     discrete Weyl quantization and semiclassical calculus checks
 hamiltonian  the central-difference grid Hamiltonian (kinetic + potential), observables
-evolve       exact and split-step propagators, observable/unitary/expectation errors
+evolve       the propagators U(t) and V = W^n U^dag, observable and expectation errors
 experiments  parameter sweeps, slope fits, machine-readable tables
 cli          command-line front end, JSON configuration and the run defaults
 """

@@ -244,12 +244,11 @@ def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[Crite
                                              ratio <= t["h_flat_ratio"],
                                              f"max/min={ratio:.6g} target<={t['h_flat_ratio']:g}"))
     elif cfg.command == "commutator-scan":
-        for metric, fit in sorted(result.fits.items()):
-            checks.append(_in_range(f"norm-scaling/{metric}", fit.slope, *t["norm_scaling"]))
+        for metric in sorted(result.excluded):   # every metric, fitted or not
+            checks.append(_slope_check(f"norm-scaling/{metric}", result, metric, *t["norm_scaling"]))
     elif cfg.command == "calculus-check":
         for name, lo in t["order"].items():
-            slope = result.fits[f"{name}_remainder"].slope
-            checks.append(CriterionCheck(f"{name}-order", slope >= lo, f"value={slope:.6g} target>={lo:g}"))
+            checks.append(_slope_check(f"{name}-order", result, f"{name}_remainder", lo, math.inf))
         ratios = [v for _, v in result.table.series("N", metric="cv_gap_over_h")]
         ok = all(map(math.isfinite, ratios)) and ratios[-1] <= ratios[0] + t["cv_gap_slack"]
         checks.append(CriterionCheck("cv-gap-bounded", ok, f"ratios={['%.4g' % r for r in ratios]}"))
@@ -354,10 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check(args.threads >= 1, "threads", f"needs at least one worker, got {args.threads}")
         text = Path(args.config).read_text() if args.config else "{}"
         cfg = parse_config(text, command=args.command)
         return run(cfg, assert_criteria=args.assert_criteria, out=args.out,
-                   threads=max(1, args.threads))
+                   threads=args.threads)
     except (TrotterlabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

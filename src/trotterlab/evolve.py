@@ -1,13 +1,13 @@
 """Exact and split-step propagators with Heisenberg-picture error functionals.
 
-The exact propagator U(t) = e^{-i H t / h} goes through a dense Hermitian
-eigendecomposition (real for the real symmetric H of the grid). Each
+The exact propagator U(t) = e^{-i H t / h} comes from the cached
+eigendecomposition of H (real for the real symmetric H of the grid). Each
 split-step factor is diagonal in position or in the Fourier basis, so the
 one-step matrix W is assembled in O(N^2 log N), and W^n is formed by binary
-powering in O(N^3 log n); state vectors step in O(N log N). The observable
-and unitary errors both read the relative propagator V = W^n U^dag, which a
-sweep forms once per plan. Observables stay factored: O V is a row scaling
-in the basis that diagonalizes O, and O applies to states by FFT.
+powering in O(N^3 log n). U and the relative propagator V = W^n U^dag are
+the only propagators: the unitary and observable errors read V, and the
+split state W^n psi is V (U psi). Observables stay factored: O V is a row
+scaling in the basis that diagonalizes O, and O applies to states by FFT.
 """
 
 from __future__ import annotations
@@ -21,18 +21,15 @@ import numpy as np
 from .errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
 from .fourier import DiagonalKind, FactoredOperator, dft_cols, idft_cols
 from .hamiltonian import GridSpec, HamiltonianPair
-from .numkit import HERMITICITY_RTOL, EigenSystem, hermitian_eig, hermitian_norm, unitary_distance
+from .numkit import HERMITICITY_RTOL, EigenSystem, hermitian_norm
 
 __all__ = [
     "SplittingScheme",
     "EvolutionPlan",
     "exact_unitary",
     "trotter_step_unitary",
-    "step_power",
     "relative_propagator",
-    "evolve_state",
     "observable_error",
-    "unitary_error",
     "gaussian_wavepacket",
     "expectation_error",
 ]
@@ -86,9 +83,8 @@ class EvolutionPlan:
         return self.n * self.s
 
 
-def exact_unitary(hamiltonian: np.ndarray | EigenSystem, t: float, h: float) -> np.ndarray:
-    """Dense propagator e^{-i H t / h} of a Hermitian matrix or of its EigenSystem."""
-    eig = hamiltonian if isinstance(hamiltonian, EigenSystem) else hermitian_eig(hamiltonian)
+def exact_unitary(eig: EigenSystem, t: float, h: float) -> np.ndarray:
+    """Dense propagator e^{-i H t / h} from the EigenSystem of H."""
     return eig.exp(-t / h)
 
 
@@ -102,11 +98,10 @@ def _step_factors(pair: HamiltonianPair, scheme: SplittingScheme,
 
 def _apply_factors(factors, mat: np.ndarray) -> np.ndarray:
     for factor in factors:
-        diag = factor.diag if mat.ndim == 1 else factor.diag[:, None]
         if factor.kind is DiagonalKind.POSITION:
-            mat = diag * mat
+            mat = factor.diag[:, None] * mat
         else:
-            mat = idft_cols(diag * dft_cols(mat))
+            mat = idft_cols(factor.diag[:, None] * dft_cols(mat))
     return mat
 
 
@@ -117,28 +112,13 @@ def trotter_step_unitary(pair: HamiltonianPair, scheme: SplittingScheme,
     return _apply_factors(factors, np.eye(pair.grid.N, dtype=np.complex128))
 
 
-def step_power(pair: HamiltonianPair, plan: EvolutionPlan) -> np.ndarray:
-    """n-step propagator W^n, the one-step matrix raised by binary powering."""
-    return np.linalg.matrix_power(trotter_step_unitary(pair, plan.scheme, plan.s, plan.h),
-                                  plan.n)
-
-
-def relative_propagator(pair: HamiltonianPair, plan: EvolutionPlan,
-                        exact_u: np.ndarray | None = None) -> np.ndarray:
-    """V = W^n U(t)^dag. The spectral norm is unitarily invariant, so
-    ||V - 1|| = ||W^n - U|| and ||V^dag O V - O|| = ||W^n^dag O W^n - U^dag O U||.
+def relative_propagator(pair: HamiltonianPair, plan: EvolutionPlan, u: np.ndarray) -> np.ndarray:
+    """V = W^n U^dag, with W^n the one-step matrix raised by binary powering and
+    U = U(plan.t). The spectral norm is unitarily invariant, so ||V - 1|| = ||W^n - U||
+    and ||V^dag O V - O|| = ||W^n^dag O W^n - U^dag O U||.
     """
-    u = exact_unitary(pair.total, plan.t, plan.h) if exact_u is None else exact_u
-    return step_power(pair, plan) @ u.conj().T
-
-
-def evolve_state(state: np.ndarray, pair: HamiltonianPair, plan: EvolutionPlan) -> np.ndarray:
-    """Apply n split steps to a state vector."""
-    factors = _step_factors(pair, plan.scheme, plan.s, plan.h)
-    out = np.asarray(state, dtype=np.complex128)
-    for _ in range(plan.n):
-        out = _apply_factors(factors, out)
-    return out
+    step = trotter_step_unitary(pair, plan.scheme, plan.s, plan.h)
+    return np.linalg.matrix_power(step, plan.n) @ u.conj().T
 
 
 def _real_diagonal(observable: FactoredOperator) -> np.ndarray:
@@ -151,18 +131,16 @@ def _real_diagonal(observable: FactoredOperator) -> np.ndarray:
     return diag.real
 
 
-def observable_error(observable: FactoredOperator, pair: HamiltonianPair, plan: EvolutionPlan,
-                     rel_u: np.ndarray | None = None) -> float:
+def observable_error(observable: FactoredOperator, v: np.ndarray) -> float:
     """Spectral-norm distance between split and exact Heisenberg evolution at t = n s.
 
-    Taken as ||V^dag O V - O|| with V the ``relative_propagator`` (``rel_u``
-    lets a sweep share it), by eigenvalues since the difference is Hermitian.
+    Taken as ||V^dag O V - O|| with V the ``relative_propagator``, by
+    eigenvalues since the difference is Hermitian.
     A Fourier-diagonal O = F^-1 D F is handled in the Fourier basis, where
     V becomes F V F^-1: the norm is unitarily invariant. A non-Hermitian
     observable raises NonHermitian before any compute.
     """
     diag = _real_diagonal(observable)
-    v = relative_propagator(pair, plan) if rel_u is None else rel_u
     if observable.kind is DiagonalKind.FOURIER:
         v = idft_cols(dft_cols(v).T).T      # F V F^-1, as F^-1 is symmetric
     # conj(V^dag D V) = V^T (D conj(V)) has the same norm: one conjugated copy
@@ -172,13 +150,6 @@ def observable_error(observable: FactoredOperator, pair: HamiltonianPair, plan: 
     diff = v.T @ scaled
     diff[np.diag_indices_from(diff)] -= diag
     return hermitian_norm(diff)
-
-
-def unitary_error(pair: HamiltonianPair, plan: EvolutionPlan,
-                  rel_u: np.ndarray | None = None) -> float:
-    """Spectral-norm distance ||W^n - U|| = ||V - 1|| of step power and exact propagator."""
-    v = relative_propagator(pair, plan) if rel_u is None else rel_u
-    return unitary_distance(v)
 
 
 def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float, h: float) -> np.ndarray:
@@ -200,15 +171,15 @@ def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float, h: float) -> np.nd
     return psi
 
 
-def expectation_error(observables: Iterable[FactoredOperator], pair: HamiltonianPair,
-                      plan: EvolutionPlan, state: np.ndarray,
-                      exact_u: np.ndarray | None = None) -> list[float]:
-    """|<psi| T_split |psi> - <psi| T_exact |psi>| of each observable, for a unit state.
+def expectation_error(observables: Iterable[FactoredOperator], v: np.ndarray, u: np.ndarray,
+                      state: np.ndarray) -> list[float]:
+    """|<W^n psi, O W^n psi> - <U psi, O U psi>| of each observable, for a unit state.
 
-    The state is stepped and propagated once for all observables, and each
-    observable is applied to both states by FFT. Each error is bounded by its
-    operator-norm error (Cauchy-Schwarz); acceptance criterion 7 checks it.
-    A non-Hermitian observable raises NonHermitian before any compute.
+    The exact state is U psi and the split state W^n psi = V (U psi), with V
+    the ``relative_propagator``; each observable is applied to both states
+    as one N x 2 block. Each error is bounded by its operator-norm error
+    (Cauchy-Schwarz); acceptance criterion 7 checks it. A non-Hermitian
+    observable or a state off the unit sphere raises before any compute.
     """
     observables = list(observables)
     for obs in observables:
@@ -217,9 +188,10 @@ def expectation_error(observables: Iterable[FactoredOperator], pair: Hamiltonian
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise UnnormalizedState(f"state norm {norm} is not 1 within 1e-10")
-    split_state = evolve_state(psi, pair, plan)
-    u = exact_unitary(pair.total, plan.t, plan.h) if exact_u is None else exact_u
     exact_state = u @ psi
-    return [abs(np.vdot(split_state, _apply_factors((obs,), split_state)).real
-                - np.vdot(exact_state, _apply_factors((obs,), exact_state)).real)
-            for obs in observables]
+    states = np.column_stack((v @ exact_state, exact_state))
+    errors = []
+    for obs in observables:
+        split, exact = np.einsum("ij,ij->j", states.conj(), _apply_factors((obs,), states)).real
+        errors.append(abs(split - exact))
+    return errors

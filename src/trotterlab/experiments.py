@@ -27,7 +27,6 @@ from .evolve import (
     gaussian_wavepacket,
     observable_error,
     relative_propagator,
-    unitary_error,
 )
 from .fourier import FactoredOperator
 from .hamiltonian import (
@@ -182,20 +181,24 @@ def fit_loglog_slope(points: Iterable[tuple[float, float]],
                      points_used=len(usable), window=(min(used_x), max(used_x)))
 
 
-def _fit_series(points, window, floor):
-    """Fit a series after dropping round-off-floor points; report exclusions.
+def _fit_series(table: SweepTable, series: dict[str, list], window=None,
+                floor: float = 0.0) -> ExperimentResult:
+    """Fit each named series after dropping its round-off-floor points.
 
-    Series whose usable points shrink below three (everything at the
-    floor, e.g. expectation errors of a high-order scheme) yield no fit
-    instead of failing the whole sweep.
+    Every key gets its count of excluded points. A series whose usable
+    points shrink below three (everything at the floor, e.g. expectation
+    errors of a high-order scheme, or too short a sweep) yields no fit
+    instead of failing the whole run.
     """
-    points = list(points)
-    kept = [(x, y) for x, y in points if y > floor]
-    try:
-        report = fit_loglog_slope(kept, window=window)
-    except TooFewPoints:
-        report = None
-    return report, len(points) - len(kept)
+    fits, excluded = {}, {}
+    for key, points in series.items():
+        kept = [(x, y) for x, y in points if y > floor]
+        excluded[key] = len(points) - len(kept)
+        try:
+            fits[key] = fit_loglog_slope(kept, window=window)
+        except TooFewPoints:
+            pass
+    return ExperimentResult(table, fits, excluded)
 
 
 def _map_ordered(fn, items, threads: int):
@@ -259,14 +262,13 @@ def _error_rows(setup, schemes, s: float, n: int, h: float,
     u = exact_unitary(eig, n * s, h)
     out = []
     for scheme in schemes:
-        plan = EvolutionPlan(scheme, s, n, h)
-        rel_u = relative_propagator(pair, plan, exact_u=u)
+        v = relative_propagator(pair, EvolutionPlan(scheme, s, n, h), u)
         if with_unitary:
             out.append((s, h, grid.N, scheme.value, "-", "unitary_error",
-                        unitary_error(pair, plan, rel_u)))
-        exp_errs = expectation_error(observables.values(), pair, plan, packet, exact_u=u)
+                        numkit.unitary_distance(v)))
+        exp_errs = expectation_error(observables.values(), v, u, packet)
         for (name, obs), exp_err in zip(observables.items(), exp_errs):
-            err = observable_error(obs, pair, plan, rel_u)
+            err = observable_error(obs, v)
             out.append((s, h, grid.N, scheme.value, name, "observable_error", err))
             out.append((s, h, grid.N, scheme.value, name, "expectation_error", exp_err))
     return out
@@ -279,14 +281,11 @@ def _fit_table(table: SweepTable, x: str, window, floor: float) -> ExperimentRes
     ``-``) and ``scheme/observable/metric`` otherwise.
     """
     idx = [table.columns.index(c) for c in ("scheme", "observable", "metric")]
-    fits, excluded = {}, {}
+    series = {}
     for scheme, obs, metric in sorted({tuple(row[i] for i in idx) for row in table.rows}):
         key = f"{scheme}/{metric}" if obs == "-" else f"{scheme}/{obs}/{metric}"
-        pts = table.series(x, scheme=scheme, observable=obs, metric=metric)
-        report, excluded[key] = _fit_series(pts, window, floor)
-        if report is not None:
-            fits[key] = report
-    return ExperimentResult(table, fits, excluded)
+        series[key] = table.series(x, scheme=scheme, observable=obs, metric=metric)
+    return _fit_series(table, series, window, floor)
 
 
 def _sweep_metadata(mode: str, potential_id: str, t_total: float, **extra) -> dict:
@@ -373,8 +372,7 @@ def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
     table = SweepTable.build(("h", "N", "metric", "value"), rows, {
         "grid_relation": "N=(b-a)/(2*pi*h)", "potential": potential_id,
     })
-    fits = {m: fit_loglog_slope(table.series("h", metric=m)) for m in metrics}
-    return ExperimentResult(table, fits, {m: 0 for m in metrics})
+    return _fit_series(table, {m: table.series("h", metric=m) for m in metrics})
 
 
 def calculus_suite(n_values: Sequence[int], t_flow: float = 0.5,
@@ -401,12 +399,8 @@ def calculus_suite(n_values: Sequence[int], t_flow: float = 0.5,
     rows = _map_rows(rows_for, sorted(n_values), threads)
     table = SweepTable.build(("N", "h", "metric", "value"), rows,
                              {"pair": "cos_x/cos_xi", "t_flow": f"{t_flow:.17g}"})
-    fits, excluded = {}, {}
-    for metric in ("composition_remainder", "commutator_remainder", "egorov_remainder"):
-        report, excluded[metric] = _fit_series(table.series("h", metric=metric), None, 0.0)
-        if report is not None:
-            fits[metric] = report
-    return ExperimentResult(table, fits, excluded)
+    metrics = ("composition_remainder", "commutator_remainder", "egorov_remainder")
+    return _fit_series(table, {m: table.series("h", metric=m) for m in metrics})
 
 
 def query_count(epsilon: float, scheme, h: float, *,
@@ -425,11 +419,11 @@ def query_count(epsilon: float, scheme, h: float, *,
     grid = canonical_grid(h, domain, "h")
     pair = build_pair(grid, potential=POTENTIALS[potential_id])
     obs = OBSERVABLES[observable_id](grid)
-    u = exact_unitary(pair.total, t_total, h)
+    u = exact_unitary(numkit.hermitian_eig(pair.total), t_total, h)
 
     def error_at(n: int) -> float:
         plan = EvolutionPlan(scheme, t_total / n, n, h)
-        return observable_error(obs, pair, plan, relative_propagator(pair, plan, exact_u=u))
+        return observable_error(obs, relative_propagator(pair, plan, u))
 
     low, high = 0, 1
     while error_at(high) > epsilon:
@@ -475,11 +469,8 @@ def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
         "observable": observable_id, "potential": potential_id,
         "t_total": f"{t_total:.17g}",
     })
-    fits = {}
-    for scheme in schemes:
-        for h in sorted(h_values):
-            pts = [(1.0 / eps, n) for eps, n in
-                   table.series("epsilon", scheme=scheme.value, h=h, metric="steps")]
-            if len(pts) >= 3:
-                fits[f"{scheme.value}/h={h:.17g}/steps_vs_inv_eps"] = fit_loglog_slope(pts)
-    return ExperimentResult(table, fits, {})
+    return _fit_series(table, {
+        f"{scheme.value}/h={h:.17g}/steps_vs_inv_eps":
+            [(1.0 / eps, n) for eps, n in
+             table.series("epsilon", scheme=scheme.value, h=h, metric="steps")]
+        for scheme in schemes for h in sorted(h_values)})

@@ -225,6 +225,11 @@ class TestParseConfig:
 
 SMALL_SCAN = {"command": "commutator-scan",
               "h_values": [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]}
+SWEEP_H_LIE1 = {"command": "sweep-h", "schemes": ["Lie1"], "observables": ["cos_x"]}
+# The criteria that read a slope fit, for SWEEP_H_LIE1 and for commutator-scan.
+SWEEP_H_FITTED = ("unitary-growth/Lie1", "h-flat-slope/Lie1/cos_x")
+SCAN_FITTED = tuple(f"norm-scaling/{m}" for m in (
+    "norm_A_over_h", "norm_B_over_h", "norm_comm_AB", "norm_comm_A_AB", "norm_comm_B_AB"))
 
 
 class TestRun:
@@ -284,22 +289,34 @@ class TestRun:
         assert code == 2
         assert "h-flat-ratio/Lie1/cos_x: FAIL" in stream.getvalue()
 
-    @pytest.mark.parametrize("doc, reason", [
+    @pytest.mark.parametrize("doc, names, reason", [
         # two grids, neither inside the fit window h <= 2^-5; nothing at the floor
-        ({"h_values": [0.125, 0.0625]}, "(fewer than three points in the fit window)"),
+        ({**SWEEP_H_LIE1, "h_values": [0.125, 0.0625]}, SWEEP_H_FITTED,
+         "(fewer than three points in the fit window)"),
         # zero potential: the split is exact, so every error sits at the floor
-        ({"h_values": [2.0**-5, 2.0**-6, 2.0**-7], "potential": "zero"},
-         "(series at round-off floor, 3 points excluded)"),
-    ], ids=["window", "floor"])
-    def test_missing_fit_reason(self, doc, reason, tmp_path):
-        doc = {"command": "sweep-h", "schemes": ["Lie1"], "observables": ["cos_x"], **doc}
+        ({**SWEEP_H_LIE1, "h_values": [2.0**-5, 2.0**-6, 2.0**-7], "potential": "zero"},
+         SWEEP_H_FITTED, "(series at round-off floor, 3 points excluded)"),
+        # two points support no slope fit of any series
+        ({"command": "calculus-check", "N_values": [16, 32]},
+         ("composition-order", "commutator-order", "egorov-order"),
+         "(fewer than three points in the fit window)"),
+        ({"command": "commutator-scan", "h_values": [0.125, 0.0625]}, SCAN_FITTED,
+         "(fewer than three points in the fit window)"),
+    ], ids=["window", "floor", "calculus-check", "commutator-scan"])
+    def test_missing_fit_reason(self, doc, names, reason, tmp_path):
         stream = io.StringIO()
         code = run(parse_config(json.dumps(doc)), assert_criteria=True,
                    out=str(tmp_path / "x.csv"), stream=stream)
         assert code == 2
         lines = stream.getvalue().splitlines()
-        for name in ("unitary-growth/Lie1", "h-flat-slope/Lie1/cos_x"):
+        for name in names:
             assert f"criterion {name}: FAIL (no usable fit {reason})" in lines
+
+    def test_two_point_scan_without_assert_writes_csv(self, tmp_path):
+        doc = {"command": "commutator-scan", "h_values": [0.125, 0.0625]}
+        out = tmp_path / "x.csv"
+        assert run(parse_config(json.dumps(doc)), out=str(out), stream=io.StringIO()) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 5
 
     def test_fit_reports_printed(self, tmp_path):
         cfg = parse_config(json.dumps(SMALL_SCAN))
@@ -356,6 +373,13 @@ class TestMain:
         assert code == 0
         assert out.exists()
         assert "criterion" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, threads, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["commutator-scan", "--out", str(out), "--threads", threads]) == 1
+        assert "error: threads:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_flag(self, tmp_path):
         _assert_threads_invariant(SMALL_SCAN, tmp_path)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import trotterlab.evolve as evolve
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
 from trotterlab.fourier import DiagonalKind, FactoredOperator, materialize
@@ -9,14 +8,12 @@ from trotterlab.evolve import (
     _STAGES,
     EvolutionPlan,
     SplittingScheme,
-    evolve_state,
     exact_unitary,
     expectation_error,
     gaussian_wavepacket,
     observable_error,
-    step_power,
+    relative_propagator,
     trotter_step_unitary,
-    unitary_error,
 )
 from trotterlab.hamiltonian import (
     GridSpec,
@@ -27,7 +24,7 @@ from trotterlab.hamiltonian import (
     cosine_observable,
     momentum_observable,
 )
-from trotterlab.numkit import expm_hermitian, hermitian_eig, spectral_norm
+from trotterlab.numkit import expm_hermitian, hermitian_eig, spectral_norm, unitary_distance
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +42,26 @@ def commuting_pair(grid):
     return HamiltonianPair(zero, build_potential(np.cos, grid), grid)
 
 
+def exact(hamiltonian, t, h):
+    """U(t) = e^{-i H t / h} from the eigendecomposition of H."""
+    return exact_unitary(hermitian_eig(hamiltonian), t, h)
+
+
+def propagators(pair, plan):
+    """V = W^n U^dag and U at t = n s, as a sweep forms them."""
+    u = exact(pair.total, plan.t, plan.h)
+    return relative_propagator(pair, plan, u), u
+
+
 def heisenberg_exact(observable, hamiltonian, t, h):
     """Oracle: the exactly evolved observable U^dag O U with U = e^{-i H t / h}."""
-    u = exact_unitary(hamiltonian, t, h)
+    u = exact(hamiltonian, t, h)
     return u.conj().T @ observable @ u
 
 
 def heisenberg_trotter(observable, pair, plan):
     """Oracle: the observable conjugated by n split steps, (W^n)^dag O W^n."""
-    w = step_power(pair, plan)
+    w = np.linalg.matrix_power(trotter_step_unitary(pair, plan.scheme, plan.s, plan.h), plan.n)
     return w.conj().T @ observable @ w
 
 
@@ -70,31 +78,32 @@ def dense_step(pair, scheme, s, h):
 class TestExactUnitary:
     def test_zero_time_identity(self, setup):
         h, grid, pair = setup
-        assert np.abs(exact_unitary(pair.total, 0.0, h) - np.eye(grid.N)).max() < 1e-12
+        assert np.abs(exact(pair.total, 0.0, h) - np.eye(grid.N)).max() < 1e-12
 
     def test_diagonal_hamiltonian_phases(self):
         ham = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        u = exact_unitary(ham, 0.5, 0.25)
+        u = exact(ham, 0.5, 0.25)
         assert np.allclose(np.diag(u), np.exp(-1j * 2.0 * np.diag(ham))), u
 
     def test_composition(self, setup):
         h, grid, pair = setup
-        u1 = exact_unitary(pair.total, 0.3, h)
-        u2 = exact_unitary(pair.total, 0.2, h)
-        u12 = exact_unitary(pair.total, 0.5, h)
+        eig = hermitian_eig(pair.total)
+        u1 = exact_unitary(eig, 0.3, h)
+        u2 = exact_unitary(eig, 0.2, h)
+        u12 = exact_unitary(eig, 0.5, h)
         assert spectral_norm(u1 @ u2 - u12) <= 1e-8 * grid.N
 
     def test_unitarity(self, setup):
         h, grid, pair = setup
-        u = exact_unitary(pair.total, 0.7, h)
+        u = exact(pair.total, 0.7, h)
         assert spectral_norm(u.conj().T @ u - np.eye(grid.N)) <= 1e-9 * grid.N
 
-    def test_rejects_non_hermitian(self, setup):
-        h, grid, _ = setup
+    def test_rejects_non_hermitian(self):
+        # exact_unitary takes an EigenSystem; the eigendecomposition holds the gate
         bad = np.zeros((4, 4), dtype=complex)
         bad[0, 1] = 1.0
         with pytest.raises(NonHermitian):
-            exact_unitary(bad, 1.0, h)
+            hermitian_eig(bad)
 
 
 class TestTrotterStep:
@@ -124,7 +133,7 @@ class TestTrotterStep:
         pair = commuting_pair(grid)
         for scheme in SplittingScheme:
             u = trotter_step_unitary(pair, scheme, 0.4, h)
-            expected = exact_unitary(pair.total, 0.4, h)
+            expected = exact(pair.total, 0.4, h)
             assert spectral_norm(u - expected) <= 1e-9 * grid.N
 
     def test_strang_time_symmetry(self, setup):
@@ -201,13 +210,14 @@ class TestErrorFunctionals:
         pair = commuting_pair(grid)
         obs = cosine_observable(grid)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 4, h)
-        assert observable_error(obs, pair, plan) < 1e-9
+        assert observable_error(obs, propagators(pair, plan)[0]) < 1e-9
 
     def test_observable_error_bounded(self, setup):
         h, grid, pair = setup
         obs = cosine_observable(grid)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.5, 2, h)
-        assert observable_error(obs, pair, plan) <= 2 * spectral_norm(materialize(obs)) + 1e-12
+        v = propagators(pair, plan)[0]
+        assert observable_error(obs, v) <= 2 * spectral_norm(materialize(obs)) + 1e-12
 
     def test_single_step_error_orders(self, setup):
         # halving s divides the one-step error by ~4 (first order scheme)
@@ -215,40 +225,35 @@ class TestErrorFunctionals:
         h, grid, pair = setup
         obs = cosine_observable(grid)
         for scheme, factor in ((SplittingScheme.LIE1, 4.0), (SplittingScheme.STRANG2, 8.0)):
-            errs = [observable_error(obs, pair, EvolutionPlan(scheme, s, 1, h))
+            errs = [observable_error(obs, propagators(pair, EvolutionPlan(scheme, s, 1, h))[0])
                     for s in (2.0**-5, 2.0**-6)]
             assert errs[0] / errs[1] == pytest.approx(factor, rel=0.1)
 
-    def test_non_hermitian_observable_rejected_before_compute(self, setup, monkeypatch):
-        # a factored observable is Hermitian exactly when its diagonal is real
-        h, grid, pair = setup
+    def test_non_hermitian_observable_rejected_before_compute(self, setup):
+        # a factored observable is Hermitian exactly when its diagonal is real;
+        # the propagators are None, so any compute before the gate would trip over them
+        h, grid, _ = setup
         diag = np.cos(grid.nodes).astype(complex)
         diag[1] += 1e-3j
         bad = FactoredOperator(DiagonalKind.POSITION, diag)
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
-
-        def no_compute(*args):
-            raise AssertionError("split step assembled before the Hermiticity gate")
-
-        monkeypatch.setattr(evolve, "_step_factors", no_compute)
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 3, h)
         with pytest.raises(NonHermitian):
-            observable_error(bad, pair, plan)
+            observable_error(bad, None)
         with pytest.raises(NonHermitian):
-            observable_error(FactoredOperator(DiagonalKind.FOURIER, diag), pair, plan)
+            observable_error(FactoredOperator(DiagonalKind.FOURIER, diag), None)
         with pytest.raises(NonHermitian):
-            expectation_error([cosine_observable(grid), bad], pair, plan, psi)
+            expectation_error([cosine_observable(grid), bad], None, None, psi)
 
     def test_commuting_split_zero_unitary_error(self, setup):
         h, grid, _ = setup
         pair = commuting_pair(grid)
         plan = EvolutionPlan(SplittingScheme.STRANG2, 0.25, 4, h)
-        assert unitary_error(pair, plan) < 1e-9
+        assert unitary_distance(propagators(pair, plan)[0]) < 1e-9
 
     def test_unitary_error_bounded_by_two(self, setup):
         h, grid, pair = setup
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.9, 8, h)
-        assert unitary_error(pair, plan) <= 2.0 + 1e-12
+        assert unitary_distance(propagators(pair, plan)[0]) <= 2.0 + 1e-12
 
     def test_unitary_error_grows_inversely_with_h(self):
         errs = []
@@ -257,7 +262,7 @@ class TestErrorFunctionals:
             grid = GridSpec.canonical(-np.pi, np.pi, h)
             pair = build_pair(grid)
             plan = EvolutionPlan(SplittingScheme.LIE1, 0.1, 1, h)
-            errs.append(unitary_error(pair, plan))
+            errs.append(unitary_distance(propagators(pair, plan)[0]))
         slope = np.log(errs[1] / errs[0]) / np.log(hs[1] / hs[0])
         lo, hi = THRESHOLDS["unitary_growth"]
         assert lo <= slope <= hi
@@ -297,7 +302,7 @@ class TestExpectationError:
         obs = cosine_observable(grid)
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 4, h)
-        assert expectation_error([obs], pair, plan, psi)[0] < 1e-10
+        assert expectation_error([obs], *propagators(pair, plan), psi)[0] < 1e-10
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_dominated_by_observable_error(self, setup, scheme):
@@ -305,10 +310,10 @@ class TestExpectationError:
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
         observables = (cosine_observable(grid), momentum_observable(grid))
         for s, n in ((0.25, 1), (0.1, 4)):
-            plan = EvolutionPlan(scheme, s, n, h)
-            errors = expectation_error(observables, pair, plan, psi)
+            v, u = propagators(pair, EvolutionPlan(scheme, s, n, h))
+            errors = expectation_error(observables, v, u, psi)
             for obs, err in zip(observables, errors, strict=True):
-                assert err <= observable_error(obs, pair, plan) + 1e-12
+                assert err <= observable_error(obs, v) + 1e-12
 
     def test_matches_matrix_expectation(self, setup):
         h, grid, pair = setup
@@ -318,30 +323,15 @@ class TestExpectationError:
         t_trot = heisenberg_trotter(materialize(obs), pair, plan)
         t_exact = heisenberg_exact(materialize(obs), pair.total, plan.t, h)
         direct = abs(np.vdot(psi, t_trot @ psi).real - np.vdot(psi, t_exact @ psi).real)
-        assert expectation_error([obs], pair, plan, psi) == [pytest.approx(direct, abs=1e-12)]
+        got = expectation_error([obs], *propagators(pair, plan), psi)
+        assert got == [pytest.approx(direct, abs=1e-12)]
 
     def test_unnormalized_state_rejected(self, setup):
-        h, grid, pair = setup
+        # the gate runs before the None propagators are touched
+        h, grid, _ = setup
         obs = cosine_observable(grid)
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 1, h)
         with pytest.raises(UnnormalizedState):
-            expectation_error([obs], pair, plan, np.ones(grid.N))
-
-
-class TestEvolveState:
-    def test_norm_preserved(self, setup):
-        h, grid, pair = setup
-        psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
-        plan = EvolutionPlan(SplittingScheme.STRANG2, 0.1, 10, h)
-        assert np.linalg.norm(evolve_state(psi, pair, plan)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_step_unitary_power(self, setup):
-        h, grid, pair = setup
-        psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 3, h)
-        u = trotter_step_unitary(pair, SplittingScheme.LIE1, 0.2, h)
-        expected = np.linalg.matrix_power(u, 3) @ psi
-        assert np.abs(evolve_state(psi, pair, plan) - expected).max() < 1e-12
+            expectation_error([obs], None, None, np.ones(grid.N))
 
 
 class TestEvolutionPlan:
@@ -371,5 +361,5 @@ class TestNonPowerOfTwoGrid:
             fast = trotter_step_unitary(pair, SplittingScheme.STRANG2, 0.2, h)
             dense = dense_step(pair, SplittingScheme.STRANG2, 0.2, h)
             assert spectral_norm(fast - dense) <= 1e-9 * grid.N
-            err = observable_error(obs, pair, plan)
+            err = observable_error(obs, propagators(pair, plan)[0])
             assert 0.0 < err < 2.0

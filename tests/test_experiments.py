@@ -282,16 +282,19 @@ class TestQueryCount:
         assert query_count(0.99, "Strang2", 2.0**-4, observable_id="cos_x") == 1
 
     def test_minimality(self):
-        from trotterlab.evolve import EvolutionPlan, SplittingScheme, observable_error
+        from trotterlab.evolve import (EvolutionPlan, SplittingScheme, exact_unitary,
+                                       observable_error, relative_propagator)
         from trotterlab.hamiltonian import GridSpec, build_pair
         from trotterlab.experiments import OBSERVABLES
+        from trotterlab.numkit import hermitian_eig
         eps, h = 1e-2, 2.0**-6
         n = query_count(eps, "Strang2", h)
         grid = GridSpec.canonical(-np.pi, np.pi, h)
         pair = build_pair(grid)
         obs = OBSERVABLES["cos_3x"](grid)
-        err_at = lambda m: observable_error(obs, pair, EvolutionPlan(
-            SplittingScheme.STRANG2, 1.0 / m, m, h))
+        u = exact_unitary(hermitian_eig(pair.total), 1.0, h)
+        err_at = lambda m: observable_error(obs, relative_propagator(pair, EvolutionPlan(
+            SplittingScheme.STRANG2, 1.0 / m, m, h), u))
         assert err_at(n) <= eps
         if n > 1:
             assert err_at(n - 1) > eps
@@ -302,9 +305,10 @@ class TestQueryCount:
 
     def test_non_monotone_curve_detected(self, monkeypatch):
         # the search lands on n = 4, but the error rises past epsilon at n = 5
+        # (the stand-in propagator is the step count, which the error looks up)
         errors = {1: 0.5, 2: 0.3, 3: 0.2, 4: 0.05, 5: 0.2}
-        monkeypatch.setattr(experiments, "observable_error",
-                            lambda obs, pair, plan, rel_u=None: errors.get(plan.n, 0.01))
+        monkeypatch.setattr(experiments, "relative_propagator", lambda pair, plan, u: plan.n)
+        monkeypatch.setattr(experiments, "observable_error", lambda obs, v: errors.get(v, 0.01))
         with pytest.raises(NonMonotone):
             query_count(0.1, "Strang2", 2.0**-3)
 

@@ -4,7 +4,8 @@ Grid sizes N run over 3..40, odd and non-power-of-two included, with the
 canonical relation N = 1/h on [-pi, pi]. Examples are derandomized so that
 every run draws the same cases. The real-arithmetic and structured fast
 paths are checked against complex dense oracles within the round-off floor
-1e-11 N.
+1e-11 N. The expectation error, read from V (U psi), is checked against a
+state stepped one split step at a time and against the dense Heisenberg form.
 """
 
 import numpy as np
@@ -18,10 +19,10 @@ from trotterlab.evolve import (
     _apply_factors,
     _step_factors,
     exact_unitary,
+    expectation_error,
     observable_error,
     relative_propagator,
-    step_power,
-    unitary_error,
+    trotter_step_unitary,
 )
 from trotterlab.fourier import DiagonalKind, FactoredOperator, materialize
 from trotterlab.hamiltonian import (
@@ -60,12 +61,26 @@ def stepped(pair, plan) -> np.ndarray:
     return walk
 
 
+def stepped_state(pair, plan, psi) -> np.ndarray:
+    """Oracle: the state vector stepped n times, one factor at a time by FFT."""
+    factors = _step_factors(pair, plan.scheme, plan.s, plan.h)
+    for _ in range(plan.n):
+        for factor in factors:
+            if factor.kind is DiagonalKind.POSITION:
+                psi = factor.diag * psi
+            else:
+                psi = np.fft.ifft(factor.diag * np.fft.fft(psi))
+    return psi
+
+
 @PROPERTY
 @given(n=sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 64))
 def test_powering_equals_stepping(n, scheme, s, count):
+    # with U = 1 the relative propagator is the step power W^n itself
     grid, pair = grid_pair(n)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    assert spectral_norm(step_power(pair, plan) - stepped(pair, plan)) <= 1e-11 * n
+    powered = relative_propagator(pair, plan, np.eye(n))
+    assert spectral_norm(powered - stepped(pair, plan)) <= 1e-11 * n
 
 
 @PROPERTY
@@ -97,11 +112,12 @@ def test_relative_form_equals_two_sided_difference(n, scheme, s, count, build):
     obs = build(grid)
     dense = materialize(obs)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    w, u = step_power(pair, plan), exact_unitary(pair.total, plan.t, plan.h)
+    w = np.linalg.matrix_power(trotter_step_unitary(pair, scheme, s, grid.h), count)
+    u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h)
     direct = spectral_norm(w.conj().T @ dense @ w - u.conj().T @ dense @ u)
-    v = relative_propagator(pair, plan, exact_u=u)
-    assert observable_error(obs, pair, plan, v) == pytest.approx(direct, abs=1e-11 * n)
-    assert unitary_error(pair, plan, v) == pytest.approx(spectral_norm(w - u), abs=1e-11 * n)
+    v = relative_propagator(pair, plan, u)
+    assert observable_error(obs, v) == pytest.approx(direct, abs=1e-11 * n)
+    assert unitary_distance(v) == pytest.approx(spectral_norm(w - u), abs=1e-11 * n)
 
 
 @PROPERTY
@@ -146,6 +162,32 @@ def test_factored_observable_error_equals_dense_form(n, scheme, s, count, kind, 
     obs = FactoredOperator(kind, np.random.default_rng(seed).standard_normal(n))
     dense = materialize(obs)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    v = relative_propagator(pair, plan)
+    v = relative_propagator(pair, plan, exact_unitary(hermitian_eig(pair.total), plan.t, plan.h))
     direct = spectral_norm(v.conj().T @ dense @ v - dense)
-    assert observable_error(obs, pair, plan, v) == pytest.approx(direct, abs=1e-11 * n)
+    assert observable_error(obs, v) == pytest.approx(direct, abs=1e-11 * n)
+
+
+@PROPERTY
+@given(n=sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 64),
+       kind=st.sampled_from(list(DiagonalKind)), seed=st.integers(0, 2**32 - 1))
+def test_expectation_error_matches_stepping_and_dense(n, scheme, s, count, kind, seed):
+    # |<W^n psi, O W^n psi> - <U psi, O U psi>| read from W^n psi = V (U psi),
+    # against the state stepped n times and against <psi, (W^n)^dag O W^n psi>,
+    # for a random unit state and a random real diagonal in either basis
+    grid, pair = grid_pair(n)
+    rng = np.random.default_rng(seed)
+    obs = FactoredOperator(kind, rng.standard_normal(n))
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi /= np.linalg.norm(psi)
+    plan = EvolutionPlan(scheme, s, count, grid.h)
+    u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h)
+    got = expectation_error([obs], relative_propagator(pair, plan, u), u, psi)[0]
+
+    dense = materialize(obs)
+    exact_state = expm_hermitian(pair.total, -plan.t / plan.h) @ psi
+    exact = np.vdot(exact_state, dense @ exact_state).real
+    split_state = stepped_state(pair, plan, psi)
+    w = stepped(pair, plan)
+    for split in (np.vdot(split_state, dense @ split_state).real,
+                  np.vdot(psi, w.conj().T @ dense @ w @ psi).real):
+        assert got == pytest.approx(abs(split - exact), abs=1e-11 * n)
