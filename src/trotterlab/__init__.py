@@ -16,7 +16,7 @@ cli          command-line front end, JSON configuration and the run defaults
 from .evolve import EvolutionPlan, SplittingScheme
 from .hamiltonian import GridSpec, HamiltonianPair
 from .quantize import QuantizationContext
-from .symbols import SampledSymbol, TorusSymbol
+from .symbols import TorusSymbol
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "GridSpec",
     "HamiltonianPair",
     "QuantizationContext",
-    "SampledSymbol",
     "TorusSymbol",
     "__version__",
 ]

@@ -21,10 +21,6 @@ class NotSplit(TrotterlabError):
     """Flow generator depends on both phase-space variables."""
 
 
-class GridTooCoarse(TrotterlabError):
-    """Sampled symbol resolution is too low for the requested quantization."""
-
-
 class NonRealPotential(TrotterlabError):
     """Potential values have a non-negligible imaginary part."""
 

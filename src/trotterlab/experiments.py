@@ -75,6 +75,12 @@ FIT_WINDOW_H = (0.0, 2.0**-5)
 
 SWEEP_COLUMNS = ("s", "h", "N", "scheme", "observable", "metric", "value")
 
+# Flow time of the calculus suite's Egorov term.
+CALCULUS_T_FLOW = 0.5
+
+# Largest step count the query-count search tries before giving up.
+QUERY_STEP_CAP = 2**15
+
 POTENTIALS: dict[str, Callable] = {
     "cos": np.cos,
     "zero": lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
@@ -213,10 +219,6 @@ def _map_rows(rows_for, items, threads: int) -> list[tuple]:
     return [row for chunk in _map_ordered(rows_for, items, threads) for row in chunk]
 
 
-def _scheme(obj) -> SplittingScheme:
-    return obj if isinstance(obj, SplittingScheme) else SplittingScheme(obj)
-
-
 def step_count(s: float, mode: str, t_total: float, field: str) -> int:
     """Steps of size s in one run: 1 in ``local`` mode, t_total / s in ``global``.
 
@@ -232,11 +234,15 @@ def step_count(s: float, mode: str, t_total: float, field: str) -> int:
 
 
 def canonical_grid(h: float, domain, field: str) -> GridSpec:
-    """GridSpec.canonical on ``domain``; a non-integral N raises ValidationError naming ``field``."""
+    """GridSpec.canonical on ``domain``; a non-integral N, or N < 2, which the
+    finite-difference stencil cannot use, raises ValidationError naming ``field``."""
     try:
-        return GridSpec.canonical(domain[0], domain[1], h)
+        grid = GridSpec.canonical(domain[0], domain[1], h)
     except ValueError as err:
         raise ValidationError(field, str(err)) from None
+    if grid.N < 2:
+        raise ValidationError(field, f"h={h} gives N = {grid.N}; the grid needs N >= 2")
+    return grid
 
 
 def wavepacket(grid: GridSpec, field: str) -> np.ndarray:
@@ -305,7 +311,7 @@ def sweep_timestep(*, s_values: Sequence[float], h: float,
     ``global`` mode runs to t_total with n = t_total / s steps, which must
     be integral.
     """
-    schemes = [_scheme(s) for s in schemes]
+    schemes = [SplittingScheme(s) for s in schemes]
     steps = {s: step_count(s, mode, t_total, "s_values") for s in s_values}
     setup = _build_setup(canonical_grid(h, domain, "h"), potential_id, observable_ids, "h")
     rows = _map_rows(lambda s: _error_rows(setup, schemes, s, steps[s], h),
@@ -328,7 +334,7 @@ def sweep_h(*, h_values: Sequence[float], s_fixed: float,
     ``local`` runs one step of size s_fixed; ``global`` runs to t_total,
     which s_fixed must divide.
     """
-    schemes = [_scheme(s) for s in schemes]
+    schemes = [SplittingScheme(s) for s in schemes]
     n = step_count(s_fixed, mode, t_total, "s_fixed")
     grids = [canonical_grid(h, domain, "h_values") for h in sorted(h_values)]
 
@@ -375,8 +381,7 @@ def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
     return _fit_series(table, {m: table.series("h", metric=m) for m in metrics})
 
 
-def calculus_suite(n_values: Sequence[int], t_flow: float = 0.5,
-                   threads: int = 1) -> ExperimentResult:
+def calculus_suite(n_values: Sequence[int], threads: int = 1) -> ExperimentResult:
     """Composition, commutator, sup-norm and flow-conjugation defects over N.
 
     Runs the canonical pair a = cos(2 pi x), b = cos(2 pi xi) through the
@@ -393,29 +398,28 @@ def calculus_suite(n_values: Sequence[int], t_flow: float = 0.5,
             (n, h, "commutator_remainder", qz.commutator_remainder(a, b, ctx)),
             (n, h, "cv_gap", gap),
             (n, h, "cv_gap_over_h", gap / h),
-            (n, h, "egorov_remainder", qz.egorov_remainder(a, b, t_flow, ctx)),
+            (n, h, "egorov_remainder", qz.egorov_remainder(a, b, CALCULUS_T_FLOW, ctx)),
         ]
 
     rows = _map_rows(rows_for, sorted(n_values), threads)
     table = SweepTable.build(("N", "h", "metric", "value"), rows,
-                             {"pair": "cos_x/cos_xi", "t_flow": f"{t_flow:.17g}"})
+                             {"pair": "cos_x/cos_xi", "t_flow": f"{CALCULUS_T_FLOW:.17g}"})
     metrics = ("composition_remainder", "commutator_remainder", "egorov_remainder")
     return _fit_series(table, {m: table.series("h", metric=m) for m in metrics})
 
 
 def query_count(epsilon: float, scheme, h: float, *,
                 domain=DEFAULT_DOMAIN, potential_id: str = "cos",
-                observable_id: str = "cos_3x", t_total: float = 1.0,
-                cap: int = 2**15) -> int:
+                observable_id: str = "cos_3x", t_total: float = 1.0) -> int:
     """Smallest step count n with observable error at most epsilon at t_total.
 
     Doubling search for an upper bound, then bisection, which assumes the
     error falls as n grows: NonMonotone is raised when one of the next three
-    counts above the answer misses epsilon. Raises Unreachable past ``cap``.
+    counts above the answer misses epsilon. Raises Unreachable past QUERY_STEP_CAP.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    scheme = _scheme(scheme)
+    scheme = SplittingScheme(scheme)
     grid = canonical_grid(h, domain, "h")
     pair = build_pair(grid, potential=POTENTIALS[potential_id])
     obs = OBSERVABLES[observable_id](grid)
@@ -428,8 +432,8 @@ def query_count(epsilon: float, scheme, h: float, *,
     low, high = 0, 1
     while error_at(high) > epsilon:
         low, high = high, high * 2
-        if high > cap:
-            raise Unreachable(f"no step count up to {cap} reaches error {epsilon}")
+        if high > QUERY_STEP_CAP:
+            raise Unreachable(f"no step count up to {QUERY_STEP_CAP} reaches error {epsilon}")
     while high - low > 1:
         mid = (low + high) // 2
         if error_at(mid) <= epsilon:
@@ -451,7 +455,7 @@ def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
     The companion points make the epsilon -> epsilon/4 count ratio and a
     slope fit of count versus 1/epsilon available from one table.
     """
-    schemes = [_scheme(s) for s in schemes]
+    schemes = [SplittingScheme(s) for s in schemes]
     for h in h_values:
         canonical_grid(h, domain, "h_values")
     eps_all = sorted({float(e) for e in epsilons} | {float(e) / 4.0 for e in epsilons})

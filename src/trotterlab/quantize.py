@@ -25,20 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse
 from .numkit import expm_hermitian, hermitian_norm, spectral_norm
-from .symbols import (
-    SampledSymbol,
-    TorusSymbol,
-    poisson_bracket,
-    product,
-    pullback_split_flow,
-)
+from .symbols import TorusSymbol, poisson_bracket, product, pullback_split_flow
 
 __all__ = [
     "QuantizationContext",
     "quantize",
-    "quantize_sampled",
     "composition_remainder",
     "commutator_remainder",
     "cv_gap",
@@ -91,18 +83,6 @@ def quantize(symbol: TorusSymbol, ctx: QuantizationContext) -> np.ndarray:
     return diagonals[idx[:, None], idx[None, :] - idx[:, None] + (n - 1)]
 
 
-def quantize_sampled(sampled: SampledSymbol, ctx: QuantizationContext) -> np.ndarray:
-    """Quantize a sampled symbol through its truncated coefficient lattice.
-
-    Requires at least 4 N samples per axis so the default M/4 truncation
-    keeps every coefficient the quantization can resolve.
-    """
-    if sampled.resolution < 4 * ctx.N:
-        raise GridTooCoarse(
-            f"resolution {sampled.resolution} < 4 N = {4 * ctx.N}; refine the sample grid")
-    return quantize(sampled.to_torus_symbol(), ctx)
-
-
 def composition_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContext) -> float:
     """Norm defect of the leading composition rule; expected O(h^2).
 
@@ -136,18 +116,18 @@ def cv_gap(a: TorusSymbol, ctx: QuantizationContext) -> float:
 
 
 def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
-                     ctx: QuantizationContext, resolution: int | None = None) -> float:
+                     ctx: QuantizationContext) -> float:
     """Defect of quantum conjugation against the classical flow; expected O(h^2).
 
     Measures || e^{i t B / h} op(a) e^{-i t B / h} - op(a o phi_t) || where
     B = op(generator) and phi_t is the split generator's Hamiltonian flow.
-    The flowed symbol is carried on a sample grid of at least 4 N points
-    per axis before truncation and quantization.
+    The flowed symbol is sampled on an M x M grid, M = max(256, 4 N), and
+    truncated to order M/4 >= N, which keeps every coefficient the
+    quantization can resolve.
     """
     if abs(t) > 1.0:
         raise ValueError(f"|t| <= 1 expected, got {t}")
-    m = resolution if resolution is not None else max(256, 4 * ctx.N)
-    flowed = pullback_split_flow(a, generator, t, resolution=m)   # NotSplit guards here
+    flowed = pullback_split_flow(a, generator, t, max(256, 4 * ctx.N))   # NotSplit guards here
     u = expm_hermitian(quantize(generator, ctx), t / ctx.h)
     evolved = u @ quantize(a, ctx) @ u.conj().T
-    return spectral_norm(evolved - quantize_sampled(flowed, ctx))
+    return spectral_norm(evolved - quantize(TorusSymbol.from_samples(flowed), ctx))

@@ -7,8 +7,9 @@ A symbol is a trigonometric polynomial
 stored as its finite coefficient lattice. Products and Poisson brackets are
 computed exactly in coefficient space, so every calculus identity below is
 exact up to round-off. General (non-polynomial) symbols, such as pullbacks
-under a classical flow, are carried as grid samples and truncated back to a
-coefficient lattice before quantization.
+under a classical flow, are plain M x M arrays of grid samples;
+``TorusSymbol.from_samples`` truncates them back to a coefficient lattice
+before quantization.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import NonFinite, NotSplit
 
 __all__ = [
     "TorusSymbol",
-    "SampledSymbol",
     "constant",
     "cosine_x",
     "cosine_xi",
@@ -30,17 +30,10 @@ __all__ = [
     "harmonic",
     "product",
     "poisson_bracket",
-    "sample_symbol",
     "pullback_split_flow",
 ]
 
 _REALITY_TOL = 1e-12
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -54,12 +47,26 @@ class TorusSymbol:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
+        arr = np.array(self.coeffs, dtype=np.complex128)   # an owned copy, frozen below
         if arr.ndim != 2 or arr.shape[0] % 2 == 0 or arr.shape[1] % 2 == 0:
             raise ValueError(f"coefficient lattice must have odd extents, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise NonFinite("symbol coefficients contain NaN or Inf")
-        object.__setattr__(self, "coeffs", _frozen(arr))
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def from_samples(cls, values: np.ndarray) -> "TorusSymbol":
+        """Truncated coefficient lattice of samples values[i, j] = a(i/M, j/M).
+
+        The cutoff M/4 guards against aliasing: coefficients beyond half
+        the Nyquist order of the sample grid are discarded.
+        """
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError(f"expected square sample grid, got shape {values.shape}")
+        m = values.shape[0]
+        idx = np.arange(-(m // 4), m // 4 + 1) % m
+        return cls((np.fft.fft2(values) / m**2)[np.ix_(idx, idx)])
 
     @property
     def order_x(self) -> int:
@@ -100,36 +107,35 @@ class TorusSymbol:
         kap = np.arange(-self.order_xi, self.order_xi + 1)
         return TorusSymbol(self.coeffs * (2j * np.pi * kap)[None, :])
 
-    def is_real(self, tol: float = _REALITY_TOL) -> bool:
+    def is_real(self) -> bool:
         """True when the symbol is real-valued: c_{-k,-kap} = conj(c_{k,kap})."""
         flipped = np.conj(self.coeffs[::-1, ::-1])
         scale = max(np.abs(self.coeffs).max(), 1.0)
-        return bool(np.abs(self.coeffs - flipped).max() <= tol * scale)
+        return bool(np.abs(self.coeffs - flipped).max() <= _REALITY_TOL * scale)
 
-    def is_x_only(self, tol: float = _REALITY_TOL) -> bool:
+    def is_x_only(self) -> bool:
         kxi = self.order_xi
         off = np.delete(self.coeffs, kxi, axis=1)
-        return off.size == 0 or np.abs(off).max() <= tol
+        return off.size == 0 or np.abs(off).max() <= _REALITY_TOL
 
-    def is_xi_only(self, tol: float = _REALITY_TOL) -> bool:
+    def is_xi_only(self) -> bool:
         kx = self.order_x
         off = np.delete(self.coeffs, kx, axis=0)
-        return off.size == 0 or np.abs(off).max() <= tol
+        return off.size == 0 or np.abs(off).max() <= _REALITY_TOL
 
-    def sup_abs(self, resolution: int = 4096) -> float:
+    def sup_abs(self) -> float:
         """sup |a| over the torus by dense sampling.
 
-        Single-variable symbols are sampled at ``resolution`` points along
-        their axis; genuinely mixed symbols on a square lattice capped at
-        1024 points per axis (extrema of low-order trigonometric
-        polynomials are lattice-commensurate, so this is ample).
+        Single-variable symbols are sampled at 4096 points along their axis;
+        genuinely mixed symbols on a 1024 x 1024 lattice (extrema of
+        low-order trigonometric polynomials are lattice-commensurate, so
+        this is ample).
         """
         if self.is_x_only() or self.is_xi_only():
-            grid = np.arange(resolution) / resolution
+            grid = np.arange(4096) / 4096
             axes = (grid, 0.0) if self.is_x_only() else (0.0, grid)
             return float(np.abs(self.evaluate(*axes)).max())
-        side = min(resolution, 1024)
-        grid = np.arange(side) / side
+        grid = np.arange(1024) / 1024
         return float(np.abs(self.evaluate(grid[:, None], grid[None, :])).max())
 
     def __add__(self, other: "TorusSymbol") -> "TorusSymbol":
@@ -202,48 +208,6 @@ def poisson_bracket(a: TorusSymbol, b: TorusSymbol) -> TorusSymbol:
     return product(a.dxi(), b.dx()) - product(a.dx(), b.dxi())
 
 
-@dataclass(frozen=True)
-class SampledSymbol:
-    """Symbol known through samples values[i, j] = a(i/M, j/M), M a power of two."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected square sample grid, got shape {arr.shape}")
-        m = arr.shape[0]
-        if m < 2 or m & (m - 1):
-            raise ValueError(f"sample resolution must be a power of two >= 2, got {m}")
-        if not np.isfinite(arr).all():
-            raise NonFinite("samples contain NaN or Inf")
-        object.__setattr__(self, "values", _frozen(arr))
-
-    @property
-    def resolution(self) -> int:
-        return self.values.shape[0]
-
-    def to_torus_symbol(self, max_order: int | None = None) -> TorusSymbol:
-        """Truncated coefficient lattice of the samples.
-
-        The default cutoff M/4 guards against aliasing: coefficients beyond
-        half the Nyquist order of the sample grid are discarded.
-        """
-        m = self.resolution
-        order = m // 4 if max_order is None else int(max_order)
-        if order < 0 or 2 * order + 1 > m:
-            raise ValueError(f"cannot extract order {order} from an {m}x{m} grid")
-        spectrum = np.fft.fft2(self.values) / m**2
-        idx = np.arange(-order, order + 1) % m
-        return TorusSymbol(spectrum[np.ix_(idx, idx)])
-
-
-def sample_symbol(a: TorusSymbol, resolution: int = 256) -> SampledSymbol:
-    """Sample a symbol on the uniform resolution x resolution torus grid."""
-    grid = np.arange(resolution) / resolution
-    return SampledSymbol(a.evaluate(grid[:, None], grid[None, :]))
-
-
 def _real_values(arr: np.ndarray, what: str) -> np.ndarray:
     scale = max(np.abs(arr).max(), 1.0)
     if np.abs(arr.imag).max() > 1e-10 * scale:
@@ -252,8 +216,9 @@ def _real_values(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def pullback_split_flow(a: TorusSymbol, generator: TorusSymbol, t: float,
-                        resolution: int = 256) -> SampledSymbol:
-    """Samples of ``a`` composed with the time-t Hamiltonian flow of a split generator.
+                        resolution: int) -> np.ndarray:
+    """M x M samples of ``a`` composed with the time-t Hamiltonian flow of a
+    split generator: entry [i, j] is taken at (i/M, j/M), M = ``resolution``.
 
     For a generator b(x) the flow is (x, xi) -> (x, xi - t b'(x)); for b(xi)
     it is (x, xi) -> (x + t b'(xi), xi). Generators depending on both
@@ -272,4 +237,4 @@ def pullback_split_flow(a: TorusSymbol, generator: TorusSymbol, t: float,
         values = on_x @ (_modes(t * rate, a.order_x) * (on_xi @ a.coeffs.T)).T
     else:
         raise NotSplit("flow generator must depend on x only or on xi only")
-    return SampledSymbol(values)
+    return values

@@ -2,7 +2,8 @@
 
 Grid sizes N run over 3..40, odd and non-power-of-two included. Coefficient
 lattices reach past N in both directions, so the fold of k modulo N and the
-fold of kap over l are both exercised. Examples are derandomized so that
+fold of kap over l are both exercised. Sample grids M x M run over every M
+up to 64, not only powers of two. Examples are derandomized so that
 every run draws the same cases.
 """
 
@@ -102,12 +103,11 @@ def test_tensor_grid_evaluate_matches_pointwise_sum(kx, kxi, seed, rows, cols):
 
 @PROPERTY
 @given(kx=st.integers(0, 5), kxi=st.integers(0, 5), order=st.integers(0, 3),
-       on_x=st.booleans(), t=st.floats(-1.0, 1.0), log_m=st.integers(1, 6), seed=seeds)
-def test_pullback_matches_evaluation_at_flowed_points(kx, kxi, order, on_x, t, log_m, seed):
+       on_x=st.booleans(), t=st.floats(-1.0, 1.0), m=st.integers(1, 64), seed=seeds)
+def test_pullback_matches_evaluation_at_flowed_points(kx, kxi, order, on_x, t, m, seed):
     a = random_symbol(seed, kx, kxi)
     generator = random_symbol(seed + 1, order, 0, real=True) if on_x else \
         random_symbol(seed + 1, 0, order, real=True)
-    m = 2**log_m
     grid = np.arange(m) / m
     if on_x:    # (x, xi) -> (x, xi - t b'(x))
         rate = generator.dx().evaluate(grid, 0.0).real
@@ -117,5 +117,17 @@ def test_pullback_matches_evaluation_at_flowed_points(kx, kxi, order, on_x, t, l
         x, xi = grid[:, None] + t * rate[None, :], grid[None, :]
     want = np.array([[pointwise(a, p, q) for p, q in zip(row_x, row_xi)]
                      for row_x, row_xi in zip(*np.broadcast_arrays(x, xi))])
-    flowed = pullback_split_flow(a, generator, t, resolution=m)
-    assert np.abs(flowed.values - want).max() <= 1e-10
+    flowed = pullback_split_flow(a, generator, t, m)
+    assert np.abs(flowed - want).max() <= 1e-10
+
+
+@PROPERTY
+@given(m=st.integers(2, 64), data=st.data(), seed=seeds)
+def test_from_samples_recovers_band_limited_symbols(m, data, seed):
+    # orders up to the cutoff M/4 are recovered exactly from M x M samples, any M
+    kx, kxi = data.draw(st.integers(0, m // 4)), data.draw(st.integers(0, m // 4))
+    sym = random_symbol(seed, kx, kxi)
+    grid = np.arange(m) / m
+    back = TorusSymbol.from_samples(sym.evaluate(grid[:, None], grid[None, :]))
+    assert back.order_x == back.order_xi == m // 4
+    assert np.abs((back - sym).coeffs).max() <= 1e-12 * (2 * kx + 1) * (2 * kxi + 1)

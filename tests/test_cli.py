@@ -112,6 +112,27 @@ class TestParseConfig:
         # the commutator scan and the query count evolve no packet
         parse_config('{"command": "commutator-scan", "h_values": [0.25, 0.125, 0.0625]}')
 
+    @pytest.mark.parametrize("command, doc, field", [
+        pytest.param("commutator-scan", '{"h_values": [0.25, 1.0]}', "h_values",
+                     id="commutator-scan"),
+        pytest.param("query-count", '{"h_values": [1.0]}', "h_values", id="query-count"),
+        pytest.param("sweep-s", '{"h": 1.0}', "h", id="sweep-s"),
+    ])
+    def test_single_node_grid_rejected_before_compute(self, command, doc, field,
+                                                      tmp_path, capsys):
+        # h = 1 on [-pi, pi] gives N = 1, where the finite-difference stencil is undefined
+        with pytest.raises(ValidationError) as err:
+            parse_config(doc, command=command)
+        assert err.value.field == field
+        assert "N = 1" in str(err.value)
+        path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+        path.write_text(doc)
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {field}:")
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
     def test_query_count_takes_one_observable(self):
         with pytest.raises(ValidationError) as err:
             parse_config('{"command": "query-count", "observables": ["cos_3x", "cos_x"]}')

@@ -301,7 +301,7 @@ class TestQueryCount:
 
     def test_unreachable(self):
         with pytest.raises(Unreachable):
-            query_count(1e-13, "Lie1", 2.0**-4, cap=64)
+            query_count(1e-13, "Lie1", 2.0**-4)
 
     def test_non_monotone_curve_detected(self, monkeypatch):
         # the search lands on n = 4, but the error rises past epsilon at n = 5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trotterlab.errors import GridTooCoarse, NotSplit
+from trotterlab.errors import NotSplit
 from trotterlab.fourier import dft_matrix
 from trotterlab.numkit import spectral_norm
 from trotterlab.quantize import (
@@ -11,14 +11,14 @@ from trotterlab.quantize import (
     cv_gap,
     egorov_remainder,
     quantize,
-    quantize_sampled,
 )
 from trotterlab.symbols import (
+    TorusSymbol,
     constant,
     cosine_x,
     cosine_xi,
     product,
-    sample_symbol,
+    pullback_split_flow,
     sine_x,
 )
 
@@ -122,35 +122,33 @@ class TestQuantize:
 
 
 class TestQuantizeSampled:
+    """Samples quantize through TorusSymbol.from_samples at the default order M/4."""
+
+    @staticmethod
+    def quantize_samples(a, m, ctx):
+        grid = np.arange(m) / m
+        return quantize(TorusSymbol.from_samples(a.evaluate(grid[:, None], grid[None, :])), ctx)
+
     def test_sampled_constant_identity(self):
         ctx = QuantizationContext(8)
-        sampled = sample_symbol(constant(1.0), resolution=64)
-        assert np.abs(quantize_sampled(sampled, ctx) - np.eye(8)).max() < 1e-12
+        assert np.abs(self.quantize_samples(constant(1.0), 64, ctx) - np.eye(8)).max() < 1e-12
 
     def test_sampled_position_cosine(self):
         ctx = QuantizationContext(8)
-        sampled = sample_symbol(cosine_x(), resolution=64)
         expected = np.diag(np.cos(2 * np.pi * np.arange(8) / 8))
-        assert np.abs(quantize_sampled(sampled, ctx) - expected).max() < 1e-10
+        assert np.abs(self.quantize_samples(cosine_x(), 64, ctx) - expected).max() < 1e-10
 
     def test_sampled_matches_analytic_mixed(self):
         ctx = QuantizationContext(8)
         sym = product(cosine_x(), cosine_xi())
-        sampled = sample_symbol(sym, resolution=64)
-        assert np.abs(quantize_sampled(sampled, ctx) - quantize(sym, ctx)).max() < 1e-10
+        assert np.abs(self.quantize_samples(sym, 64, ctx) - quantize(sym, ctx)).max() < 1e-10
 
     def test_identity_flow_pullback_matches_analytic(self):
-        from trotterlab.symbols import pullback_split_flow
         ctx = QuantizationContext(8)
         sym = product(cosine_x(), cosine_xi())
-        flowed = pullback_split_flow(sym, constant(0.0), 1.0, resolution=64)
-        assert np.abs(quantize_sampled(flowed, ctx) - quantize(sym, ctx)).max() < 1e-10
-
-    def test_coarse_grid_rejected(self):
-        ctx = QuantizationContext(64)
-        sampled = sample_symbol(cosine_x(), resolution=128)
-        with pytest.raises(GridTooCoarse):
-            quantize_sampled(sampled, ctx)
+        flowed = pullback_split_flow(sym, constant(0.0), 1.0, 64)
+        assert np.abs(quantize(TorusSymbol.from_samples(flowed), ctx)
+                      - quantize(sym, ctx)).max() < 1e-10
 
 
 class TestCalculusRemainders:
@@ -223,6 +221,12 @@ class TestCalculusRemainders:
                 for n in (16, 32, 64)}
         slope = np.polyfit(np.log([1 / n for n in vals]), np.log(list(vals.values())), 1)[0]
         assert slope >= 1.8
+
+    @pytest.mark.parametrize("n", [96, 100])
+    def test_egorov_at_non_power_of_two_n(self, n):
+        # the flowed grid has 4 N = 384 and 400 samples per axis
+        value = egorov_remainder(cosine_x(), cosine_xi(), 0.5, QuantizationContext(n))
+        assert np.isfinite(value) and value < 1e-2
 
     def test_egorov_rejects_mixed_generator(self):
         ctx = QuantizationContext(16)

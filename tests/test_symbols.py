@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from trotterlab.errors import NotSplit
+from trotterlab.errors import NonFinite, NotSplit
 from trotterlab.symbols import (
-    SampledSymbol,
     TorusSymbol,
     constant,
     cosine_x,
@@ -12,10 +11,15 @@ from trotterlab.symbols import (
     poisson_bracket,
     product,
     pullback_split_flow,
-    sample_symbol,
     sine_x,
     sine_xi,
 )
+
+
+def samples(a, m):
+    """a(i/m, j/m) on the uniform m x m torus grid."""
+    grid = np.arange(m) / m
+    return a.evaluate(grid[:, None], grid[None, :])
 
 
 def fd_bracket(a, b, x, xi, step=1e-5):
@@ -139,34 +143,41 @@ class TestCalculus:
 
 
 class TestSampledSymbol:
+    """A sampled symbol is an M x M array; from_samples turns it into coefficients."""
+
     def test_round_trip_band_limited(self):
+        # orders 2 and 1 sit inside the default cutoff 64 // 4 = 16
         a = product(cosine_x(), cosine_xi()) + 0.3 * sine_x(2)
-        sampled = sample_symbol(a, resolution=64)
-        back = sampled.to_torus_symbol(max_order=8)
-        grid = np.arange(64) / 64
-        rebuilt = back.evaluate(grid[:, None], grid[None, :])
-        assert np.abs(rebuilt - sampled.values).max() < 1e-8
+        values = samples(a, 64)
+        back = TorusSymbol.from_samples(values)
+        assert np.abs(samples(back, 64) - values).max() < 1e-8
+        assert np.abs((back - a).coeffs).max() < 1e-12
 
     def test_default_truncation_order(self):
-        a = cosine_x()
-        sym = sample_symbol(a, resolution=256).to_torus_symbol()
-        assert sym.order_x == 64
+        sym = TorusSymbol.from_samples(samples(cosine_x(), 256))
+        assert sym.order_x == sym.order_xi == 64
 
-    def test_resolution_must_be_power_of_two(self):
+    def test_non_square_grid_rejected(self):
         with pytest.raises(ValueError):
-            SampledSymbol(np.zeros((12, 12)))
+            TorusSymbol.from_samples(np.zeros((12, 16)))
+
+    def test_non_finite_sample_rejected(self):
+        values = samples(cosine_x(), 16)
+        values[3, 5] = np.nan
+        with pytest.raises(NonFinite):
+            TorusSymbol.from_samples(values)
 
 
 class TestPullback:
     def test_time_zero_is_identity(self):
         a = product(cosine_x(), cosine_xi())
         flow = pullback_split_flow(a, cosine_x(), 0.0, resolution=64)
-        assert np.abs(flow.values - sample_symbol(a, 64).values).max() < 1e-12
+        assert np.abs(flow - samples(a, 64)).max() < 1e-12
 
     def test_zero_generator_is_identity(self):
         a = cosine_xi()
         flow = pullback_split_flow(a, constant(0.0), 0.37, resolution=64)
-        assert np.abs(flow.values - sample_symbol(a, 64).values).max() < 1e-12
+        assert np.abs(flow - samples(a, 64)).max() < 1e-12
 
     def test_position_generator_closed_form(self):
         # generator cos(2 pi x) tilts xi by -t b'(x) = 2 pi t sin(2 pi x)
@@ -175,7 +186,7 @@ class TestPullback:
         grid = np.arange(64) / 64
         x, xi = grid[:, None], grid[None, :]
         expected = np.cos(2 * np.pi * (xi + t * 2 * np.pi * np.sin(2 * np.pi * x)))
-        assert np.abs(flow.values - expected).max() < 1e-12
+        assert np.abs(flow - expected).max() < 1e-12
 
     def test_against_symplectic_euler_oracle(self):
         # integrate xdot = d_xi b, xidot = -d_x b with step 1e-4
@@ -189,7 +200,7 @@ class TestPullback:
         for _ in range(steps):
             x = x + 1e-4 * np.real(b_dxi.evaluate(x, xi))
             xi = xi - 1e-4 * np.real(b_dx.evaluate(x, xi))
-        assert flow.values == pytest.approx(a.evaluate(x % 1.0, xi % 1.0), abs=1e-6)
+        assert flow == pytest.approx(a.evaluate(x % 1.0, xi % 1.0), abs=1e-6)
 
     def test_momentum_generator_direction(self):
         # generator cos(2 pi xi) moves x by t b'(xi) = -2 pi t sin(2 pi xi)
@@ -198,14 +209,14 @@ class TestPullback:
         grid = np.arange(32) / 32
         x, xi = grid[:, None], grid[None, :]
         expected = np.cos(2 * np.pi * (x - t * 2 * np.pi * np.sin(2 * np.pi * xi)))
-        assert np.abs(flow.values - expected).max() < 1e-12
+        assert np.abs(flow - expected).max() < 1e-12
 
     def test_sup_norm_preserved(self):
         a = product(cosine_x(), cosine_xi())
         flow = pullback_split_flow(a, cosine_xi(), 0.4, resolution=256)
-        assert np.abs(flow.values).max() == pytest.approx(
-            np.abs(sample_symbol(a, 256).values).max(), abs=1e-2)
+        assert np.abs(flow).max() == pytest.approx(
+            np.abs(samples(a, 256)).max(), abs=1e-2)
 
     def test_mixed_generator_rejected(self):
         with pytest.raises(NotSplit):
-            pullback_split_flow(cosine_x(), cosine_x() + cosine_xi(), 0.1)
+            pullback_split_flow(cosine_x(), cosine_x() + cosine_xi(), 0.1, 64)
