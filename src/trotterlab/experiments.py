@@ -55,11 +55,11 @@ __all__ = [
     "query_count",
     "query_count_study",
     "SWEEP_COLUMNS",
+    "COMMAND_DEFAULTS",
     "FIT_WINDOW_LOCAL_S",
     "FIT_WINDOW_H",
 ]
 
-DEFAULT_DOMAIN = (-math.pi, math.pi)
 WAVEPACKET_X0 = 0.0
 WAVEPACKET_P0 = 0.5
 
@@ -98,6 +98,29 @@ OBSERVABLES: dict[str, Callable[[GridSpec], FactoredOperator]] = {
     "momentum_spectral": momentum_observable,
 }
 
+_S_LADDER = tuple(2.0**-k for k in range(4, 12))
+
+# Keys of the commands that build a grid Hamiltonian, of those that also
+# evolve observables, and of those that run to a horizon t_total.
+_GRID = {"domain": (-math.pi, math.pi), "potential": "cos"}
+_EVOLVE = {**_GRID, "observables": ("cos_x", "momentum_fd"), "schemes": ("Lie1", "Strang2")}
+_HORIZON = {**_EVOLVE, "t_total": 1.0}
+
+# The one table of run defaults, keyed by CLI command. Each key is a keyword
+# parameter of the command's driver, which takes its default from here; a
+# {mode: value} entry gives the default in each mode.
+COMMAND_DEFAULTS: dict[str, dict] = {
+    "sweep-s": {**_EVOLVE, "s_values": _S_LADDER, "h": 2.0**-6, "mode": "local"},
+    "long-time": {**_HORIZON, "s_values": _S_LADDER, "h": 2.0**-8, "mode": "global"},
+    "sweep-h": {**_HORIZON, "h_values": tuple(2.0**-k for k in range(3, 11)), "mode": "local",
+                "s_fixed": {"local": 0.1, "global": 0.02}},   # global: the long-horizon step
+    "commutator-scan": {**_GRID, "h_values": tuple(2.0**-k for k in range(3, 9))},
+    "calculus-check": {"N_values": (16, 32, 64, 128, 256)},
+    "query-count": {**_HORIZON, "epsilons": (3e-2, 1e-2), "h_values": (2.0**-6, 2.0**-8),
+                    "schemes": ("Strang2",), "observables": ("cos_3x",)},
+}
+_QUERY = COMMAND_DEFAULTS["query-count"]
+
 
 def roundoff_floor(n: int) -> float:
     """Error level below which dense-algebra results are pure round-off."""
@@ -117,18 +140,14 @@ class FitReport:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Tabulated sweep results: named columns, sorted rows, run metadata."""
+    """Tabulated sweep results: named columns, sorted rows."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-    metadata: tuple[tuple[str, str], ...] = ()
 
     @staticmethod
-    def build(columns: Sequence[str], rows: Iterable[tuple],
-              metadata: dict[str, str] | None = None) -> "SweepTable":
-        ordered = tuple(sorted(rows))
-        meta = tuple(sorted((metadata or {}).items()))
-        return SweepTable(tuple(columns), ordered, meta)
+    def build(columns: Sequence[str], rows: Iterable[tuple]) -> "SweepTable":
+        return SweepTable(tuple(columns), tuple(sorted(rows)))
 
     def select(self, **filters) -> list[tuple]:
         idx = {name: self.columns.index(name) for name in filters}
@@ -223,7 +242,7 @@ def step_count(s: float, mode: str, t_total: float, field: str) -> int:
     """Steps of size s in one run: 1 in ``local`` mode, t_total / s in ``global``.
 
     Raises ValidationError naming ``field`` when s does not divide t_total,
-    so that the horizon reached is exactly the one the metadata reports.
+    so that the horizon reached is exactly t_total.
     """
     if mode == "local":
         return 1
@@ -254,11 +273,11 @@ def wavepacket(grid: GridSpec, field: str) -> np.ndarray:
         raise ValidationError(field, f"at h = {grid.h:g}: {err}") from None
 
 
-def _build_setup(grid: GridSpec, potential_id: str, observable_ids, field: str):
-    pair = build_pair(grid, potential=POTENTIALS[potential_id])
-    observables = {name: OBSERVABLES[name](grid) for name in observable_ids}
+def _build_setup(grid: GridSpec, potential: str, observables, field: str):
+    pair = build_pair(grid, potential=POTENTIALS[potential])
+    ops = {name: OBSERVABLES[name](grid) for name in observables}
     packet = wavepacket(grid, field)
-    return grid, pair, observables, packet, numkit.hermitian_eig(pair.total)
+    return grid, pair, ops, packet, numkit.hermitian_eig(pair.total)
 
 
 def _error_rows(setup, schemes, s: float, n: int, h: float,
@@ -294,16 +313,12 @@ def _fit_table(table: SweepTable, x: str, window, floor: float) -> ExperimentRes
     return _fit_series(table, series, window, floor)
 
 
-def _sweep_metadata(mode: str, potential_id: str, t_total: float, **extra) -> dict:
-    return {"mode": mode, "grid_relation": "N=(b-a)/(2*pi*h)", "potential": potential_id,
-            "t_total": "" if mode == "local" else f"{t_total:.17g}", **extra}
-
-
 def sweep_timestep(*, s_values: Sequence[float], h: float,
-                   mode: str = "local", t_total: float = 1.0,
-                   domain=DEFAULT_DOMAIN, potential_id: str = "cos",
-                   observable_ids: Sequence[str] = ("cos_x", "momentum_fd"),
-                   schemes: Sequence = ("Lie1", "Strang2"),
+                   mode: str = COMMAND_DEFAULTS["sweep-s"]["mode"],
+                   t_total: float = _HORIZON["t_total"], domain=_GRID["domain"],
+                   potential: str = _GRID["potential"],
+                   observables: Sequence[str] = _EVOLVE["observables"],
+                   schemes: Sequence = _EVOLVE["schemes"],
                    threads: int = 1) -> ExperimentResult:
     """Observable and expectation errors versus the step size s.
 
@@ -313,20 +328,20 @@ def sweep_timestep(*, s_values: Sequence[float], h: float,
     """
     schemes = [SplittingScheme(s) for s in schemes]
     steps = {s: step_count(s, mode, t_total, "s_values") for s in s_values}
-    setup = _build_setup(canonical_grid(h, domain, "h"), potential_id, observable_ids, "h")
+    setup = _build_setup(canonical_grid(h, domain, "h"), potential, observables, "h")
     rows = _map_rows(lambda s: _error_rows(setup, schemes, s, steps[s], h),
                      sorted(s_values), threads)
-    table = SweepTable.build(SWEEP_COLUMNS, rows,
-                             _sweep_metadata(mode, potential_id, t_total))
+    table = SweepTable.build(SWEEP_COLUMNS, rows)
     window = FIT_WINDOW_LOCAL_S if mode == "local" else None
     return _fit_table(table, "s", window, roundoff_floor(setup[0].N))
 
 
 def sweep_h(*, h_values: Sequence[float], s_fixed: float,
-            mode: str = "local", t_total: float = 1.0,
-            domain=DEFAULT_DOMAIN, potential_id: str = "cos",
-            observable_ids: Sequence[str] = ("cos_x", "momentum_fd"),
-            schemes: Sequence = ("Lie1", "Strang2"),
+            mode: str = COMMAND_DEFAULTS["sweep-h"]["mode"],
+            t_total: float = _HORIZON["t_total"], domain=_GRID["domain"],
+            potential: str = _GRID["potential"],
+            observables: Sequence[str] = _EVOLVE["observables"],
+            schemes: Sequence = _EVOLVE["schemes"],
             threads: int = 1) -> ExperimentResult:
     """Unitary, observable and expectation errors versus the Planck constant.
 
@@ -339,17 +354,16 @@ def sweep_h(*, h_values: Sequence[float], s_fixed: float,
     grids = [canonical_grid(h, domain, "h_values") for h in sorted(h_values)]
 
     def rows_for(grid: GridSpec) -> list[tuple]:
-        setup = _build_setup(grid, potential_id, observable_ids, "h_values")
+        setup = _build_setup(grid, potential, observables, "h_values")
         return _error_rows(setup, schemes, s_fixed, n, grid.h, with_unitary=True)
 
     rows = _map_rows(rows_for, grids, threads)
-    table = SweepTable.build(SWEEP_COLUMNS, rows, _sweep_metadata(
-        mode, potential_id, t_total, s_fixed=f"{s_fixed:.17g}"))
+    table = SweepTable.build(SWEEP_COLUMNS, rows)
     return _fit_table(table, "h", FIT_WINDOW_H, roundoff_floor(max(row[2] for row in rows)))
 
 
-def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
-                    potential_id: str = "cos", threads: int = 1) -> ExperimentResult:
+def commutator_scan(h_values: Sequence[float], domain=_GRID["domain"],
+                    potential: str = _GRID["potential"], threads: int = 1) -> ExperimentResult:
     """Norms of the h-scaled split operators and their nested commutators.
 
     With A and B the kinetic/potential discretizations, tabulates the
@@ -362,7 +376,7 @@ def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
 
     def rows_for(grid: GridSpec) -> list[tuple]:
         h = grid.h
-        pair = build_pair(grid, potential=POTENTIALS[potential_id])
+        pair = build_pair(grid, potential=POTENTIALS[potential])
         a, b = pair.kinetic.dense / h, pair.potential.dense / h
         comm = a @ b - b @ a
         values = (
@@ -375,13 +389,11 @@ def commutator_scan(h_values: Sequence[float], domain=DEFAULT_DOMAIN,
         return [(h, grid.N, metric, val) for metric, val in zip(metrics, values)]
 
     rows = _map_rows(rows_for, grids, threads)
-    table = SweepTable.build(("h", "N", "metric", "value"), rows, {
-        "grid_relation": "N=(b-a)/(2*pi*h)", "potential": potential_id,
-    })
+    table = SweepTable.build(("h", "N", "metric", "value"), rows)
     return _fit_series(table, {m: table.series("h", metric=m) for m in metrics})
 
 
-def calculus_suite(n_values: Sequence[int], threads: int = 1) -> ExperimentResult:
+def calculus_suite(N_values: Sequence[int], threads: int = 1) -> ExperimentResult:
     """Composition, commutator, sup-norm and flow-conjugation defects over N.
 
     Runs the canonical pair a = cos(2 pi x), b = cos(2 pi xi) through the
@@ -401,16 +413,16 @@ def calculus_suite(n_values: Sequence[int], threads: int = 1) -> ExperimentResul
             (n, h, "egorov_remainder", qz.egorov_remainder(a, b, CALCULUS_T_FLOW, ctx)),
         ]
 
-    rows = _map_rows(rows_for, sorted(n_values), threads)
-    table = SweepTable.build(("N", "h", "metric", "value"), rows,
-                             {"pair": "cos_x/cos_xi", "t_flow": f"{CALCULUS_T_FLOW:.17g}"})
+    rows = _map_rows(rows_for, sorted(N_values), threads)
+    table = SweepTable.build(("N", "h", "metric", "value"), rows)
     metrics = ("composition_remainder", "commutator_remainder", "egorov_remainder")
     return _fit_series(table, {m: table.series("h", metric=m) for m in metrics})
 
 
 def query_count(epsilon: float, scheme, h: float, *,
-                domain=DEFAULT_DOMAIN, potential_id: str = "cos",
-                observable_id: str = "cos_3x", t_total: float = 1.0) -> int:
+                domain=_GRID["domain"], potential: str = _GRID["potential"],
+                observable: str = _QUERY["observables"][0],
+                t_total: float = _HORIZON["t_total"]) -> int:
     """Smallest step count n with observable error at most epsilon at t_total.
 
     Doubling search for an upper bound, then bisection, which assumes the
@@ -421,8 +433,8 @@ def query_count(epsilon: float, scheme, h: float, *,
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     scheme = SplittingScheme(scheme)
     grid = canonical_grid(h, domain, "h")
-    pair = build_pair(grid, potential=POTENTIALS[potential_id])
-    obs = OBSERVABLES[observable_id](grid)
+    pair = build_pair(grid, potential=POTENTIALS[potential])
+    obs = OBSERVABLES[observable](grid)
     u = exact_unitary(numkit.hermitian_eig(pair.total), t_total, h)
 
     def error_at(n: int) -> float:
@@ -447,14 +459,17 @@ def query_count(epsilon: float, scheme, h: float, *,
 
 
 def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
-                      schemes: Sequence = ("Strang2",), domain=DEFAULT_DOMAIN,
-                      potential_id: str = "cos", observable_id: str = "cos_3x",
-                      t_total: float = 1.0, threads: int = 1) -> ExperimentResult:
+                      schemes: Sequence = _QUERY["schemes"], domain=_GRID["domain"],
+                      potential: str = _GRID["potential"],
+                      observables: Sequence[str] = _QUERY["observables"],
+                      t_total: float = _HORIZON["t_total"], threads: int = 1) -> ExperimentResult:
     """Step counts over epsilon and h, including each epsilon / 4 companion.
 
-    The companion points make the epsilon -> epsilon/4 count ratio and a
-    slope fit of count versus 1/epsilon available from one table.
+    ``observables`` names exactly one observable. The companion points make
+    the epsilon -> epsilon/4 count ratio and a slope fit of count versus
+    1/epsilon available from one table.
     """
+    (observable,) = observables
     schemes = [SplittingScheme(s) for s in schemes]
     for h in h_values:
         canonical_grid(h, domain, "h_values")
@@ -464,15 +479,12 @@ def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
 
     def row_for(task):
         scheme, h, eps = task
-        steps = query_count(eps, scheme, h, domain=domain, potential_id=potential_id,
-                            observable_id=observable_id, t_total=t_total)
+        steps = query_count(eps, scheme, h, domain=domain, potential=potential,
+                            observable=observable, t_total=t_total)
         return (eps, h, scheme.value, "steps", steps)
 
     rows = _map_ordered(row_for, tasks, threads)
-    table = SweepTable.build(("epsilon", "h", "scheme", "metric", "value"), rows, {
-        "observable": observable_id, "potential": potential_id,
-        "t_total": f"{t_total:.17g}",
-    })
+    table = SweepTable.build(("epsilon", "h", "scheme", "metric", "value"), rows)
     return _fit_series(table, {
         f"{scheme.value}/h={h:.17g}/steps_vs_inv_eps":
             [(1.0 / eps, n) for eps, n in

@@ -1,13 +1,18 @@
+import inspect
 import io
 import json
 import math
 
 import pytest
 
+import trotterlab.cli
+import trotterlab.experiments
 import trotterlab.quantize
 from trotterlab.cli import (
+    _DRIVERS,
     COMMAND_DEFAULTS,
     RunConfig,
+    _dispatch,
     evaluate_criteria,
     main,
     parse_config,
@@ -182,7 +187,26 @@ class TestParseConfig:
 
     def test_bad_n_values_rejected(self):
         with pytest.raises(ValidationError):
-            parse_config('{"command": "calculus-check", "N_values": [12]}')
+            parse_config('{"command": "calculus-check", "N_values": [0]}')
+
+    @pytest.mark.parametrize("command, doc, field", [
+        ("sweep-s", {"s_values": [0.0625, 0.03125, 0.0625]}, "s_values"),
+        ("commutator-scan", {"h_values": [0.125, 0.125, 0.0625, 0.03125]}, "h_values"),
+        ("calculus-check", {"N_values": [16, 32, 16.0]}, "N_values"),
+        ("query-count", {"epsilons": [0.03, 0.03]}, "epsilons"),
+        ("sweep-h", {"observables": ["cos_x", "momentum_fd", "cos_x"]}, "observables"),
+        ("long-time", {"schemes": ["Strang2", "Strang2"]}, "schemes"),
+    ])
+    def test_duplicate_list_entries_rejected(self, command, doc, field, tmp_path, capsys):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(doc), command=command)
+        assert err.value.field == field
+        assert "distinct" in str(err.value)
+        path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+        assert not out.exists()
 
     def test_lte_s_preset_matches_paper_defaults(self):
         cfg = parse_config(json.dumps(PAPER_RUNS["lte_s"]))
@@ -358,6 +382,27 @@ class TestRun:
         code = run(cfg, out="/nonexistent-dir/x.csv", stream=io.StringIO())
         assert code == 1
 
+    def test_missing_out_directory_rejected_before_compute(self, tmp_path, monkeypatch, capsys):
+        def no_run(cfg, threads):
+            raise AssertionError("the run started before the output path was checked")
+        monkeypatch.setattr(trotterlab.cli, "_dispatch", no_run)
+        out = tmp_path / "missing" / "x.csv"
+        cfg = parse_config(json.dumps(SMALL_SCAN))
+        assert run(cfg, out=str(out), stream=io.StringIO()) == 1
+        assert capsys.readouterr().err.startswith("error: out: ")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**SMALL_SCAN, "out": str(out)}))
+        assert main(["commutator-scan", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: out: ")
+
+    def test_any_grid_size_for_calculus_check(self, tmp_path):
+        # N = 96 is no power of two; the calculus orders hold there as well
+        doc = {"command": "calculus-check", "N_values": [16, 32, 96]}
+        stream = io.StringIO()
+        code = run(parse_config(json.dumps(doc)), assert_criteria=True,
+                   out=str(tmp_path / "x.csv"), stream=stream)
+        assert code == 0, stream.getvalue()
+
 
 class TestMain:
     def test_help_exits_zero(self, capsys):
@@ -424,10 +469,30 @@ def _assert_threads_invariant(doc, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestDispatch:
+    @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+    def test_table_keys_are_driver_keywords(self, command):
+        # bind_partial raises TypeError on a key the driver does not take by name
+        driver = getattr(trotterlab.experiments, _DRIVERS[command])
+        inspect.signature(driver).bind_partial(**dict.fromkeys(COMMAND_DEFAULTS[command]),
+                                               threads=1)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+    def test_dispatch_calls_module_attribute(self, command, monkeypatch):
+        # the driver is looked up on the module at call time, so a replaced
+        # attribute (as a profiler installs) is the one that runs
+        calls = []
+        monkeypatch.setattr(trotterlab.experiments, _DRIVERS[command],
+                            lambda **kwargs: calls.append(kwargs) or "stub result")
+        cfg = parse_config("{}", command=command)
+        assert _dispatch(cfg, threads=3) == "stub result"
+        assert calls == [{**{key: getattr(cfg, key) for key in COMMAND_DEFAULTS[command]},
+                          "threads": 3}]
+
+
 class TestCriteria:
     def test_commutator_criteria_names(self):
         cfg = parse_config(json.dumps(SMALL_SCAN))
-        from trotterlab.cli import _dispatch
         result = _dispatch(cfg, threads=1)
         checks = evaluate_criteria(cfg, result)
         assert len(checks) == 5

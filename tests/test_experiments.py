@@ -85,7 +85,7 @@ class TestSweepTable:
 @pytest.fixture(scope="module")
 def small_local_sweep():
     return sweep_timestep(s_values=[2.0**-k for k in range(4, 12)], h=2.0**-5,
-                          mode="local", observable_ids=("cos_x",),
+                          mode="local", observables=("cos_x",),
                           schemes=("Lie1", "Strang2"))
 
 
@@ -134,19 +134,19 @@ class TestSweepTimestep:
 
     def test_determinism(self, small_local_sweep):
         again = sweep_timestep(s_values=[2.0**-k for k in range(4, 12)], h=2.0**-5,
-                               mode="local", observable_ids=("cos_x",),
+                               mode="local", observables=("cos_x",),
                                schemes=("Lie1", "Strang2"))
         assert again.table.csv_text() == small_local_sweep.table.csv_text()
 
     def test_threaded_merge_identical(self, small_local_sweep):
         threaded = sweep_timestep(s_values=[2.0**-k for k in range(4, 12)], h=2.0**-5,
-                                  mode="local", observable_ids=("cos_x",),
+                                  mode="local", observables=("cos_x",),
                                   schemes=("Lie1", "Strang2"), threads=4)
         assert threaded.table.csv_text() == small_local_sweep.table.csv_text()
 
     def test_global_mode_orders(self):
         res = sweep_timestep(s_values=[2.0**-k for k in range(2, 7)], h=2.0**-5,
-                             mode="global", t_total=1.0, observable_ids=("cos_x",),
+                             mode="global", t_total=1.0, observables=("cos_x",),
                              schemes=("Lie1", "Strang2"))
         assert 0.8 <= res.fits["Lie1/cos_x/observable_error"].slope <= 1.2
         assert 1.8 <= res.fits["Strang2/cos_x/observable_error"].slope <= 2.2
@@ -154,13 +154,13 @@ class TestSweepTimestep:
     def test_global_mode_rejects_non_divisor(self):
         with pytest.raises(ValidationError):
             sweep_timestep(s_values=[0.3], h=2.0**-4, mode="global", t_total=1.0,
-                           observable_ids=("cos_x",), schemes=("Lie1",))
+                           observables=("cos_x",), schemes=("Lie1",))
 
 
 class TestSweepH:
     def test_reduced_sweep_structure(self):
         res = sweep_h(h_values=[2.0**-k for k in range(4, 8)], s_fixed=0.1,
-                      mode="local", observable_ids=("cos_x",), schemes=("Lie1",))
+                      mode="local", observables=("cos_x",), schemes=("Lie1",))
         # per h: 1 unitary row + 2 observable metric rows
         assert len(res.table.rows) == 4 * 3
         assert "Lie1/unitary_error" in res.fits
@@ -168,7 +168,7 @@ class TestSweepH:
 
     def test_observable_flat_in_window(self):
         res = sweep_h(h_values=[2.0**-k for k in range(5, 9)], s_fixed=0.1,
-                      mode="local", observable_ids=("cos_x",), schemes=("Lie1",))
+                      mode="local", observables=("cos_x",), schemes=("Lie1",))
         assert -0.25 <= res.fits["Lie1/cos_x/observable_error"].slope <= 0.25
 
     def test_global_mode_rejects_non_divisor_before_compute(self, monkeypatch):
@@ -179,7 +179,7 @@ class TestSweepH:
         monkeypatch.setattr(experiments, "build_pair", no_compute)
         with pytest.raises(ValidationError) as err:
             sweep_h(h_values=[2.0**-4], s_fixed=0.3, mode="global", t_total=1.0,
-                    observable_ids=("cos_x",), schemes=("Lie1",))
+                    observables=("cos_x",), schemes=("Lie1",))
         assert err.value.field == "s_fixed"
 
 
@@ -218,7 +218,7 @@ class TestMomentumRealizations:
         # realization used by the default sweeps. Recorded here as a fact.
         hs = [2.0**-k for k in range(5, 9)]
         res = sweep_h(h_values=hs, s_fixed=0.1, mode="local",
-                      observable_ids=("momentum_spectral",), schemes=("Lie1",))
+                      observables=("momentum_spectral",), schemes=("Lie1",))
         fit = res.fits["Lie1/momentum_spectral/observable_error"]
         vals = [v for _, v in res.table.series(
             "h", scheme="Lie1", observable="momentum_spectral",
@@ -229,7 +229,7 @@ class TestMomentumRealizations:
     def test_fd_momentum_h_uniform(self):
         hs = [2.0**-k for k in range(5, 9)]
         res = sweep_h(h_values=hs, s_fixed=0.1, mode="local",
-                      observable_ids=("momentum_fd",), schemes=("Lie1",))
+                      observables=("momentum_fd",), schemes=("Lie1",))
         vals = [v for _, v in res.table.series(
             "h", scheme="Lie1", observable="momentum_fd",
             metric="observable_error")]
@@ -279,7 +279,7 @@ class TestCalculusSuite:
 class TestQueryCount:
     def test_trivial_epsilon(self):
         # error is bounded by 2||O||, so eps >= 2 is reached with one step
-        assert query_count(0.99, "Strang2", 2.0**-4, observable_id="cos_x") == 1
+        assert query_count(0.99, "Strang2", 2.0**-4, observable="cos_x") == 1
 
     def test_minimality(self):
         from trotterlab.evolve import (EvolutionPlan, SplittingScheme, exact_unitary,
