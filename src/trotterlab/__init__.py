@@ -3,7 +3,7 @@ semiclassical grid Hamiltonians.
 
 Submodules
 ----------
-numkit       dense Hermitian linear algebra (eig, expm, norms, Hermiticity gate)
+numkit       dense Hermitian linear algebra (eig and exp(i t M), norms, Hermiticity gate)
 fourier      transform conventions, circulants, factored diagonal operators
 symbols      phase-space symbols on the unit torus and their calculus
 quantize     discrete Weyl quantization and semiclassical calculus checks

@@ -273,6 +273,9 @@ def run(cfg: RunConfig, assert_criteria: bool = False, out: str | None = None,
     if not Path(path).parent.is_dir():   # checked before the run, which may take minutes
         print(f"error: out: directory {Path(path).parent} does not exist", file=sys.stderr)
         return 1
+    if Path(path).is_dir():
+        print(f"error: out: {path} is a directory", file=sys.stderr)
+        return 1
     result = _dispatch(cfg, threads)
     try:
         with open(path, "w", newline="") as fh:

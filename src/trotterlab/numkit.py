@@ -18,7 +18,6 @@ from .errors import NonFinite, NonHermitian
 __all__ = [
     "EigenSystem",
     "hermitian_eig",
-    "expm_hermitian",
     "spectral_norm",
     "hermitian_norm",
     "unitary_distance",
@@ -97,11 +96,6 @@ def hermitian_eig(matrix) -> EigenSystem:
     require_hermitian(arr)
     w, v = np.linalg.eigh(arr)
     return EigenSystem(eigenvalues=w, eigenvectors=v)
-
-
-def expm_hermitian(matrix, theta: float) -> np.ndarray:
-    """Unitary exponential ``exp(i * theta * M)`` of a Hermitian matrix M."""
-    return hermitian_eig(matrix).exp(theta)
 
 
 def spectral_norm(matrix) -> float:

@@ -15,7 +15,9 @@ to fold the l sum and O(N^2 log N) for one inverse DFT per diagonal j - m.
 The *_remainder functions measure how well the discrete quantization obeys
 the standard semiclassical calculus (symbol composition, commutator vs
 Poisson bracket, sup-norm bound, conjugation vs classical flow) so the
-expected powers of h can be verified by parameter sweeps.
+expected powers of h can be verified by parameter sweeps. The commutator
+and flow-conjugation defects of real symbols are Hermitian and take their
+norm by eigenvalues; the composition defect is not normal and takes an SVD.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import expm_hermitian, hermitian_norm, spectral_norm
+from .numkit import hermitian_norm, require_hermitian, spectral_norm
 from .symbols import TorusSymbol, poisson_bracket, product, pullback_split_flow
 
 __all__ = [
@@ -97,11 +99,14 @@ def composition_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationConte
 def commutator_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContext) -> float:
     """Norm defect of the commutator formula; expected O(h^3).
 
-    Measures || [op(a), op(b)] - (h / i) op({a, b}) ||.
+    Measures || [op(a), op(b)] - (h / i) op({a, b}) ||. For real symbols
+    i times that difference is Hermitian, so its norm is taken by eigenvalues.
     """
+    if not (a.is_real() and b.is_real()):
+        raise ValueError("commutator defect is defined for real-valued symbols")
     qa, qb = quantize(a, ctx), quantize(b, ctx)
     bracket = quantize(poisson_bracket(a, b), ctx)
-    return spectral_norm(qa @ qb - qb @ qa - (ctx.h / 1j) * bracket)
+    return hermitian_norm(1j * (qa @ qb - qb @ qa) - ctx.h * bracket)
 
 
 def cv_gap(a: TorusSymbol, ctx: QuantizationContext) -> float:
@@ -121,13 +126,22 @@ def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
 
     Measures || e^{i t B / h} op(a) e^{-i t B / h} - op(a o phi_t) || where
     B = op(generator) and phi_t is the split generator's Hamiltonian flow.
-    The flowed symbol is sampled on an M x M grid, M = max(256, 4 N), and
-    truncated to order M/4 >= N, which keeps every coefficient the
-    quantization can resolve.
+    The flowed symbol interpolates M = max(256, 4 N) samples on the flowed
+    axis (orders up to M/2 >= 2 N). B is diagonal or circulant; in its
+    eigenbasis the conjugation is the entrywise phase e^{i t (w_k - w_l) / h}.
     """
     if abs(t) > 1.0:
         raise ValueError(f"|t| <= 1 expected, got {t}")
+    if not a.is_real():
+        raise ValueError("flow conjugation defect is defined for real-valued symbols")
     flowed = pullback_split_flow(a, generator, t, max(256, 4 * ctx.N))   # NotSplit guards here
-    u = expm_hermitian(quantize(generator, ctx), t / ctx.h)
-    evolved = u @ quantize(a, ctx) @ u.conj().T
-    return spectral_norm(evolved - quantize(TorusSymbol.from_samples(flowed), ctx))
+    b = quantize(generator, ctx)
+    require_hermitian(b)
+    qa, qf = quantize(a, ctx), quantize(flowed, ctx)
+    if generator.is_x_only():
+        w = np.diag(b).real
+    else:   # a circulant: its eigenvalues are the DFT of its first column
+        w = np.fft.fft(b[:, 0]).real
+        qa, qf = (np.fft.ifft(np.fft.fft(m, axis=0), axis=1) for m in (qa, qf))   # F M F^-1
+    phase = np.exp(1j * (t / ctx.h) * w)
+    return hermitian_norm(phase[:, None] * qa * phase.conj()[None, :] - qf)

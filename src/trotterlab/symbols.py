@@ -6,10 +6,9 @@ A symbol is a trigonometric polynomial
 
 stored as its finite coefficient lattice. Products and Poisson brackets are
 computed exactly in coefficient space, so every calculus identity below is
-exact up to round-off. General (non-polynomial) symbols, such as pullbacks
-under a classical flow, are plain M x M arrays of grid samples;
-``TorusSymbol.from_samples`` truncates them back to a coefficient lattice
-before quantization.
+exact up to round-off. A pullback under a split classical flow leaves one
+axis's orders unchanged and is interpolated on the other from M grid
+samples, so it is again a ``TorusSymbol``.
 """
 
 from __future__ import annotations
@@ -54,19 +53,6 @@ class TorusSymbol:
             raise NonFinite("symbol coefficients contain NaN or Inf")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-
-    @classmethod
-    def from_samples(cls, values: np.ndarray) -> "TorusSymbol":
-        """Truncated coefficient lattice of samples values[i, j] = a(i/M, j/M).
-
-        The cutoff M/4 guards against aliasing: coefficients beyond half
-        the Nyquist order of the sample grid are discarded.
-        """
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError(f"expected square sample grid, got shape {values.shape}")
-        m = values.shape[0]
-        idx = np.arange(-(m // 4), m // 4 + 1) % m
-        return cls((np.fft.fft2(values) / m**2)[np.ix_(idx, idx)])
 
     @property
     def order_x(self) -> int:
@@ -215,26 +201,37 @@ def _real_values(arr: np.ndarray, what: str) -> np.ndarray:
     return arr.real
 
 
+def _spectrum(samples: np.ndarray) -> np.ndarray:
+    """Orders -(M//2) .. M//2 of the interpolant of M samples along axis 0; an
+    even M's Nyquist bin is split between +-M/2, so real samples stay real."""
+    m = samples.shape[0]
+    out = (np.fft.fft(samples, axis=0) / m)[np.arange(-(m // 2), m // 2 + 1) % m]
+    if m % 2 == 0:
+        out[[0, -1]] /= 2
+    return out
+
+
 def pullback_split_flow(a: TorusSymbol, generator: TorusSymbol, t: float,
-                        resolution: int) -> np.ndarray:
-    """M x M samples of ``a`` composed with the time-t Hamiltonian flow of a
-    split generator: entry [i, j] is taken at (i/M, j/M), M = ``resolution``.
+                        resolution: int) -> TorusSymbol:
+    """``a`` composed with the time-t Hamiltonian flow of a split generator.
 
     For a generator b(x) the flow is (x, xi) -> (x, xi - t b'(x)); for b(xi)
     it is (x, xi) -> (x + t b'(xi), xi). Generators depending on both
-    variables are rejected (NotSplit). The flowed points wrap modulo 1
-    automatically because ``a`` is evaluated as a 1-periodic polynomial.
+    variables are rejected (NotSplit). The unmoved variable keeps ``a``'s
+    orders exactly; along the other the result is the trigonometric
+    interpolant of M = ``resolution`` samples at i/M, so it equals the flowed
+    symbol at every point (i/M, j/M) and has order M // 2 on that axis. The
+    flowed points wrap modulo 1 because ``a`` is a 1-periodic polynomial.
     """
     grid = np.arange(resolution) / resolution
-    on_x, on_xi = _modes(grid, a.order_x), _modes(grid, a.order_xi)
     if generator.is_x_only():
-        # a(x_i, xi_j - t r_i) = sum_kap [sum_k c E_x[i, k] e^{-2i pi kap t r_i}] E_xi[j, kap]
+        # a(x_i, xi - t r_i) = sum_kap [sum_k c E_x[i, k] e^{-2i pi kap t r_i}] e^{2i pi kap xi}
         rate = _real_values(np.asarray(generator.dx().evaluate(grid, 0.0)), "generator derivative")
-        values = ((on_x @ a.coeffs) * _modes(-t * rate, a.order_xi)) @ on_xi.T
-    elif generator.is_xi_only():
-        # a(x_i + t r_j, xi_j) = sum_k E_x[i, k] [e^{2i pi k t r_j} (C E_xi)[j, k]]
+        return TorusSymbol(_spectrum((_modes(grid, a.order_x) @ a.coeffs)
+                                     * _modes(-t * rate, a.order_xi)))
+    if generator.is_xi_only():
+        # a(x + t r_j, xi_j) = sum_k e^{2i pi k x} [e^{2i pi k t r_j} (C E_xi)[j, k]]
         rate = _real_values(np.asarray(generator.dxi().evaluate(0.0, grid)), "generator derivative")
-        values = on_x @ (_modes(t * rate, a.order_x) * (on_xi @ a.coeffs.T)).T
-    else:
-        raise NotSplit("flow generator must depend on x only or on xi only")
-    return values
+        return TorusSymbol(_spectrum(_modes(t * rate, a.order_x)
+                                     * (_modes(grid, a.order_xi) @ a.coeffs.T)).T)
+    raise NotSplit("flow generator must depend on x only or on xi only")

@@ -14,13 +14,14 @@ import time
 
 import numpy as np
 import pytest
+from oracles import expm_hermitian
 from test_quantize import brute_force_quantize
 
 from trotterlab.cli import _dispatch, evaluate_criteria, parse_config
 from trotterlab.evolve import SplittingScheme, trotter_step_unitary
 from trotterlab.fourier import dft_matrix
 from trotterlab.hamiltonian import GridSpec, build_pair
-from trotterlab.numkit import expm_hermitian, hermitian_eig, spectral_norm
+from trotterlab.numkit import hermitian_eig, spectral_norm
 from trotterlab.quantize import QuantizationContext, quantize
 from trotterlab.symbols import cosine_x, cosine_xi, product, sine_x
 

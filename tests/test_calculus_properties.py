@@ -3,13 +3,14 @@
 Grid sizes N run over 3..40, odd and non-power-of-two included. Coefficient
 lattices reach past N in both directions, so the fold of k modulo N and the
 fold of kap over l are both exercised. Sample grids M x M run over every M
-up to 64, not only powers of two. Examples are derandomized so that
-every run draws the same cases.
+up to 64, not only powers of two; a flowed symbol is evaluated on the same
+grid. Examples are derandomized so that every run draws the same cases.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import from_samples, pullback_samples
 from test_quantize import brute_force_quantize
 
 from trotterlab.fourier import dft_matrix
@@ -117,8 +118,30 @@ def test_pullback_matches_evaluation_at_flowed_points(kx, kxi, order, on_x, t, m
         x, xi = grid[:, None] + t * rate[None, :], grid[None, :]
     want = np.array([[pointwise(a, p, q) for p, q in zip(row_x, row_xi)]
                      for row_x, row_xi in zip(*np.broadcast_arrays(x, xi))])
-    flowed = pullback_split_flow(a, generator, t, m)
+    flowed = pullback_split_flow(a, generator, t, m).evaluate(grid[:, None], grid[None, :])
     assert np.abs(flowed - want).max() <= 1e-10
+
+
+@PROPERTY
+@given(kx=st.integers(0, 5), kxi=st.integers(0, 5), order=st.integers(0, 3),
+       on_x=st.booleans(), t=st.floats(-1.0, 1.0), m=st.integers(1, 64), seed=seeds)
+@example(kx=2, kxi=3, order=2, on_x=False, t=0.7, m=64, seed=3)   # even M: Nyquist bin split
+@example(kx=2, kxi=3, order=2, on_x=True, t=-0.7, m=33, seed=4)
+def test_pullback_symbol_matches_sample_formula(kx, kxi, order, on_x, t, m, seed):
+    # the flowed TorusSymbol keeps a's orders on the unmoved axis, has order
+    # M // 2 on the other (x for a constant generator, which counts as x-only),
+    # and reproduces the M x M sample formula on the grid
+    a = random_symbol(seed, kx, kxi)
+    generator = random_symbol(seed + 1, order, 0, real=True) if on_x else \
+        random_symbol(seed + 1, 0, order, real=True)
+    flowed = pullback_split_flow(a, generator, t, m)
+    moved_x = on_x or order == 0
+    assert (flowed.order_x, flowed.order_xi) == ((m // 2, kxi) if moved_x else (kx, m // 2))
+    grid = np.arange(m) / m
+    want = pullback_samples(a, generator, t, m)
+    assert np.abs(flowed.evaluate(grid[:, None], grid[None, :]) - want).max() <= 1e-12
+    # an even M's Nyquist order is split evenly, so a real symbol flows to a real one
+    assert pullback_split_flow(random_symbol(seed, kx, kxi, real=True), generator, t, m).is_real()
 
 
 @PROPERTY
@@ -128,6 +151,6 @@ def test_from_samples_recovers_band_limited_symbols(m, data, seed):
     kx, kxi = data.draw(st.integers(0, m // 4)), data.draw(st.integers(0, m // 4))
     sym = random_symbol(seed, kx, kxi)
     grid = np.arange(m) / m
-    back = TorusSymbol.from_samples(sym.evaluate(grid[:, None], grid[None, :]))
+    back = from_samples(sym.evaluate(grid[:, None], grid[None, :]))
     assert back.order_x == back.order_xi == m // 4
     assert np.abs((back - sym).coeffs).max() <= 1e-12 * (2 * kx + 1) * (2 * kxi + 1)

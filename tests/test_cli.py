@@ -395,6 +395,14 @@ class TestRun:
         assert main(["commutator-scan", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: out: ")
 
+    def test_out_naming_a_directory_rejected_before_compute(self, tmp_path, monkeypatch, capsys):
+        def no_run(cfg, threads):
+            raise AssertionError("the run started before the output path was checked")
+        monkeypatch.setattr(trotterlab.cli, "_dispatch", no_run)
+        cfg = parse_config(json.dumps(SMALL_SCAN))
+        assert run(cfg, out=str(tmp_path), stream=io.StringIO()) == 1
+        assert capsys.readouterr().err == f"error: out: {tmp_path} is a directory\n"
+
     def test_any_grid_size_for_calculus_check(self, tmp_path):
         # N = 96 is no power of two; the calculus orders hold there as well
         doc = {"command": "calculus-check", "N_values": [16, 32, 96]}

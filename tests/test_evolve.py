@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import expm_hermitian
 
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
@@ -24,7 +25,7 @@ from trotterlab.hamiltonian import (
     cosine_observable,
     momentum_observable,
 )
-from trotterlab.numkit import expm_hermitian, hermitian_eig, spectral_norm, unitary_distance
+from trotterlab.numkit import hermitian_eig, spectral_norm, unitary_distance
 
 
 @pytest.fixture(scope="module")

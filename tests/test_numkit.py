@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from oracles import expm_hermitian
 
 from trotterlab.errors import NonFinite, NonHermitian
 from trotterlab.numkit import (
     EigenSystem,
-    expm_hermitian,
     hermitian_eig,
     spectral_norm,
 )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import expm_hermitian
 
 from trotterlab.evolve import (
     EvolutionPlan,
@@ -33,7 +34,6 @@ from trotterlab.hamiltonian import (
 )
 from trotterlab.numkit import (
     UNITARY_EIG_MIN,
-    expm_hermitian,
     hermitian_eig,
     hermitian_norm,
     spectral_norm,

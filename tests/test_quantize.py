@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import expm_hermitian, from_samples, pullback_samples
 
 from trotterlab.errors import NotSplit
 from trotterlab.fourier import dft_matrix
@@ -13,13 +14,15 @@ from trotterlab.quantize import (
     quantize,
 )
 from trotterlab.symbols import (
-    TorusSymbol,
     constant,
     cosine_x,
     cosine_xi,
+    harmonic,
+    poisson_bracket,
     product,
     pullback_split_flow,
     sine_x,
+    sine_xi,
 )
 
 
@@ -122,12 +125,13 @@ class TestQuantize:
 
 
 class TestQuantizeSampled:
-    """Samples quantize through TorusSymbol.from_samples at the default order M/4."""
+    """Samples quantize through the from_samples oracle at the default order M/4;
+    a flowed symbol quantizes directly."""
 
     @staticmethod
     def quantize_samples(a, m, ctx):
         grid = np.arange(m) / m
-        return quantize(TorusSymbol.from_samples(a.evaluate(grid[:, None], grid[None, :])), ctx)
+        return quantize(from_samples(a.evaluate(grid[:, None], grid[None, :])), ctx)
 
     def test_sampled_constant_identity(self):
         ctx = QuantizationContext(8)
@@ -147,8 +151,7 @@ class TestQuantizeSampled:
         ctx = QuantizationContext(8)
         sym = product(cosine_x(), cosine_xi())
         flowed = pullback_split_flow(sym, constant(0.0), 1.0, 64)
-        assert np.abs(quantize(TorusSymbol.from_samples(flowed), ctx)
-                      - quantize(sym, ctx)).max() < 1e-10
+        assert np.abs(quantize(flowed, ctx) - quantize(sym, ctx)).max() < 1e-10
 
 
 class TestCalculusRemainders:
@@ -239,3 +242,45 @@ class TestCalculusRemainders:
         for n in (8, 16, 32, 64, 128, 256):
             ctx = QuantizationContext(n)
             assert spectral_norm(quantize(sym, ctx)) <= sup + 25.0 * ctx.h
+
+
+class TestRemaindersAgainstDenseOracles:
+    """The fast remainders against the dense forms they replace.
+
+    The Egorov oracle samples the flowed symbol on the M x M grid, truncates
+    it to order M/4, forms e^{itB/h} from a complex eigendecomposition and
+    takes the norm by SVD; the commutator oracle takes its norm by SVD. Both
+    must agree within the round-off floor 1e-11 N. At t = 0.3 the flowed
+    symbol's coefficients beyond order M/4 >= 64 are below 1e-15, so the
+    oracle's truncation does not show.
+    """
+
+    a = product(cosine_x(), cosine_xi()) + 0.5 * sine_x() + 0.3 * cosine_xi()
+
+    @pytest.mark.parametrize("generator", [cosine_xi() + 0.2 * sine_xi(2),
+                                           cosine_x() + 0.2 * sine_x(2)],
+                             ids=["xi_only", "x_only"])
+    @pytest.mark.parametrize("n", [7, 16, 33, 96])
+    def test_egorov_matches_dense_oracle(self, n, generator):
+        t, ctx = 0.3, QuantizationContext(n)
+        flowed = from_samples(pullback_samples(self.a, generator, t, max(256, 4 * n)))
+        u = expm_hermitian(quantize(generator, ctx).astype(np.complex128), t / ctx.h)
+        oracle = spectral_norm(u @ quantize(self.a, ctx) @ u.conj().T - quantize(flowed, ctx))
+        assert abs(egorov_remainder(self.a, generator, t, ctx) - oracle) <= 1e-11 * n
+
+    @pytest.mark.parametrize("n", [7, 16, 33, 96])
+    def test_commutator_matches_svd_form(self, n):
+        b = cosine_xi() + 0.2 * sine_xi(2) + 0.3 * product(sine_x(), cosine_xi())
+        ctx = QuantizationContext(n)
+        qa, qb = quantize(self.a, ctx), quantize(b, ctx)
+        bracket = quantize(poisson_bracket(self.a, b), ctx)
+        oracle = spectral_norm(qa @ qb - qb @ qa - (ctx.h / 1j) * bracket)
+        assert abs(commutator_remainder(self.a, b, ctx) - oracle) <= 1e-11 * n
+
+    def test_complex_symbols_rejected(self):
+        # the Hermitian norms hold only for real symbols
+        ctx, wave = QuantizationContext(8), harmonic(1, 0)
+        with pytest.raises(ValueError, match="real-valued"):
+            commutator_remainder(wave, cosine_xi(), ctx)
+        with pytest.raises(ValueError, match="real-valued"):
+            egorov_remainder(wave, cosine_xi(), 0.5, ctx)
