@@ -95,9 +95,16 @@ class TorusSymbol:
 
     def is_real(self) -> bool:
         """True when the symbol is real-valued: c_{-k,-kap} = conj(c_{k,kap})."""
-        flipped = np.conj(self.coeffs[::-1, ::-1])
+        return self._equals(np.conj(self.coeffs[::-1, ::-1]))
+
+    def is_xi_hermitian(self) -> bool:
+        """True when a(x, -xi) = conj a(x, xi): c_{k,kap} = conj(c_{-k,kap}).
+        For a real symbol this is evenness in xi; op(a) is then real at every N."""
+        return self._equals(np.conj(self.coeffs[::-1, :]))
+
+    def _equals(self, coeffs: np.ndarray) -> bool:
         scale = max(np.abs(self.coeffs).max(), 1.0)
-        return bool(np.abs(self.coeffs - flipped).max() <= _REALITY_TOL * scale)
+        return bool(np.abs(self.coeffs - coeffs).max() <= _REALITY_TOL * scale)
 
     def is_x_only(self) -> bool:
         kxi = self.order_xi
@@ -110,19 +117,25 @@ class TorusSymbol:
         return off.size == 0 or np.abs(off).max() <= _REALITY_TOL
 
     def sup_abs(self) -> float:
-        """sup |a| over the torus by dense sampling.
+        """sup |a| over the torus by dense sampling, kept on the (immutable) symbol.
 
         Single-variable symbols are sampled at 4096 points along their axis;
-        genuinely mixed symbols on a 1024 x 1024 lattice (extrema of
-        low-order trigonometric polynomials are lattice-commensurate, so
-        this is ample).
+        genuinely mixed symbols on a 1024 x 1024 lattice, as two matrix
+        products E_x C E_xi^T (extrema of low-order trigonometric polynomials
+        are lattice-commensurate, so this is ample).
         """
+        if "_sup" not in self.__dict__:
+            self.__dict__["_sup"] = self._sampled_sup()
+        return self.__dict__["_sup"]
+
+    def _sampled_sup(self) -> float:
         if self.is_x_only() or self.is_xi_only():
             grid = np.arange(4096) / 4096
             axes = (grid, 0.0) if self.is_x_only() else (0.0, grid)
             return float(np.abs(self.evaluate(*axes)).max())
         grid = np.arange(1024) / 1024
-        return float(np.abs(self.evaluate(grid[:, None], grid[None, :])).max())
+        return float(np.abs(_modes(grid, self.order_x) @ self.coeffs
+                            @ _modes(grid, self.order_xi).T).max())
 
     def __add__(self, other: "TorusSymbol") -> "TorusSymbol":
         kx = max(self.order_x, other.order_x)

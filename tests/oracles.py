@@ -1,9 +1,11 @@
 """Dense and sample-based oracles shared by the test modules.
 
 ``expm_hermitian`` forms exp(i theta M) densely from an eigendecomposition,
-``pullback_samples`` writes a split-flow pullback as its M x M grid samples,
-and ``from_samples`` truncates such samples to a coefficient lattice by one
-2-D DFT. The library reaches the same results by cheaper routes.
+``dense_quantize`` sums the complex quantization of a symbol one lattice
+point at a time, ``pullback_samples`` writes a split-flow pullback as its
+M x M grid samples, and ``from_samples`` truncates such samples to a
+coefficient lattice by one 2-D DFT. The library reaches the same results by
+cheaper routes.
 """
 
 import numpy as np
@@ -15,6 +17,19 @@ from trotterlab.symbols import TorusSymbol
 def expm_hermitian(matrix, theta: float) -> np.ndarray:
     """Unitary exponential ``exp(i * theta * M)`` of a Hermitian matrix M."""
     return hermitian_eig(matrix).exp(theta)
+
+
+def dense_quantize(symbol: TorusSymbol, n: int) -> np.ndarray:
+    """Complex N x N quantization, one dense term per lattice point (k, kap):
+    A[m, j] += c(k, kap) (-1)^(k l) exp(i pi (j + m) k / N) wherever
+    j - m - l N = kap for an integer l."""
+    m, j = np.indices((n, n))
+    out = np.zeros((n, n), dtype=np.complex128)
+    for (row, col), c in np.ndenumerate(symbol.coeffs):
+        k, kap = row - symbol.order_x, col - symbol.order_xi
+        l, rest = np.divmod(j - m - kap, n)
+        out += np.where(rest == 0, c * (-1.0) ** (k * l) * np.exp(1j * np.pi * (j + m) * k / n), 0)
+    return out
 
 
 def from_samples(values: np.ndarray) -> TorusSymbol:

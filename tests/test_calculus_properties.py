@@ -1,16 +1,17 @@
 """Property tests of the quantization and symbol-sampling kernels on any grid.
 
-Grid sizes N run over 3..40, odd and non-power-of-two included. Coefficient
-lattices reach past N in both directions, so the fold of k modulo N and the
-fold of kap over l are both exercised. Sample grids M x M run over every M
-up to 64, not only powers of two; a flowed symbol is evaluated on the same
-grid. Examples are derandomized so that every run draws the same cases.
+Grid sizes N run over 3..40 (1..64 for the real typing), odd and
+non-power-of-two included. Coefficient lattices reach past N in both
+directions, so the fold of k modulo N and the fold of kap over l are both
+exercised. Sample grids M x M run over every M up to 64, not only powers of
+two; a flowed symbol is evaluated on the same grid. Examples are
+derandomized so that every run draws the same cases.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import from_samples, pullback_samples
+from oracles import dense_quantize, from_samples, pullback_samples
 from test_quantize import brute_force_quantize
 
 from trotterlab.fourier import dft_matrix
@@ -54,6 +55,28 @@ def test_quantize_matches_coordinate_sum(shape, seed):
     sym = random_symbol(seed, kx, kxi)
     fast = quantize(sym, QuantizationContext(n))
     assert np.abs(fast - brute_force_quantize(sym, n)).max() <= 1e-10
+
+
+def with_xi_parity(symbol: TorusSymbol, parity: str) -> TorusSymbol:
+    """The xi-even or xi-odd part of a symbol (both stay real), or the symbol itself."""
+    flipped = symbol.coeffs[:, ::-1]
+    sign = {"even": 1.0, "odd": -1.0, "mixed": None}[parity]
+    return symbol if sign is None else TorusSymbol((symbol.coeffs + sign * flipped) / 2)
+
+
+@PROPERTY
+@given(n=st.integers(1, 64), seed=seeds, kx=st.integers(0, 6), kxi=st.integers(1, 6),
+       parity=st.sampled_from(["even", "odd", "mixed"]))
+@example(n=1, seed=3, kx=2, kxi=3, parity="odd")
+@example(n=4, seed=5, kx=6, kxi=6, parity="even")   # both lattice extents wider than N
+def test_real_typing_matches_dense_quantization(n, seed, kx, kxi, parity):
+    # a real symbol quantizes to float64 exactly when it is even in xi (real
+    # symmetric); odd in xi it is i times a real antisymmetric matrix
+    sym = with_xi_parity(random_symbol(seed, kx, kxi, real=True), parity)
+    mat = quantize(sym, QuantizationContext(n))
+    assert (mat.dtype == np.float64) == (parity == "even")
+    assert mat.dtype in (np.float64, np.complex128)
+    assert np.abs(mat - dense_quantize(sym, n)).max() <= 1e-12 * n
 
 
 @PROPERTY

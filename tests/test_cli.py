@@ -82,6 +82,21 @@ class TestParseConfig:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field}:")
 
+    def test_domain_of_other_length_rejected(self, tmp_path, capsys, monkeypatch):
+        # [-pi, pi/2] gives integral N = 32 .. 256, yet cos x and cos_x wrap
+        # discontinuously there: the run would fail all 8 h-flat checks
+        # while its labels claim the cos potential and the cos_x observable
+        doc = {"command": "sweep-h", "domain": [-math.pi, math.pi / 2],
+               "h_values": [3 / 128, 3 / 256, 3 / 512, 3 / 1024]}
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.field == "domain"
+        monkeypatch.setattr(trotterlab.cli, "_dispatch", lambda *args: pytest.fail("computed"))
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep-h", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: domain: ")
+
     def test_odd_grid_rejected_for_spectral_momentum(self):
         # domain [0, 2 pi] puts N = 1/h points on the grid: h = 0.2 gives N = 5
         base = {"observables": ["momentum_spectral"], "domain": [0, 6.283185307179586]}

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import trotterlab.quantize
 from trotterlab import experiments
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonMonotone, TooFewPoints, Unreachable, ValidationError
@@ -17,6 +20,7 @@ from trotterlab.experiments import (
     sweep_h,
     sweep_timestep,
 )
+from trotterlab.symbols import TorusSymbol
 
 
 class TestFitLoglogSlope:
@@ -204,6 +208,25 @@ class TestGridRelation:
         grid = experiments.canonical_grid(2.0**-8, (-np.pi + 0.37, np.pi + 0.37), "h")
         assert grid.N == 256 and abs(grid.relation_residual) <= 1e-9 * 256
 
+    # [-pi, pi/2] with h = 3/128 .. 3/1024 gives integral N = 32 .. 256, but
+    # cos x and cos_x then wrap discontinuously and leave the symbol class
+    @pytest.mark.parametrize("sweep", [
+        lambda: sweep_timestep(s_values=[0.1], h=3 / 128, domain=(-math.pi, math.pi / 2)),
+        lambda: sweep_h(h_values=[3 / 128, 3 / 256, 3 / 512, 3 / 1024], s_fixed=0.1,
+                        domain=(-math.pi, math.pi / 2)),
+        lambda: commutator_scan([3 / 128, 3 / 256], domain=(-math.pi, math.pi / 2)),
+        lambda: query_count_study(epsilons=[0.1], h_values=[3 / 128],
+                                  domain=(-math.pi, math.pi / 2)),
+    ], ids=["sweep_timestep", "sweep_h", "commutator_scan", "query_count_study"])
+    def test_domain_of_other_length_rejected_before_compute(self, monkeypatch, sweep):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("grid built before the domain was validated")
+
+        monkeypatch.setattr(experiments, "build_pair", no_compute)
+        with pytest.raises(ValidationError) as err:
+            sweep()
+        assert err.value.field == "domain"
+
 
 @pytest.fixture(scope="module")
 def scan():
@@ -268,6 +291,25 @@ class TestCalculusSuite:
         assert res.fits["composition_remainder"].slope >= 1.8
         assert res.fits["commutator_remainder"].slope >= 2.7
         assert res.fits["egorov_remainder"].slope >= 1.8
+
+    def test_each_operator_quantized_once(self, monkeypatch):
+        # per grid: a, b, a b, {a, b} / i, a + b and the flowed symbol, each
+        # quantized once; sup|a + b| sampled once for the whole run
+        calls = {"quantize": 0, "mixed_sup": 0}
+        quantize, sampled_sup = trotterlab.quantize.quantize, TorusSymbol._sampled_sup
+
+        def counted_quantize(symbol, ctx):
+            calls["quantize"] += 1
+            return quantize(symbol, ctx)
+
+        def counted_sup(symbol):
+            calls["mixed_sup"] += not (symbol.is_x_only() or symbol.is_xi_only())
+            return sampled_sup(symbol)
+
+        monkeypatch.setattr(trotterlab.quantize, "quantize", counted_quantize)
+        monkeypatch.setattr(TorusSymbol, "_sampled_sup", counted_sup)
+        calculus_suite([16, 32, 64, 128, 256, 512])
+        assert calls["quantize"] <= 36 and calls["mixed_sup"] == 1
 
     def test_cv_rows_present(self):
         res = calculus_suite([16, 32])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import expm_hermitian, from_samples, pullback_samples
+from oracles import dense_quantize, expm_hermitian, from_samples, pullback_samples
 
 from trotterlab.errors import NotSplit
 from trotterlab.fourier import dft_matrix
@@ -249,7 +249,9 @@ class TestRemaindersAgainstDenseOracles:
 
     The Egorov oracle samples the flowed symbol on the M x M grid, truncates
     it to order M/4, forms e^{itB/h} from a complex eigendecomposition and
-    takes the norm by SVD; the commutator oracle takes its norm by SVD. Both
+    takes the norm by SVD. The commutator and composition oracles quantize
+    every part densely in complex arithmetic and take a complex SVD, also
+    for pairs even in xi, whose defects the library forms in float64. All
     must agree within the round-off floor 1e-11 N. At t = 0.3 the flowed
     symbol's coefficients beyond order M/4 >= 64 are below 1e-15, so the
     oracle's truncation does not show.
@@ -268,14 +270,28 @@ class TestRemaindersAgainstDenseOracles:
         oracle = spectral_norm(u @ quantize(self.a, ctx) @ u.conj().T - quantize(flowed, ctx))
         assert abs(egorov_remainder(self.a, generator, t, ctx) - oracle) <= 1e-11 * n
 
+    @pytest.mark.parametrize("b", [cosine_xi() + 0.3 * product(sine_x(), cosine_xi()),
+                                   cosine_xi() + 0.2 * sine_xi(2)],
+                             ids=["xi_even", "mixed"])
+    @pytest.mark.parametrize("n", [7, 16, 33, 96])
+    def test_composition_matches_dense_oracle(self, n, b):
+        # xi_even: every part is real and the defect is normed in float64
+        ctx = QuantizationContext(n)
+        qa, qb, leading, bracket = (dense_quantize(sym, n) for sym in (
+            self.a, b, product(self.a, b), poisson_bracket(self.a, b)))
+        oracle = spectral_norm(qa @ qb - leading - (ctx.h / 2j) * bracket)
+        assert abs(composition_remainder(self.a, b, ctx) - oracle) <= 1e-11 * n
+
     @pytest.mark.parametrize("n", [7, 16, 33, 96])
     def test_commutator_matches_svd_form(self, n):
-        b = cosine_xi() + 0.2 * sine_xi(2) + 0.3 * product(sine_x(), cosine_xi())
         ctx = QuantizationContext(n)
-        qa, qb = quantize(self.a, ctx), quantize(b, ctx)
-        bracket = quantize(poisson_bracket(self.a, b), ctx)
-        oracle = spectral_norm(qa @ qb - qb @ qa - (ctx.h / 1j) * bracket)
-        assert abs(commutator_remainder(self.a, b, ctx) - oracle) <= 1e-11 * n
+        # the first b gives a complex defect, the second (even in xi) a float64 one
+        for b in (cosine_xi() + 0.2 * sine_xi(2) + 0.3 * product(sine_x(), cosine_xi()),
+                  cosine_xi() + 0.3 * product(sine_x(), cosine_xi())):
+            qa, qb, bracket = (dense_quantize(sym, n) for sym in (
+                self.a, b, poisson_bracket(self.a, b)))
+            oracle = spectral_norm(qa @ qb - qb @ qa - (ctx.h / 1j) * bracket)
+            assert abs(commutator_remainder(self.a, b, ctx) - oracle) <= 1e-11 * n
 
     def test_complex_symbols_rejected(self):
         # the Hermitian norms hold only for real symbols
