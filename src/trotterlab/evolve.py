@@ -2,10 +2,13 @@
 
 The exact propagator U(t) = e^{-i H t / h} comes from the cached
 eigendecomposition of H (real for the real symmetric H of the grid). Each
-split-step factor is diagonal in position or in the Fourier basis, so the
-one-step matrix W is assembled in O(N^2 log N), and W^n is formed by binary
-powering in O(N^3 log n). U and the relative propagator V = W^n U^dag are
-the only propagators: the unitary and observable errors read V, and the
+split-step factor is diagonal in position or in the Fourier basis, so Lie's
+one-step matrix W_L = e^{-i B s/h} e^{-i A s/h} is assembled in
+O(N^2 log N), and G = W_L^n is formed by binary powering in O(N^3 log n).
+Strang's step is Lie's conjugated by the half potential step
+P = e^{-i B s/2h}: W_S = P^dag W_L P, so W_S^n = P^dag G P and one power per
+step size serves both schemes. U and the relative propagator V = W^n U^dag
+are the only propagators: the unitary and observable errors read V, and the
 split state W^n psi is V (U psi). Observables stay factored: O V is a row
 scaling in the basis that diagonalizes O, and O applies to states by FFT.
 """
@@ -28,6 +31,7 @@ __all__ = [
     "EvolutionPlan",
     "exact_unitary",
     "trotter_step_unitary",
+    "lie_power",
     "relative_propagator",
     "observable_error",
     "gaussian_wavepacket",
@@ -44,16 +48,6 @@ class SplittingScheme(enum.Enum):
 
     LIE1 = "Lie1"
     STRANG2 = "Strang2"
-
-
-# One split step as (operator, fraction of s) rows in application order:
-# A is the kinetic part, B the potential. Lie1 applies exp(-i A s/h) then
-# exp(-i B s/h); Strang2 sandwiches the kinetic factor between two
-# half-steps of the potential.
-_STAGES = {
-    SplittingScheme.LIE1: (("A", 1.0), ("B", 1.0)),
-    SplittingScheme.STRANG2: (("B", 0.5), ("A", 1.0), ("B", 0.5)),
-}
 
 
 @dataclass(frozen=True)
@@ -88,12 +82,9 @@ def exact_unitary(eig: EigenSystem, t: float, h: float) -> np.ndarray:
     return eig.exp(-t / h)
 
 
-def _step_factors(pair: HamiltonianPair, scheme: SplittingScheme,
-                  s: float, h: float) -> list[FactoredOperator]:
-    """Unitary phase factors exp(-i X (fraction * s) / h) of one split step."""
-    ops = {"A": pair.kinetic.factored, "B": pair.potential.factored}
-    return [FactoredOperator(ops[name].kind, np.exp(-1j * (frac * s) / h * ops[name].diag))
-            for name, frac in _STAGES[scheme]]
+def _phase(op: FactoredOperator, s: float, h: float) -> FactoredOperator:
+    """Unitary factor exp(-i X s / h) of a factored Hermitian X."""
+    return FactoredOperator(op.kind, np.exp(-1j * s / h * op.diag))
 
 
 def _apply_factors(factors, mat: np.ndarray) -> np.ndarray:
@@ -105,20 +96,35 @@ def _apply_factors(factors, mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def trotter_step_unitary(pair: HamiltonianPair, scheme: SplittingScheme,
-                         s: float, h: float) -> np.ndarray:
-    """Dense matrix of one split step (assembled through the fast path)."""
-    factors = _step_factors(pair, scheme, s, h)
+def trotter_step_unitary(pair: HamiltonianPair, s: float, h: float) -> np.ndarray:
+    """Dense matrix of Lie's split step W_L = e^{-i B s/h} e^{-i A s/h}: the
+    kinetic factor A first, then the potential B, assembled through the fast path."""
+    factors = (_phase(pair.kinetic.factored, s, h), _phase(pair.potential.factored, s, h))
     return _apply_factors(factors, np.eye(pair.grid.N, dtype=np.complex128))
 
 
-def relative_propagator(pair: HamiltonianPair, plan: EvolutionPlan, u: np.ndarray) -> np.ndarray:
-    """V = W^n U^dag, with W^n the one-step matrix raised by binary powering and
-    U = U(plan.t). The spectral norm is unitarily invariant, so ||V - 1|| = ||W^n - U||
-    and ||V^dag O V - O|| = ||W^n^dag O W^n - U^dag O U||.
+def lie_power(pair: HamiltonianPair, s: float, n: int, h: float) -> np.ndarray:
+    """G = W_L^n by binary powering: the one step power behind both schemes."""
+    return np.linalg.matrix_power(trotter_step_unitary(pair, s, h), n)
+
+
+def relative_propagator(pair: HamiltonianPair, plan: EvolutionPlan, power: np.ndarray,
+                        u: np.ndarray) -> np.ndarray:
+    """V = W^n U^dag, with ``power`` = G = ``lie_power(pair, plan.s, plan.n, plan.h)``
+    and U = U(plan.t).
+
+    Lie1 gives V = G U^dag. Strang2 gives V = P^dag (G (P U^dag)), since
+    W_S^n = P^dag W_L^n P with the half potential step P = e^{-i B s/2h}; the
+    P factors are row scalings, so either scheme costs one product. The spectral
+    norm is unitarily invariant, so ||V - 1|| = ||W^n - U|| and
+    ||V^dag O V - O|| = ||W^n^dag O W^n - U^dag O U||.
     """
-    step = trotter_step_unitary(pair, plan.scheme, plan.s, plan.h)
-    return np.linalg.matrix_power(step, plan.n) @ u.conj().T
+    u_adj = u.conj().T
+    if plan.scheme is SplittingScheme.LIE1:
+        return power @ u_adj
+    potential = pair.potential.factored
+    half, back = _phase(potential, plan.s / 2.0, plan.h), _phase(potential, -plan.s / 2.0, plan.h)
+    return _apply_factors((back,), power @ _apply_factors((half,), u_adj))
 
 
 def _real_diagonal(observable: FactoredOperator) -> np.ndarray:

@@ -25,6 +25,7 @@ from .evolve import (
     exact_unitary,
     expectation_error,
     gaussian_wavepacket,
+    lie_power,
     observable_error,
     relative_propagator,
 )
@@ -288,12 +289,14 @@ def _build_setup(grid: GridSpec, potential: str, observables, field: str):
 
 def _error_rows(setup, schemes, s: float, n: int, h: float,
                 with_unitary: bool = False) -> list[tuple]:
-    """Error rows of one sweep point: n steps of size s on one grid setup."""
+    """Error rows of one sweep point: n steps of size s on one grid setup.
+    Every scheme reads the one step power G = W_L^n of the point."""
     grid, pair, observables, packet, eig = setup
     u = exact_unitary(eig, n * s, h)
+    power = lie_power(pair, s, n, h)
     out = []
     for scheme in schemes:
-        v = relative_propagator(pair, EvolutionPlan(scheme, s, n, h), u)
+        v = relative_propagator(pair, EvolutionPlan(scheme, s, n, h), power, u)
         if with_unitary:
             out.append((s, h, grid.N, scheme.value, "-", "unitary_error",
                         numkit.unitary_distance(v)))
@@ -450,7 +453,8 @@ def query_count(epsilon: float, scheme, h: float, *,
 
     def error_at(n: int) -> float:
         plan = EvolutionPlan(scheme, t_total / n, n, h)
-        return observable_error(obs, relative_propagator(pair, plan, u))
+        power = lie_power(pair, plan.s, n, h)
+        return observable_error(obs, relative_propagator(pair, plan, power, u))
 
     low, high = 0, 1
     while error_at(high) > epsilon:

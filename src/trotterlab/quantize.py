@@ -24,7 +24,7 @@ bracket term enters as op({a, b} / i), so for real a, b even in xi every
 part of the composition, commutator and sup-norm defects is real and they
 are formed and normed in float64. The sup-norm and flow-conjugation defects
 of real symbols are Hermitian and take their norm by eigenvalues; the
-composition and commutator defects take an SVD.
+composition and commutator defects take it from their Gram matrix.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def composition_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationConte
 
     Measures || op(a) op(b) - op(a b) - (h / 2i) op({a, b}) ||, with the last
     term as (h / 2) op({a, b} / i): for real a, b even in xi every term is
-    real, and the defect and its SVD stay in float64.
+    real, and the defect and its norm stay in float64.
     """
     qa, qb = ctx.op(a), ctx.op(b)
     return spectral_norm(qa @ qb - ctx.op(product(a, b)) - (ctx.h / 2) * _bracket_over_i(a, b, ctx))
@@ -129,7 +129,7 @@ def commutator_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContex
     Measures || [op(a), op(b)] - (h / i) op({a, b}) ||. For real symbols
     op(a) and op(b) are Hermitian, so the commutator is P - P^dag with
     P = op(a) op(b): one product. For real a, b even in xi the difference
-    is real antisymmetric and its SVD stays in float64.
+    is real antisymmetric and its norm stays in float64.
     """
     if not (a.is_real() and b.is_real()):
         raise ValueError("commutator defect is defined for real-valued symbols")

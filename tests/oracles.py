@@ -4,19 +4,51 @@
 ``dense_quantize`` sums the complex quantization of a symbol one lattice
 point at a time, ``pullback_samples`` writes a split-flow pullback as its
 M x M grid samples, and ``from_samples`` truncates such samples to a
-coefficient lattice by one 2-D DFT. The library reaches the same results by
-cheaper routes.
+coefficient lattice by one 2-D DFT. ``stage_factors`` and ``split_step``
+write a split step as its product of stages, Strang's as the three-stage
+e^{-i B s/2h} e^{-i A s/h} e^{-i B s/2h}. The library reaches the same
+results by cheaper routes.
 """
 
 import numpy as np
 
+from trotterlab.evolve import SplittingScheme
+from trotterlab.fourier import DiagonalKind, FactoredOperator
 from trotterlab.numkit import hermitian_eig
 from trotterlab.symbols import TorusSymbol
+
+# One split step as (operator, fraction of s) rows in application order: A is
+# the kinetic part, B the potential. Lie1 applies exp(-i A s/h) then
+# exp(-i B s/h); Strang2 sandwiches the kinetic factor between two half-steps
+# of the potential.
+STAGES = {
+    SplittingScheme.LIE1: (("A", 1.0), ("B", 1.0)),
+    SplittingScheme.STRANG2: (("B", 0.5), ("A", 1.0), ("B", 0.5)),
+}
 
 
 def expm_hermitian(matrix, theta: float) -> np.ndarray:
     """Unitary exponential ``exp(i * theta * M)`` of a Hermitian matrix M."""
     return hermitian_eig(matrix).exp(theta)
+
+
+def stage_factors(pair, scheme: SplittingScheme, s: float, h: float) -> list[FactoredOperator]:
+    """Unitary phase factors exp(-i X (fraction * s) / h) of one split step, in order."""
+    ops = {"A": pair.kinetic.factored, "B": pair.potential.factored}
+    return [FactoredOperator(ops[name].kind, np.exp(-1j * (frac * s) / h * ops[name].diag))
+            for name, frac in STAGES[scheme]]
+
+
+def split_step(pair, scheme: SplittingScheme, s: float, h: float) -> np.ndarray:
+    """Dense matrix of one split step, its stages applied to the identity one
+    at a time (a Fourier-diagonal stage by FFT along the columns)."""
+    mat = np.eye(pair.grid.N, dtype=np.complex128)
+    for factor in stage_factors(pair, scheme, s, h):
+        if factor.kind is DiagonalKind.POSITION:
+            mat = factor.diag[:, None] * mat
+        else:
+            mat = np.fft.ifft(factor.diag[:, None] * np.fft.fft(mat, axis=0), axis=0)
+    return mat
 
 
 def dense_quantize(symbol: TorusSymbol, n: int) -> np.ndarray:

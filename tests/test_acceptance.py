@@ -18,7 +18,8 @@ from oracles import expm_hermitian
 from test_quantize import brute_force_quantize
 
 from trotterlab.cli import _dispatch, evaluate_criteria, parse_config
-from trotterlab.evolve import SplittingScheme, trotter_step_unitary
+from trotterlab.evolve import (EvolutionPlan, SplittingScheme, relative_propagator,
+                               trotter_step_unitary)
 from trotterlab.fourier import dft_matrix
 from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.numkit import hermitian_eig, spectral_norm
@@ -158,7 +159,9 @@ def test_criterion_9_oracle_equivalence():
             pair = build_pair(grid)
             s = 0.21
             for scheme in SplittingScheme:
-                fast = trotter_step_unitary(pair, scheme, s, h)
+                # one step with U = 1: Lie's step itself, or its half-step conjugate
+                fast = relative_propagator(pair, EvolutionPlan(scheme, s, 1, h),
+                                           trotter_step_unitary(pair, s, h), np.eye(grid.N))
                 ua = expm_hermitian(pair.kinetic.dense, -s / h)
                 ub = expm_hermitian(pair.potential.dense, -s / h)
                 if scheme is SplittingScheme.LIE1:
@@ -171,11 +174,11 @@ def test_criterion_9_oracle_equivalence():
         worst_norm = 0.0
         for _ in range(20):
             m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
-            oracle = float(np.sqrt(hermitian_eig(m.conj().T @ m).eigenvalues[-1]))
+            oracle = float(np.linalg.svd(m, compute_uv=False)[0])
             worst_norm = max(worst_norm, abs(spectral_norm(m) - oracle) / oracle)
         return worst_step, worst_norm
 
     (worst_step, worst_norm), seconds = timed(check)
     ok = worst_step <= 1e-9 and worst_norm <= 1e-9
     report(9, "oracle-equivalence", ok,
-           f"step_vs_dense={worst_step:.2e}/N norm_vs_gram={worst_norm:.2e}", seconds)
+           f"step_vs_dense={worst_step:.2e}/N norm_vs_svd={worst_norm:.2e}", seconds)

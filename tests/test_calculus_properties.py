@@ -12,7 +12,6 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import dense_quantize, from_samples, pullback_samples
-from test_quantize import brute_force_quantize
 
 from trotterlab.fourier import dft_matrix
 from trotterlab.quantize import QuantizationContext, quantize
@@ -54,7 +53,7 @@ def test_quantize_matches_coordinate_sum(shape, seed):
     n, kx, kxi = shape
     sym = random_symbol(seed, kx, kxi)
     fast = quantize(sym, QuantizationContext(n))
-    assert np.abs(fast - brute_force_quantize(sym, n)).max() <= 1e-10
+    assert np.abs(fast - dense_quantize(sym, n)).max() <= 1e-10
 
 
 def with_xi_parity(symbol: TorusSymbol, parity: str) -> TorusSymbol:

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from oracles import expm_hermitian
+from oracles import STAGES, expm_hermitian, split_step
 
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
 from trotterlab.fourier import DiagonalKind, FactoredOperator, materialize
 from trotterlab.evolve import (
-    _STAGES,
     EvolutionPlan,
     SplittingScheme,
     exact_unitary,
     expectation_error,
     gaussian_wavepacket,
+    lie_power,
     observable_error,
     relative_propagator,
     trotter_step_unitary,
@@ -51,7 +51,14 @@ def exact(hamiltonian, t, h):
 def propagators(pair, plan):
     """V = W^n U^dag and U at t = n s, as a sweep forms them."""
     u = exact(pair.total, plan.t, plan.h)
-    return relative_propagator(pair, plan, u), u
+    return relative_propagator(pair, plan, lie_power(pair, plan.s, plan.n, plan.h), u), u
+
+
+def library_step(pair, scheme, s, h):
+    """The library's one-step matrix of a scheme: V at n = 1 with U = 1 (Lie's
+    step itself, or its half-step conjugate for Strang)."""
+    plan = EvolutionPlan(scheme, s, 1, h)
+    return relative_propagator(pair, plan, trotter_step_unitary(pair, s, h), np.eye(pair.grid.N))
 
 
 def heisenberg_exact(observable, hamiltonian, t, h):
@@ -62,7 +69,7 @@ def heisenberg_exact(observable, hamiltonian, t, h):
 
 def heisenberg_trotter(observable, pair, plan):
     """Oracle: the observable conjugated by n split steps, (W^n)^dag O W^n."""
-    w = np.linalg.matrix_power(trotter_step_unitary(pair, plan.scheme, plan.s, plan.h), plan.n)
+    w = np.linalg.matrix_power(split_step(pair, plan.scheme, plan.s, plan.h), plan.n)
     return w.conj().T @ observable @ w
 
 
@@ -112,20 +119,20 @@ class TestTrotterStep:
     def test_matches_dense_oracle(self, setup, scheme):
         h, grid, pair = setup
         s = 0.17
-        fast = trotter_step_unitary(pair, scheme, s, h)
+        fast = library_step(pair, scheme, s, h)
         assert spectral_norm(fast - dense_step(pair, scheme, s, h)) <= 1e-9 * grid.N
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_unitary(self, setup, scheme):
         h, grid, pair = setup
-        u = trotter_step_unitary(pair, scheme, 0.25, h)
+        u = library_step(pair, scheme, 0.25, h)
         assert spectral_norm(u.conj().T @ u - np.eye(grid.N)) <= 1e-9 * grid.N
 
     def test_zero_potential_reduces_to_kinetic_flow(self, setup):
         h, grid, _ = setup
         pair = build_pair(grid, potential=lambda x: np.zeros_like(x))
         for scheme in SplittingScheme:
-            u = trotter_step_unitary(pair, scheme, 0.3, h)
+            u = library_step(pair, scheme, 0.3, h)
             expected = expm_hermitian(pair.kinetic.dense, -0.3 / h)
             assert spectral_norm(u - expected) <= 1e-9 * grid.N
 
@@ -133,19 +140,21 @@ class TestTrotterStep:
         h, grid, _ = setup
         pair = commuting_pair(grid)
         for scheme in SplittingScheme:
-            u = trotter_step_unitary(pair, scheme, 0.4, h)
+            u = library_step(pair, scheme, 0.4, h)
             expected = exact(pair.total, 0.4, h)
             assert spectral_norm(u - expected) <= 1e-9 * grid.N
 
     def test_strang_time_symmetry(self, setup):
         h, grid, pair = setup
-        forward = trotter_step_unitary(pair, SplittingScheme.STRANG2, 0.3, h)
-        backward = trotter_step_unitary(pair, SplittingScheme.STRANG2, -0.3, h)
+        # the library's forward step against the oracle's time-reversed stages
+        forward = library_step(pair, SplittingScheme.STRANG2, 0.3, h)
+        backward = split_step(pair, SplittingScheme.STRANG2, -0.3, h)
         assert spectral_norm(forward @ backward - np.eye(grid.N)) <= 1e-9 * grid.N
 
     def test_every_scheme_spends_one_full_step_per_operator(self):
+        # the stage table of the oracle that the library's steps are checked against
         for scheme in SplittingScheme:
-            stages = _STAGES[scheme]
+            stages = STAGES[scheme]
             for op in ("A", "B"):
                 assert sum(frac for name, frac in stages if name == op) == 1.0
 
@@ -189,7 +198,7 @@ class TestHeisenberg:
         h, grid, pair = setup
         obs = materialize(cosine_observable(grid))
         plan = EvolutionPlan(SplittingScheme.STRANG2, 0.15, 2, h)
-        u = trotter_step_unitary(pair, SplittingScheme.STRANG2, 0.15, h)
+        u = split_step(pair, SplittingScheme.STRANG2, 0.15, h)
         w = u @ u
         assert spectral_norm(heisenberg_trotter(obs, pair, plan)
                              - w.conj().T @ obs @ w) <= 1e-8 * grid.N
@@ -359,7 +368,7 @@ class TestNonPowerOfTwoGrid:
             pair = build_pair(grid)
             obs = cosine_observable(grid)
             plan = EvolutionPlan(SplittingScheme.STRANG2, 0.2, 1, h)
-            fast = trotter_step_unitary(pair, SplittingScheme.STRANG2, 0.2, h)
+            fast = library_step(pair, SplittingScheme.STRANG2, 0.2, h)
             dense = dense_step(pair, SplittingScheme.STRANG2, 0.2, h)
             assert spectral_norm(fast - dense) <= 1e-9 * grid.N
             err = observable_error(obs, propagators(pair, plan)[0])

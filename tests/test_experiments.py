@@ -187,6 +187,40 @@ class TestSweepH:
         assert err.value.field == "s_fixed"
 
 
+def _global_sweep(sweep: str, schemes) -> SweepTable:
+    """A four-point global sweep of either kind, both observables."""
+    common = {"mode": "global", "t_total": 1.0, "observables": ("cos_x", "momentum_fd"),
+              "schemes": schemes}
+    if sweep == "sweep_timestep":
+        return sweep_timestep(s_values=[2.0**-k for k in range(2, 6)], h=2.0**-5, **common).table
+    return sweep_h(h_values=[2.0**-k for k in range(3, 7)], s_fixed=0.25, **common).table
+
+
+class TestOneStepPowerPerPoint:
+    """Both schemes read the one Lie power W_L^n of a sweep point."""
+
+    @pytest.mark.parametrize("sweep", ["sweep_timestep", "sweep_h"])
+    def test_strang_rows_identical_with_and_without_lie(self, sweep):
+        alone = _global_sweep(sweep, ("Strang2",))
+        both = _global_sweep(sweep, ("Lie1", "Strang2"))
+        assert len(alone.rows) > 0
+        assert alone.rows == tuple(both.select(scheme="Strang2"))   # bit for bit
+
+    @pytest.mark.parametrize("sweep", ["sweep_timestep", "sweep_h"])
+    @pytest.mark.parametrize("schemes", [("Lie1",), ("Strang2",), ("Lie1", "Strang2")])
+    def test_one_matrix_power_per_point(self, monkeypatch, sweep, schemes):
+        powers = []
+        matrix_power = np.linalg.matrix_power
+
+        def counted(mat, n):
+            powers.append(n)
+            return matrix_power(mat, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        _global_sweep(sweep, schemes)
+        assert len(powers) == 4
+
+
 class TestGridRelation:
     # h = 0.0137 on [-pi, pi] asks for N = 72.99..., which no grid has
     @pytest.mark.parametrize("sweep, field", [
@@ -325,7 +359,7 @@ class TestQueryCount:
 
     def test_minimality(self):
         from trotterlab.evolve import (EvolutionPlan, SplittingScheme, exact_unitary,
-                                       observable_error, relative_propagator)
+                                       lie_power, observable_error, relative_propagator)
         from trotterlab.hamiltonian import GridSpec, build_pair
         from trotterlab.experiments import OBSERVABLES
         from trotterlab.numkit import hermitian_eig
@@ -336,7 +370,7 @@ class TestQueryCount:
         obs = OBSERVABLES["cos_3x"](grid)
         u = exact_unitary(hermitian_eig(pair.total), 1.0, h)
         err_at = lambda m: observable_error(obs, relative_propagator(pair, EvolutionPlan(
-            SplittingScheme.STRANG2, 1.0 / m, m, h), u))
+            SplittingScheme.STRANG2, 1.0 / m, m, h), lie_power(pair, 1.0 / m, m, h), u))
         assert err_at(n) <= eps
         if n > 1:
             assert err_at(n - 1) > eps
@@ -349,7 +383,8 @@ class TestQueryCount:
         # the search lands on n = 4, but the error rises past epsilon at n = 5
         # (the stand-in propagator is the step count, which the error looks up)
         errors = {1: 0.5, 2: 0.3, 3: 0.2, 4: 0.05, 5: 0.2}
-        monkeypatch.setattr(experiments, "relative_propagator", lambda pair, plan, u: plan.n)
+        monkeypatch.setattr(experiments, "relative_propagator",
+                            lambda pair, plan, power, u: plan.n)
         monkeypatch.setattr(experiments, "observable_error", lambda obs, v: errors.get(v, 0.01))
         with pytest.raises(NonMonotone):
             query_count(0.1, "Strang2", 2.0**-3)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import expm_hermitian
 
 from trotterlab.errors import NonFinite, NonHermitian
@@ -107,6 +109,30 @@ class TestSpectralNorm:
             m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
             gram_top = hermitian_eig(m.conj().T @ m).eigenvalues[-1]
             assert spectral_norm(m) == pytest.approx(np.sqrt(gram_top), rel=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), rank=st.integers(0, 40), complex_=st.booleans(),
+           scale=st.floats(1e-10, 1e3), seed=st.integers(0, 2**32 - 1))
+    @example(n=12, rank=3, complex_=True, scale=1e-200, seed=4)   # squares underflow
+    @example(n=12, rank=12, complex_=False, scale=1e200, seed=5)  # squares overflow
+    def test_gram_form_matches_svd(self, n, rank, complex_, scale, seed):
+        # random real or complex M = scale * X Y of rank min(rank, n), against
+        # the largest singular value from LAPACK's SVD
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n)
+        shape_x, shape_y = (n, rank), (rank, n)
+        x, y = rng.standard_normal(shape_x), rng.standard_normal(shape_y)
+        if complex_:
+            x = x + 1j * rng.standard_normal(shape_x)
+            y = y + 1j * rng.standard_normal(shape_y)
+        m = x @ y
+        m *= scale / max(np.abs(m).max(), 1e-300)
+        oracle = np.linalg.svd(m, compute_uv=False)[0]
+        assert spectral_norm(m) == pytest.approx(oracle, rel=1e-12)
+
+    def test_empty_and_zero(self):
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
+        assert spectral_norm(np.zeros((3, 3), dtype=complex)) == 0.0
 
     def test_submultiplicative_and_triangle(self):
         rng = np.random.default_rng(2)

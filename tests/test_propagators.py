@@ -1,8 +1,8 @@
 """Property tests of the propagator-power engine on any grid size.
 
-Grid sizes N run over 3..40, odd and non-power-of-two included, with the
-canonical relation N = 1/h on [-pi, pi]. Examples are derandomized so that
-every run draws the same cases. The real-arithmetic and structured fast
+Grid sizes N run over 3..40 (2..40 for the step power), odd and
+non-power-of-two included, with the canonical relation N = 1/h on
+[-pi, pi]. Examples are derandomized so that every run draws the same cases. The real-arithmetic and structured fast
 paths are checked against complex dense oracles within the round-off floor
 1e-11 N. The expectation error, read from V (U psi), is checked against a
 state stepped one split step at a time and against the dense Heisenberg form.
@@ -12,18 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expm_hermitian
+from oracles import expm_hermitian, split_step, stage_factors
 
 from trotterlab.evolve import (
     EvolutionPlan,
     SplittingScheme,
     _apply_factors,
-    _step_factors,
     exact_unitary,
     expectation_error,
+    lie_power,
     observable_error,
     relative_propagator,
-    trotter_step_unitary,
 )
 from trotterlab.fourier import DiagonalKind, FactoredOperator, materialize
 from trotterlab.hamiltonian import (
@@ -52,9 +51,14 @@ def grid_pair(n: int):
     return grid, build_pair(grid)
 
 
+def propagator(pair, plan, u) -> np.ndarray:
+    """V = W^n U^dag as a sweep forms it, from the plan's Lie power."""
+    return relative_propagator(pair, plan, lie_power(pair, plan.s, plan.n, plan.h), u)
+
+
 def stepped(pair, plan) -> np.ndarray:
     """Oracle: the n split steps applied one at a time through the factored path."""
-    factors = _step_factors(pair, plan.scheme, plan.s, plan.h)
+    factors = stage_factors(pair, plan.scheme, plan.s, plan.h)
     walk = np.eye(pair.grid.N, dtype=np.complex128)
     for _ in range(plan.n):
         walk = _apply_factors(factors, walk)
@@ -63,7 +67,7 @@ def stepped(pair, plan) -> np.ndarray:
 
 def stepped_state(pair, plan, psi) -> np.ndarray:
     """Oracle: the state vector stepped n times, one factor at a time by FFT."""
-    factors = _step_factors(pair, plan.scheme, plan.s, plan.h)
+    factors = stage_factors(pair, plan.scheme, plan.s, plan.h)
     for _ in range(plan.n):
         for factor in factors:
             if factor.kind is DiagonalKind.POSITION:
@@ -79,8 +83,21 @@ def test_powering_equals_stepping(n, scheme, s, count):
     # with U = 1 the relative propagator is the step power W^n itself
     grid, pair = grid_pair(n)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    powered = relative_propagator(pair, plan, np.eye(n))
+    powered = propagator(pair, plan, np.eye(n))
     assert spectral_norm(powered - stepped(pair, plan)) <= 1e-11 * n
+
+
+@PROPERTY
+@given(n=st.integers(2, 40), scheme=schemes, s=st.sampled_from([0.01, 0.1, 0.37, 1.0]),
+       count=st.sampled_from([0, 1, 2, 3, 50]))
+def test_propagator_equals_powered_stage_product(n, scheme, s, count):
+    # Strang's W^n read as the half-step conjugate P^dag W_L^n P of Lie's power,
+    # against the three-stage product raised to the n-th power, times U^dag
+    grid, pair = grid_pair(n)
+    plan = EvolutionPlan(scheme, s, count, grid.h)
+    u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h)
+    oracle = np.linalg.matrix_power(split_step(pair, scheme, s, grid.h), count) @ u.conj().T
+    assert spectral_norm(propagator(pair, plan, u) - oracle) <= 1e-11 * n
 
 
 @PROPERTY
@@ -112,10 +129,10 @@ def test_relative_form_equals_two_sided_difference(n, scheme, s, count, build):
     obs = build(grid)
     dense = materialize(obs)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    w = np.linalg.matrix_power(trotter_step_unitary(pair, scheme, s, grid.h), count)
+    w = np.linalg.matrix_power(split_step(pair, scheme, s, grid.h), count)
     u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h)
     direct = spectral_norm(w.conj().T @ dense @ w - u.conj().T @ dense @ u)
-    v = relative_propagator(pair, plan, u)
+    v = propagator(pair, plan, u)
     assert observable_error(obs, v) == pytest.approx(direct, abs=1e-11 * n)
     assert unitary_distance(v) == pytest.approx(spectral_norm(w - u), abs=1e-11 * n)
 
@@ -162,7 +179,7 @@ def test_factored_observable_error_equals_dense_form(n, scheme, s, count, kind, 
     obs = FactoredOperator(kind, np.random.default_rng(seed).standard_normal(n))
     dense = materialize(obs)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    v = relative_propagator(pair, plan, exact_unitary(hermitian_eig(pair.total), plan.t, plan.h))
+    v = propagator(pair, plan, exact_unitary(hermitian_eig(pair.total), plan.t, plan.h))
     direct = spectral_norm(v.conj().T @ dense @ v - dense)
     assert observable_error(obs, v) == pytest.approx(direct, abs=1e-11 * n)
 
@@ -181,7 +198,7 @@ def test_expectation_error_matches_stepping_and_dense(n, scheme, s, count, kind,
     psi /= np.linalg.norm(psi)
     plan = EvolutionPlan(scheme, s, count, grid.h)
     u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h)
-    got = expectation_error([obs], relative_propagator(pair, plan, u), u, psi)[0]
+    got = expectation_error([obs], propagator(pair, plan, u), u, psi)[0]
 
     dense = materialize(obs)
     exact_state = expm_hermitian(pair.total, -plan.t / plan.h) @ psi
