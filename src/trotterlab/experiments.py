@@ -22,6 +22,7 @@ from .evolve import (
     ROUNDOFF_FLOOR_PER_DIM,
     EvolutionPlan,
     SplittingScheme,
+    TimeReversalFrame,
     exact_unitary,
     expectation_error,
     gaussian_wavepacket,
@@ -284,25 +285,27 @@ def _build_setup(grid: GridSpec, potential: str, observables, field: str):
     pair = build_pair(grid, potential=POTENTIALS[potential])
     ops = {name: OBSERVABLES[name](grid) for name in observables}
     packet = wavepacket(grid, field)
-    return grid, pair, ops, packet, numkit.hermitian_eig(pair.total)
+    frame = TimeReversalFrame.of(pair, ops.values())
+    return grid, pair, ops, packet, numkit.hermitian_eig(pair.total), frame
 
 
 def _error_rows(setup, schemes, s: float, n: int, h: float,
                 with_unitary: bool = False) -> list[tuple]:
     """Error rows of one sweep point: n steps of size s on one grid setup.
-    Every scheme reads the one step power G = W_L^n of the point."""
-    grid, pair, observables, packet, eig = setup
-    u = exact_unitary(eig, n * s, h)
-    power = lie_power(pair, s, n, h)
+    Every scheme reads the one step power G = W_L^n of the point; with a
+    time-reversal frame, U and G are projected into it before any product."""
+    grid, pair, observables, packet, eig, frame = setup
+    u = exact_unitary(eig, n * s, h, frame)
+    power = lie_power(pair, s, n, h, frame)
     out = []
     for scheme in schemes:
-        v = relative_propagator(pair, EvolutionPlan(scheme, s, n, h), power, u)
+        v = relative_propagator(pair, EvolutionPlan(scheme, s, n, h), power, u, frame)
         if with_unitary:
             out.append((s, h, grid.N, scheme.value, "-", "unitary_error",
                         numkit.unitary_distance(v)))
-        exp_errs = expectation_error(observables.values(), v, u, packet)
+        exp_errs = expectation_error(observables.values(), v, u, packet, frame)
         for (name, obs), exp_err in zip(observables.items(), exp_errs):
-            err = observable_error(obs, v)
+            err = observable_error(obs, v, frame)
             out.append((s, h, grid.N, scheme.value, name, "observable_error", err))
             out.append((s, h, grid.N, scheme.value, name, "expectation_error", exp_err))
     return out
@@ -449,12 +452,13 @@ def query_count(epsilon: float, scheme, h: float, *,
     grid = canonical_grid(h, domain, "h")
     pair = build_pair(grid, potential=POTENTIALS[potential])
     obs = OBSERVABLES[observable](grid)
-    u = exact_unitary(numkit.hermitian_eig(pair.total), t_total, h)
+    frame = TimeReversalFrame.of(pair, [obs])
+    u = exact_unitary(numkit.hermitian_eig(pair.total), t_total, h, frame)
 
     def error_at(n: int) -> float:
         plan = EvolutionPlan(scheme, t_total / n, n, h)
-        power = lie_power(pair, plan.s, n, h)
-        return observable_error(obs, relative_propagator(pair, plan, power, u))
+        power = lie_power(pair, plan.s, n, h, frame)
+        return observable_error(obs, relative_propagator(pair, plan, power, u, frame), frame)
 
     low, high = 0, 1
     while error_at(high) > epsilon:

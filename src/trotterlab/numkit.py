@@ -97,6 +97,9 @@ def hermitian_eig(matrix) -> EigenSystem:
     arr = _as_square(matrix)
     require_hermitian(arr)
     w, v = np.linalg.eigh(arr)
+    # Tunnelling tails leave subnormal entries (below 2.2e-308), which slow every
+    # later product with V; as round-off far below eps they are set to zero.
+    v[np.abs(v) < np.finfo(np.float64).tiny] = 0.0
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 

@@ -6,7 +6,8 @@ point at a time, ``pullback_samples`` writes a split-flow pullback as its
 M x M grid samples, and ``from_samples`` truncates such samples to a
 coefficient lattice by one 2-D DFT. ``stage_factors`` and ``split_step``
 write a split step as its product of stages, Strang's as the three-stage
-e^{-i B s/2h} e^{-i A s/h} e^{-i B s/2h}. The library reaches the same
+e^{-i B s/2h} e^{-i A s/h} e^{-i B s/2h}. ``frame_basis`` writes the basis R
+of the time-reversal frame as a dense unitary. The library reaches the same
 results by cheaper routes.
 """
 
@@ -49,6 +50,16 @@ def split_step(pair, scheme: SplittingScheme, s: float, h: float) -> np.ndarray:
         else:
             mat = np.fft.ifft(factor.diag[:, None] * np.fft.fft(mat, axis=0), axis=0)
     return mat
+
+
+def frame_basis(n: int) -> np.ndarray:
+    """Dense basis R of the time-reversal frame (4 | N): the columns
+    (e_j + s_j e_{j+N/2})/sqrt 2 and then i (e_j - s_j e_{j+N/2})/sqrt 2,
+    j < N/2, with s_j = (-1)^j."""
+    m, eye = n // 2, np.eye(n)
+    signs = (-1.0) ** np.arange(m)
+    plus, minus = eye[:, :m] + signs * eye[:, m:], eye[:, :m] - signs * eye[:, m:]
+    return np.hstack((plus, 1j * minus)) / np.sqrt(2.0)
 
 
 def dense_quantize(symbol: TorusSymbol, n: int) -> np.ndarray:

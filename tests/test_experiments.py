@@ -384,8 +384,9 @@ class TestQueryCount:
         # (the stand-in propagator is the step count, which the error looks up)
         errors = {1: 0.5, 2: 0.3, 3: 0.2, 4: 0.05, 5: 0.2}
         monkeypatch.setattr(experiments, "relative_propagator",
-                            lambda pair, plan, power, u: plan.n)
-        monkeypatch.setattr(experiments, "observable_error", lambda obs, v: errors.get(v, 0.01))
+                            lambda pair, plan, power, u, frame=None: plan.n)
+        monkeypatch.setattr(experiments, "observable_error",
+                            lambda obs, v, frame=None: errors.get(v, 0.01))
         with pytest.raises(NonMonotone):
             query_count(0.1, "Strang2", 2.0**-3)
 
