@@ -13,15 +13,15 @@ split state W^n psi is V (U psi). Observables stay factored: O V is a row
 scaling in the basis that diagonalizes O, and O applies to states by FFT.
 
 When 4 | N and the potential is antisymmetric under the half-period shift
-(``cos`` and ``zero`` are, for every domain offset), the antiunitary T of
-``TimeReversalFrame`` maps H to c - H, so every V is real in a sparse basis
-R of T-fixed vectors. U and G are then projected into that basis once per
-sweep point (O(N^2) by slicing) and everything after the power runs in real
-arithmetic: V costs one real product per scheme, ||V - 1|| one real
-``eigvalsh``, and the error of an observable that commutes or anticommutes
-with T one real product and a real ``eigvalsh`` of a symmetric (commuting)
-or Gram (anticommuting) matrix. Other observables, odd N, N = 2 mod 4 and
-other potentials take the complex path.
+(``cos`` and ``zero`` are, at every domain offset), V is real in the sparse
+basis R of ``frame.TimeReversalFrame``. U and G are then projected into R
+once per sweep point (O(N^2) by slicing) and everything after the power runs
+in real arithmetic: V costs one real product per scheme, ||V - 1|| one real
+``eigvalsh``, and the error of an observable that commutes with T (e.g.
+``momentum_fd``) or anticommutes with it (``cos_x``, ``cos_3x``) two real
+products and one real ``eigvalsh``, of the symmetric difference or of the
+Gram matrix of the antisymmetric one. Other observables, odd N, N = 2 mod 4
+and other potentials take the complex path.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
-from .fourier import DiagonalKind, FactoredOperator, circulant, dft_cols, idft_cols
+from .fourier import DiagonalKind, FactoredOperator, dft_cols, idft_cols
+from .frame import TimeReversalFrame, real_product
 from .hamiltonian import GridSpec, HamiltonianPair
-from .numkit import HERMITICITY_RTOL, EigenSystem, hermitian_norm, spectral_norm
+from .numkit import HERMITICITY_RTOL, EigenSystem, hermitian_norm
 
 __all__ = [
     "SplittingScheme",
     "EvolutionPlan",
-    "TimeReversalFrame",
     "exact_unitary",
     "trotter_step_unitary",
     "lie_power",
@@ -53,15 +53,6 @@ __all__ = [
 # Errors below 1e-11 * N sit at the round-off floor of the dense algebra;
 # slope fits exclude them (see experiments.roundoff_floor).
 ROUNDOFF_FLOOR_PER_DIM = 1e-11
-
-# Relative tolerance of the symmetry checks that choose the time-reversal
-# frame and classify observables. The pairs they compare (cos and cos 3x at x
-# and x + pi, the fd kinetic's eigenvalues at k and k + N/2, the momentum_fd
-# multiplier at k and N/2 - k) differ by at most 4e-15 for N up to 4096 and
-# any domain offset. What the check lets through, the real projection drops
-# as round-off: it moves V by about FRAME_RTOL * max|b| * t/h, at t = 1 and
-# h = 1/N a hundredth of the round-off floor 1e-11 N.
-FRAME_RTOL = 1e-13
 
 
 class SplittingScheme(enum.Enum):
@@ -96,110 +87,6 @@ class EvolutionPlan:
     @property
     def t(self) -> float:
         return self.n * self.s
-
-
-def _matches(x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> bool:
-    return bool(np.abs(x - y).max() <= FRAME_RTOL * np.abs(scale).max())
-
-
-def _parity(values: np.ndarray, partner: np.ndarray) -> int | None:
-    """+1 when partner = values, -1 when partner = -values (within FRAME_RTOL), else None."""
-    return next((sign for sign in (1, -1) if _matches(partner, sign * values, values)), None)
-
-
-def _pair_rows(p: np.ndarray, q: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """[[p, q], [-q, p]] mat, with p and q diagonal N/2 x N/2 blocks."""
-    m = p.size
-    top, bottom = mat[:m], mat[m:]
-    p, q = p[:, None], q[:, None]
-    return np.concatenate((p * top + q * bottom, p * bottom - q * top))
-
-
-def _real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """mat @ z for a real mat and a complex z, without a complex copy of mat."""
-    return mat @ z.real + 1j * (mat @ z.imag)
-
-
-@dataclass(frozen=True)
-class TimeReversalFrame:
-    """Real basis in which every relative propagator V of a grid is real.
-
-    Let Y multiply by (-1)^j and then shift by N/2, and K conjugate. The fd
-    kinetic obeys Y A Y^dag = c - A and an antisymmetric potential
-    (b[j + N/2] = -b[j]) obeys Y B Y^dag = -B, so the antiunitary T = Y K maps
-    H to c - H. Hence e^{i c t/2h} U(t) and e^{i c n s/2h} W_L^n commute with T,
-    and so do P = e^{-i B s/2h} and V = W^n U^dag (its phases cancel at t = n s).
-    T^2 = (-1)^{N/2}; for 4 | N the columns (e_j + s_j e_{j+N/2})/sqrt 2 and
-    i (e_j - s_j e_{j+N/2})/sqrt 2, j < N/2, s_j = (-1)^j, are an orthonormal
-    basis R of T-fixed vectors, and R^dag X R is real for every X that
-    commutes with T, imaginary for every X that anticommutes. R is sparse:
-    each change of basis costs O(N^2) by slicing. ``energy_shift`` is c/2.
-    """
-
-    size: int
-    energy_shift: float
-
-    @classmethod
-    def of(cls, pair: HamiltonianPair,
-           observables: Iterable[FactoredOperator] = ()) -> "TimeReversalFrame | None":
-        """The frame of a grid pair, or None when 4 does not divide N, the
-        kinetic or potential diagonal lacks the symmetry, or an observable
-        neither commutes nor anticommutes with T."""
-        n, m = pair.grid.N, pair.grid.N // 2
-        if n % 4:
-            return None
-        a, b = pair.kinetic.factored.diag.real, pair.potential.factored.diag.real
-        c = a[0] + a[m]
-        # Y A Y^dag = c - A moves a[k] to a[k + N/2]; Y B Y^dag = -B moves b[j] to b[j + N/2]
-        if not (_matches(np.roll(a, m), c - a, a) and _matches(np.roll(b, m), -b, b)):
-            return None
-        frame = cls(n, c / 2.0)
-        return frame if all(frame.parity(obs) for obs in observables) else None
-
-    @property
-    def _signs(self) -> np.ndarray:
-        return np.where(np.arange(self.size // 2) % 2, -1.0, 1.0)[:, None]
-
-    def phase(self, t: float, h: float) -> complex:
-        """e^{i c t/2h}: the factor that makes U(t) and W_L^n (t = n s) commute with T."""
-        return np.exp(1j * self.energy_shift * t / h)
-
-    def parity(self, observable: FactoredOperator) -> int | None:
-        """+1 when the real-diagonal observable commutes with T, -1 when it
-        anticommutes, None otherwise: a position diagonal needs
-        d[j + N/2] = +-d[j], a Fourier diagonal d[(N/2 - k) mod N] = +-d[k]."""
-        d, n = observable.diag.real, self.size
-        if observable.kind is DiagonalKind.POSITION:
-            return _parity(d, np.roll(d, n // 2))
-        return _parity(d, d[(n // 2 - np.arange(n)) % n])
-
-    def project(self, mat: np.ndarray, phase: complex = 1.0) -> np.ndarray:
-        """Re R^dag (phase mat) R, the real frame matrix of a T-commuting phase mat."""
-        m, sig = self.size // 2, self._signs
-        x11, x12, x21, x22 = mat[:m, :m], mat[:m, m:], mat[m:, :m], mat[m:, m:]
-        x22 = (sig * x22) * sig.T               # S X22 S, with S = diag(s_j)
-        x12, x21 = x12 * sig.T, sig * x21       # X12 S and S X21
-        same_plus, same_minus = phase * (x11 + x22), phase * (x11 - x22)
-        cross_plus, cross_minus = phase * (x12 + x21), phase * (x12 - x21)
-        out = np.empty((self.size, self.size))
-        out[:m, :m] = same_plus.real + cross_plus.real
-        out[m:, m:] = same_plus.real - cross_plus.real
-        out[:m, m:] = cross_minus.imag - same_minus.imag
-        out[m:, :m] = same_minus.imag + cross_minus.imag
-        out *= 0.5
-        return out
-
-    def to_frame(self, vecs: np.ndarray) -> np.ndarray:
-        """R^dag v of each column of an N x k block."""
-        m = self.size // 2
-        top, bottom = vecs[:m], self._signs * vecs[m:]
-        return np.concatenate((top + bottom, -1j * (top - bottom))) / np.sqrt(2.0)
-
-    def from_frame(self, vecs: np.ndarray) -> np.ndarray:
-        """R x of each column of an N x k block."""
-        m = self.size // 2
-        top, bottom = vecs[:m], vecs[m:]
-        return np.concatenate((top + 1j * bottom, self._signs * (top - 1j * bottom))) / np.sqrt(2.0)
 
 
 def exact_unitary(eig: EigenSystem, t: float, h: float,
@@ -257,10 +144,8 @@ def relative_propagator(pair: HamiltonianPair, plan: EvolutionPlan, power: np.nd
     if plan.scheme is SplittingScheme.LIE1:
         return power @ u_adj
     if frame is not None:
-        # R^dag P R rotates each row pair (j, j + N/2) by theta_j = s b_j / 2h
-        theta = plan.s / (2.0 * plan.h) * pair.potential.factored.diag.real[: frame.size // 2]
-        cos, sin = np.cos(theta), np.sin(theta)
-        return _pair_rows(cos, -sin, power @ _pair_rows(cos, sin, u_adj))
+        theta = plan.s / (2.0 * plan.h) * pair.potential.factored.diag.real
+        return frame.rotate(-theta, power @ frame.rotate(theta, u_adj))
     potential = pair.potential.factored
     half, back = _phase(potential, plan.s / 2.0, plan.h), _phase(potential, -plan.s / 2.0, plan.h)
     return _apply_factors((back,), power @ _apply_factors((half,), u_adj))
@@ -274,32 +159,6 @@ def _real_diagonal(observable: FactoredOperator) -> np.ndarray:
         raise NonHermitian(f"observable diagonal has imaginary part {imag:.3e}; "
                            f"relative tolerance {HERMITICITY_RTOL:.1e}")
     return diag.real
-
-
-def _frame_observable_error(frame: TimeReversalFrame, observable: FactoredOperator,
-                            diag: np.ndarray, v: np.ndarray) -> float:
-    """||V^T K V - K|| for the real K with R^dag O R = K (parity +1) or i K (parity -1).
-
-    K is symmetric for a commuting O and antisymmetric for an anticommuting
-    one. A position diagonal gives K = [[p, q], [-q, p]] with diagonal blocks
-    p = (d_top + d_bottom)/2 and q = 0 (commuting), or p = 0 and
-    q = (d_top - d_bottom)/2 (anticommuting), so K V costs O(N^2); a Fourier
-    diagonal is formed densely (a circulant) and projected.
-    """
-    parity = frame.parity(observable)
-    if parity is None:
-        raise ValueError("observable neither commutes nor anticommutes with the frame's T")
-    if observable.kind is DiagonalKind.POSITION:
-        m = frame.size // 2
-        half, zero = (diag[:m] + parity * diag[m:]) / 2.0, np.zeros(m)
-        p, q = (half, zero) if parity > 0 else (zero, half)
-        k, k_v = _pair_rows(p, q, np.eye(frame.size)), _pair_rows(p, q, v)
-    else:
-        k = frame.project(circulant(idft_cols(diag)), 1.0 if parity > 0 else -1j)
-        k_v = k @ v
-    diff = v.T @ k_v
-    diff -= k
-    return hermitian_norm(diff) if parity > 0 else spectral_norm(diff)
 
 
 def observable_error(observable: FactoredOperator, v: np.ndarray,
@@ -316,7 +175,7 @@ def observable_error(observable: FactoredOperator, v: np.ndarray,
     """
     diag = _real_diagonal(observable)
     if frame is not None:
-        return _frame_observable_error(frame, observable, diag, v)
+        return frame.observable_error(observable, v)
     if observable.kind is DiagonalKind.FOURIER:
         v = idft_cols(dft_cols(v).T).T      # F V F^-1, as F^-1 is symmetric
     # conj(V^dag D V) = V^T (D conj(V)) has the same norm: one conjugated copy
@@ -370,8 +229,8 @@ def expectation_error(observables: Iterable[FactoredOperator], v: np.ndarray, u:
         exact_state = u @ psi
         states = np.column_stack((v @ exact_state, exact_state))
     else:
-        exact_state = _real_product(u, frame.to_frame(psi[:, None]))
-        states = frame.from_frame(np.column_stack((_real_product(v, exact_state), exact_state)))
+        exact_state = real_product(u, frame.to_frame(psi[:, None]))
+        states = frame.from_frame(np.column_stack((real_product(v, exact_state), exact_state)))
     errors = []
     for obs in observables:
         split, exact = np.einsum("ij,ij->j", states.conj(), _apply_factors((obs,), states)).real

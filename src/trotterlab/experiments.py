@@ -22,7 +22,6 @@ from .evolve import (
     ROUNDOFF_FLOOR_PER_DIM,
     EvolutionPlan,
     SplittingScheme,
-    TimeReversalFrame,
     exact_unitary,
     expectation_error,
     gaussian_wavepacket,
@@ -31,6 +30,7 @@ from .evolve import (
     relative_propagator,
 )
 from .fourier import FactoredOperator
+from .frame import TimeReversalFrame
 from .hamiltonian import (
     GridSpec,
     build_pair,

@@ -1,0 +1,162 @@
+"""The time-reversal frame: a real basis for the relative propagators of a grid.
+
+Let Y multiply by (-1)^j and then shift by N/2, and K conjugate. The fd
+kinetic obeys Y A Y^dag = c - A and an antisymmetric potential
+(b[j + N/2] = -b[j]; ``cos`` and ``zero`` at every domain offset) obeys
+Y B Y^dag = -B, so the antiunitary T = Y K maps H to c - H. Hence
+e^{i c t/2h} U(t) and e^{i c n s/2h} W_L^n commute with T, and so do the half
+potential step P = e^{-i B s/2h} and V = W^n U^dag (its phases cancel at
+t = n s). T^2 = (-1)^{N/2}; for 4 | N the columns (e_j + s_j e_{j+N/2})/sqrt 2
+and i (e_j - s_j e_{j+N/2})/sqrt 2, j < N/2, s_j = (-1)^j, are an orthonormal
+basis R of T-fixed vectors, and R^dag X R is real for every X that commutes
+with T and imaginary for every X that anticommutes. R is sparse: each change
+of basis costs O(N^2) by slicing, and ``evolve`` runs everything after the
+complex step power in real arithmetic.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from .fourier import DiagonalKind, FactoredOperator, circulant, idft_cols
+from .hamiltonian import HamiltonianPair
+from .numkit import hermitian_norm, spectral_norm
+
+__all__ = ["TimeReversalFrame", "real_product", "FRAME_RTOL"]
+
+# Relative tolerance of the symmetry checks that choose the frame and
+# classify observables. The pairs they compare (cos and cos 3x at x and
+# x + pi, the fd kinetic's eigenvalues at k and k + N/2, the momentum_fd
+# multiplier at k and N/2 - k) differ by at most 4e-15 for N up to 4096 and
+# any domain offset. What the check lets through, the real projection drops
+# as round-off: it moves V by about FRAME_RTOL * max|b| * t/h, at t = 1 and
+# h = 1/N a hundredth of the round-off floor 1e-11 N.
+FRAME_RTOL = 1e-13
+
+
+def _matches(x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> bool:
+    return bool(np.abs(x - y).max() <= FRAME_RTOL * np.abs(scale).max())
+
+
+def _parity(values: np.ndarray, partner: np.ndarray) -> int | None:
+    """+1 when partner = values, -1 when partner = -values (within FRAME_RTOL), else None."""
+    return next((sign for sign in (1, -1) if _matches(partner, sign * values, values)), None)
+
+
+def _pair_rows(p: np.ndarray, q: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """[[p, q], [-q, p]] mat, with p and q diagonal N/2 x N/2 blocks."""
+    m = p.size
+    top, bottom = mat[:m], mat[m:]
+    p, q = p[:, None], q[:, None]
+    return np.concatenate((p * top + q * bottom, p * bottom - q * top))
+
+
+def real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mat @ z for a real mat and a complex z, without a complex copy of mat."""
+    return mat @ z.real + 1j * (mat @ z.imag)
+
+
+@dataclass(frozen=True)
+class TimeReversalFrame:
+    """The basis R of T-fixed vectors on a grid of ``size`` N (4 | N);
+    ``energy_shift`` is c/2, with T H T^-1 = c - H."""
+
+    size: int
+    energy_shift: float
+
+    @classmethod
+    def of(cls, pair: HamiltonianPair,
+           observables: Iterable[FactoredOperator] = ()) -> "TimeReversalFrame | None":
+        """The frame of a grid pair, or None when 4 does not divide N, the
+        kinetic or potential diagonal lacks the symmetry, or an observable
+        neither commutes nor anticommutes with T."""
+        n, m = pair.grid.N, pair.grid.N // 2
+        if n % 4:
+            return None
+        a, b = pair.kinetic.factored.diag.real, pair.potential.factored.diag.real
+        c = a[0] + a[m]
+        # Y A Y^dag = c - A moves a[k] to a[k + N/2]; Y B Y^dag = -B moves b[j] to b[j + N/2]
+        if not (_matches(np.roll(a, m), c - a, a) and _matches(np.roll(b, m), -b, b)):
+            return None
+        frame = cls(n, c / 2.0)
+        return frame if all(frame.parity(obs) for obs in observables) else None
+
+    @property
+    def _signs(self) -> np.ndarray:
+        return np.where(np.arange(self.size // 2) % 2, -1.0, 1.0)[:, None]
+
+    def phase(self, t: float, h: float) -> complex:
+        """e^{i c t/2h}: the factor that makes U(t) and W_L^n (t = n s) commute with T."""
+        return np.exp(1j * self.energy_shift * t / h)
+
+    def parity(self, observable: FactoredOperator) -> int | None:
+        """+1 when the real-diagonal observable commutes with T, -1 when it
+        anticommutes, None otherwise: a position diagonal needs
+        d[j + N/2] = +-d[j], a Fourier diagonal d[(N/2 - k) mod N] = +-d[k]."""
+        d, n = observable.diag.real, self.size
+        if observable.kind is DiagonalKind.POSITION:
+            return _parity(d, np.roll(d, n // 2))
+        return _parity(d, d[(n // 2 - np.arange(n)) % n])
+
+    def project(self, mat: np.ndarray, phase: complex = 1.0) -> np.ndarray:
+        """Re R^dag (phase mat) R, the real frame matrix of a T-commuting phase mat."""
+        m, sig = self.size // 2, self._signs
+        x11, x12, x21, x22 = mat[:m, :m], mat[:m, m:], mat[m:, :m], mat[m:, m:]
+        x22 = (sig * x22) * sig.T               # S X22 S, with S = diag(s_j)
+        x12, x21 = x12 * sig.T, sig * x21       # X12 S and S X21
+        same_plus, same_minus = phase * (x11 + x22), phase * (x11 - x22)
+        cross_plus, cross_minus = phase * (x12 + x21), phase * (x12 - x21)
+        out = np.empty((self.size, self.size))
+        out[:m, :m] = same_plus.real + cross_plus.real
+        out[m:, m:] = same_plus.real - cross_plus.real
+        out[:m, m:] = cross_minus.imag - same_minus.imag
+        out[m:, :m] = same_minus.imag + cross_minus.imag
+        out *= 0.5
+        return out
+
+    def to_frame(self, vecs: np.ndarray) -> np.ndarray:
+        """R^dag v of each column of an N x k block."""
+        m = self.size // 2
+        top, bottom = vecs[:m], self._signs * vecs[m:]
+        return np.concatenate((top + bottom, -1j * (top - bottom))) / np.sqrt(2.0)
+
+    def from_frame(self, vecs: np.ndarray) -> np.ndarray:
+        """R x of each column of an N x k block."""
+        m = self.size // 2
+        top, bottom = vecs[:m], vecs[m:]
+        return np.concatenate((top + 1j * bottom, self._signs * (top - 1j * bottom))) / np.sqrt(2.0)
+
+    def rotate(self, theta: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        """R^dag P R mat for the diagonal P = e^{-i theta} with theta[j + N/2] = -theta[j]
+        (a potential step): a rotation of each row pair (j, j + N/2) by theta[j]."""
+        half = theta[: self.size // 2]
+        return _pair_rows(np.cos(half), np.sin(half), mat)
+
+    def observable_error(self, observable: FactoredOperator, v: np.ndarray) -> float:
+        """||V^T K V - K|| for the real frame matrix V and the real K with
+        R^dag O R = K (O commutes with T) or i K (O anticommutes).
+
+        K is symmetric in the first case, normed by ``hermitian_norm``, and
+        antisymmetric in the second, normed by ``spectral_norm``. A position
+        diagonal gives K = [[p, q], [-q, p]] with diagonal blocks
+        p = (d_top + d_bottom)/2 and q = 0, or p = 0 and q = (d_top - d_bottom)/2,
+        so K V costs O(N^2); a Fourier diagonal is formed densely (a circulant)
+        and projected.
+        """
+        parity, diag = self.parity(observable), observable.diag.real
+        if parity is None:
+            raise ValueError("observable neither commutes nor anticommutes with the frame's T")
+        if observable.kind is DiagonalKind.POSITION:
+            m = self.size // 2
+            half, zero = (diag[:m] + parity * diag[m:]) / 2.0, np.zeros(m)
+            p, q = (half, zero) if parity > 0 else (zero, half)
+            k, k_v = _pair_rows(p, q, np.eye(self.size)), _pair_rows(p, q, v)
+        else:
+            k = self.project(circulant(idft_cols(diag)), 1.0 if parity > 0 else -1j)
+            k_v = k @ v
+        diff = v.T @ k_v
+        diff -= k
+        return hermitian_norm(diff) if parity > 0 else spectral_norm(diff)

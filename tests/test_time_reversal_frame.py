@@ -2,7 +2,7 @@
 
 When 4 | N and the potential is antisymmetric under the half-period shift,
 the sweeps form V, U and G as real matrices in the basis R of
-``evolve.TimeReversalFrame``. These tests run the driver's per-point kernel
+``frame.TimeReversalFrame``. These tests run the driver's per-point kernel
 (``experiments._error_rows``) on random domain offsets and compare every
 unitary, observable and expectation error with the stage product of
 ``tests/oracles.py`` within the round-off floor 1e-11 N. Grids, potentials
@@ -20,13 +20,13 @@ from trotterlab import experiments
 from trotterlab.evolve import (
     EvolutionPlan,
     SplittingScheme,
-    TimeReversalFrame,
     exact_unitary,
     lie_power,
     observable_error,
     relative_propagator,
 )
 from trotterlab.fourier import materialize
+from trotterlab.frame import TimeReversalFrame
 from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.numkit import hermitian_eig, spectral_norm
 
