@@ -9,7 +9,7 @@ symbols      phase-space symbols on the unit torus and their calculus
 quantize     discrete Weyl quantization and semiclassical calculus checks
 hamiltonian  the central-difference grid Hamiltonian (kinetic + potential), observables
 evolve       the propagators U(t) and V = W^n U^dag, observable and expectation errors
-frame        the time-reversal frame in which V is real (4 | N, antisymmetric potential)
+frame        the time-reversal frame every error is formed in (4 | N, antisymmetric potential)
 experiments  the run defaults, one driver per command, slope fits, machine-readable tables
 cli          command-line front end, JSON configuration and its validation
 """

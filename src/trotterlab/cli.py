@@ -158,10 +158,8 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == "long-time":
         _check(cfg.mode == "global", "mode", "long-time is a fixed-horizon run")
     field, hs = ("h", (cfg.h,)) if cfg.h is not None else ("h_values", cfg.h_values or ())
-    grids = [xp.canonical_grid(h, cfg.domain, field) for h in hs]
-    for grid in grids:
-        _check(grid.N % 2 == 0 or "momentum_spectral" not in (cfg.observables or ()), field,
-               f"momentum_spectral needs even N, got N = {grid.N} at h = {grid.h:g}")
+    grid_of = xp.canonical_grid if cfg.command == "commutator-scan" else xp.sweep_grid
+    grids = [grid_of(h, cfg.domain, field) for h in hs]
     if cfg.command in ("sweep-s", "long-time", "sweep-h"):   # the sweeps that evolve a packet
         for grid in grids:
             xp.wavepacket(grid, field)

@@ -30,7 +30,7 @@ from .evolve import (
     relative_propagator,
 )
 from .fourier import FactoredOperator
-from .frame import TimeReversalFrame
+from .frame import FrameObservable, TimeReversalFrame
 from .hamiltonian import (
     GridSpec,
     build_pair,
@@ -51,6 +51,7 @@ __all__ = [
     "sweep_h",
     "step_count",
     "canonical_grid",
+    "sweep_grid",
     "wavepacket",
     "commutator_scan",
     "calculus_suite",
@@ -272,6 +273,25 @@ def canonical_grid(h: float, domain, field: str) -> GridSpec:
     return grid
 
 
+def sweep_grid(h: float, domain, field: str) -> GridSpec:
+    """``canonical_grid`` of a command that forms errors in the time-reversal
+    frame: an N that 4 does not divide raises ValidationError naming ``field``."""
+    grid = canonical_grid(h, domain, field)
+    if grid.N % 4:
+        raise ValidationError(field, f"h={h:g} gives N = {grid.N}; the time-reversal frame "
+                                     "needs N divisible by 4")
+    return grid
+
+
+def _pair_and_frame(grid: GridSpec, potential: str):
+    """The grid's split pair and frame, or ValidationError naming ``potential``."""
+    pair = build_pair(grid, potential=POTENTIALS[potential])
+    try:
+        return pair, TimeReversalFrame.of(pair)
+    except ValueError as err:
+        raise ValidationError("potential", f"{potential!r}: {err}") from None
+
+
 def wavepacket(grid: GridSpec, field: str) -> np.ndarray:
     """The sweeps' coherent state on ``grid``; one that touches the domain edge
     raises ValidationError naming ``field``."""
@@ -282,21 +302,25 @@ def wavepacket(grid: GridSpec, field: str) -> np.ndarray:
 
 
 def _build_setup(grid: GridSpec, potential: str, observables, field: str):
-    pair = build_pair(grid, potential=POTENTIALS[potential])
-    ops = {name: OBSERVABLES[name](grid) for name in observables}
+    """Per-grid data of a sweep; every check runs before the eigendecomposition of H."""
+    pair, frame = _pair_and_frame(grid, potential)
+    forms = {name: FrameObservable(OBSERVABLES[name](grid), frame) for name in observables}
     packet = wavepacket(grid, field)
-    frame = TimeReversalFrame.of(pair, ops.values())
-    return grid, pair, ops, packet, numkit.hermitian_eig(pair.total), frame
+    return grid, pair, forms, packet, numkit.hermitian_eig(pair.total), frame
 
 
 def _error_rows(setup, schemes, s: float, n: int, h: float,
                 with_unitary: bool = False) -> list[tuple]:
     """Error rows of one sweep point: n steps of size s on one grid setup.
-    Every scheme reads the one step power G = W_L^n of the point; with a
-    time-reversal frame, U and G are projected into it before any product."""
+    Every scheme reads the one step power G = W_L^n of the point; U and G are
+    projected into the time-reversal frame before any product."""
     grid, pair, observables, packet, eig, frame = setup
     u = exact_unitary(eig, n * s, h, frame)
     power = lie_power(pair, s, n, h, frame)
+    # Each frame form K is formed once per grid, here: in the space that the
+    # power's freed complex temporaries left, which keeps the peak RSS down.
+    for obs in observables.values():
+        obs.parts
     out = []
     for scheme in schemes:
         v = relative_propagator(pair, EvolutionPlan(scheme, s, n, h), power, u, frame)
@@ -305,7 +329,7 @@ def _error_rows(setup, schemes, s: float, n: int, h: float,
                         numkit.unitary_distance(v)))
         exp_errs = expectation_error(observables.values(), v, u, packet, frame)
         for (name, obs), exp_err in zip(observables.items(), exp_errs):
-            err = observable_error(obs, v, frame)
+            err = observable_error(obs, v)
             out.append((s, h, grid.N, scheme.value, name, "observable_error", err))
             out.append((s, h, grid.N, scheme.value, name, "expectation_error", exp_err))
     return out
@@ -340,7 +364,7 @@ def sweep_timestep(*, s_values: Sequence[float], h: float,
     """
     schemes = [SplittingScheme(s) for s in schemes]
     steps = {s: step_count(s, mode, t_total, "s_values") for s in s_values}
-    setup = _build_setup(canonical_grid(h, domain, "h"), potential, observables, "h")
+    setup = _build_setup(sweep_grid(h, domain, "h"), potential, observables, "h")
     rows = _map_rows(lambda s: _error_rows(setup, schemes, s, steps[s], h),
                      sorted(s_values), threads)
     table = SweepTable.build(SWEEP_COLUMNS, rows)
@@ -363,7 +387,7 @@ def sweep_h(*, h_values: Sequence[float], s_fixed: float,
     """
     schemes = [SplittingScheme(s) for s in schemes]
     n = step_count(s_fixed, mode, t_total, "s_fixed")
-    grids = [canonical_grid(h, domain, "h_values") for h in sorted(h_values)]
+    grids = [sweep_grid(h, domain, "h_values") for h in sorted(h_values)]
 
     def rows_for(grid: GridSpec) -> list[tuple]:
         setup = _build_setup(grid, potential, observables, "h_values")
@@ -449,16 +473,15 @@ def query_count(epsilon: float, scheme, h: float, *,
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     scheme = SplittingScheme(scheme)
-    grid = canonical_grid(h, domain, "h")
-    pair = build_pair(grid, potential=POTENTIALS[potential])
-    obs = OBSERVABLES[observable](grid)
-    frame = TimeReversalFrame.of(pair, [obs])
+    grid = sweep_grid(h, domain, "h")
+    pair, frame = _pair_and_frame(grid, potential)
+    obs = FrameObservable(OBSERVABLES[observable](grid), frame)
     u = exact_unitary(numkit.hermitian_eig(pair.total), t_total, h, frame)
 
     def error_at(n: int) -> float:
         plan = EvolutionPlan(scheme, t_total / n, n, h)
         power = lie_power(pair, plan.s, n, h, frame)
-        return observable_error(obs, relative_propagator(pair, plan, power, u, frame), frame)
+        return observable_error(obs, relative_propagator(pair, plan, power, u, frame))
 
     low, high = 0, 1
     while error_at(high) > epsilon:
@@ -491,7 +514,7 @@ def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
     (observable,) = observables
     schemes = [SplittingScheme(s) for s in schemes]
     for h in h_values:
-        canonical_grid(h, domain, "h_values")
+        sweep_grid(h, domain, "h_values")
     eps_all = sorted({float(e) for e in epsilons} | {float(e) / 4.0 for e in epsilons})
     tasks = [(scheme, h, eps) for scheme in schemes for h in sorted(h_values)
              for eps in eps_all]

@@ -1,4 +1,4 @@
-"""Discrete Fourier transforms and circulant matrices.
+"""Discrete Fourier transforms, circulant matrices and factored operators.
 
 Convention (single source of truth for the whole package): the forward
 transform is unnormalized,
@@ -6,8 +6,9 @@ transform is unnormalized,
     (F v)_k = sum_j v_j exp(-2i pi k j / N),
 
 and the inverse carries the 1/N factor. Transforms run through numpy's
-pocketfft, which costs O(N log N) for every length N; the dense
-``dft_matrix`` is kept as the oracle the fast path is checked against.
+pocketfft, which costs O(N log N) for every length N. The dense transform
+matrix and the dense form of a factored operator, against which this fast
+path is checked, live with the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from .errors import EmptyInput, NonFinite
 __all__ = [
     "DiagonalKind",
     "FactoredOperator",
-    "dft_matrix",
     "dft_cols",
     "idft_cols",
     "circulant",
-    "materialize",
 ]
 
 
@@ -40,14 +39,6 @@ def _as_vector(v) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFinite("vector contains NaN or Inf entries")
     return arr
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Dense forward-transform matrix of size n."""
-    if n < 1:
-        raise EmptyInput("transform matrix of size 0")
-    j = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n)
 
 
 def dft_cols(mat: np.ndarray) -> np.ndarray:
@@ -71,8 +62,8 @@ class DiagonalKind(enum.Enum):
 class FactoredOperator:
     """Operator diagonal either in position space or in the Fourier basis.
 
-    A position-diagonal operator materializes to ``diag(d)``; a
-    Fourier-diagonal one to ``F^-1 diag(d) F``. Both admit O(N log N)
+    A position-diagonal operator stands for ``diag(d)``, a Fourier-diagonal
+    one for ``F^-1 diag(d) F``. Both admit O(N log N)
     application, which is what makes split propagators cheap.
     """
 
@@ -88,13 +79,6 @@ class FactoredOperator:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "diag", arr)
-
-
-def materialize(op: FactoredOperator) -> np.ndarray:
-    """Dense matrix of a factored operator."""
-    if op.kind is DiagonalKind.POSITION:
-        return np.diag(op.diag).astype(np.complex128)
-    return idft_cols(op.diag[:, None] * dft_matrix(op.diag.size))
 
 
 def circulant(first_column) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The time-reversal frame: a real basis for the relative propagators of a grid.
+"""The time-reversal frame: the real basis in which every sweep forms its errors.
 
 Let Y multiply by (-1)^j and then shift by N/2, and K conjugate. The fd
 kinetic obeys Y A Y^dag = c - A and an antisymmetric potential
@@ -9,25 +9,33 @@ potential step P = e^{-i B s/2h} and V = W^n U^dag (its phases cancel at
 t = n s). T^2 = (-1)^{N/2}; for 4 | N the columns (e_j + s_j e_{j+N/2})/sqrt 2
 and i (e_j - s_j e_{j+N/2})/sqrt 2, j < N/2, s_j = (-1)^j, are an orthonormal
 basis R of T-fixed vectors, and R^dag X R is real for every X that commutes
-with T and imaginary for every X that anticommutes. R is sparse: each change
-of basis costs O(N^2) by slicing, and ``evolve`` runs everything after the
-complex step power in real arithmetic.
+with T. R is sparse: each change of basis costs O(N^2) by slicing, and
+``evolve`` runs everything after the complex step power in real arithmetic.
+
+The frame depends on H alone: odd N and N = 2 mod 4 (no T-fixed basis) and a
+potential without the antisymmetry (V is not real in R) raise ValueError. A
+Hermitian observable has the frame form R^dag O R = K_+ + i K_-, K_+ real
+symmetric and K_- real antisymmetric: only K_+ remains when O commutes with T
+(``momentum_fd``), only K_- when it anticommutes (``cos_x``, ``cos_3x``), and
+both otherwise (``momentum_spectral``, an arbitrary diagonal).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
 
 import numpy as np
 
-from .fourier import DiagonalKind, FactoredOperator, circulant, idft_cols
+from . import fourier
+from .errors import NonHermitian
+from .fourier import DiagonalKind, FactoredOperator, idft_cols
 from .hamiltonian import HamiltonianPair
-from .numkit import hermitian_norm, spectral_norm
+from .numkit import HERMITICITY_RTOL
 
-__all__ = ["TimeReversalFrame", "real_product", "FRAME_RTOL"]
+__all__ = ["TimeReversalFrame", "FrameObservable", "real_product", "FRAME_RTOL"]
 
-# Relative tolerance of the symmetry checks that choose the frame and
+# Relative tolerance of the symmetry checks that admit the frame and
 # classify observables. The pairs they compare (cos and cos 3x at x and
 # x + pi, the fd kinetic's eigenvalues at k and k + N/2, the momentum_fd
 # multiplier at k and N/2 - k) differ by at most 4e-15 for N up to 4096 and
@@ -68,21 +76,19 @@ class TimeReversalFrame:
     energy_shift: float
 
     @classmethod
-    def of(cls, pair: HamiltonianPair,
-           observables: Iterable[FactoredOperator] = ()) -> "TimeReversalFrame | None":
-        """The frame of a grid pair, or None when 4 does not divide N, the
-        kinetic or potential diagonal lacks the symmetry, or an observable
-        neither commutes nor anticommutes with T."""
+    def of(cls, pair: HamiltonianPair) -> "TimeReversalFrame":
+        """The frame of a grid pair, read from its kinetic and potential diagonals.
+        Raises ValueError when 4 does not divide N or a diagonal lacks its symmetry."""
         n, m = pair.grid.N, pair.grid.N // 2
         if n % 4:
-            return None
+            raise ValueError(f"N = {n}; the time-reversal frame needs N divisible by 4")
         a, b = pair.kinetic.factored.diag.real, pair.potential.factored.diag.real
         c = a[0] + a[m]
         # Y A Y^dag = c - A moves a[k] to a[k + N/2]; Y B Y^dag = -B moves b[j] to b[j + N/2]
         if not (_matches(np.roll(a, m), c - a, a) and _matches(np.roll(b, m), -b, b)):
-            return None
-        frame = cls(n, c / 2.0)
-        return frame if all(frame.parity(obs) for obs in observables) else None
+            raise ValueError(f"on N = {n} nodes the potential is not antisymmetric under the "
+                             "half-period shift, b[j + N/2] = -b[j] (or a[k + N/2] != c - a[k])")
+        return cls(n, c / 2.0)
 
     @property
     def _signs(self) -> np.ndarray:
@@ -135,28 +141,48 @@ class TimeReversalFrame:
         half = theta[: self.size // 2]
         return _pair_rows(np.cos(half), np.sin(half), mat)
 
-    def observable_error(self, observable: FactoredOperator, v: np.ndarray) -> float:
-        """||V^T K V - K|| for the real frame matrix V and the real K with
-        R^dag O R = K (O commutes with T) or i K (O anticommutes).
 
-        K is symmetric in the first case, normed by ``hermitian_norm``, and
-        antisymmetric in the second, normed by ``spectral_norm``. A position
-        diagonal gives K = [[p, q], [-q, p]] with diagonal blocks
-        p = (d_top + d_bottom)/2 and q = 0, or p = 0 and q = (d_top - d_bottom)/2,
-        so K V costs O(N^2); a Fourier diagonal is formed densely (a circulant)
-        and projected.
-        """
-        parity, diag = self.parity(observable), observable.diag.real
-        if parity is None:
-            raise ValueError("observable neither commutes nor anticommutes with the frame's T")
-        if observable.kind is DiagonalKind.POSITION:
-            m = self.size // 2
-            half, zero = (diag[:m] + parity * diag[m:]) / 2.0, np.zeros(m)
-            p, q = (half, zero) if parity > 0 else (zero, half)
-            k, k_v = _pair_rows(p, q, np.eye(self.size)), _pair_rows(p, q, v)
-        else:
-            k = self.project(circulant(idft_cols(diag)), 1.0 if parity > 0 else -1j)
-            k_v = k @ v
-        diff = v.T @ k_v
-        diff -= k
-        return hermitian_norm(diff) if parity > 0 else spectral_norm(diff)
+@dataclass(frozen=True)
+class FrameObservable:
+    """A Hermitian factored observable with its frame form R^dag O R = K_+ + i K_-.
+    A factored observable is Hermitian iff its diagonal is real; any other
+    raises NonHermitian on construction, before any compute."""
+
+    operator: FactoredOperator
+    frame: TimeReversalFrame
+
+    def __post_init__(self):
+        diag = self.operator.diag
+        imag = np.abs(diag.imag).max()
+        if imag > HERMITICITY_RTOL * np.abs(diag).max():
+            raise NonHermitian(f"observable diagonal has imaginary part {imag:.3e}; "
+                               f"relative tolerance {HERMITICITY_RTOL:.1e}")
+
+    @cached_property
+    def parts(self) -> tuple:
+        """(K_+, K_-), formed on first use and kept, so that a grid's first step
+        power meets no dense K; a part is None when T's parity zeroes it (K_+ when
+        O anticommutes with T, K_- when it commutes). A Fourier diagonal is
+        projected as a dense circulant; a position diagonal d keeps the diagonal
+        blocks (p, 0) of K_+ and (0, q) of K_-, p = (d_top + d_bottom)/2 and
+        q = (d_top - d_bottom)/2, with K = [[p, q], [-q, p]]."""
+        op, frame, m = self.operator, self.frame, self.frame.size // 2
+        diag, parity = op.diag.real, frame.parity(op)
+        if op.kind is DiagonalKind.POSITION:
+            zero = np.zeros(m)
+            return (((diag[:m] + diag[m:]) / 2.0, zero) if parity != -1 else None,
+                    (zero, (diag[:m] - diag[m:]) / 2.0) if parity != 1 else None)
+        dense = fourier.circulant(idft_cols(diag))
+        return (frame.project(dense) if parity != -1 else None,
+                frame.project(dense, -1j) if parity != 1 else None)
+
+    def defects(self, v: np.ndarray) -> list:
+        """V^T K V - K of each part of K (None for a dropped part) for the real
+        frame matrix V; diagonal blocks apply to V in O(N^2) and form K anew."""
+        out = []
+        for k in self.parts:
+            if isinstance(k, tuple):
+                out.append(v.T @ _pair_rows(*k, v) - _pair_rows(*k, np.eye(self.frame.size)))
+            else:
+                out.append(None if k is None else v.T @ (k @ v) - k)
+        return out

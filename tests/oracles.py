@@ -1,20 +1,24 @@
 """Dense and sample-based oracles shared by the test modules.
 
-``expm_hermitian`` forms exp(i theta M) densely from an eigendecomposition,
-``dense_quantize`` sums the complex quantization of a symbol one lattice
-point at a time, ``pullback_samples`` writes a split-flow pullback as its
-M x M grid samples, and ``from_samples`` truncates such samples to a
-coefficient lattice by one 2-D DFT. ``stage_factors`` and ``split_step``
-write a split step as its product of stages, Strang's as the three-stage
+``dft_matrix`` writes the forward transform as a dense matrix and
+``materialize`` a factored operator as its dense matrix. ``expm_hermitian``
+forms exp(i theta M) densely from an eigendecomposition, ``dense_quantize``
+sums the complex quantization of a symbol one lattice point at a time,
+``pullback_samples`` writes a split-flow pullback as its M x M grid samples,
+and ``from_samples`` truncates such samples to a coefficient lattice by one
+2-D DFT. ``stage_factors`` and ``split_step`` write a split step as its
+product of stages, Strang's as the three-stage
 e^{-i B s/2h} e^{-i A s/h} e^{-i B s/2h}. ``frame_basis`` writes the basis R
-of the time-reversal frame as a dense unitary. The library reaches the same
+of the time-reversal frame as a dense unitary, and ``lift`` takes a real frame
+matrix back to the complex matrix it stands for. The library reaches the same
 results by cheaper routes.
 """
 
 import numpy as np
 
+from trotterlab.errors import EmptyInput
 from trotterlab.evolve import SplittingScheme
-from trotterlab.fourier import DiagonalKind, FactoredOperator
+from trotterlab.fourier import DiagonalKind, FactoredOperator, idft_cols
 from trotterlab.numkit import hermitian_eig
 from trotterlab.symbols import TorusSymbol
 
@@ -26,6 +30,21 @@ STAGES = {
     SplittingScheme.LIE1: (("A", 1.0), ("B", 1.0)),
     SplittingScheme.STRANG2: (("B", 0.5), ("A", 1.0), ("B", 0.5)),
 }
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """Dense forward-transform matrix of size n."""
+    if n < 1:
+        raise EmptyInput("transform matrix of size 0")
+    j = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(j, j) / n)
+
+
+def materialize(op: FactoredOperator) -> np.ndarray:
+    """Dense matrix of a factored operator."""
+    if op.kind is DiagonalKind.POSITION:
+        return np.diag(op.diag).astype(np.complex128)
+    return idft_cols(op.diag[:, None] * dft_matrix(op.diag.size))
 
 
 def expm_hermitian(matrix, theta: float) -> np.ndarray:
@@ -60,6 +79,14 @@ def frame_basis(n: int) -> np.ndarray:
     signs = (-1.0) ** np.arange(m)
     plus, minus = eye[:, :m] + signs * eye[:, m:], eye[:, :m] - signs * eye[:, m:]
     return np.hstack((plus, 1j * minus)) / np.sqrt(2.0)
+
+
+def lift(frame, real: np.ndarray, t: float = 0.0, h: float = 1.0) -> np.ndarray:
+    """The complex matrix e^{-i c t/2h} R X R^dag of a real frame matrix X, which
+    undoes the phase e^{i c t/2h} of ``exact_unitary`` and ``lie_power`` (t = n s);
+    V needs none, as its phases cancel."""
+    basis = frame_basis(frame.size)
+    return np.conj(frame.phase(t, h)) * (basis @ real @ basis.conj().T)
 
 
 def dense_quantize(symbol: TorusSymbol, n: int) -> np.ndarray:

@@ -14,13 +14,12 @@ import time
 
 import numpy as np
 import pytest
-from oracles import expm_hermitian
+from oracles import dft_matrix, expm_hermitian, lift
 from test_quantize import brute_force_quantize
 
 from trotterlab.cli import _dispatch, evaluate_criteria, parse_config
-from trotterlab.evolve import (EvolutionPlan, SplittingScheme, relative_propagator,
-                               trotter_step_unitary)
-from trotterlab.fourier import dft_matrix
+from trotterlab.evolve import EvolutionPlan, SplittingScheme, lie_power, relative_propagator
+from trotterlab.frame import TimeReversalFrame
 from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.numkit import hermitian_eig, spectral_norm
 from trotterlab.quantize import QuantizationContext, quantize
@@ -157,11 +156,14 @@ def test_criterion_9_oracle_equivalence():
         for h in (2.0**-4, 2.0**-6):   # N = 16 and N = 64
             grid = GridSpec.canonical(-np.pi, np.pi, h)
             pair = build_pair(grid)
+            frame = TimeReversalFrame.of(pair)
             s = 0.21
             for scheme in SplittingScheme:
-                # one step with U = 1: Lie's step itself, or its half-step conjugate
-                fast = relative_propagator(pair, EvolutionPlan(scheme, s, 1, h),
-                                           trotter_step_unitary(pair, s, h), np.eye(grid.N))
+                # one step with U = 1 in the time-reversal frame (Lie's step itself,
+                # or its half-step conjugate), lifted as e^{-i c s/2h} R V R^dag
+                real = relative_propagator(pair, EvolutionPlan(scheme, s, 1, h),
+                                           lie_power(pair, s, 1, h, frame), np.eye(grid.N), frame)
+                fast = lift(frame, real, s, h)
                 ua = expm_hermitian(pair.kinetic.dense, -s / h)
                 ub = expm_hermitian(pair.potential.dense, -s / h)
                 if scheme is SplittingScheme.LIE1:

@@ -11,9 +11,8 @@ derandomized so that every run draws the same cases.
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import dense_quantize, from_samples, pullback_samples
+from oracles import dense_quantize, dft_matrix, from_samples, pullback_samples
 
-from trotterlab.fourier import dft_matrix
 from trotterlab.quantize import QuantizationContext, quantize
 from trotterlab.symbols import TorusSymbol, pullback_split_flow
 

@@ -97,22 +97,24 @@ class TestParseConfig:
         assert main(["sweep-h", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: domain: ")
 
-    def test_odd_grid_rejected_for_spectral_momentum(self):
-        # domain [0, 2 pi] puts N = 1/h points on the grid: h = 0.2 gives N = 5
-        base = {"observables": ["momentum_spectral"], "domain": [0, 6.283185307179586]}
-        for doc, field in (({"command": "sweep-h", "h_values": [0.25, 0.2]}, "h_values"),
-                           ({"command": "sweep-s", "h": 0.2}, "h"),
-                           ({"command": "query-count", "h_values": [0.2]}, "h_values")):
+    @pytest.mark.parametrize("h, n", [(0.2, 5), (0.1, 10), (0.04, 25)])
+    def test_grid_without_frame_rejected(self, h, n):
+        # domain [0, 2 pi] puts N = 1/h points on the grid; the commands that
+        # evolve observables form their errors in the time-reversal frame,
+        # which needs 4 | N, whatever the observable
+        base = {"observables": ["momentum_fd"], "domain": [0, 6.283185307179586]}
+        for doc, field in (({"command": "sweep-h", "h_values": [0.25, h]}, "h_values"),
+                           ({"command": "sweep-s", "h": h}, "h"),
+                           ({"command": "long-time", "h": h, "s_values": [0.5, 0.25]}, "h"),
+                           ({"command": "query-count", "h_values": [h]}, "h_values")):
             with pytest.raises(ValidationError) as err:
                 parse_config(json.dumps({**base, **doc}))
             assert err.value.field == field
-            assert "even N" in str(err.value)
-        # the central-difference momentum and the commutator scan accept odd N
-        # (h = 1/25 gives N = 25 with the wave packet clear of the domain edge)
-        parse_config(json.dumps({"command": "sweep-h", "h_values": [0.04],
-                                 "observables": ["momentum_fd"]}))
+            assert f"h={h:g} gives N = {n}" in str(err.value)
+            assert "divisible by 4" in str(err.value)
+        # the commutator scan forms no error and accepts any N
         parse_config(json.dumps({"domain": base["domain"], "command": "commutator-scan",
-                                 "h_values": [0.2]}))
+                                 "h_values": [h]}))
 
     def test_packet_at_domain_edge_rejected_before_compute(self, tmp_path, capsys):
         # at h = 1/4 the grid has N = 4 nodes and the packet is not negligible at

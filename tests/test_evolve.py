@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from oracles import STAGES, expm_hermitian, split_step
+from oracles import STAGES, expm_hermitian, lift, materialize, split_step
 
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
-from trotterlab.fourier import DiagonalKind, FactoredOperator, materialize
+from trotterlab.fourier import DiagonalKind, FactoredOperator
 from trotterlab.evolve import (
     EvolutionPlan,
     SplittingScheme,
@@ -16,6 +16,7 @@ from trotterlab.evolve import (
     relative_propagator,
     trotter_step_unitary,
 )
+from trotterlab.frame import FrameObservable, TimeReversalFrame
 from trotterlab.hamiltonian import (
     GridSpec,
     GridOperator,
@@ -44,21 +45,32 @@ def commuting_pair(grid):
 
 
 def exact(hamiltonian, t, h):
-    """U(t) = e^{-i H t / h} from the eigendecomposition of H."""
-    return exact_unitary(hermitian_eig(hamiltonian), t, h)
+    """U(t) = e^{-i H t / h} from the eigendecomposition of H, as a complex matrix."""
+    return hermitian_eig(hamiltonian).exp(-t / h)
 
 
 def propagators(pair, plan):
-    """V = W^n U^dag and U at t = n s, as a sweep forms them."""
-    u = exact(pair.total, plan.t, plan.h)
-    return relative_propagator(pair, plan, lie_power(pair, plan.s, plan.n, plan.h), u), u
+    """V = W^n U^dag and U at t = n s in the time-reversal frame, as a sweep
+    forms them, and the frame."""
+    frame = TimeReversalFrame.of(pair)
+    u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h, frame)
+    power = lie_power(pair, plan.s, plan.n, plan.h, frame)
+    return relative_propagator(pair, plan, power, u, frame), u, frame
+
+
+def obs_error(obs, pair, plan):
+    """The observable error of a factored observable, through its frame form."""
+    v, _, frame = propagators(pair, plan)
+    return observable_error(FrameObservable(obs, frame), v)
 
 
 def library_step(pair, scheme, s, h):
-    """The library's one-step matrix of a scheme: V at n = 1 with U = 1 (Lie's
-    step itself, or its half-step conjugate for Strang)."""
+    """The library's one-step matrix of a scheme, lifted from the frame: V at
+    n = 1 with U = 1 (Lie's step itself, or its half-step conjugate for Strang)."""
+    frame = TimeReversalFrame.of(pair)
     plan = EvolutionPlan(scheme, s, 1, h)
-    return relative_propagator(pair, plan, trotter_step_unitary(pair, s, h), np.eye(pair.grid.N))
+    v = relative_propagator(pair, plan, lie_power(pair, s, 1, h, frame), np.eye(pair.grid.N), frame)
+    return lift(frame, v, s, h)
 
 
 def heisenberg_exact(observable, hamiltonian, t, h):
@@ -94,12 +106,15 @@ class TestExactUnitary:
         assert np.allclose(np.diag(u), np.exp(-1j * 2.0 * np.diag(ham))), u
 
     def test_composition(self, setup):
+        # the frame phases e^{i c t/2h} compose as U does, so the real frame
+        # matrices compose too
         h, grid, pair = setup
-        eig = hermitian_eig(pair.total)
-        u1 = exact_unitary(eig, 0.3, h)
-        u2 = exact_unitary(eig, 0.2, h)
-        u12 = exact_unitary(eig, 0.5, h)
+        eig, frame = hermitian_eig(pair.total), TimeReversalFrame.of(pair)
+        u1 = exact_unitary(eig, 0.3, h, frame)
+        u2 = exact_unitary(eig, 0.2, h, frame)
+        u12 = exact_unitary(eig, 0.5, h, frame)
         assert spectral_norm(u1 @ u2 - u12) <= 1e-8 * grid.N
+        assert spectral_norm(lift(frame, u12, 0.5, h) - exact(pair.total, 0.5, h)) <= 1e-11 * grid.N
 
     def test_unitarity(self, setup):
         h, grid, pair = setup
@@ -220,14 +235,13 @@ class TestErrorFunctionals:
         pair = commuting_pair(grid)
         obs = cosine_observable(grid)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 4, h)
-        assert observable_error(obs, propagators(pair, plan)[0]) < 1e-9
+        assert obs_error(obs, pair, plan) < 1e-9
 
     def test_observable_error_bounded(self, setup):
         h, grid, pair = setup
         obs = cosine_observable(grid)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.5, 2, h)
-        v = propagators(pair, plan)[0]
-        assert observable_error(obs, v) <= 2 * spectral_norm(materialize(obs)) + 1e-12
+        assert obs_error(obs, pair, plan) <= 2 * spectral_norm(materialize(obs)) + 1e-12
 
     def test_single_step_error_orders(self, setup):
         # halving s divides the one-step error by ~4 (first order scheme)
@@ -235,24 +249,20 @@ class TestErrorFunctionals:
         h, grid, pair = setup
         obs = cosine_observable(grid)
         for scheme, factor in ((SplittingScheme.LIE1, 4.0), (SplittingScheme.STRANG2, 8.0)):
-            errs = [observable_error(obs, propagators(pair, EvolutionPlan(scheme, s, 1, h))[0])
+            errs = [obs_error(obs, pair, EvolutionPlan(scheme, s, 1, h))
                     for s in (2.0**-5, 2.0**-6)]
             assert errs[0] / errs[1] == pytest.approx(factor, rel=0.1)
 
     def test_non_hermitian_observable_rejected_before_compute(self, setup):
         # a factored observable is Hermitian exactly when its diagonal is real;
-        # the propagators are None, so any compute before the gate would trip over them
-        h, grid, _ = setup
+        # the gate runs where the observable enters, as its frame form is built
+        h, grid, pair = setup
         diag = np.cos(grid.nodes).astype(complex)
         diag[1] += 1e-3j
-        bad = FactoredOperator(DiagonalKind.POSITION, diag)
-        psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
-        with pytest.raises(NonHermitian):
-            observable_error(bad, None)
-        with pytest.raises(NonHermitian):
-            observable_error(FactoredOperator(DiagonalKind.FOURIER, diag), None)
-        with pytest.raises(NonHermitian):
-            expectation_error([cosine_observable(grid), bad], None, None, psi)
+        frame = TimeReversalFrame.of(pair)
+        for kind in DiagonalKind:
+            with pytest.raises(NonHermitian):
+                FrameObservable(FactoredOperator(kind, diag), frame)
 
     def test_commuting_split_zero_unitary_error(self, setup):
         h, grid, _ = setup
@@ -312,7 +322,8 @@ class TestExpectationError:
         obs = cosine_observable(grid)
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 4, h)
-        assert expectation_error([obs], *propagators(pair, plan), psi)[0] < 1e-10
+        v, u, frame = propagators(pair, plan)
+        assert expectation_error([FrameObservable(obs, frame)], v, u, psi, frame)[0] < 1e-10
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_dominated_by_observable_error(self, setup, scheme):
@@ -320,10 +331,11 @@ class TestExpectationError:
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
         observables = (cosine_observable(grid), momentum_observable(grid))
         for s, n in ((0.25, 1), (0.1, 4)):
-            v, u = propagators(pair, EvolutionPlan(scheme, s, n, h))
-            errors = expectation_error(observables, v, u, psi)
-            for obs, err in zip(observables, errors, strict=True):
-                assert err <= observable_error(obs, v) + 1e-12
+            v, u, frame = propagators(pair, EvolutionPlan(scheme, s, n, h))
+            forms = [FrameObservable(obs, frame) for obs in observables]
+            errors = expectation_error(forms, v, u, psi, frame)
+            for form, err in zip(forms, errors, strict=True):
+                assert err <= observable_error(form, v) + 1e-12
 
     def test_matches_matrix_expectation(self, setup):
         h, grid, pair = setup
@@ -333,15 +345,17 @@ class TestExpectationError:
         t_trot = heisenberg_trotter(materialize(obs), pair, plan)
         t_exact = heisenberg_exact(materialize(obs), pair.total, plan.t, h)
         direct = abs(np.vdot(psi, t_trot @ psi).real - np.vdot(psi, t_exact @ psi).real)
-        got = expectation_error([obs], *propagators(pair, plan), psi)
+        v, u, frame = propagators(pair, plan)
+        got = expectation_error([FrameObservable(obs, frame)], v, u, psi, frame)
         assert got == [pytest.approx(direct, abs=1e-12)]
 
     def test_unnormalized_state_rejected(self, setup):
         # the gate runs before the None propagators are touched
-        h, grid, _ = setup
-        obs = cosine_observable(grid)
+        h, grid, pair = setup
+        frame = TimeReversalFrame.of(pair)
+        form = FrameObservable(cosine_observable(grid), frame)
         with pytest.raises(UnnormalizedState):
-            expectation_error([obs], None, None, np.ones(grid.N))
+            expectation_error([form], None, None, np.ones(grid.N), frame)
 
 
 class TestEvolutionPlan:
@@ -361,15 +375,21 @@ class TestEvolutionPlan:
 class TestNonPowerOfTwoGrid:
     def test_full_stack_on_n_ten(self):
         # h = 0.1 on [-pi, pi] gives N = 10 and h = 1/25 gives the odd
-        # N = 25; the FFT path handles any length and stays consistent
+        # N = 25; the FFT step needs no frame and handles any length
         for h, n in ((0.1, 10), (1.0 / 25, 25)):
             grid = GridSpec.canonical(-np.pi, np.pi, h)
             assert grid.N == n
             pair = build_pair(grid)
-            obs = cosine_observable(grid)
+            fast = trotter_step_unitary(pair, 0.2, h)
+            dense = dense_step(pair, SplittingScheme.LIE1, 0.2, h)
+            assert spectral_norm(fast - dense) <= 1e-9 * grid.N
+        # the errors run in the frame, which needs 4 | N: N = 12 and N = 20
+        for h in (1.0 / 12, 1.0 / 20):
+            grid = GridSpec.canonical(-np.pi, np.pi, h)
+            pair = build_pair(grid)
             plan = EvolutionPlan(SplittingScheme.STRANG2, 0.2, 1, h)
             fast = library_step(pair, SplittingScheme.STRANG2, 0.2, h)
             dense = dense_step(pair, SplittingScheme.STRANG2, 0.2, h)
             assert spectral_norm(fast - dense) <= 1e-9 * grid.N
-            err = observable_error(obs, propagators(pair, plan)[0])
+            err = obs_error(cosine_observable(grid), pair, plan)
             assert 0.0 < err < 2.0

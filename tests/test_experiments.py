@@ -360,6 +360,7 @@ class TestQueryCount:
     def test_minimality(self):
         from trotterlab.evolve import (EvolutionPlan, SplittingScheme, exact_unitary,
                                        lie_power, observable_error, relative_propagator)
+        from trotterlab.frame import FrameObservable, TimeReversalFrame
         from trotterlab.hamiltonian import GridSpec, build_pair
         from trotterlab.experiments import OBSERVABLES
         from trotterlab.numkit import hermitian_eig
@@ -367,10 +368,12 @@ class TestQueryCount:
         n = query_count(eps, "Strang2", h)
         grid = GridSpec.canonical(-np.pi, np.pi, h)
         pair = build_pair(grid)
-        obs = OBSERVABLES["cos_3x"](grid)
-        u = exact_unitary(hermitian_eig(pair.total), 1.0, h)
+        frame = TimeReversalFrame.of(pair)
+        obs = FrameObservable(OBSERVABLES["cos_3x"](grid), frame)
+        u = exact_unitary(hermitian_eig(pair.total), 1.0, h, frame)
         err_at = lambda m: observable_error(obs, relative_propagator(pair, EvolutionPlan(
-            SplittingScheme.STRANG2, 1.0 / m, m, h), lie_power(pair, 1.0 / m, m, h), u))
+            SplittingScheme.STRANG2, 1.0 / m, m, h), lie_power(pair, 1.0 / m, m, h, frame), u,
+            frame))
         assert err_at(n) <= eps
         if n > 1:
             assert err_at(n - 1) > eps
@@ -384,9 +387,9 @@ class TestQueryCount:
         # (the stand-in propagator is the step count, which the error looks up)
         errors = {1: 0.5, 2: 0.3, 3: 0.2, 4: 0.05, 5: 0.2}
         monkeypatch.setattr(experiments, "relative_propagator",
-                            lambda pair, plan, power, u, frame=None: plan.n)
+                            lambda pair, plan, power, u, frame: plan.n)
         monkeypatch.setattr(experiments, "observable_error",
-                            lambda obs, v, frame=None: errors.get(v, 0.01))
+                            lambda obs, v: errors.get(v, 0.01))
         with pytest.raises(NonMonotone):
             query_count(0.1, "Strang2", 2.0**-3)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import dft_matrix, materialize
 
 from trotterlab.errors import EmptyInput
 from trotterlab.fourier import (
@@ -7,9 +8,7 @@ from trotterlab.fourier import (
     FactoredOperator,
     circulant,
     dft_cols,
-    dft_matrix,
     idft_cols,
-    materialize,
 )
 
 # Powers of two and other lengths share one transform path.

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from oracles import materialize
 
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonRealPotential, OddN
-from trotterlab.fourier import materialize
 from trotterlab.hamiltonian import (
     GridSpec,
     build_fd_kinetic,

@@ -1,18 +1,22 @@
-"""Property tests of the propagator-power engine on any grid size.
+"""Property tests of the propagator-power engine.
 
-Grid sizes N run over 3..40 (2..40 for the step power), odd and
-non-power-of-two included, with the canonical relation N = 1/h on
-[-pi, pi]. Examples are derandomized so that every run draws the same cases. The real-arithmetic and structured fast
-paths are checked against complex dense oracles within the round-off floor
-1e-11 N. The expectation error, read from V (U psi), is checked against a
-state stepped one split step at a time and against the dense Heisenberg form.
+The propagators and errors run in the time-reversal frame, so their grid
+sizes N are the multiples of 4 up to 40, non-powers of two included; the
+norms of ``numkit`` take any N in 3..40. Grids keep the canonical relation
+N = 1/h on [-pi, pi]. Examples are derandomized so that every run draws the
+same cases. The real frame matrices, lifted by the dense basis R, and the
+frame errors are checked against complex dense oracles within the round-off
+floor 1e-11 N. The expectation error, read from V (U psi), is checked against
+a state stepped one split step at a time and against the dense Heisenberg
+form. Random real diagonals commute with T only by accident, so they
+exercise the complex frame form K = K_+ + i K_-.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expm_hermitian, split_step, stage_factors
+from oracles import expm_hermitian, lift, materialize, split_step, stage_factors
 
 from trotterlab.evolve import (
     EvolutionPlan,
@@ -24,7 +28,8 @@ from trotterlab.evolve import (
     observable_error,
     relative_propagator,
 )
-from trotterlab.fourier import DiagonalKind, FactoredOperator, materialize
+from trotterlab.fourier import DiagonalKind, FactoredOperator
+from trotterlab.frame import FrameObservable, TimeReversalFrame
 from trotterlab.hamiltonian import (
     GridSpec,
     build_pair,
@@ -42,6 +47,7 @@ from trotterlab.numkit import (
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
 sizes = st.integers(3, 40)
+frame_sizes = st.integers(1, 10).map(lambda quarter: 4 * quarter)
 schemes = st.sampled_from(list(SplittingScheme))
 step_sizes = st.floats(0.01, 0.5)
 
@@ -51,9 +57,17 @@ def grid_pair(n: int):
     return grid, build_pair(grid)
 
 
-def propagator(pair, plan, u) -> np.ndarray:
-    """V = W^n U^dag as a sweep forms it, from the plan's Lie power."""
-    return relative_propagator(pair, plan, lie_power(pair, plan.s, plan.n, plan.h), u)
+def frame_setup(n: int, plan_t: float):
+    """Grid, pair, frame, and U at time plan_t as the real frame matrix."""
+    grid, pair = grid_pair(n)
+    frame = TimeReversalFrame.of(pair)
+    return grid, pair, frame, exact_unitary(hermitian_eig(pair.total), plan_t, grid.h, frame)
+
+
+def propagator(pair, plan, u, frame) -> np.ndarray:
+    """V = W^n U^dag in the frame as a sweep forms it, from the plan's Lie power."""
+    power = lie_power(pair, plan.s, plan.n, plan.h, frame)
+    return relative_propagator(pair, plan, power, u, frame)
 
 
 def stepped(pair, plan) -> np.ndarray:
@@ -78,37 +92,39 @@ def stepped_state(pair, plan, psi) -> np.ndarray:
 
 
 @PROPERTY
-@given(n=sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 64))
+@given(n=frame_sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 64))
 def test_powering_equals_stepping(n, scheme, s, count):
-    # with U = 1 the relative propagator is the step power W^n itself
-    grid, pair = grid_pair(n)
+    # with U = 1 the relative propagator is the step power W^n itself, whose
+    # frame matrix carries the phase e^{i c n s/2h}
+    grid, pair, frame, _ = frame_setup(n, 0.0)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    powered = propagator(pair, plan, np.eye(n))
+    powered = lift(frame, propagator(pair, plan, np.eye(n), frame), plan.t, plan.h)
     assert spectral_norm(powered - stepped(pair, plan)) <= 1e-11 * n
 
 
 @PROPERTY
-@given(n=st.integers(2, 40), scheme=schemes, s=st.sampled_from([0.01, 0.1, 0.37, 1.0]),
+@given(n=frame_sizes, scheme=schemes, s=st.sampled_from([0.01, 0.1, 0.37, 1.0]),
        count=st.sampled_from([0, 1, 2, 3, 50]))
 def test_propagator_equals_powered_stage_product(n, scheme, s, count):
     # Strang's W^n read as the half-step conjugate P^dag W_L^n P of Lie's power,
     # against the three-stage product raised to the n-th power, times U^dag
-    grid, pair = grid_pair(n)
+    grid, pair, frame, u = frame_setup(n, count * s)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h)
-    oracle = np.linalg.matrix_power(split_step(pair, scheme, s, grid.h), count) @ u.conj().T
-    assert spectral_norm(propagator(pair, plan, u) - oracle) <= 1e-11 * n
+    oracle = (np.linalg.matrix_power(split_step(pair, scheme, s, grid.h), count)
+              @ expm_hermitian(pair.total, plan.t / plan.h))
+    assert spectral_norm(lift(frame, propagator(pair, plan, u, frame)) - oracle) <= 1e-11 * n
 
 
 @PROPERTY
-@given(n=sizes, times=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+@given(n=frame_sizes, times=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
 def test_cached_eig_propagator_matches_expm(n, times):
-    grid, pair = grid_pair(n)
+    grid, pair, frame, _ = frame_setup(n, 0.0)
     eig = hermitian_eig(pair.total)
     for t in times:
-        cached = exact_unitary(eig, t, grid.h)
-        assert spectral_norm(cached - expm_hermitian(pair.total, -t / grid.h)) <= 1e-11 * n
-        assert spectral_norm(cached.conj().T @ cached - np.eye(n)) <= 1e-11 * n
+        cached = exact_unitary(eig, t, grid.h, frame)
+        oracle = expm_hermitian(pair.total, -t / grid.h)
+        assert spectral_norm(lift(frame, cached, t, grid.h) - oracle) <= 1e-11 * n
+        assert spectral_norm(cached.T @ cached - np.eye(n)) <= 1e-11 * n
 
 
 @PROPERTY
@@ -121,34 +137,38 @@ def test_hermitian_norm_equals_svd_norm(n, seed, scale):
 
 
 @PROPERTY
-@given(n=sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 16),
+@given(n=frame_sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 16),
        build=st.sampled_from([cosine_observable, momentum_fd_observable]))
 def test_relative_form_equals_two_sided_difference(n, scheme, s, count, build):
-    # ||V^dag O V - O|| and ||V - 1|| with V = W^n U^dag against the direct forms
-    grid, pair = grid_pair(n)
+    # ||V^T K V - K|| and ||V - 1|| with the frame's V = W^n U^dag against the
+    # direct forms
+    grid, pair, frame, u = frame_setup(n, count * s)
     obs = build(grid)
     dense = materialize(obs)
     plan = EvolutionPlan(scheme, s, count, grid.h)
     w = np.linalg.matrix_power(split_step(pair, scheme, s, grid.h), count)
-    u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h)
-    direct = spectral_norm(w.conj().T @ dense @ w - u.conj().T @ dense @ u)
-    v = propagator(pair, plan, u)
-    assert observable_error(obs, v) == pytest.approx(direct, abs=1e-11 * n)
-    assert unitary_distance(v) == pytest.approx(spectral_norm(w - u), abs=1e-11 * n)
+    u_dense = expm_hermitian(pair.total, -plan.t / plan.h)
+    direct = spectral_norm(w.conj().T @ dense @ w - u_dense.conj().T @ dense @ u_dense)
+    v = propagator(pair, plan, u, frame)
+    got = observable_error(FrameObservable(obs, frame), v)
+    assert got == pytest.approx(direct, abs=1e-11 * n)
+    assert unitary_distance(v) == pytest.approx(spectral_norm(w - u_dense), abs=1e-11 * n)
 
 
 @PROPERTY
-@given(n=sizes, times=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+@given(n=frame_sizes, times=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
 def test_real_engine_matches_complex_expm(n, times):
-    # H is real symmetric, so its eigenvectors stay float64; a fall back to
-    # complex arithmetic shows as a complex128 eigenvector matrix
-    grid, pair = grid_pair(n)
+    # H is real symmetric, so its eigenvectors stay float64 and U is a float64
+    # frame matrix; a fall back to complex arithmetic shows as complex128
+    grid, pair, frame, _ = frame_setup(n, 0.0)
     assert pair.total.dtype == np.float64
     eig = hermitian_eig(pair.total)
     assert eig.eigenvectors.dtype == np.float64
     for t in times:
         oracle = expm_hermitian(pair.total.astype(np.complex128), -t / grid.h)
-        assert spectral_norm(exact_unitary(eig, t, grid.h) - oracle) <= 1e-11 * n
+        cached = exact_unitary(eig, t, grid.h, frame)
+        assert cached.dtype == np.float64
+        assert spectral_norm(lift(frame, cached, t, grid.h) - oracle) <= 1e-11 * n
 
 
 @PROPERTY
@@ -170,35 +190,38 @@ def test_unitary_distance_equals_svd_norm(n, seed, dist):
 
 
 @PROPERTY
-@given(n=sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 16),
+@given(n=frame_sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 16),
        kind=st.sampled_from(list(DiagonalKind)), seed=st.integers(0, 2**32 - 1))
 def test_factored_observable_error_equals_dense_form(n, scheme, s, count, kind, seed):
-    # ||V^dag O V - O|| for a random real diagonal in either basis, against
-    # the dense product with the materialized O
-    grid, pair = grid_pair(n)
+    # ||V^T K V - K|| for the complex frame form K of a random real diagonal in
+    # either basis, against ||V^dag O V - O|| with the lifted V and the materialized O
+    grid, pair, frame, u = frame_setup(n, count * s)
     obs = FactoredOperator(kind, np.random.default_rng(seed).standard_normal(n))
+    form = FrameObservable(obs, frame)
+    assert all(part is not None for part in form.parts)
     dense = materialize(obs)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    v = propagator(pair, plan, exact_unitary(hermitian_eig(pair.total), plan.t, plan.h))
+    v_frame = propagator(pair, plan, u, frame)
+    v = lift(frame, v_frame)
     direct = spectral_norm(v.conj().T @ dense @ v - dense)
-    assert observable_error(obs, v) == pytest.approx(direct, abs=1e-11 * n)
+    assert observable_error(form, v_frame) == pytest.approx(direct, abs=1e-11 * n)
 
 
 @PROPERTY
-@given(n=sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 64),
+@given(n=frame_sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 64),
        kind=st.sampled_from(list(DiagonalKind)), seed=st.integers(0, 2**32 - 1))
 def test_expectation_error_matches_stepping_and_dense(n, scheme, s, count, kind, seed):
     # |<W^n psi, O W^n psi> - <U psi, O U psi>| read from W^n psi = V (U psi),
     # against the state stepped n times and against <psi, (W^n)^dag O W^n psi>,
     # for a random unit state and a random real diagonal in either basis
-    grid, pair = grid_pair(n)
+    grid, pair, frame, u = frame_setup(n, count * s)
     rng = np.random.default_rng(seed)
     obs = FactoredOperator(kind, rng.standard_normal(n))
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi /= np.linalg.norm(psi)
     plan = EvolutionPlan(scheme, s, count, grid.h)
-    u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h)
-    got = expectation_error([obs], propagator(pair, plan, u), u, psi)[0]
+    got = expectation_error([FrameObservable(obs, frame)], propagator(pair, plan, u, frame), u,
+                            psi, frame)[0]
 
     dense = materialize(obs)
     exact_state = expm_hermitian(pair.total, -plan.t / plan.h) @ psi

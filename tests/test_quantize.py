@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from oracles import dense_quantize, expm_hermitian, from_samples, pullback_samples
+from oracles import dense_quantize, dft_matrix, expm_hermitian, from_samples, pullback_samples
 
 from trotterlab.errors import NotSplit
-from trotterlab.fourier import dft_matrix
 from trotterlab.numkit import spectral_norm
 from trotterlab.quantize import (
     QuantizationContext,

@@ -1,32 +1,37 @@
 """The time-reversal frame: real error norms checked against the dense oracle.
 
-When 4 | N and the potential is antisymmetric under the half-period shift,
-the sweeps form V, U and G as real matrices in the basis R of
-``frame.TimeReversalFrame``. These tests run the driver's per-point kernel
+Every sweep forms V, U and G as real matrices in the basis R of
+``frame.TimeReversalFrame``, which needs 4 | N and a potential antisymmetric
+under the half-period shift. These tests run the sweeps' per-point kernel
 (``experiments._error_rows``) on random domain offsets and compare every
 unitary, observable and expectation error with the stage product of
-``tests/oracles.py`` within the round-off floor 1e-11 N. Grids, potentials
-and observables without the symmetry must take the complex path and still
-match. Examples are derandomized so that every run draws the same cases.
+``tests/oracles.py`` within the round-off floor 1e-11 N, for observables
+that commute with T, anticommute with it, or neither (``momentum_spectral``).
+Grids and potentials without the symmetry are rejected before any compute,
+naming the field. Examples are derandomized so that every run draws the same
+cases.
 """
+
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import expm_hermitian, frame_basis, split_step
+from oracles import expm_hermitian, frame_basis, lift, materialize, split_step
 
-from trotterlab import experiments
+import trotterlab.fourier
+from trotterlab import experiments, numkit
+from trotterlab.cli import _dispatch, parse_config
+from trotterlab.errors import ValidationError
 from trotterlab.evolve import (
     EvolutionPlan,
     SplittingScheme,
     exact_unitary,
     lie_power,
-    observable_error,
     relative_propagator,
 )
-from trotterlab.fourier import materialize
-from trotterlab.frame import TimeReversalFrame
+from trotterlab.frame import FrameObservable, TimeReversalFrame
 from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.numkit import hermitian_eig, spectral_norm
 
@@ -38,7 +43,7 @@ STEP_COUNTS = st.sampled_from([0, 1, 2, 3, 50])
 
 
 def cos_2x(x):
-    """A potential symmetric under the half-period shift: no frame."""
+    """A potential symmetric under the half-period shift: it admits no frame."""
     return np.cos(2.0 * x)
 
 
@@ -57,9 +62,10 @@ def driver_errors(grid, potential, names, psi, scheme, s, n) -> dict:
     (observable, metric), for the unit state psi in place of the packet and
     the potential named in ``experiments.POTENTIALS``."""
     pair = build_pair(grid, potential=experiments.POTENTIALS[potential])
-    ops = {name: experiments.OBSERVABLES[name](grid) for name in names}
-    setup = (grid, pair, ops, psi, hermitian_eig(pair.total),
-             TimeReversalFrame.of(pair, ops.values()))
+    frame = TimeReversalFrame.of(pair)
+    forms = {name: FrameObservable(experiments.OBSERVABLES[name](grid), frame)
+             for name in names}
+    setup = (grid, pair, forms, psi, hermitian_eig(pair.total), frame)
     rows = experiments._error_rows(setup, [scheme], s, n, grid.h, with_unitary=True)
     return {(row[4], row[5]): row[6] for row in rows}
 
@@ -91,41 +97,58 @@ def assert_matches_oracle(grid, potential, names, psi, scheme, s, n):
 @PROPERTY
 @given(quarter=st.integers(1, 16), delta=st.floats(-np.pi, np.pi),
        scheme=st.sampled_from(list(SplittingScheme)), s=STEP_SIZES, count=STEP_COUNTS,
-       names=st.lists(st.sampled_from(FRAME_OBSERVABLES), min_size=1, max_size=3, unique=True),
+       names=st.lists(st.sampled_from(sorted(experiments.OBSERVABLES)), min_size=1, max_size=3,
+                      unique=True),
        seed=st.integers(0, 2**32 - 1))
+@example(quarter=4, delta=0.37, scheme=SplittingScheme.LIE1, s=0.1, count=1,
+         names=["momentum_spectral", "cos_x"], seed=16)
+@example(quarter=8, delta=0.37, scheme=SplittingScheme.STRANG2, s=0.02, count=50,
+         names=["momentum_spectral"], seed=32)
 def test_frame_errors_match_stage_product(quarter, delta, scheme, s, count, names, seed):
     n = 4 * quarter
-    grid = shifted_grid(n, delta)
-    pair = build_pair(grid)
-    frame = TimeReversalFrame.of(pair)
-    assert frame is not None
-    assert all(frame.parity(experiments.OBSERVABLES[name](grid)) is not None for name in names)
-    assert_matches_oracle(grid, "cos", names, unit_state(n, seed), scheme, s, count)
+    assert_matches_oracle(shifted_grid(n, delta), "cos", names, unit_state(n, seed), scheme, s,
+                          count)
 
 
-@pytest.mark.parametrize("n, potential, names, routed", [
-    (10, "cos", FRAME_OBSERVABLES, "N = 2 mod 4"),
-    (30, "cos", FRAME_OBSERVABLES, "N = 2 mod 4"),
-    (9, "cos", FRAME_OBSERVABLES, "odd N"),
-    (33, "cos", ("cos_x", "momentum_fd"), "odd N"),
-    (16, "cos", ("momentum_spectral", "cos_x"), "momentum_spectral"),
-    (32, "cos", ("momentum_spectral",), "momentum_spectral"),
-    (16, "cos_2x", FRAME_OBSERVABLES, "symmetric potential"),
-    (32, "cos_2x", ("cos_x", "momentum_fd"), "symmetric potential"),
-])
-@pytest.mark.parametrize("scheme", list(SplittingScheme))
-def test_routed_cases_take_complex_path_and_match(monkeypatch, n, potential, names, routed,
-                                                  scheme):
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    """Fails any eigendecomposition of H: a rejection must come before it."""
+    monkeypatch.setattr(numkit, "hermitian_eig", lambda matrix: pytest.fail("eigensolve ran"))
+
+
+# Each experiments entry point that forms errors, run on one grid of step size h
+# with a given potential, and the field that names h.
+ENTRY_POINTS = {
+    "sweep_h": (lambda h, potential: experiments.sweep_h(
+        h_values=[2.0**-3, h], s_fixed=0.1, potential=potential), "h_values"),
+    "sweep_timestep": (lambda h, potential: experiments.sweep_timestep(
+        s_values=[0.1], h=h, potential=potential), "h"),
+    "query_count": (lambda h, potential: experiments.query_count(
+        3e-2, "Strang2", h, potential=potential), "h"),
+    "query_count_study": (lambda h, potential: experiments.query_count_study(
+        epsilons=[3e-2], h_values=[h], potential=potential), "h_values"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("n", [9, 10, 30, 33])
+def test_grids_without_frame_rejected(no_eigensolve, n, entry):
+    # odd N has no half shift and N = 2 mod 4 gives T^2 = -1: each entry point
+    # names the field of the step size that gave N
+    run, field = ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError) as err:
+        run(1.0 / n, "cos")
+    assert err.value.field == field
+    assert f"N = {n}" in str(err.value) and "divisible by 4" in str(err.value)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_potential_without_antisymmetry_rejected(monkeypatch, no_eigensolve, entry):
     monkeypatch.setitem(experiments.POTENTIALS, "cos_2x", cos_2x)
-    grid = shifted_grid(n, 0.37)
-    pair = build_pair(grid, potential=experiments.POTENTIALS[potential])
-    assert TimeReversalFrame.of(pair, [experiments.OBSERVABLES[name](grid) for name in names]) \
-        is None
-    if routed == "momentum_spectral":      # the grid and potential alone admit the frame
-        assert TimeReversalFrame.of(pair) is not None
-    psi = unit_state(n, n)
-    for s, count in ((0.1, 1), (0.37, 3), (0.02, 50)):
-        assert_matches_oracle(grid, potential, names, psi, scheme, s, count)
+    with pytest.raises(ValidationError) as err:
+        ENTRY_POINTS[entry][0](2.0**-4, "cos_2x")
+    assert err.value.field == "potential"
+    assert "'cos_2x'" in str(err.value) and "antisymmetric" in str(err.value)
 
 
 @pytest.mark.parametrize("n", [4, 8, 12, 64])
@@ -152,33 +175,45 @@ def test_frame_matches_dense_basis(n, delta):
     eig = hermitian_eig(pair.total)
     for scheme in SplittingScheme:
         plan = EvolutionPlan(scheme, 0.3, 5, grid.h)
-        complex_v = relative_propagator(pair, plan, lie_power(pair, plan.s, plan.n, plan.h),
-                                        exact_unitary(eig, plan.t, plan.h))
         real_v = relative_propagator(pair, plan, lie_power(pair, plan.s, plan.n, plan.h, frame),
                                      exact_unitary(eig, plan.t, plan.h, frame), frame)
+        complex_v = (np.linalg.matrix_power(split_step(pair, scheme, plan.s, plan.h), plan.n)
+                     @ expm_hermitian(pair.total, plan.t / plan.h))
         assert real_v.dtype == np.float64
         assert spectral_norm(basis @ real_v @ basis.conj().T - complex_v) <= 1e-11 * n
+        assert spectral_norm(lift(frame, real_v) - complex_v) <= 1e-11 * n
 
 
 def test_frame_chosen_from_operator_data():
-    assert TimeReversalFrame.of(build_pair(shifted_grid(16, 1.3))) is not None
-    assert TimeReversalFrame.of(build_pair(shifted_grid(16, 1.3), potential=np.zeros_like)) \
-        is not None
+    assert TimeReversalFrame.of(build_pair(shifted_grid(16, 1.3))).size == 16
+    assert TimeReversalFrame.of(build_pair(shifted_grid(16, 1.3), potential=np.zeros_like)).size \
+        == 16
     for n in (6, 7, 18):
-        assert TimeReversalFrame.of(build_pair(shifted_grid(n, 0.0))) is None
-    assert TimeReversalFrame.of(build_pair(shifted_grid(16, 0.0), potential=cos_2x)) is None
-    # cos x + 1e-6 cos 2x breaks the antisymmetry far above the tolerance
-    nearly = build_pair(shifted_grid(16, 0.0), potential=lambda x: np.cos(x) + 1e-6 * np.cos(2 * x))
-    assert TimeReversalFrame.of(nearly) is None
+        with pytest.raises(ValueError, match=f"N = {n}"):
+            TimeReversalFrame.of(build_pair(shifted_grid(n, 0.0)))
+    # cos 2x is symmetric; cos x + 1e-6 cos 2x breaks the antisymmetry far above the tolerance
+    for potential in (cos_2x, lambda x: np.cos(x) + 1e-6 * np.cos(2 * x)):
+        with pytest.raises(ValueError, match="antisymmetric"):
+            TimeReversalFrame.of(build_pair(shifted_grid(16, 0.0), potential=potential))
 
 
 def test_observable_classes():
+    # the parity of T picks which real parts of K = K_+ + i K_- remain
     grid = shifted_grid(32, 0.61)
     frame = TimeReversalFrame.of(build_pair(grid))
     parities = {name: frame.parity(build(grid)) for name, build in experiments.OBSERVABLES.items()}
     assert parities == {"cos_x": -1, "cos_3x": -1, "momentum_fd": 1, "momentum_spectral": None}
-    with pytest.raises(ValueError):
-        observable_error(experiments.OBSERVABLES["momentum_spectral"](grid), np.eye(32), frame)
+    basis = frame_basis(32)
+    rotation = np.linalg.qr(np.random.default_rng(32).standard_normal((32, 32)))[0]
+    for name, build in experiments.OBSERVABLES.items():
+        form = FrameObservable(build(grid), frame)
+        assert tuple(part is not None for part in form.parts) == \
+            {-1: (False, True), 1: (True, False), None: (True, True)}[parities[name]]
+        # the defects of the kept parts make up V^T K V - K with K = R^dag O R
+        k = basis.conj().T @ materialize(form.operator) @ basis
+        got = sum(d * weight for d, weight in zip(form.defects(rotation), (1.0, 1j))
+                  if d is not None)
+        assert np.abs(got - (rotation.T @ k @ rotation - k)).max() <= 1e-13 * 32
 
 
 class TestFrameIsUsed:
@@ -216,6 +251,29 @@ class TestFrameIsUsed:
                                 domain=(-np.pi + 0.2, np.pi + 0.2))
         assert eig_dtypes and set(eig_dtypes) == {np.dtype(np.float64)}
 
-    def test_routed_observable_keeps_complex_path(self, eig_dtypes):
-        experiments.sweep_h(h_values=[2.0**-4], s_fixed=0.1, observables=("momentum_spectral",))
-        assert np.dtype(np.complex128) in eig_dtypes
+    def test_momentum_spectral_takes_the_frame(self, eig_dtypes):
+        # its complex K makes its own norm the one complex eigensolve of each
+        # scheme at each grid
+        experiments.sweep_h(h_values=[2.0**-4, 2.0**-5], s_fixed=0.1,
+                            observables=("cos_x", "momentum_spectral"))
+        assert eig_dtypes.count(np.dtype(np.complex128)) == 2 * 2
+        assert set(eig_dtypes) == {np.dtype(np.float64), np.dtype(np.complex128)}
+
+
+def test_frame_forms_built_once_per_grid(monkeypatch):
+    # one circulant for the kinetic part and one per Fourier-diagonal
+    # observable (momentum_fd) on each of the 8 default grids, and the same
+    # for a query count, whatever the number of trial step counts
+    calls = []
+    circulant = trotterlab.fourier.circulant
+
+    def counted(column):
+        calls.append(len(column))
+        return circulant(column)
+
+    monkeypatch.setattr(trotterlab.fourier, "circulant", counted)
+    _dispatch(parse_config(json.dumps({}), command="sweep-h"), 1)
+    assert sorted(calls) == sorted(2 * [2**k for k in range(3, 11)])
+    calls.clear()
+    experiments.query_count(3e-2, "Strang2", 2.0**-4, observable="momentum_fd")
+    assert calls == [16, 16]
