@@ -3,11 +3,11 @@ semiclassical grid Hamiltonians.
 
 Submodules
 ----------
-numkit       dense Hermitian linear algebra (eig and exp(i t M), norms, Hermiticity gate)
-fourier      transform conventions, circulants, factored diagonal operators
+numkit       dense linear algebra (real symmetric eig and exp(i t M), norms, Hermiticity gate)
+fourier      transform conventions, circulants, factored diagonal operators, their dense form
 symbols      phase-space symbols on the unit torus and their calculus
 quantize     discrete Weyl quantization and semiclassical calculus checks
-hamiltonian  the central-difference grid Hamiltonian (kinetic + potential), observables
+hamiltonian  grids on one 2 pi period; every sweep operator a torus symbol sampled there
 evolve       the propagators U(t) and V = W^n U^dag, observable and expectation errors
 frame        the time-reversal frame every error is formed in (4 | N, antisymmetric potential)
 experiments  the run defaults, one driver per command, slope fits, machine-readable tables

@@ -18,15 +18,7 @@ class EmptyInput(TrotterlabError):
 
 
 class NotSplit(TrotterlabError):
-    """Flow generator depends on both phase-space variables."""
-
-
-class NonRealPotential(TrotterlabError):
-    """Potential values have a non-negligible imaginary part."""
-
-
-class OddN(TrotterlabError):
-    """Construction requires an even number of grid points."""
+    """A flow generator or a sampled symbol depends on both phase-space variables."""
 
 
 class PacketTouchesBoundary(TrotterlabError):

@@ -104,7 +104,7 @@ def trotter_step_unitary(pair: HamiltonianPair, s: float, h: float) -> np.ndarra
     """Dense matrix of Lie's split step W_L = e^{-i B s/h} e^{-i A s/h}: the
     kinetic factor A first, then the potential B, assembled through the fast path."""
     factors = [FactoredOperator(op.kind, np.exp(-1j * s / h * op.diag))
-               for op in (pair.kinetic.factored, pair.potential.factored)]
+               for op in (pair.kinetic, pair.potential)]
     return _apply_factors(factors, np.eye(pair.grid.N, dtype=np.complex128))
 
 
@@ -130,7 +130,7 @@ def relative_propagator(pair: HamiltonianPair, plan: EvolutionPlan, power: np.nd
     """
     if plan.scheme is SplittingScheme.LIE1:
         return power @ u.T
-    theta = plan.s / (2.0 * plan.h) * pair.potential.factored.diag.real
+    theta = plan.s / (2.0 * plan.h) * pair.potential.diag.real
     return frame.rotate(-theta, power @ frame.rotate(theta, u.T))
 
 

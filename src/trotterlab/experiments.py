@@ -1,9 +1,11 @@
 """Parameter sweeps, log-log slope fits and machine-readable result tables.
 
-Each driver returns an ``ExperimentResult`` holding a deterministic
-``SweepTable`` (identical configuration gives bit-identical rows), the
-least-squares slope fits of every error series, and the count of points
-excluded from each fit because they sat at the round-off floor.
+The potentials and the symbol-class observables of the sweeps are torus
+symbols, sampled on each grid by ``hamiltonian.sample``; ``momentum_spectral``
+is a sampled sawtooth. Each driver returns an ``ExperimentResult`` holding a
+deterministic ``SweepTable`` (identical configuration gives bit-identical
+rows), the least-squares slope fits of every error series, and the count of
+points excluded from each fit because they sat at the round-off floor.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import numkit
+from . import fourier, numkit
 from . import quantize as qz
 from .errors import NonMonotone, PacketTouchesBoundary, TooFewPoints, Unreachable, ValidationError
 from .evolve import (
@@ -31,15 +33,9 @@ from .evolve import (
 )
 from .fourier import FactoredOperator
 from .frame import FrameObservable, TimeReversalFrame
-from .hamiltonian import (
-    GridSpec,
-    build_pair,
-    cosine_observable,
-    momentum_fd_observable,
-    momentum_observable,
-)
+from .hamiltonian import PERIOD, GridSpec, build_pair, momentum_observable, sample
 from .quantize import QuantizationContext
-from .symbols import cosine_x, cosine_xi
+from .symbols import TorusSymbol, constant, cosine_x, cosine_xi, sine_xi
 
 __all__ = [
     "FitReport",
@@ -84,20 +80,18 @@ CALCULUS_T_FLOW = 0.5
 # Largest step count the query-count search tries before giving up.
 QUERY_STEP_CAP = 2**15
 
-POTENTIALS: dict[str, Callable] = {
-    "cos": np.cos,
-    "zero": lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-}
+POTENTIALS: dict[str, TorusSymbol] = {"cos": cosine_x(), "zero": constant(0.0)}
 
-# The default momentum entry is the central-difference realization: its
-# symbol is smooth on the frequency torus, so the uniform-in-h observable
+# The default momentum entry is the central difference, hN sin(2 pi xi)/(2 pi):
+# its symbol is smooth on the frequency torus, so the uniform-in-h observable
 # bounds cover it and the flat h-sweep curves are reproduced. The spectral
 # realization has a sawtooth symbol whose Nyquist jump makes worst-case
-# errors grow like 1/h; it stays available for side-by-side runs.
+# errors grow like 1/h; it stays available for side-by-side runs. query-count
+# uses cos_3x, whose larger error constants keep its targets asymptotic.
 OBSERVABLES: dict[str, Callable[[GridSpec], FactoredOperator]] = {
-    "cos_x": cosine_observable,
-    "cos_3x": lambda grid: cosine_observable(grid, harmonic=3),
-    "momentum_fd": momentum_fd_observable,
+    "cos_x": lambda grid: sample(cosine_x(), grid),
+    "cos_3x": lambda grid: sample(cosine_x(3), grid),
+    "momentum_fd": lambda grid: sample(grid.h * grid.N * sine_xi(amplitude=1 / PERIOD), grid),
     "momentum_spectral": momentum_observable,
 }
 
@@ -261,7 +255,7 @@ def canonical_grid(h: float, domain, field: str) -> GridSpec:
     a domain that is not one 2 pi period of the potential and observables
     raises it naming ``domain``."""
     length = domain[1] - domain[0]
-    if abs(length - 2.0 * math.pi) > 1e-9 * 2.0 * math.pi:
+    if abs(length - PERIOD) > 1e-9 * PERIOD:
         raise ValidationError("domain", f"length b - a = {length:.17g} must be 2 pi, "
                                         "one period of the potential and observables")
     try:
@@ -381,7 +375,7 @@ def sweep_h(*, h_values: Sequence[float], s_fixed: float,
             threads: int = 1) -> ExperimentResult:
     """Unitary, observable and expectation errors versus the Planck constant.
 
-    The grid follows the canonical relation N = (b-a)/(2 pi h) at every h.
+    The grid follows the canonical relation N = 1/h at every h.
     ``local`` runs one step of size s_fixed; ``global`` runs to t_total,
     which s_fixed must divide.
     """
@@ -413,7 +407,7 @@ def commutator_scan(h_values: Sequence[float], domain=_GRID["domain"],
     def rows_for(grid: GridSpec) -> list[tuple]:
         h = grid.h
         pair = build_pair(grid, potential=POTENTIALS[potential])
-        a, b = pair.kinetic.dense / h, pair.potential.dense / h
+        a, b = fourier.materialize(pair.kinetic) / h, fourier.materialize(pair.potential) / h
         comm = a @ b - b @ a
         values = (
             numkit.spectral_norm(a),

@@ -6,9 +6,10 @@ transform is unnormalized,
     (F v)_k = sum_j v_j exp(-2i pi k j / N),
 
 and the inverse carries the 1/N factor. Transforms run through numpy's
-pocketfft, which costs O(N log N) for every length N. The dense transform
-matrix and the dense form of a factored operator, against which this fast
-path is checked, live with the test oracles (``tests/oracles.py``).
+pocketfft, which costs O(N log N) for every length N. ``materialize`` forms
+the dense matrix of a factored operator on demand: a diagonal, or a circulant
+gathered from its first column. The dense transform matrix, against which
+this fast path is checked, lives with the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ __all__ = [
     "dft_cols",
     "idft_cols",
     "circulant",
+    "materialize",
 ]
+
+# Imaginary part, relative to the largest multiplier, below which a circulant's
+# first column is real: a real multiplier even in k leaves about 1e-16 there.
+REAL_RTOL = 1e-13
 
 
 def _as_vector(v) -> np.ndarray:
@@ -35,7 +41,7 @@ def _as_vector(v) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
-        raise EmptyInput("transform of an empty vector")
+        raise EmptyInput("empty vector")
     if not np.isfinite(arr).all():
         raise NonFinite("vector contains NaN or Inf entries")
     return arr
@@ -64,19 +70,15 @@ class FactoredOperator:
 
     A position-diagonal operator stands for ``diag(d)``, a Fourier-diagonal
     one for ``F^-1 diag(d) F``. Both admit O(N log N)
-    application, which is what makes split propagators cheap.
+    application, which is what makes split propagators cheap. A real
+    diagonal stays float64; the diagonal is a frozen copy.
     """
 
     kind: DiagonalKind
     diag: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.diag, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise EmptyInput("factored operator needs a nonempty 1-d diagonal")
-        if not np.isfinite(arr).all():
-            raise NonFinite("diagonal contains NaN or Inf entries")
-        arr = arr.copy()
+        arr = _as_vector(self.diag).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "diag", arr)
 
@@ -86,3 +88,15 @@ def circulant(first_column) -> np.ndarray:
     col = _as_vector(first_column)
     idx = np.arange(col.size)
     return col[np.subtract.outer(idx, idx) % col.size]
+
+
+def materialize(op: FactoredOperator) -> np.ndarray:
+    """Dense matrix of a factored operator: ``diag(d)``, or the circulant
+    ``F^-1 diag(d) F`` of first column ``F^-1 d``. That column is float64 when
+    its imaginary part is round-off (``REAL_RTOL``), as for the fd kinetic."""
+    if op.kind is DiagonalKind.POSITION:
+        return np.diag(op.diag)
+    col = idft_cols(op.diag)
+    if np.abs(col.imag).max() <= REAL_RTOL * np.abs(op.diag).max():
+        col = col.real
+    return circulant(col)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fourier
 from .errors import NonHermitian
-from .fourier import DiagonalKind, FactoredOperator, idft_cols
+from .fourier import DiagonalKind, FactoredOperator
 from .hamiltonian import HamiltonianPair
 from .numkit import HERMITICITY_RTOL
 
@@ -82,7 +82,7 @@ class TimeReversalFrame:
         n, m = pair.grid.N, pair.grid.N // 2
         if n % 4:
             raise ValueError(f"N = {n}; the time-reversal frame needs N divisible by 4")
-        a, b = pair.kinetic.factored.diag.real, pair.potential.factored.diag.real
+        a, b = pair.kinetic.diag.real, pair.potential.diag.real
         c = a[0] + a[m]
         # Y A Y^dag = c - A moves a[k] to a[k + N/2]; Y B Y^dag = -B moves b[j] to b[j + N/2]
         if not (_matches(np.roll(a, m), c - a, a) and _matches(np.roll(b, m), -b, b)):
@@ -172,7 +172,7 @@ class FrameObservable:
             zero = np.zeros(m)
             return (((diag[:m] + diag[m:]) / 2.0, zero) if parity != -1 else None,
                     (zero, (diag[:m] - diag[m:]) / 2.0) if parity != 1 else None)
-        dense = fourier.circulant(idft_cols(diag))
+        dense = fourier.materialize(FactoredOperator(op.kind, diag))
         return (frame.project(dense) if parity != -1 else None,
                 frame.project(dense, -1j) if parity != 1 else None)
 

@@ -1,11 +1,11 @@
-"""Dense real or complex linear algebra: Hermitian eigendecomposition (reused
-for ``exp(i theta M)`` at any angle), spectral norms from the Gram matrix or,
-for Hermitian input, from the eigenvalues of one triangle, ``||V - 1||`` of a
-unitary, and the Hermiticity gate.
+"""Dense linear algebra: the eigendecomposition of a real symmetric matrix
+(reused for ``exp(i theta M)`` at any angle), spectral norms from the Gram
+matrix or, for Hermitian input, from the eigenvalues of one triangle,
+``||V - 1||`` of a unitary, and the Hermiticity gate.
 
 Matrices are plain square float64 or complex128 ``numpy.ndarray`` values;
-real input stays real (real ``eigh``, real products). All functions are pure
-and deterministic; nothing here mutates its inputs.
+real input stays real, and the eigendecomposition takes real input only. All
+functions are pure and deterministic; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -63,25 +63,22 @@ def require_hermitian(matrix) -> None:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a real symmetric matrix.
 
-    ``eigenvalues`` is real and sorted ascending; ``eigenvectors`` holds the
-    corresponding orthonormal eigenvectors as columns, so that
-    ``M = V @ diag(w) @ V.conj().T``; V is real for real symmetric M.
+    ``eigenvalues`` is sorted ascending; ``eigenvectors`` holds the
+    corresponding real orthonormal eigenvectors as columns, so that
+    ``M = V @ diag(w) @ V.T``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def exp(self, theta: float) -> np.ndarray:
-        """Unitary ``exp(i * theta * M)`` as ``V diag(exp(i theta w)) V^dag``.
-
-        With real V its real and imaginary parts are the real products
-        ``(V cos) V^T`` and ``(V sin) V^T``.
+        """Unitary ``exp(i * theta * M)`` as ``V diag(exp(i theta w)) V^T``: its
+        real and imaginary parts are the real products ``(V cos) V^T`` and
+        ``(V sin) V^T``.
         """
         v, phase = self.eigenvectors, theta * self.eigenvalues
-        if np.iscomplexobj(v):
-            return (v * np.exp(1j * phase)) @ v.conj().T
         out = np.empty(v.shape, dtype=np.complex128)
         np.matmul(v * np.cos(phase), v.T, out=out.real)
         np.matmul(v * np.sin(phase), v.T, out=out.imag)
@@ -89,12 +86,14 @@ class EigenSystem:
 
 
 def hermitian_eig(matrix) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix (real ``eigh`` if real), eigenvalues ascending.
+    """Eigendecompose a real symmetric matrix by real ``eigh``, eigenvalues ascending.
 
-    Raises NonHermitian when the input is not Hermitian within
-    ``HERMITICITY_RTOL`` and NonFinite on NaN/Inf entries.
+    Raises TypeError on complex input, NonHermitian when the input is not
+    symmetric within ``HERMITICITY_RTOL`` and NonFinite on NaN/Inf entries.
     """
     arr = _as_square(matrix)
+    if np.iscomplexobj(arr):
+        raise TypeError(f"hermitian_eig takes a real symmetric matrix, got dtype {arr.dtype}")
     require_hermitian(arr)
     w, v = np.linalg.eigh(arr)
     # Tunnelling tails leave subnormal entries (below 2.2e-308), which slow every

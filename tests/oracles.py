@@ -2,7 +2,8 @@
 
 ``dft_matrix`` writes the forward transform as a dense matrix and
 ``materialize`` a factored operator as its dense matrix. ``expm_hermitian``
-forms exp(i theta M) densely from an eigendecomposition, ``dense_quantize``
+forms exp(i theta M) of a real or complex Hermitian M densely from
+``np.linalg.eigh``, ``dense_quantize``
 sums the complex quantization of a symbol one lattice point at a time,
 ``pullback_samples`` writes a split-flow pullback as its M x M grid samples,
 and ``from_samples`` truncates such samples to a coefficient lattice by one
@@ -19,7 +20,6 @@ import numpy as np
 from trotterlab.errors import EmptyInput
 from trotterlab.evolve import SplittingScheme
 from trotterlab.fourier import DiagonalKind, FactoredOperator, idft_cols
-from trotterlab.numkit import hermitian_eig
 from trotterlab.symbols import TorusSymbol
 
 # One split step as (operator, fraction of s) rows in application order: A is
@@ -49,12 +49,13 @@ def materialize(op: FactoredOperator) -> np.ndarray:
 
 def expm_hermitian(matrix, theta: float) -> np.ndarray:
     """Unitary exponential ``exp(i * theta * M)`` of a Hermitian matrix M."""
-    return hermitian_eig(matrix).exp(theta)
+    w, v = np.linalg.eigh(matrix)
+    return (v * np.exp(1j * theta * w)) @ v.conj().T
 
 
 def stage_factors(pair, scheme: SplittingScheme, s: float, h: float) -> list[FactoredOperator]:
     """Unitary phase factors exp(-i X (fraction * s) / h) of one split step, in order."""
-    ops = {"A": pair.kinetic.factored, "B": pair.potential.factored}
+    ops = {"A": pair.kinetic, "B": pair.potential}
     return [FactoredOperator(ops[name].kind, np.exp(-1j * (frac * s) / h * ops[name].diag))
             for name, frac in STAGES[scheme]]
 

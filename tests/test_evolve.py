@@ -17,16 +17,11 @@ from trotterlab.evolve import (
     trotter_step_unitary,
 )
 from trotterlab.frame import FrameObservable, TimeReversalFrame
-from trotterlab.hamiltonian import (
-    GridSpec,
-    GridOperator,
-    HamiltonianPair,
-    build_pair,
-    build_potential,
-    cosine_observable,
-    momentum_observable,
-)
+from trotterlab.experiments import OBSERVABLES, POTENTIALS
+from trotterlab.hamiltonian import GridSpec, HamiltonianPair, build_pair, momentum_observable
 from trotterlab.numkit import hermitian_eig, spectral_norm, unitary_distance
+
+cos_x = OBSERVABLES["cos_x"]
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +33,9 @@ def setup():
 
 
 def commuting_pair(grid):
-    """Split pair with a zero kinetic part: both pieces commute."""
-    zero = GridOperator(np.zeros((grid.N, grid.N), dtype=complex),
-                        FactoredOperator(DiagonalKind.FOURIER, np.zeros(grid.N)))
-    return HamiltonianPair(zero, build_potential(np.cos, grid), grid)
+    """Split pair with a real zero kinetic part: both pieces commute."""
+    zero = FactoredOperator(DiagonalKind.FOURIER, np.zeros(grid.N))
+    return HamiltonianPair(zero, build_pair(grid).potential, grid)
 
 
 def exact(hamiltonian, t, h):
@@ -87,11 +81,11 @@ def heisenberg_trotter(observable, pair, plan):
 
 def dense_step(pair, scheme, s, h):
     """Independent dense eigendecomposition product for one split step."""
-    ua = expm_hermitian(pair.kinetic.dense, -s / h)
-    ub = expm_hermitian(pair.potential.dense, -s / h)
+    ua = expm_hermitian(materialize(pair.kinetic), -s / h)
+    ub = expm_hermitian(materialize(pair.potential), -s / h)
     if scheme is SplittingScheme.LIE1:
         return ub @ ua
-    ub_half = expm_hermitian(pair.potential.dense, -s / (2 * h))
+    ub_half = expm_hermitian(materialize(pair.potential), -s / (2 * h))
     return ub_half @ ua @ ub_half
 
 
@@ -101,7 +95,7 @@ class TestExactUnitary:
         assert np.abs(exact(pair.total, 0.0, h) - np.eye(grid.N)).max() < 1e-12
 
     def test_diagonal_hamiltonian_phases(self):
-        ham = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        ham = np.diag([1.0, 2.0, 3.0])
         u = exact(ham, 0.5, 0.25)
         assert np.allclose(np.diag(u), np.exp(-1j * 2.0 * np.diag(ham))), u
 
@@ -123,7 +117,7 @@ class TestExactUnitary:
 
     def test_rejects_non_hermitian(self):
         # exact_unitary takes an EigenSystem; the eigendecomposition holds the gate
-        bad = np.zeros((4, 4), dtype=complex)
+        bad = np.zeros((4, 4))
         bad[0, 1] = 1.0
         with pytest.raises(NonHermitian):
             hermitian_eig(bad)
@@ -145,10 +139,10 @@ class TestTrotterStep:
 
     def test_zero_potential_reduces_to_kinetic_flow(self, setup):
         h, grid, _ = setup
-        pair = build_pair(grid, potential=lambda x: np.zeros_like(x))
+        pair = build_pair(grid, potential=POTENTIALS["zero"])
         for scheme in SplittingScheme:
             u = library_step(pair, scheme, 0.3, h)
-            expected = expm_hermitian(pair.kinetic.dense, -0.3 / h)
+            expected = expm_hermitian(materialize(pair.kinetic), -0.3 / h)
             assert spectral_norm(u - expected) <= 1e-9 * grid.N
 
     def test_commuting_split_is_exact(self, setup):
@@ -177,7 +171,7 @@ class TestTrotterStep:
 class TestHeisenberg:
     def test_exact_zero_time(self, setup):
         h, grid, pair = setup
-        obs = materialize(cosine_observable(grid))
+        obs = materialize(cos_x(grid))
         assert np.abs(heisenberg_exact(obs, pair.total, 0.0, h) - obs).max() < 1e-12
 
     def test_exact_identity_invariant(self, setup):
@@ -195,7 +189,7 @@ class TestHeisenberg:
 
     def test_trotter_zero_steps(self, setup):
         h, grid, pair = setup
-        obs = materialize(cosine_observable(grid))
+        obs = materialize(cos_x(grid))
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.1, 0, h)
         assert np.abs(heisenberg_trotter(obs, pair, plan) - obs).max() == 0.0
 
@@ -211,7 +205,7 @@ class TestHeisenberg:
 
     def test_two_steps_equal_squared_step(self, setup):
         h, grid, pair = setup
-        obs = materialize(cosine_observable(grid))
+        obs = materialize(cos_x(grid))
         plan = EvolutionPlan(SplittingScheme.STRANG2, 0.15, 2, h)
         u = split_step(pair, SplittingScheme.STRANG2, 0.15, h)
         w = u @ u
@@ -220,12 +214,12 @@ class TestHeisenberg:
 
     def test_preserves_hermiticity_and_spectrum(self, setup):
         h, grid, pair = setup
-        obs = materialize(cosine_observable(grid))
+        obs = materialize(cos_x(grid))
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.1, 5, h)
         evolved = heisenberg_trotter(obs, pair, plan)
         assert spectral_norm(evolved - evolved.conj().T) <= 1e-10 * grid.N
-        w1 = hermitian_eig(obs).eigenvalues
-        w2 = hermitian_eig(evolved).eigenvalues
+        w1 = np.linalg.eigvalsh(obs)
+        w2 = np.linalg.eigvalsh(evolved)
         assert np.abs(w1 - w2).max() <= 1e-8
 
 
@@ -233,13 +227,13 @@ class TestErrorFunctionals:
     def test_commuting_split_zero_observable_error(self, setup):
         h, grid, _ = setup
         pair = commuting_pair(grid)
-        obs = cosine_observable(grid)
+        obs = cos_x(grid)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 4, h)
         assert obs_error(obs, pair, plan) < 1e-9
 
     def test_observable_error_bounded(self, setup):
         h, grid, pair = setup
-        obs = cosine_observable(grid)
+        obs = cos_x(grid)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.5, 2, h)
         assert obs_error(obs, pair, plan) <= 2 * spectral_norm(materialize(obs)) + 1e-12
 
@@ -247,7 +241,7 @@ class TestErrorFunctionals:
         # halving s divides the one-step error by ~4 (first order scheme)
         # and ~8 (second order scheme)
         h, grid, pair = setup
-        obs = cosine_observable(grid)
+        obs = cos_x(grid)
         for scheme, factor in ((SplittingScheme.LIE1, 4.0), (SplittingScheme.STRANG2, 8.0)):
             errs = [obs_error(obs, pair, EvolutionPlan(scheme, s, 1, h))
                     for s in (2.0**-5, 2.0**-6)]
@@ -319,7 +313,7 @@ class TestExpectationError:
     def test_commuting_split_zero(self, setup):
         h, grid, _ = setup
         pair = commuting_pair(grid)
-        obs = cosine_observable(grid)
+        obs = cos_x(grid)
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 4, h)
         v, u, frame = propagators(pair, plan)
@@ -329,7 +323,7 @@ class TestExpectationError:
     def test_dominated_by_observable_error(self, setup, scheme):
         h, grid, pair = setup
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
-        observables = (cosine_observable(grid), momentum_observable(grid))
+        observables = (cos_x(grid), momentum_observable(grid))
         for s, n in ((0.25, 1), (0.1, 4)):
             v, u, frame = propagators(pair, EvolutionPlan(scheme, s, n, h))
             forms = [FrameObservable(obs, frame) for obs in observables]
@@ -339,7 +333,7 @@ class TestExpectationError:
 
     def test_matches_matrix_expectation(self, setup):
         h, grid, pair = setup
-        obs = cosine_observable(grid)
+        obs = cos_x(grid)
         psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
         plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 2, h)
         t_trot = heisenberg_trotter(materialize(obs), pair, plan)
@@ -353,7 +347,7 @@ class TestExpectationError:
         # the gate runs before the None propagators are touched
         h, grid, pair = setup
         frame = TimeReversalFrame.of(pair)
-        form = FrameObservable(cosine_observable(grid), frame)
+        form = FrameObservable(cos_x(grid), frame)
         with pytest.raises(UnnormalizedState):
             expectation_error([form], None, None, np.ones(grid.N), frame)
 
@@ -391,5 +385,5 @@ class TestNonPowerOfTwoGrid:
             fast = library_step(pair, SplittingScheme.STRANG2, 0.2, h)
             dense = dense_step(pair, SplittingScheme.STRANG2, 0.2, h)
             assert spectral_norm(fast - dense) <= 1e-9 * grid.N
-            err = obs_error(cosine_observable(grid), pair, plan)
+            err = obs_error(cos_x(grid), pair, plan)
             assert 0.0 < err < 2.0

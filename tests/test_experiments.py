@@ -307,10 +307,11 @@ class TestCommutatorScan:
     def test_potential_self_commutator_vanishes(self):
         # [B/h, B/h] = 0 exactly
         import numpy as np
+        from trotterlab.fourier import materialize
         from trotterlab.hamiltonian import GridSpec, build_pair
         from trotterlab.numkit import spectral_norm
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        b = build_pair(grid).potential.dense / grid.h
+        b = materialize(build_pair(grid).potential) / grid.h
         assert spectral_norm(b @ b - b @ b) == 0.0
 
     def test_metric_set(self, scan):

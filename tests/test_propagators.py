@@ -30,12 +30,8 @@ from trotterlab.evolve import (
 )
 from trotterlab.fourier import DiagonalKind, FactoredOperator
 from trotterlab.frame import FrameObservable, TimeReversalFrame
-from trotterlab.hamiltonian import (
-    GridSpec,
-    build_pair,
-    cosine_observable,
-    momentum_fd_observable,
-)
+from trotterlab.experiments import OBSERVABLES
+from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.numkit import (
     UNITARY_EIG_MIN,
     hermitian_eig,
@@ -53,7 +49,7 @@ step_sizes = st.floats(0.01, 0.5)
 
 
 def grid_pair(n: int):
-    grid = GridSpec(-np.pi, np.pi, n, 1.0 / n)
+    grid = GridSpec(-np.pi, n, 1.0 / n)
     return grid, build_pair(grid)
 
 
@@ -138,7 +134,7 @@ def test_hermitian_norm_equals_svd_norm(n, seed, scale):
 
 @PROPERTY
 @given(n=frame_sizes, scheme=schemes, s=step_sizes, count=st.integers(0, 16),
-       build=st.sampled_from([cosine_observable, momentum_fd_observable]))
+       build=st.sampled_from([OBSERVABLES["cos_x"], OBSERVABLES["momentum_fd"]]))
 def test_relative_form_equals_two_sided_difference(n, scheme, s, count, build):
     # ||V^T K V - K|| and ||V - 1|| with the frame's V = W^n U^dag against the
     # direct forms

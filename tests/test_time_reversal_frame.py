@@ -34,6 +34,7 @@ from trotterlab.evolve import (
 from trotterlab.frame import FrameObservable, TimeReversalFrame
 from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.numkit import hermitian_eig, spectral_norm
+from trotterlab.symbols import constant, cosine_x
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -42,13 +43,12 @@ STEP_SIZES = st.sampled_from([0.01, 0.1, 0.37, 1.0])
 STEP_COUNTS = st.sampled_from([0, 1, 2, 3, 50])
 
 
-def cos_2x(x):
-    """A potential symmetric under the half-period shift: it admits no frame."""
-    return np.cos(2.0 * x)
+# cos 2x: a potential symmetric under the half-period shift, which admits no frame.
+COS_2X = cosine_x(2)
 
 
 def shifted_grid(n: int, delta: float) -> GridSpec:
-    return GridSpec(-np.pi + delta, np.pi + delta, n, 1.0 / n)
+    return GridSpec(-np.pi + delta, n, 1.0 / n)
 
 
 def unit_state(n: int, seed: int) -> np.ndarray:
@@ -144,7 +144,7 @@ def test_grids_without_frame_rejected(no_eigensolve, n, entry):
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_potential_without_antisymmetry_rejected(monkeypatch, no_eigensolve, entry):
-    monkeypatch.setitem(experiments.POTENTIALS, "cos_2x", cos_2x)
+    monkeypatch.setitem(experiments.POTENTIALS, "cos_2x", COS_2X)
     with pytest.raises(ValidationError) as err:
         ENTRY_POINTS[entry][0](2.0**-4, "cos_2x")
     assert err.value.field == "potential"
@@ -186,13 +186,13 @@ def test_frame_matches_dense_basis(n, delta):
 
 def test_frame_chosen_from_operator_data():
     assert TimeReversalFrame.of(build_pair(shifted_grid(16, 1.3))).size == 16
-    assert TimeReversalFrame.of(build_pair(shifted_grid(16, 1.3), potential=np.zeros_like)).size \
+    assert TimeReversalFrame.of(build_pair(shifted_grid(16, 1.3), potential=constant(0.0))).size \
         == 16
     for n in (6, 7, 18):
         with pytest.raises(ValueError, match=f"N = {n}"):
             TimeReversalFrame.of(build_pair(shifted_grid(n, 0.0)))
     # cos 2x is symmetric; cos x + 1e-6 cos 2x breaks the antisymmetry far above the tolerance
-    for potential in (cos_2x, lambda x: np.cos(x) + 1e-6 * np.cos(2 * x)):
+    for potential in (COS_2X, cosine_x() + cosine_x(2, amplitude=1e-6)):
         with pytest.raises(ValueError, match="antisymmetric"):
             TimeReversalFrame.of(build_pair(shifted_grid(16, 0.0), potential=potential))
 
