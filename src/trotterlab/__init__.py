@@ -14,7 +14,7 @@ experiments  the run defaults, one driver per command, slope fits, machine-reada
 cli          command-line front end, JSON configuration and its validation
 """
 
-from .evolve import EvolutionPlan, SplittingScheme
+from .evolve import SplittingScheme
 from .hamiltonian import GridSpec, HamiltonianPair
 from .quantize import QuantizationContext
 from .symbols import TorusSymbol
@@ -22,7 +22,6 @@ from .symbols import TorusSymbol
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvolutionPlan",
     "SplittingScheme",
     "GridSpec",
     "HamiltonianPair",

@@ -40,13 +40,12 @@ _LISTS = ("domain", "observables", "schemes", "s_values", "h_values", "N_values"
 _CHOICES = {"potential": xp.POTENTIALS, "observables": xp.OBSERVABLES,
             "schemes": [scheme.value for scheme in SplittingScheme], "mode": ("local", "global")}
 
-# What every number of a key (each entry, for the lists) must satisfy.
+# What every number of a key (each entry, for the lists) must satisfy; the
+# step sizes are checked by experiments.step_count, in _validate.
 _RANGES = {
-    "s_values": (lambda v: v > 0, "entries must be positive"),
     "h": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "h_values": (lambda v: 0.0 < v <= 1.0, "entries must lie in (0, 1]"),
     "t_total": (lambda v: v > 0, "must be positive"),
-    "s_fixed": (lambda v: v > 0, "must be positive"),
     "N_values": (lambda n: n >= 1, "entries must be at least 1"),
     "epsilons": (lambda v: 0.0 < v < 1.0, "entries must lie in (0, 1)"),
 }

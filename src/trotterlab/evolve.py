@@ -9,7 +9,9 @@ Strang's step is Lie's conjugated by the half potential step
 P = e^{-i B s/2h}: W_S = P^dag W_L P, so W_S^n = P^dag G P and one power per
 step size serves both schemes. U and the relative propagator V = W^n U^dag
 are the only propagators: the unitary and observable errors read V, and the
-split state W^n psi is V (U psi).
+split state W^n psi is V (U psi). Each function reads h from the grid it is
+given (``pair.grid.h``, ``grid.h`` or the frame's); step sizes are checked
+where they enter, in ``experiments.step_count``.
 
 Every error is formed in the real basis R of the time-reversal frame (see
 ``frame``: 4 | N and an antisymmetric potential; the sweeps reject other grids
@@ -23,7 +25,6 @@ parts remain (``momentum_spectral``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -36,7 +37,6 @@ from .numkit import EigenSystem, hermitian_norm, spectral_norm
 
 __all__ = [
     "SplittingScheme",
-    "EvolutionPlan",
     "exact_unitary",
     "trotter_step_unitary",
     "lie_power",
@@ -58,37 +58,10 @@ class SplittingScheme(enum.Enum):
     STRANG2 = "Strang2"
 
 
-@dataclass(frozen=True)
-class EvolutionPlan:
-    """Splitting scheme, step size s, step count n and Planck constant h.
-
-    The total time is t = n * s by construction. n = 0 is allowed and
-    leaves observables untouched.
-    """
-
-    scheme: SplittingScheme
-    s: float
-    n: int
-    h: float
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError(f"need step size s > 0, got {self.s}")
-        if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"need integer step count n >= 0, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        if not self.h > 0:
-            raise ValueError(f"need h > 0, got {self.h}")
-
-    @property
-    def t(self) -> float:
-        return self.n * self.s
-
-
-def exact_unitary(eig: EigenSystem, t: float, h: float, frame: TimeReversalFrame) -> np.ndarray:
+def exact_unitary(eig: EigenSystem, t: float, frame: TimeReversalFrame) -> np.ndarray:
     """The real frame matrix Re R^dag (e^{i c t/2h} U) R of U = e^{-i H t / h},
-    from the EigenSystem of H."""
-    return frame.project(eig.exp(-t / h), frame.phase(t, h))
+    from the EigenSystem of H and the frame of its grid, which carries h."""
+    return frame.project(eig.exp(-t / frame.h), frame.phase(t))
 
 
 def _apply_factors(factors, mat: np.ndarray) -> np.ndarray:
@@ -100,37 +73,37 @@ def _apply_factors(factors, mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def trotter_step_unitary(pair: HamiltonianPair, s: float, h: float) -> np.ndarray:
+def trotter_step_unitary(pair: HamiltonianPair, s: float) -> np.ndarray:
     """Dense matrix of Lie's split step W_L = e^{-i B s/h} e^{-i A s/h}: the
     kinetic factor A first, then the potential B, assembled through the fast path."""
+    h = pair.grid.h
     factors = [FactoredOperator(op.kind, np.exp(-1j * s / h * op.diag))
                for op in (pair.kinetic, pair.potential)]
     return _apply_factors(factors, np.eye(pair.grid.N, dtype=np.complex128))
 
 
-def lie_power(pair: HamiltonianPair, s: float, n: int, h: float,
-              frame: TimeReversalFrame) -> np.ndarray:
+def lie_power(pair: HamiltonianPair, s: float, n: int, frame: TimeReversalFrame) -> np.ndarray:
     """The real frame matrix Re R^dag (e^{i c n s/2h} G) R of G = W_L^n, formed by
     binary powering: the one step power behind both schemes. The complex G is
     freed on return."""
-    power = np.linalg.matrix_power(trotter_step_unitary(pair, s, h), n)
-    return frame.project(power, frame.phase(n * s, h))
+    power = np.linalg.matrix_power(trotter_step_unitary(pair, s), n)
+    return frame.project(power, frame.phase(n * s))
 
 
-def relative_propagator(pair: HamiltonianPair, plan: EvolutionPlan, power: np.ndarray,
-                        u: np.ndarray, frame: TimeReversalFrame) -> np.ndarray:
-    """The real frame matrix R^dag V R of V = W^n U^dag, with ``power`` =
-    ``lie_power(pair, plan.s, plan.n, plan.h, frame)`` and ``u`` =
-    ``exact_unitary(eig, plan.t, plan.h, frame)``: the phases of G and U cancel.
+def relative_propagator(pair: HamiltonianPair, scheme: SplittingScheme, s: float,
+                        power: np.ndarray, u: np.ndarray, frame: TimeReversalFrame) -> np.ndarray:
+    """The real frame matrix R^dag V R of V = W^n U^dag for n steps of size s,
+    with ``power`` = ``lie_power(pair, s, n, frame)`` and ``u`` =
+    ``exact_unitary(eig, n * s, frame)``: the phases of G and U cancel.
 
     Lie1 gives V = G U^T and Strang2 V = P^T (G (P U^T)), as W_S^n = P^dag G P
     with the half potential step P = e^{-i B s/2h}, which rotates row pairs in
     the frame: either scheme costs one real product. The spectral norm is
     unitarily invariant: ||V - 1|| = ||W^n - U||.
     """
-    if plan.scheme is SplittingScheme.LIE1:
+    if scheme is SplittingScheme.LIE1:
         return power @ u.T
-    theta = plan.s / (2.0 * plan.h) * pair.potential.diag.real
+    theta = s / (2.0 * pair.grid.h) * pair.potential.diag.real
     return frame.rotate(-theta, power @ frame.rotate(theta, u.T))
 
 
@@ -148,14 +121,14 @@ def observable_error(observable: FrameObservable, v: np.ndarray) -> float:
     return spectral_norm(minus) if plus is None else hermitian_norm(plus + 1j * minus)
 
 
-def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float, h: float) -> np.ndarray:
+def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float) -> np.ndarray:
     """Unit-norm coherent-state samples exp(-(x-x0)^2/(2h)) exp(i p0 (x-x0)/h).
 
     Raises PacketTouchesBoundary when the normalized amplitude at either
     domain edge exceeds 1e-8 (the packet must be negligible there for the
     periodic grid to represent it faithfully).
     """
-    x = grid.nodes
+    x, h = grid.nodes, grid.h
     envelope = (np.pi * h) ** -0.25 * np.exp(-((x - x0) ** 2) / (2.0 * h))
     psi = envelope * np.exp(1j * p0 * (x - x0) / h)
     psi = psi / np.linalg.norm(psi)

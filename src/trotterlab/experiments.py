@@ -2,14 +2,21 @@
 
 The potentials and the symbol-class observables of the sweeps are torus
 symbols, sampled on each grid by ``hamiltonian.sample``; ``momentum_spectral``
-is a sampled sawtooth. Each driver returns an ``ExperimentResult`` holding a
-deterministic ``SweepTable`` (identical configuration gives bit-identical
-rows), the least-squares slope fits of every error series, and the count of
-points excluded from each fit because they sat at the round-off floor.
+is a sampled sawtooth. The three sweeps and the step-count search share one
+per-grid setup (``_build_setup``: the pair, its frame, the frame observables
+and the eigendecomposition of H), below which h is read from the grid; the
+search reads one memoized error curve per grid for every target error. Step
+sizes, target errors and grids are checked before any eigendecomposition.
+
+Each driver returns an ``ExperimentResult`` holding a deterministic
+``SweepTable`` (identical configuration gives bit-identical rows), the
+least-squares slope fits of every error series, and the count of points
+excluded from each fit because they sat at the round-off floor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +29,6 @@ from . import quantize as qz
 from .errors import NonMonotone, PacketTouchesBoundary, TooFewPoints, Unreachable, ValidationError
 from .evolve import (
     ROUNDOFF_FLOOR_PER_DIM,
-    EvolutionPlan,
     SplittingScheme,
     exact_unitary,
     expectation_error,
@@ -238,9 +244,12 @@ def _map_rows(rows_for, items, threads: int) -> list[tuple]:
 def step_count(s: float, mode: str, t_total: float, field: str) -> int:
     """Steps of size s in one run: 1 in ``local`` mode, t_total / s in ``global``.
 
-    Raises ValidationError naming ``field`` when s does not divide t_total,
-    so that the horizon reached is exactly t_total.
+    Raises ValidationError naming ``field`` when s is not a finite positive
+    number, or when it does not divide t_total, so that the horizon reached is
+    exactly t_total.
     """
+    if not 0.0 < s < math.inf:
+        raise ValidationError(field, f"step {s} must be a finite positive number")
     if mode == "local":
         return 1
     n = round(t_total / s)
@@ -277,55 +286,53 @@ def sweep_grid(h: float, domain, field: str) -> GridSpec:
     return grid
 
 
-def _pair_and_frame(grid: GridSpec, potential: str):
-    """The grid's split pair and frame, or ValidationError naming ``potential``."""
-    pair = build_pair(grid, potential=POTENTIALS[potential])
-    try:
-        return pair, TimeReversalFrame.of(pair)
-    except ValueError as err:
-        raise ValidationError("potential", f"{potential!r}: {err}") from None
-
-
 def wavepacket(grid: GridSpec, field: str) -> np.ndarray:
     """The sweeps' coherent state on ``grid``; one that touches the domain edge
     raises ValidationError naming ``field``."""
     try:
-        return gaussian_wavepacket(grid, WAVEPACKET_X0, WAVEPACKET_P0, grid.h)
+        return gaussian_wavepacket(grid, WAVEPACKET_X0, WAVEPACKET_P0)
     except PacketTouchesBoundary as err:
         raise ValidationError(field, f"at h = {grid.h:g}: {err}") from None
 
 
-def _build_setup(grid: GridSpec, potential: str, observables, field: str):
-    """Per-grid data of a sweep; every check runs before the eigendecomposition of H."""
-    pair, frame = _pair_and_frame(grid, potential)
+def _build_setup(grid: GridSpec, potential: str, observables) -> tuple:
+    """Per-grid data of a sweep or a step-count search: the split pair, its frame,
+    the frame forms of the observables by name and the EigenSystem of H. A
+    potential without the frame's antisymmetry raises ValidationError naming
+    ``potential``; every check runs before the eigendecomposition."""
+    pair = build_pair(grid, potential=POTENTIALS[potential])
+    try:
+        frame = TimeReversalFrame.of(pair)
+    except ValueError as err:
+        raise ValidationError("potential", f"{potential!r}: {err}") from None
     forms = {name: FrameObservable(OBSERVABLES[name](grid), frame) for name in observables}
-    packet = wavepacket(grid, field)
-    return grid, pair, forms, packet, numkit.hermitian_eig(pair.total), frame
+    return pair, frame, forms, numkit.hermitian_eig(pair.total)
 
 
-def _error_rows(setup, schemes, s: float, n: int, h: float,
+def _error_rows(setup: tuple, packet: np.ndarray, schemes, s: float, n: int,
                 with_unitary: bool = False) -> list[tuple]:
     """Error rows of one sweep point: n steps of size s on one grid setup.
     Every scheme reads the one step power G = W_L^n of the point; U and G are
     projected into the time-reversal frame before any product."""
-    grid, pair, observables, packet, eig, frame = setup
-    u = exact_unitary(eig, n * s, h, frame)
-    power = lie_power(pair, s, n, h, frame)
+    pair, frame, observables, eig = setup
+    grid = pair.grid
+    u = exact_unitary(eig, n * s, frame)
+    power = lie_power(pair, s, n, frame)
     # Each frame form K is formed once per grid, here: in the space that the
     # power's freed complex temporaries left, which keeps the peak RSS down.
     for obs in observables.values():
         obs.parts
     out = []
     for scheme in schemes:
-        v = relative_propagator(pair, EvolutionPlan(scheme, s, n, h), power, u, frame)
+        v = relative_propagator(pair, scheme, s, power, u, frame)
         if with_unitary:
-            out.append((s, h, grid.N, scheme.value, "-", "unitary_error",
+            out.append((s, grid.h, grid.N, scheme.value, "-", "unitary_error",
                         numkit.unitary_distance(v)))
         exp_errs = expectation_error(observables.values(), v, u, packet, frame)
         for (name, obs), exp_err in zip(observables.items(), exp_errs):
             err = observable_error(obs, v)
-            out.append((s, h, grid.N, scheme.value, name, "observable_error", err))
-            out.append((s, h, grid.N, scheme.value, name, "expectation_error", exp_err))
+            out.append((s, grid.h, grid.N, scheme.value, name, "observable_error", err))
+            out.append((s, grid.h, grid.N, scheme.value, name, "expectation_error", exp_err))
     return out
 
 
@@ -358,12 +365,14 @@ def sweep_timestep(*, s_values: Sequence[float], h: float,
     """
     schemes = [SplittingScheme(s) for s in schemes]
     steps = {s: step_count(s, mode, t_total, "s_values") for s in s_values}
-    setup = _build_setup(sweep_grid(h, domain, "h"), potential, observables, "h")
-    rows = _map_rows(lambda s: _error_rows(setup, schemes, s, steps[s], h),
+    grid = sweep_grid(h, domain, "h")
+    packet = wavepacket(grid, "h")
+    setup = _build_setup(grid, potential, observables)
+    rows = _map_rows(lambda s: _error_rows(setup, packet, schemes, s, steps[s]),
                      sorted(s_values), threads)
     table = SweepTable.build(SWEEP_COLUMNS, rows)
     window = FIT_WINDOW_LOCAL_S if mode == "local" else None
-    return _fit_table(table, "s", window, roundoff_floor(setup[0].N))
+    return _fit_table(table, "s", window, roundoff_floor(grid.N))
 
 
 def sweep_h(*, h_values: Sequence[float], s_fixed: float,
@@ -382,12 +391,14 @@ def sweep_h(*, h_values: Sequence[float], s_fixed: float,
     schemes = [SplittingScheme(s) for s in schemes]
     n = step_count(s_fixed, mode, t_total, "s_fixed")
     grids = [sweep_grid(h, domain, "h_values") for h in sorted(h_values)]
+    packets = [wavepacket(grid, "h_values") for grid in grids]
 
-    def rows_for(grid: GridSpec) -> list[tuple]:
-        setup = _build_setup(grid, potential, observables, "h_values")
-        return _error_rows(setup, schemes, s_fixed, n, grid.h, with_unitary=True)
+    def rows_for(item) -> list[tuple]:
+        grid, packet = item
+        return _error_rows(_build_setup(grid, potential, observables), packet, schemes,
+                           s_fixed, n, with_unitary=True)
 
-    rows = _map_rows(rows_for, grids, threads)
+    rows = _map_rows(rows_for, list(zip(grids, packets)), threads)
     table = SweepTable.build(SWEEP_COLUMNS, rows)
     return _fit_table(table, "h", FIT_WINDOW_H, roundoff_floor(max(row[2] for row in rows)))
 
@@ -454,29 +465,30 @@ def calculus_suite(N_values: Sequence[int], threads: int = 1) -> ExperimentResul
     return _fit_series(table, {m: table.series("h", metric=m) for m in metrics})
 
 
-def query_count(epsilon: float, scheme, h: float, *,
-                domain=_GRID["domain"], potential: str = _GRID["potential"],
-                observable: str = _QUERY["observables"][0],
-                t_total: float = _HORIZON["t_total"]) -> int:
-    """Smallest step count n with observable error at most epsilon at t_total.
+def _error_curve(setup: tuple, t_total: float) -> Callable[[SplittingScheme, int], float]:
+    """The memoized error curve (scheme, n) -> ||V^T K V - K|| of the setup's one
+    observable at t_total, after n steps of size t_total / n: the searches of
+    every target error on the grid read it."""
+    pair, frame, observables, eig = setup
+    (obs,) = observables.values()
+    u = exact_unitary(eig, t_total, frame)
+
+    @functools.cache
+    def error_at(scheme: SplittingScheme, n: int) -> float:
+        s = t_total / n
+        power = lie_power(pair, s, n, frame)
+        return observable_error(obs, relative_propagator(pair, scheme, s, power, u, frame))
+
+    return error_at
+
+
+def _search(error_at: Callable[[int], float], epsilon: float) -> int:
+    """Smallest n with error_at(n) <= epsilon.
 
     Doubling search for an upper bound, then bisection, which assumes the
     error falls as n grows: NonMonotone is raised when one of the next three
     counts above the answer misses epsilon. Raises Unreachable past QUERY_STEP_CAP.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    scheme = SplittingScheme(scheme)
-    grid = sweep_grid(h, domain, "h")
-    pair, frame = _pair_and_frame(grid, potential)
-    obs = FrameObservable(OBSERVABLES[observable](grid), frame)
-    u = exact_unitary(numkit.hermitian_eig(pair.total), t_total, h, frame)
-
-    def error_at(n: int) -> float:
-        plan = EvolutionPlan(scheme, t_total / n, n, h)
-        power = lie_power(pair, plan.s, n, h, frame)
-        return observable_error(obs, relative_propagator(pair, plan, power, u, frame))
-
     low, high = 0, 1
     while error_at(high) > epsilon:
         low, high = high, high * 2
@@ -494,6 +506,19 @@ def query_count(epsilon: float, scheme, h: float, *,
     return high
 
 
+def query_count(epsilon: float, scheme, h: float, *,
+                domain=_GRID["domain"], potential: str = _GRID["potential"],
+                observable: str = _QUERY["observables"][0],
+                t_total: float = _HORIZON["t_total"]) -> int:
+    """Smallest step count n with observable error at most epsilon at t_total,
+    by the search of ``query_count_study`` on a setup of its own."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    scheme = SplittingScheme(scheme)
+    setup = _build_setup(sweep_grid(h, domain, "h"), potential, (observable,))
+    return _search(functools.partial(_error_curve(setup, t_total), scheme), epsilon)
+
+
 def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
                       schemes: Sequence = _QUERY["schemes"], domain=_GRID["domain"],
                       potential: str = _GRID["potential"],
@@ -503,23 +528,23 @@ def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
 
     ``observables`` names exactly one observable. The companion points make
     the epsilon -> epsilon/4 count ratio and a slope fit of count versus
-    1/epsilon available from one table.
+    1/epsilon available from one table. Each h is one task: one setup and one
+    memoized error curve, which every scheme and epsilon searches.
     """
     (observable,) = observables
     schemes = [SplittingScheme(s) for s in schemes]
-    for h in h_values:
-        sweep_grid(h, domain, "h_values")
+    if not all(0.0 < e < 1.0 for e in epsilons):
+        raise ValidationError("epsilons", f"entries must lie in (0, 1), got {list(epsilons)}")
+    grids = [sweep_grid(h, domain, "h_values") for h in sorted(h_values)]
     eps_all = sorted({float(e) for e in epsilons} | {float(e) / 4.0 for e in epsilons})
-    tasks = [(scheme, h, eps) for scheme in schemes for h in sorted(h_values)
-             for eps in eps_all]
 
-    def row_for(task):
-        scheme, h, eps = task
-        steps = query_count(eps, scheme, h, domain=domain, potential=potential,
-                            observable=observable, t_total=t_total)
-        return (eps, h, scheme.value, "steps", steps)
+    def rows_for(grid: GridSpec) -> list[tuple]:
+        error_at = _error_curve(_build_setup(grid, potential, (observable,)), t_total)
+        return [(eps, grid.h, scheme.value, "steps",
+                 _search(functools.partial(error_at, scheme), eps))
+                for scheme in schemes for eps in eps_all]
 
-    rows = _map_ordered(row_for, tasks, threads)
+    rows = _map_rows(rows_for, grids, threads)
     table = SweepTable.build(("epsilon", "h", "scheme", "metric", "value"), rows)
     return _fit_series(table, {
         f"{scheme.value}/h={h:.17g}/steps_vs_inv_eps":

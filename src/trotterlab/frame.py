@@ -12,12 +12,13 @@ basis R of T-fixed vectors, and R^dag X R is real for every X that commutes
 with T. R is sparse: each change of basis costs O(N^2) by slicing, and
 ``evolve`` runs everything after the complex step power in real arithmetic.
 
-The frame depends on H alone: odd N and N = 2 mod 4 (no T-fixed basis) and a
-potential without the antisymmetry (V is not real in R) raise ValueError. A
-Hermitian observable has the frame form R^dag O R = K_+ + i K_-, K_+ real
-symmetric and K_- real antisymmetric: only K_+ remains when O commutes with T
-(``momentum_fd``), only K_- when it anticommutes (``cos_x``, ``cos_3x``), and
-both otherwise (``momentum_spectral``, an arbitrary diagonal).
+The frame depends on H alone, and records its grid's h for the phases: odd N
+and N = 2 mod 4 (no T-fixed basis) and a potential without the antisymmetry
+(V is not real in R) raise ValueError. A Hermitian observable has the frame
+form R^dag O R = K_+ + i K_-, K_+ real symmetric and K_- real antisymmetric:
+only K_+ remains when O commutes with T (``momentum_fd``), only K_- when it
+anticommutes (``cos_x``, ``cos_3x``), and both otherwise
+(``momentum_spectral``, an arbitrary diagonal).
 """
 
 from __future__ import annotations
@@ -70,10 +71,12 @@ def real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TimeReversalFrame:
     """The basis R of T-fixed vectors on a grid of ``size`` N (4 | N);
-    ``energy_shift`` is c/2, with T H T^-1 = c - H."""
+    ``energy_shift`` is c/2, with T H T^-1 = c - H, and ``h`` the grid's
+    Planck constant."""
 
     size: int
     energy_shift: float
+    h: float
 
     @classmethod
     def of(cls, pair: HamiltonianPair) -> "TimeReversalFrame":
@@ -88,15 +91,15 @@ class TimeReversalFrame:
         if not (_matches(np.roll(a, m), c - a, a) and _matches(np.roll(b, m), -b, b)):
             raise ValueError(f"on N = {n} nodes the potential is not antisymmetric under the "
                              "half-period shift, b[j + N/2] = -b[j] (or a[k + N/2] != c - a[k])")
-        return cls(n, c / 2.0)
+        return cls(n, c / 2.0, pair.grid.h)
 
     @property
     def _signs(self) -> np.ndarray:
         return np.where(np.arange(self.size // 2) % 2, -1.0, 1.0)[:, None]
 
-    def phase(self, t: float, h: float) -> complex:
+    def phase(self, t: float) -> complex:
         """e^{i c t/2h}: the factor that makes U(t) and W_L^n (t = n s) commute with T."""
-        return np.exp(1j * self.energy_shift * t / h)
+        return np.exp(1j * self.energy_shift * t / self.h)
 
     def parity(self, observable: FactoredOperator) -> int | None:
         """+1 when the real-diagonal observable commutes with T, -1 when it

@@ -50,8 +50,8 @@ class GridSpec:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"need N >= 1, got {self.N}")
-        if not self.h > 0:
-            raise ValueError(f"need h > 0, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"need a finite h > 0, got {self.h}")
 
     @classmethod
     def canonical(cls, a: float, b: float, h: float) -> "GridSpec":

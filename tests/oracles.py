@@ -82,12 +82,12 @@ def frame_basis(n: int) -> np.ndarray:
     return np.hstack((plus, 1j * minus)) / np.sqrt(2.0)
 
 
-def lift(frame, real: np.ndarray, t: float = 0.0, h: float = 1.0) -> np.ndarray:
+def lift(frame, real: np.ndarray, t: float = 0.0) -> np.ndarray:
     """The complex matrix e^{-i c t/2h} R X R^dag of a real frame matrix X, which
     undoes the phase e^{i c t/2h} of ``exact_unitary`` and ``lie_power`` (t = n s);
     V needs none, as its phases cancel."""
     basis = frame_basis(frame.size)
-    return np.conj(frame.phase(t, h)) * (basis @ real @ basis.conj().T)
+    return np.conj(frame.phase(t)) * (basis @ real @ basis.conj().T)
 
 
 def dense_quantize(symbol: TorusSymbol, n: int) -> np.ndarray:

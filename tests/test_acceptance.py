@@ -18,7 +18,7 @@ from oracles import dft_matrix, expm_hermitian, lift, materialize
 from test_quantize import brute_force_quantize
 
 from trotterlab.cli import _dispatch, evaluate_criteria, parse_config
-from trotterlab.evolve import EvolutionPlan, SplittingScheme, lie_power, relative_propagator
+from trotterlab.evolve import SplittingScheme, lie_power, relative_propagator
 from trotterlab.frame import TimeReversalFrame
 from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.numkit import hermitian_eig, spectral_norm
@@ -161,9 +161,9 @@ def test_criterion_9_oracle_equivalence():
             for scheme in SplittingScheme:
                 # one step with U = 1 in the time-reversal frame (Lie's step itself,
                 # or its half-step conjugate), lifted as e^{-i c s/2h} R V R^dag
-                real = relative_propagator(pair, EvolutionPlan(scheme, s, 1, h),
-                                           lie_power(pair, s, 1, h, frame), np.eye(grid.N), frame)
-                fast = lift(frame, real, s, h)
+                real = relative_propagator(pair, scheme, s, lie_power(pair, s, 1, frame),
+                                           np.eye(grid.N), frame)
+                fast = lift(frame, real, s)
                 ua = expm_hermitian(materialize(pair.kinetic), -s / h)
                 ub = expm_hermitian(materialize(pair.potential), -s / h)
                 if scheme is SplittingScheme.LIE1:

@@ -478,6 +478,9 @@ class TestMain:
     @pytest.mark.parametrize("doc", [
         {"command": "long-time", "h": 2.0**-5, "s_values": [0.25, 0.125, 0.0625]},
         {"command": "sweep-h", "h_values": [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]},
+        # one task per h, each searching every epsilon of both schemes
+        {"command": "query-count", "h_values": [2.0**-4, 2.0**-5], "epsilons": [0.03],
+         "schemes": ["Lie1", "Strang2"]},
     ], ids=lambda doc: doc["command"])
     def test_threads_flag_sweeps(self, doc, tmp_path):
         _assert_threads_invariant(doc, tmp_path)

@@ -6,7 +6,6 @@ from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
 from trotterlab.fourier import DiagonalKind, FactoredOperator
 from trotterlab.evolve import (
-    EvolutionPlan,
     SplittingScheme,
     exact_unitary,
     expectation_error,
@@ -43,28 +42,28 @@ def exact(hamiltonian, t, h):
     return hermitian_eig(hamiltonian).exp(-t / h)
 
 
-def propagators(pair, plan):
+def propagators(pair, scheme, s, n):
     """V = W^n U^dag and U at t = n s in the time-reversal frame, as a sweep
     forms them, and the frame."""
     frame = TimeReversalFrame.of(pair)
-    u = exact_unitary(hermitian_eig(pair.total), plan.t, plan.h, frame)
-    power = lie_power(pair, plan.s, plan.n, plan.h, frame)
-    return relative_propagator(pair, plan, power, u, frame), u, frame
+    u = exact_unitary(hermitian_eig(pair.total), n * s, frame)
+    power = lie_power(pair, s, n, frame)
+    return relative_propagator(pair, scheme, s, power, u, frame), u, frame
 
 
-def obs_error(obs, pair, plan):
+def obs_error(obs, pair, scheme, s, n):
     """The observable error of a factored observable, through its frame form."""
-    v, _, frame = propagators(pair, plan)
+    v, _, frame = propagators(pair, scheme, s, n)
     return observable_error(FrameObservable(obs, frame), v)
 
 
-def library_step(pair, scheme, s, h):
+def library_step(pair, scheme, s):
     """The library's one-step matrix of a scheme, lifted from the frame: V at
     n = 1 with U = 1 (Lie's step itself, or its half-step conjugate for Strang)."""
     frame = TimeReversalFrame.of(pair)
-    plan = EvolutionPlan(scheme, s, 1, h)
-    v = relative_propagator(pair, plan, lie_power(pair, s, 1, h, frame), np.eye(pair.grid.N), frame)
-    return lift(frame, v, s, h)
+    v = relative_propagator(pair, scheme, s, lie_power(pair, s, 1, frame), np.eye(pair.grid.N),
+                            frame)
+    return lift(frame, v, s)
 
 
 def heisenberg_exact(observable, hamiltonian, t, h):
@@ -73,9 +72,9 @@ def heisenberg_exact(observable, hamiltonian, t, h):
     return u.conj().T @ observable @ u
 
 
-def heisenberg_trotter(observable, pair, plan):
+def heisenberg_trotter(observable, pair, scheme, s, n):
     """Oracle: the observable conjugated by n split steps, (W^n)^dag O W^n."""
-    w = np.linalg.matrix_power(split_step(pair, plan.scheme, plan.s, plan.h), plan.n)
+    w = np.linalg.matrix_power(split_step(pair, scheme, s, pair.grid.h), n)
     return w.conj().T @ observable @ w
 
 
@@ -104,11 +103,11 @@ class TestExactUnitary:
         # matrices compose too
         h, grid, pair = setup
         eig, frame = hermitian_eig(pair.total), TimeReversalFrame.of(pair)
-        u1 = exact_unitary(eig, 0.3, h, frame)
-        u2 = exact_unitary(eig, 0.2, h, frame)
-        u12 = exact_unitary(eig, 0.5, h, frame)
+        u1 = exact_unitary(eig, 0.3, frame)
+        u2 = exact_unitary(eig, 0.2, frame)
+        u12 = exact_unitary(eig, 0.5, frame)
         assert spectral_norm(u1 @ u2 - u12) <= 1e-8 * grid.N
-        assert spectral_norm(lift(frame, u12, 0.5, h) - exact(pair.total, 0.5, h)) <= 1e-11 * grid.N
+        assert spectral_norm(lift(frame, u12, 0.5) - exact(pair.total, 0.5, h)) <= 1e-11 * grid.N
 
     def test_unitarity(self, setup):
         h, grid, pair = setup
@@ -128,20 +127,20 @@ class TestTrotterStep:
     def test_matches_dense_oracle(self, setup, scheme):
         h, grid, pair = setup
         s = 0.17
-        fast = library_step(pair, scheme, s, h)
+        fast = library_step(pair, scheme, s)
         assert spectral_norm(fast - dense_step(pair, scheme, s, h)) <= 1e-9 * grid.N
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_unitary(self, setup, scheme):
         h, grid, pair = setup
-        u = library_step(pair, scheme, 0.25, h)
+        u = library_step(pair, scheme, 0.25)
         assert spectral_norm(u.conj().T @ u - np.eye(grid.N)) <= 1e-9 * grid.N
 
     def test_zero_potential_reduces_to_kinetic_flow(self, setup):
         h, grid, _ = setup
         pair = build_pair(grid, potential=POTENTIALS["zero"])
         for scheme in SplittingScheme:
-            u = library_step(pair, scheme, 0.3, h)
+            u = library_step(pair, scheme, 0.3)
             expected = expm_hermitian(materialize(pair.kinetic), -0.3 / h)
             assert spectral_norm(u - expected) <= 1e-9 * grid.N
 
@@ -149,14 +148,14 @@ class TestTrotterStep:
         h, grid, _ = setup
         pair = commuting_pair(grid)
         for scheme in SplittingScheme:
-            u = library_step(pair, scheme, 0.4, h)
+            u = library_step(pair, scheme, 0.4)
             expected = exact(pair.total, 0.4, h)
             assert spectral_norm(u - expected) <= 1e-9 * grid.N
 
     def test_strang_time_symmetry(self, setup):
         h, grid, pair = setup
         # the library's forward step against the oracle's time-reversed stages
-        forward = library_step(pair, SplittingScheme.STRANG2, 0.3, h)
+        forward = library_step(pair, SplittingScheme.STRANG2, 0.3)
         backward = split_step(pair, SplittingScheme.STRANG2, -0.3, h)
         assert spectral_norm(forward @ backward - np.eye(grid.N)) <= 1e-9 * grid.N
 
@@ -190,33 +189,29 @@ class TestHeisenberg:
     def test_trotter_zero_steps(self, setup):
         h, grid, pair = setup
         obs = materialize(cos_x(grid))
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.1, 0, h)
-        assert np.abs(heisenberg_trotter(obs, pair, plan) - obs).max() == 0.0
+        assert np.abs(heisenberg_trotter(obs, pair, SplittingScheme.LIE1, 0.1, 0) - obs).max() == 0.0
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_trotter_matches_dense_conjugation(self, setup, scheme):
         h, grid, pair = setup
         obs = materialize(momentum_observable(grid))
-        plan = EvolutionPlan(scheme, 0.2, 3, h)
         w = np.linalg.matrix_power(dense_step(pair, scheme, 0.2, h), 3)
         expected = w.conj().T @ obs @ w
-        got = heisenberg_trotter(obs, pair, plan)
+        got = heisenberg_trotter(obs, pair, scheme, 0.2, 3)
         assert spectral_norm(got - expected) <= 1e-9 * grid.N
 
     def test_two_steps_equal_squared_step(self, setup):
         h, grid, pair = setup
         obs = materialize(cos_x(grid))
-        plan = EvolutionPlan(SplittingScheme.STRANG2, 0.15, 2, h)
         u = split_step(pair, SplittingScheme.STRANG2, 0.15, h)
         w = u @ u
-        assert spectral_norm(heisenberg_trotter(obs, pair, plan)
+        assert spectral_norm(heisenberg_trotter(obs, pair, SplittingScheme.STRANG2, 0.15, 2)
                              - w.conj().T @ obs @ w) <= 1e-8 * grid.N
 
     def test_preserves_hermiticity_and_spectrum(self, setup):
         h, grid, pair = setup
         obs = materialize(cos_x(grid))
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.1, 5, h)
-        evolved = heisenberg_trotter(obs, pair, plan)
+        evolved = heisenberg_trotter(obs, pair, SplittingScheme.LIE1, 0.1, 5)
         assert spectral_norm(evolved - evolved.conj().T) <= 1e-10 * grid.N
         w1 = np.linalg.eigvalsh(obs)
         w2 = np.linalg.eigvalsh(evolved)
@@ -228,14 +223,12 @@ class TestErrorFunctionals:
         h, grid, _ = setup
         pair = commuting_pair(grid)
         obs = cos_x(grid)
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 4, h)
-        assert obs_error(obs, pair, plan) < 1e-9
+        assert obs_error(obs, pair, SplittingScheme.LIE1, 0.2, 4) < 1e-9
 
     def test_observable_error_bounded(self, setup):
         h, grid, pair = setup
         obs = cos_x(grid)
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.5, 2, h)
-        assert obs_error(obs, pair, plan) <= 2 * spectral_norm(materialize(obs)) + 1e-12
+        assert obs_error(obs, pair, SplittingScheme.LIE1, 0.5, 2) <= 2 * spectral_norm(materialize(obs)) + 1e-12
 
     def test_single_step_error_orders(self, setup):
         # halving s divides the one-step error by ~4 (first order scheme)
@@ -243,7 +236,7 @@ class TestErrorFunctionals:
         h, grid, pair = setup
         obs = cos_x(grid)
         for scheme, factor in ((SplittingScheme.LIE1, 4.0), (SplittingScheme.STRANG2, 8.0)):
-            errs = [obs_error(obs, pair, EvolutionPlan(scheme, s, 1, h))
+            errs = [obs_error(obs, pair, scheme, s, 1)
                     for s in (2.0**-5, 2.0**-6)]
             assert errs[0] / errs[1] == pytest.approx(factor, rel=0.1)
 
@@ -261,13 +254,13 @@ class TestErrorFunctionals:
     def test_commuting_split_zero_unitary_error(self, setup):
         h, grid, _ = setup
         pair = commuting_pair(grid)
-        plan = EvolutionPlan(SplittingScheme.STRANG2, 0.25, 4, h)
-        assert unitary_distance(propagators(pair, plan)[0]) < 1e-9
+        v = propagators(pair, SplittingScheme.STRANG2, 0.25, 4)[0]
+        assert unitary_distance(v) < 1e-9
 
     def test_unitary_error_bounded_by_two(self, setup):
         h, grid, pair = setup
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.9, 8, h)
-        assert unitary_distance(propagators(pair, plan)[0]) <= 2.0 + 1e-12
+        v = propagators(pair, SplittingScheme.LIE1, 0.9, 8)[0]
+        assert unitary_distance(v) <= 2.0 + 1e-12
 
     def test_unitary_error_grows_inversely_with_h(self):
         errs = []
@@ -275,8 +268,7 @@ class TestErrorFunctionals:
         for h in hs:
             grid = GridSpec.canonical(-np.pi, np.pi, h)
             pair = build_pair(grid)
-            plan = EvolutionPlan(SplittingScheme.LIE1, 0.1, 1, h)
-            errs.append(unitary_distance(propagators(pair, plan)[0]))
+            errs.append(unitary_distance(propagators(pair, SplittingScheme.LIE1, 0.1, 1)[0]))
         slope = np.log(errs[1] / errs[0]) / np.log(hs[1] / hs[0])
         lo, hi = THRESHOLDS["unitary_growth"]
         assert lo <= slope <= hi
@@ -285,12 +277,12 @@ class TestErrorFunctionals:
 class TestWavepacket:
     def test_unit_norm(self, setup):
         h, grid, _ = setup
-        psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
+        psi = gaussian_wavepacket(grid, 0.0, 0.5)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_momentum_real_up_to_phase(self, setup):
         h, grid, _ = setup
-        psi = gaussian_wavepacket(grid, 0.0, 0.0, h)
+        psi = gaussian_wavepacket(grid, 0.0, 0.0)
         phase = psi[np.argmax(np.abs(psi))]
         aligned = psi * np.conj(phase) / abs(phase)
         assert np.abs(aligned.imag).max() < 1e-12
@@ -299,14 +291,14 @@ class TestWavepacket:
         # oracle: grid quadrature of x |psi|^2
         h, grid, _ = setup
         x0 = 0.3
-        psi = gaussian_wavepacket(grid, x0, 0.5, h)
+        psi = gaussian_wavepacket(grid, x0, 0.5)
         mean_x = float(np.sum(grid.nodes * np.abs(psi) ** 2))
         assert abs(mean_x - x0) <= 10 * np.sqrt(h)
 
     def test_boundary_rejected(self, setup):
         h, grid, _ = setup
         with pytest.raises(PacketTouchesBoundary):
-            gaussian_wavepacket(grid, grid.a_dom + 0.01, 0.0, h)
+            gaussian_wavepacket(grid, grid.a_dom + 0.01, 0.0)
 
 
 class TestExpectationError:
@@ -314,18 +306,17 @@ class TestExpectationError:
         h, grid, _ = setup
         pair = commuting_pair(grid)
         obs = cos_x(grid)
-        psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 4, h)
-        v, u, frame = propagators(pair, plan)
+        psi = gaussian_wavepacket(grid, 0.0, 0.5)
+        v, u, frame = propagators(pair, SplittingScheme.LIE1, 0.2, 4)
         assert expectation_error([FrameObservable(obs, frame)], v, u, psi, frame)[0] < 1e-10
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_dominated_by_observable_error(self, setup, scheme):
         h, grid, pair = setup
-        psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
+        psi = gaussian_wavepacket(grid, 0.0, 0.5)
         observables = (cos_x(grid), momentum_observable(grid))
         for s, n in ((0.25, 1), (0.1, 4)):
-            v, u, frame = propagators(pair, EvolutionPlan(scheme, s, n, h))
+            v, u, frame = propagators(pair, scheme, s, n)
             forms = [FrameObservable(obs, frame) for obs in observables]
             errors = expectation_error(forms, v, u, psi, frame)
             for form, err in zip(forms, errors, strict=True):
@@ -334,12 +325,11 @@ class TestExpectationError:
     def test_matches_matrix_expectation(self, setup):
         h, grid, pair = setup
         obs = cos_x(grid)
-        psi = gaussian_wavepacket(grid, 0.0, 0.5, h)
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.2, 2, h)
-        t_trot = heisenberg_trotter(materialize(obs), pair, plan)
-        t_exact = heisenberg_exact(materialize(obs), pair.total, plan.t, h)
+        psi = gaussian_wavepacket(grid, 0.0, 0.5)
+        t_trot = heisenberg_trotter(materialize(obs), pair, SplittingScheme.LIE1, 0.2, 2)
+        t_exact = heisenberg_exact(materialize(obs), pair.total, 0.4, h)
         direct = abs(np.vdot(psi, t_trot @ psi).real - np.vdot(psi, t_exact @ psi).real)
-        v, u, frame = propagators(pair, plan)
+        v, u, frame = propagators(pair, SplittingScheme.LIE1, 0.2, 2)
         got = expectation_error([FrameObservable(obs, frame)], v, u, psi, frame)
         assert got == [pytest.approx(direct, abs=1e-12)]
 
@@ -352,20 +342,6 @@ class TestExpectationError:
             expectation_error([form], None, None, np.ones(grid.N), frame)
 
 
-class TestEvolutionPlan:
-    def test_total_time(self):
-        plan = EvolutionPlan(SplittingScheme.LIE1, 0.25, 4, 0.1)
-        assert plan.t == 1.0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            EvolutionPlan(SplittingScheme.LIE1, -0.1, 1, 0.1)
-        with pytest.raises(ValueError):
-            EvolutionPlan(SplittingScheme.LIE1, 0.1, -1, 0.1)
-        with pytest.raises(ValueError):
-            EvolutionPlan(SplittingScheme.LIE1, 0.1, 1, 0.0)
-
-
 class TestNonPowerOfTwoGrid:
     def test_full_stack_on_n_ten(self):
         # h = 0.1 on [-pi, pi] gives N = 10 and h = 1/25 gives the odd
@@ -374,16 +350,15 @@ class TestNonPowerOfTwoGrid:
             grid = GridSpec.canonical(-np.pi, np.pi, h)
             assert grid.N == n
             pair = build_pair(grid)
-            fast = trotter_step_unitary(pair, 0.2, h)
+            fast = trotter_step_unitary(pair, 0.2)
             dense = dense_step(pair, SplittingScheme.LIE1, 0.2, h)
             assert spectral_norm(fast - dense) <= 1e-9 * grid.N
         # the errors run in the frame, which needs 4 | N: N = 12 and N = 20
         for h in (1.0 / 12, 1.0 / 20):
             grid = GridSpec.canonical(-np.pi, np.pi, h)
             pair = build_pair(grid)
-            plan = EvolutionPlan(SplittingScheme.STRANG2, 0.2, 1, h)
-            fast = library_step(pair, SplittingScheme.STRANG2, 0.2, h)
+            fast = library_step(pair, SplittingScheme.STRANG2, 0.2)
             dense = dense_step(pair, SplittingScheme.STRANG2, 0.2, h)
             assert spectral_norm(fast - dense) <= 1e-9 * grid.N
-            err = obs_error(cos_x(grid), pair, plan)
+            err = obs_error(cos_x(grid), pair, SplittingScheme.STRANG2, 0.2, 1)
             assert 0.0 < err < 2.0

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import trotterlab.quantize
-from trotterlab import experiments
+from trotterlab import experiments, numkit
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonMonotone, TooFewPoints, Unreachable, ValidationError
 from trotterlab.experiments import (
+    COMMAND_DEFAULTS,
     FIT_WINDOW_LOCAL_S,
     ExperimentResult,
     SweepTable,
@@ -21,6 +22,20 @@ from trotterlab.experiments import (
     sweep_timestep,
 )
 from trotterlab.symbols import TorusSymbol
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """The grid size of every eigendecomposition of H that a driver makes."""
+    calls = []
+    hermitian_eig = numkit.hermitian_eig
+
+    def counted(matrix):
+        calls.append(matrix.shape[0])
+        return hermitian_eig(matrix)
+
+    monkeypatch.setattr(numkit, "hermitian_eig", counted)
+    return calls
 
 
 class TestFitLoglogSlope:
@@ -175,6 +190,14 @@ class TestSweepH:
                       mode="local", observables=("cos_x",), schemes=("Lie1",))
         assert -0.25 <= res.fits["Lie1/cos_x/observable_error"].slope <= 0.25
 
+    def test_packet_checked_on_every_grid_before_compute(self, eig_calls):
+        # h = 1/4 gives N = 4, where the packet reaches the domain edge; the
+        # finer grid sorted before it must not be eigendecomposed first
+        with pytest.raises(ValidationError) as err:
+            sweep_h(h_values=[2.0**-6, 0.25], s_fixed=0.1)
+        assert err.value.field == "h_values" and "h = 0.25" in str(err.value)
+        assert eig_calls == []
+
     def test_global_mode_rejects_non_divisor_before_compute(self, monkeypatch):
         # 0.3 does not divide t = 1: three steps would stop at t = 0.9
         def no_compute(*args, **kwargs):
@@ -185,6 +208,24 @@ class TestSweepH:
             sweep_h(h_values=[2.0**-4], s_fixed=0.3, mode="global", t_total=1.0,
                     observables=("cos_x",), schemes=("Lie1",))
         assert err.value.field == "s_fixed"
+
+
+class TestStepValidation:
+    @pytest.mark.parametrize("s", [-0.1, -0.5, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("run, field", [
+        (lambda s: sweep_timestep(s_values=[0.1, s], h=2.0**-6), "s_values"),
+        (lambda s: sweep_timestep(s_values=[s], h=2.0**-6, mode="global"), "s_values"),
+        (lambda s: sweep_h(h_values=[2.0**-4], s_fixed=s), "s_fixed"),
+        (lambda s: sweep_h(h_values=[2.0**-4], s_fixed=s, mode="global"), "s_fixed"),
+    ], ids=["sweep_timestep", "sweep_timestep_global", "sweep_h", "sweep_h_global"])
+    def test_bad_step_rejected_before_compute(self, eig_calls, run, field, s):
+        # a step that is not finite and positive is named as such in either
+        # mode, not reported as a non-divisor of t or raised after the eigensolve
+        with pytest.raises(ValidationError) as err:
+            run(s)
+        assert err.value.field == field
+        assert "finite positive" in str(err.value)
+        assert eig_calls == []
 
 
 def _global_sweep(sweep: str, schemes) -> SweepTable:
@@ -359,8 +400,8 @@ class TestQueryCount:
         assert query_count(0.99, "Strang2", 2.0**-4, observable="cos_x") == 1
 
     def test_minimality(self):
-        from trotterlab.evolve import (EvolutionPlan, SplittingScheme, exact_unitary,
-                                       lie_power, observable_error, relative_propagator)
+        from trotterlab.evolve import (SplittingScheme, exact_unitary, lie_power,
+                                       observable_error, relative_propagator)
         from trotterlab.frame import FrameObservable, TimeReversalFrame
         from trotterlab.hamiltonian import GridSpec, build_pair
         from trotterlab.experiments import OBSERVABLES
@@ -371,10 +412,9 @@ class TestQueryCount:
         pair = build_pair(grid)
         frame = TimeReversalFrame.of(pair)
         obs = FrameObservable(OBSERVABLES["cos_3x"](grid), frame)
-        u = exact_unitary(hermitian_eig(pair.total), 1.0, h, frame)
-        err_at = lambda m: observable_error(obs, relative_propagator(pair, EvolutionPlan(
-            SplittingScheme.STRANG2, 1.0 / m, m, h), lie_power(pair, 1.0 / m, m, h, frame), u,
-            frame))
+        u = exact_unitary(hermitian_eig(pair.total), 1.0, frame)
+        err_at = lambda m: observable_error(obs, relative_propagator(
+            pair, SplittingScheme.STRANG2, 1.0 / m, lie_power(pair, 1.0 / m, m, frame), u, frame))
         assert err_at(n) <= eps
         if n > 1:
             assert err_at(n - 1) > eps
@@ -385,14 +425,45 @@ class TestQueryCount:
 
     def test_non_monotone_curve_detected(self, monkeypatch):
         # the search lands on n = 4, but the error rises past epsilon at n = 5
-        # (the stand-in propagator is the step count, which the error looks up)
+        # (the stand-in power and propagator are the step count, which the error looks up)
         errors = {1: 0.5, 2: 0.3, 3: 0.2, 4: 0.05, 5: 0.2}
+        monkeypatch.setattr(experiments, "lie_power", lambda pair, s, n, frame: n)
         monkeypatch.setattr(experiments, "relative_propagator",
-                            lambda pair, plan, power, u, frame: plan.n)
+                            lambda pair, scheme, s, power, u, frame: power)
         monkeypatch.setattr(experiments, "observable_error",
                             lambda obs, v: errors.get(v, 0.01))
         with pytest.raises(NonMonotone):
             query_count(0.1, "Strang2", 2.0**-3)
+
+    def test_bad_epsilon_rejected_before_compute(self, eig_calls):
+        with pytest.raises(ValidationError) as err:
+            query_count_study(epsilons=[0.03, 2.0], h_values=[2.0**-6])
+        assert err.value.field == "epsilons"
+        assert eig_calls == []
+
+    def test_default_study_shares_setup_and_error_curve(self, monkeypatch, eig_calls):
+        # one eigendecomposition per grid, and one step power per distinct
+        # (N, n) that the searches of every epsilon and its companion visit
+        powers = []
+        lie_power = experiments.lie_power
+
+        def counted(pair, s, n, frame):
+            powers.append((pair.grid.N, n))
+            return lie_power(pair, s, n, frame)
+
+        monkeypatch.setattr(experiments, "lie_power", counted)
+        defaults = COMMAND_DEFAULTS["query-count"]
+        query_count_study(epsilons=defaults["epsilons"], h_values=defaults["h_values"])
+        assert sorted(eig_calls) == [64, 256]
+        assert len(powers) == 21 and len(set(powers)) == 21
+
+    def test_study_matches_single_searches(self):
+        # the study's shared curves give the counts of separate query_count runs
+        res = query_count_study(epsilons=(3e-2,), h_values=(2.0**-4, 2.0**-5),
+                                schemes=("Lie1", "Strang2"))
+        assert len(res.table.rows) == 8
+        for eps, h, scheme, _, steps in res.table.rows:
+            assert query_count(eps, scheme, h) == steps
 
     def test_study_contains_quarter_epsilons(self):
         res = query_count_study(epsilons=(3e-2,), h_values=(2.0**-5,), schemes=("Strang2",))

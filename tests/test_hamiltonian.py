@@ -62,6 +62,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="not an integer"):
             GridSpec.canonical(-np.pi, np.pi, 0.0137)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+    def test_invalid_h(self, h):
+        # h enters with its grid; every function below reads it from there
+        with pytest.raises(ValueError, match="finite h > 0"):
+            GridSpec(0.0, 8, h)
+
     def test_invalid_domain(self):
         # a domain that is not one 2 pi period is not shifted onto one
         for a, b in ((0.0, 6.0), (1.0, 0.0)):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from oracles import expm_hermitian, lift, materialize, split_step, stage_factors
 
 from trotterlab.evolve import (
-    EvolutionPlan,
     SplittingScheme,
     _apply_factors,
     exact_unitary,
@@ -57,28 +56,28 @@ def frame_setup(n: int, plan_t: float):
     """Grid, pair, frame, and U at time plan_t as the real frame matrix."""
     grid, pair = grid_pair(n)
     frame = TimeReversalFrame.of(pair)
-    return grid, pair, frame, exact_unitary(hermitian_eig(pair.total), plan_t, grid.h, frame)
+    return grid, pair, frame, exact_unitary(hermitian_eig(pair.total), plan_t, frame)
 
 
-def propagator(pair, plan, u, frame) -> np.ndarray:
-    """V = W^n U^dag in the frame as a sweep forms it, from the plan's Lie power."""
-    power = lie_power(pair, plan.s, plan.n, plan.h, frame)
-    return relative_propagator(pair, plan, power, u, frame)
+def propagator(pair, scheme, s, count, u, frame) -> np.ndarray:
+    """V = W^n U^dag in the frame as a sweep forms it, from the Lie power."""
+    power = lie_power(pair, s, count, frame)
+    return relative_propagator(pair, scheme, s, power, u, frame)
 
 
-def stepped(pair, plan) -> np.ndarray:
+def stepped(pair, scheme, s, count) -> np.ndarray:
     """Oracle: the n split steps applied one at a time through the factored path."""
-    factors = stage_factors(pair, plan.scheme, plan.s, plan.h)
+    factors = stage_factors(pair, scheme, s, pair.grid.h)
     walk = np.eye(pair.grid.N, dtype=np.complex128)
-    for _ in range(plan.n):
+    for _ in range(count):
         walk = _apply_factors(factors, walk)
     return walk
 
 
-def stepped_state(pair, plan, psi) -> np.ndarray:
+def stepped_state(pair, scheme, s, count, psi) -> np.ndarray:
     """Oracle: the state vector stepped n times, one factor at a time by FFT."""
-    factors = stage_factors(pair, plan.scheme, plan.s, plan.h)
-    for _ in range(plan.n):
+    factors = stage_factors(pair, scheme, s, pair.grid.h)
+    for _ in range(count):
         for factor in factors:
             if factor.kind is DiagonalKind.POSITION:
                 psi = factor.diag * psi
@@ -93,9 +92,8 @@ def test_powering_equals_stepping(n, scheme, s, count):
     # with U = 1 the relative propagator is the step power W^n itself, whose
     # frame matrix carries the phase e^{i c n s/2h}
     grid, pair, frame, _ = frame_setup(n, 0.0)
-    plan = EvolutionPlan(scheme, s, count, grid.h)
-    powered = lift(frame, propagator(pair, plan, np.eye(n), frame), plan.t, plan.h)
-    assert spectral_norm(powered - stepped(pair, plan)) <= 1e-11 * n
+    powered = lift(frame, propagator(pair, scheme, s, count, np.eye(n), frame), count * s)
+    assert spectral_norm(powered - stepped(pair, scheme, s, count)) <= 1e-11 * n
 
 
 @PROPERTY
@@ -105,10 +103,10 @@ def test_propagator_equals_powered_stage_product(n, scheme, s, count):
     # Strang's W^n read as the half-step conjugate P^dag W_L^n P of Lie's power,
     # against the three-stage product raised to the n-th power, times U^dag
     grid, pair, frame, u = frame_setup(n, count * s)
-    plan = EvolutionPlan(scheme, s, count, grid.h)
     oracle = (np.linalg.matrix_power(split_step(pair, scheme, s, grid.h), count)
-              @ expm_hermitian(pair.total, plan.t / plan.h))
-    assert spectral_norm(lift(frame, propagator(pair, plan, u, frame)) - oracle) <= 1e-11 * n
+              @ expm_hermitian(pair.total, count * s / grid.h))
+    v = propagator(pair, scheme, s, count, u, frame)
+    assert spectral_norm(lift(frame, v) - oracle) <= 1e-11 * n
 
 
 @PROPERTY
@@ -117,9 +115,9 @@ def test_cached_eig_propagator_matches_expm(n, times):
     grid, pair, frame, _ = frame_setup(n, 0.0)
     eig = hermitian_eig(pair.total)
     for t in times:
-        cached = exact_unitary(eig, t, grid.h, frame)
+        cached = exact_unitary(eig, t, frame)
         oracle = expm_hermitian(pair.total, -t / grid.h)
-        assert spectral_norm(lift(frame, cached, t, grid.h) - oracle) <= 1e-11 * n
+        assert spectral_norm(lift(frame, cached, t) - oracle) <= 1e-11 * n
         assert spectral_norm(cached.T @ cached - np.eye(n)) <= 1e-11 * n
 
 
@@ -141,11 +139,10 @@ def test_relative_form_equals_two_sided_difference(n, scheme, s, count, build):
     grid, pair, frame, u = frame_setup(n, count * s)
     obs = build(grid)
     dense = materialize(obs)
-    plan = EvolutionPlan(scheme, s, count, grid.h)
     w = np.linalg.matrix_power(split_step(pair, scheme, s, grid.h), count)
-    u_dense = expm_hermitian(pair.total, -plan.t / plan.h)
+    u_dense = expm_hermitian(pair.total, -count * s / grid.h)
     direct = spectral_norm(w.conj().T @ dense @ w - u_dense.conj().T @ dense @ u_dense)
-    v = propagator(pair, plan, u, frame)
+    v = propagator(pair, scheme, s, count, u, frame)
     got = observable_error(FrameObservable(obs, frame), v)
     assert got == pytest.approx(direct, abs=1e-11 * n)
     assert unitary_distance(v) == pytest.approx(spectral_norm(w - u_dense), abs=1e-11 * n)
@@ -162,9 +159,9 @@ def test_real_engine_matches_complex_expm(n, times):
     assert eig.eigenvectors.dtype == np.float64
     for t in times:
         oracle = expm_hermitian(pair.total.astype(np.complex128), -t / grid.h)
-        cached = exact_unitary(eig, t, grid.h, frame)
+        cached = exact_unitary(eig, t, frame)
         assert cached.dtype == np.float64
-        assert spectral_norm(lift(frame, cached, t, grid.h) - oracle) <= 1e-11 * n
+        assert spectral_norm(lift(frame, cached, t) - oracle) <= 1e-11 * n
 
 
 @PROPERTY
@@ -196,8 +193,7 @@ def test_factored_observable_error_equals_dense_form(n, scheme, s, count, kind, 
     form = FrameObservable(obs, frame)
     assert all(part is not None for part in form.parts)
     dense = materialize(obs)
-    plan = EvolutionPlan(scheme, s, count, grid.h)
-    v_frame = propagator(pair, plan, u, frame)
+    v_frame = propagator(pair, scheme, s, count, u, frame)
     v = lift(frame, v_frame)
     direct = spectral_norm(v.conj().T @ dense @ v - dense)
     assert observable_error(form, v_frame) == pytest.approx(direct, abs=1e-11 * n)
@@ -215,15 +211,14 @@ def test_expectation_error_matches_stepping_and_dense(n, scheme, s, count, kind,
     obs = FactoredOperator(kind, rng.standard_normal(n))
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi /= np.linalg.norm(psi)
-    plan = EvolutionPlan(scheme, s, count, grid.h)
-    got = expectation_error([FrameObservable(obs, frame)], propagator(pair, plan, u, frame), u,
-                            psi, frame)[0]
+    v = propagator(pair, scheme, s, count, u, frame)
+    got = expectation_error([FrameObservable(obs, frame)], v, u, psi, frame)[0]
 
     dense = materialize(obs)
-    exact_state = expm_hermitian(pair.total, -plan.t / plan.h) @ psi
+    exact_state = expm_hermitian(pair.total, -count * s / grid.h) @ psi
     exact = np.vdot(exact_state, dense @ exact_state).real
-    split_state = stepped_state(pair, plan, psi)
-    w = stepped(pair, plan)
+    split_state = stepped_state(pair, scheme, s, count, psi)
+    w = stepped(pair, scheme, s, count)
     for split in (np.vdot(split_state, dense @ split_state).real,
                   np.vdot(psi, w.conj().T @ dense @ w @ psi).real):
         assert got == pytest.approx(abs(split - exact), abs=1e-11 * n)

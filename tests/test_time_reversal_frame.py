@@ -25,7 +25,6 @@ from trotterlab import experiments, numkit
 from trotterlab.cli import _dispatch, parse_config
 from trotterlab.errors import ValidationError
 from trotterlab.evolve import (
-    EvolutionPlan,
     SplittingScheme,
     exact_unitary,
     lie_power,
@@ -61,12 +60,8 @@ def driver_errors(grid, potential, names, psi, scheme, s, n) -> dict:
     """Errors of one sweep point as ``_error_rows`` forms them, keyed by
     (observable, metric), for the unit state psi in place of the packet and
     the potential named in ``experiments.POTENTIALS``."""
-    pair = build_pair(grid, potential=experiments.POTENTIALS[potential])
-    frame = TimeReversalFrame.of(pair)
-    forms = {name: FrameObservable(experiments.OBSERVABLES[name](grid), frame)
-             for name in names}
-    setup = (grid, pair, forms, psi, hermitian_eig(pair.total), frame)
-    rows = experiments._error_rows(setup, [scheme], s, n, grid.h, with_unitary=True)
+    setup = experiments._build_setup(grid, potential, names)
+    rows = experiments._error_rows(setup, psi, [scheme], s, n, with_unitary=True)
     return {(row[4], row[5]): row[6] for row in rows}
 
 
@@ -174,11 +169,10 @@ def test_frame_matches_dense_basis(n, delta):
     assert np.abs(frame.from_frame(block) - basis @ block).max() <= 1e-14
     eig = hermitian_eig(pair.total)
     for scheme in SplittingScheme:
-        plan = EvolutionPlan(scheme, 0.3, 5, grid.h)
-        real_v = relative_propagator(pair, plan, lie_power(pair, plan.s, plan.n, plan.h, frame),
-                                     exact_unitary(eig, plan.t, plan.h, frame), frame)
-        complex_v = (np.linalg.matrix_power(split_step(pair, scheme, plan.s, plan.h), plan.n)
-                     @ expm_hermitian(pair.total, plan.t / plan.h))
+        real_v = relative_propagator(pair, scheme, 0.3, lie_power(pair, 0.3, 5, frame),
+                                     exact_unitary(eig, 5 * 0.3, frame), frame)
+        complex_v = (np.linalg.matrix_power(split_step(pair, scheme, 0.3, grid.h), 5)
+                     @ expm_hermitian(pair.total, 5 * 0.3 / grid.h))
         assert real_v.dtype == np.float64
         assert spectral_norm(basis @ real_v @ basis.conj().T - complex_v) <= 1e-11 * n
         assert spectral_norm(lift(frame, real_v) - complex_v) <= 1e-11 * n
