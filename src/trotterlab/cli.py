@@ -9,6 +9,10 @@ deterministic CSV (17 significant digits, LF line endings); fit reports go
 to standard output. With ``--assert`` the
 command's acceptance criteria are evaluated and a failing run exits with
 code 2, while crashes and invalid input exit with code 1.
+
+``parse_config`` checks the document: types, finite numbers, nonempty lists
+of distinct entries, unknown keys, the names of entries and each command's
+mode. The driver checks the numbers it reads, once and before any compute.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import experiments as xp
-from .errors import ParseError, TrotterlabError, ValidationError
+from .errors import ParseError, TrotterlabError, ValidationError, check
 from .evolve import SplittingScheme
 from .experiments import COMMAND_DEFAULTS
 
@@ -35,20 +39,11 @@ _DRIVERS = {"sweep-s": "sweep_timestep", "long-time": "sweep_timestep", "sweep-h
             "commutator-scan": "commutator_scan", "calculus-check": "calculus_suite",
             "query-count": "query_count_study"}
 
-# The keys that take a list, and the keys whose values name a known entry.
-_LISTS = ("domain", "observables", "schemes", "s_values", "h_values", "N_values", "epsilons")
+# The list keys (those with a tuple default) and the keys whose values name a known entry.
+_LISTS = {key for table in COMMAND_DEFAULTS.values()
+          for key, default in table.items() if isinstance(default, tuple)}
 _CHOICES = {"potential": xp.POTENTIALS, "observables": xp.OBSERVABLES,
-            "schemes": [scheme.value for scheme in SplittingScheme], "mode": ("local", "global")}
-
-# What every number of a key (each entry, for the lists) must satisfy; the
-# step sizes are checked by experiments.step_count, in _validate.
-_RANGES = {
-    "h": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "h_values": (lambda v: 0.0 < v <= 1.0, "entries must lie in (0, 1]"),
-    "t_total": (lambda v: v > 0, "must be positive"),
-    "N_values": (lambda n: n >= 1, "entries must be at least 1"),
-    "epsilons": (lambda v: 0.0 < v < 1.0, "entries must lie in (0, 1)"),
-}
+            "schemes": [scheme.value for scheme in SplittingScheme], "mode": xp.MODES}
 
 
 @dataclass(frozen=True)
@@ -77,47 +72,40 @@ def _keys(command: str) -> list[str]:
     return sorted(COMMAND_DEFAULTS[command]) + ["out"]
 
 
-def _check(condition: bool, field: str, message: str) -> None:
-    if not condition:
-        raise ValidationError(field, message)
-
-
 def _number(value, field: str) -> float:
     # abs(value) <= max float also rejects NaN, infinities and ints too large for a float
-    _check(isinstance(value, (int, float)) and not isinstance(value, bool)
-           and abs(value) <= sys.float_info.max, field, f"needs a finite number, got {value!r}")
+    check(isinstance(value, (int, float)) and not isinstance(value, bool)
+          and abs(value) <= sys.float_info.max, field, f"needs a finite number, got {value!r}")
     return float(value)
 
 
 def _value(key: str, value):
     """One configuration value, converted to its RunConfig type and checked on its own."""
     if key == "out":
-        _check(value is None or isinstance(value, str), key, "needs a string path")
+        check(value is None or isinstance(value, str), key, "needs a string path")
         return value
     if key in _LISTS:
-        _check(isinstance(value, (list, tuple)) and len(value) > 0, key, "needs a nonempty list")
+        check(isinstance(value, (list, tuple)) and len(value) > 0, key, "needs a nonempty list")
     items = value if key in _LISTS else [value]
     if key in _CHOICES:
         items = tuple(str(item) for item in items)
         for name in items:
-            _check(name in _CHOICES[key], key,
-                   f"unknown id {name!r}; choose from {sorted(_CHOICES[key])}")
+            check(name in _CHOICES[key], key,
+                  f"unknown id {name!r}; choose from {sorted(_CHOICES[key])}")
     else:
         items = tuple(_number(item, key) for item in items)
         if key == "domain":
-            _check(len(items) == 2 and items[1] > items[0], key, "needs [a, b] with b > a")
+            check(len(items) == 2 and items[1] > items[0], key, "needs [a, b] with b > a")
         if key == "N_values":
-            _check(all(v == int(v) for v in items), key, "entries must be integers")
+            check(all(v == int(v) for v in items), key, "entries must be integers")
             items = tuple(int(v) for v in items)
-        if key in _RANGES:
-            ok, message = _RANGES[key]
-            _check(all(map(ok, items)), key, message)
-    _check(len(set(items)) == len(items), key, "entries must be distinct")
+    check(len(set(items)) == len(items), key, "entries must be distinct")
     return items if key in _LISTS else items[0]
 
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:
-    """Parse and validate a JSON configuration document.
+    """Parse a JSON configuration document and check it as a document; the
+    driver checks the values it reads.
 
     ``command`` supplies the command when the document omits it (the CLI
     passes the subcommand); a command present in both must agree.
@@ -134,12 +122,12 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     if doc_command is not None and command is not None and doc_command != command:
         raise ValidationError("command", f"document says {doc_command!r}, invocation says {command!r}")
     cmd = doc_command or command
-    _check(cmd is not None, "command", "missing")
-    _check(cmd in COMMANDS, "command", f"unknown command {cmd!r}")
+    check(cmd is not None, "command", "missing")
+    check(cmd in COMMANDS, "command", f"unknown command {cmd!r}")
 
     table, keys = COMMAND_DEFAULTS[cmd], _keys(cmd)
     for key in sorted(doc):
-        _check(key in keys, key, f"unknown key; {cmd} reads {', '.join(keys)}")
+        check(key in keys, key, f"unknown key; {cmd} reads {', '.join(keys)}")
     # the mode picks the per-mode defaults, so it is checked before they are read
     mode = _value("mode", doc["mode"]) if "mode" in doc else table.get("mode")
     values = {key: default[mode] if isinstance(default, dict) else default
@@ -151,24 +139,11 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """The checks that span keys, each where the command reads its keys."""
-    if cfg.command == "sweep-s":
-        _check(cfg.mode == "local", "mode", "sweep-s is single-step; use long-time for global runs")
-    if cfg.command == "long-time":
-        _check(cfg.mode == "global", "mode", "long-time is a fixed-horizon run")
-    field, hs = ("h", (cfg.h,)) if cfg.h is not None else ("h_values", cfg.h_values or ())
-    grid_of = xp.canonical_grid if cfg.command == "commutator-scan" else xp.sweep_grid
-    grids = [grid_of(h, cfg.domain, field) for h in hs]
-    if cfg.command in ("sweep-s", "long-time", "sweep-h"):   # the sweeps that evolve a packet
-        for grid in grids:
-            xp.wavepacket(grid, field)
-    if cfg.command == "query-count":
-        _check(len(cfg.observables) == 1, "observables",
-               f"query-count searches one observable, got {len(cfg.observables)}")
-    for s in cfg.s_values or ():
-        xp.step_count(s, cfg.mode, cfg.t_total, "s_values")
-    if cfg.s_fixed is not None:
-        xp.step_count(cfg.s_fixed, cfg.mode, cfg.t_total, "s_fixed")
+    """The mode of sweep-s and of long-time, which share one driver of either mode."""
+    check(cfg.command != "sweep-s" or cfg.mode == "local", "mode",
+          "sweep-s is single-step; use long-time for global runs")
+    check(cfg.command != "long-time" or cfg.mode == "global", "mode",
+          "long-time is a fixed-horizon run")
 
 
 # Acceptance thresholds of criteria 1-5 and 8, shared by --assert and the test gate.
@@ -327,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check(args.threads >= 1, "threads", f"needs at least one worker, got {args.threads}")
+        check(args.threads >= 1, "threads", f"needs at least one worker, got {args.threads}")
         text = Path(args.config).read_text() if args.config else "{}"
         cfg = parse_config(text, command=args.command)
         return run(cfg, assert_criteria=args.assert_criteria, out=args.out,

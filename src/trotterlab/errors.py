@@ -51,3 +51,9 @@ class ValidationError(TrotterlabError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def check(condition: bool, field: str, message: str) -> None:
+    """Raise ValidationError(field, message) unless ``condition`` holds."""
+    if not condition:
+        raise ValidationError(field, message)

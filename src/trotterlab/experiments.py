@@ -5,8 +5,10 @@ symbols, sampled on each grid by ``hamiltonian.sample``; ``momentum_spectral``
 is a sampled sawtooth. The three sweeps and the step-count search share one
 per-grid setup (``_build_setup``: the pair, its frame, the frame observables
 and the eigendecomposition of H), below which h is read from the grid; the
-search reads one memoized error curve per grid for every target error. Step
-sizes, target errors and grids are checked before any eigendecomposition.
+search reads one memoized error curve per grid for every target error.
+Each driver checks the numbers it reads (grids, packets, steps, horizon,
+target errors, N) once, before any eigendecomposition; the CLI checks only
+the document.
 
 Each driver returns an ``ExperimentResult`` holding a deterministic
 ``SweepTable`` (identical configuration gives bit-identical rows), the
@@ -26,7 +28,8 @@ import numpy as np
 
 from . import fourier, numkit
 from . import quantize as qz
-from .errors import NonMonotone, PacketTouchesBoundary, TooFewPoints, Unreachable, ValidationError
+from .errors import (NonMonotone, PacketTouchesBoundary, TooFewPoints, Unreachable,
+                     ValidationError, check)
 from .evolve import (
     ROUNDOFF_FLOOR_PER_DIM,
     SplittingScheme,
@@ -79,6 +82,9 @@ FIT_WINDOW_LOCAL_S = (2.0**-11, 2.0**-6)
 FIT_WINDOW_H = (0.0, 2.0**-5)
 
 SWEEP_COLUMNS = ("s", "h", "N", "scheme", "observable", "metric", "value")
+
+# A sweep point runs one step (local) or steps to the horizon t_total (global).
+MODES = ("local", "global")
 
 # Flow time of the calculus suite's Egorov term.
 CALCULUS_T_FLOW = 0.5
@@ -245,16 +251,18 @@ def step_count(s: float, mode: str, t_total: float, field: str) -> int:
     """Steps of size s in one run: 1 in ``local`` mode, t_total / s in ``global``.
 
     Raises ValidationError naming ``field`` when s is not a finite positive
-    number, or when it does not divide t_total, so that the horizon reached is
-    exactly t_total.
+    number or does not divide t_total (so that the horizon reached is exactly
+    t_total), ``mode`` for an unknown mode, and ``t_total`` in either mode for
+    a horizon that is not finite and positive.
     """
-    if not 0.0 < s < math.inf:
-        raise ValidationError(field, f"step {s} must be a finite positive number")
+    check(0.0 < s < math.inf, field, f"step {s} must be a finite positive number")
+    check(mode in MODES, "mode", f"unknown mode {mode!r}; choose from {sorted(MODES)}")
+    check(0.0 < t_total < math.inf, "t_total", f"horizon {t_total} must be finite and positive")
     if mode == "local":
         return 1
     n = round(t_total / s)
-    if n < 1 or abs(n * s - t_total) > 1e-9 * t_total:
-        raise ValidationError(field, f"step {s} does not divide t={t_total}")
+    check(n >= 1 and abs(n * s - t_total) <= 1e-9 * t_total, field,
+          f"step {s} does not divide t={t_total}")
     return n
 
 
@@ -264,15 +272,13 @@ def canonical_grid(h: float, domain, field: str) -> GridSpec:
     a domain that is not one 2 pi period of the potential and observables
     raises it naming ``domain``."""
     length = domain[1] - domain[0]
-    if abs(length - PERIOD) > 1e-9 * PERIOD:
-        raise ValidationError("domain", f"length b - a = {length:.17g} must be 2 pi, "
-                                        "one period of the potential and observables")
+    check(abs(length - PERIOD) <= 1e-9 * PERIOD, "domain", f"length b - a = {length:.17g} "
+          "must be 2 pi, one period of the potential and observables")
     try:
         grid = GridSpec.canonical(domain[0], domain[1], h)
     except ValueError as err:
         raise ValidationError(field, str(err)) from None
-    if grid.N < 2:
-        raise ValidationError(field, f"h={h} gives N = {grid.N}; the grid needs N >= 2")
+    check(grid.N >= 2, field, f"h={h} gives N = {grid.N}; the grid needs N >= 2")
     return grid
 
 
@@ -280,9 +286,8 @@ def sweep_grid(h: float, domain, field: str) -> GridSpec:
     """``canonical_grid`` of a command that forms errors in the time-reversal
     frame: an N that 4 does not divide raises ValidationError naming ``field``."""
     grid = canonical_grid(h, domain, field)
-    if grid.N % 4:
-        raise ValidationError(field, f"h={h:g} gives N = {grid.N}; the time-reversal frame "
-                                     "needs N divisible by 4")
+    check(grid.N % 4 == 0, field,
+          f"h={h:g} gives N = {grid.N}; the time-reversal frame needs N divisible by 4")
     return grid
 
 
@@ -442,6 +447,7 @@ def calculus_suite(N_values: Sequence[int], threads: int = 1) -> ExperimentResul
     has one context, so each distinct operator is quantized once per grid and
     freed with it; a + b is one symbol, so sup|a + b| is sampled once per run.
     """
+    check(all(n >= 1 for n in N_values), "N_values", f"entries must be at least 1, got {N_values}")
     a, b = cosine_x(), cosine_xi()
     mixed = a + b
 
@@ -465,19 +471,25 @@ def calculus_suite(N_values: Sequence[int], threads: int = 1) -> ExperimentResul
     return _fit_series(table, {m: table.series("h", metric=m) for m in metrics})
 
 
-def _error_curve(setup: tuple, t_total: float) -> Callable[[SplittingScheme, int], float]:
+def _error_curve(setup: tuple, t_total: float,
+                 shared: bool) -> Callable[[SplittingScheme, int], float]:
     """The memoized error curve (scheme, n) -> ||V^T K V - K|| of the setup's one
     observable at t_total, after n steps of size t_total / n: the searches of
-    every target error on the grid read it."""
+    every target error on the grid read it. A curve ``shared`` by several schemes
+    keeps each step power W_L^n (one N x N real matrix per n) for the others."""
     pair, frame, observables, eig = setup
     (obs,) = observables.values()
     u = exact_unitary(eig, t_total, frame)
 
+    def power(n: int) -> np.ndarray:
+        return lie_power(pair, t_total / n, n, frame)
+
+    power = functools.cache(power) if shared else power
+
     @functools.cache
     def error_at(scheme: SplittingScheme, n: int) -> float:
-        s = t_total / n
-        power = lie_power(pair, s, n, frame)
-        return observable_error(obs, relative_propagator(pair, scheme, s, power, u, frame))
+        return observable_error(obs, relative_propagator(pair, scheme, t_total / n, power(n),
+                                                         u, frame))
 
     return error_at
 
@@ -512,11 +524,11 @@ def query_count(epsilon: float, scheme, h: float, *,
                 t_total: float = _HORIZON["t_total"]) -> int:
     """Smallest step count n with observable error at most epsilon at t_total,
     by the search of ``query_count_study`` on a setup of its own."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check(0.0 < epsilon < 1.0, "epsilon", f"must lie in (0, 1), got {epsilon}")
+    check(0.0 < t_total < math.inf, "t_total", f"horizon {t_total} must be finite and positive")
     scheme = SplittingScheme(scheme)
     setup = _build_setup(sweep_grid(h, domain, "h"), potential, (observable,))
-    return _search(functools.partial(_error_curve(setup, t_total), scheme), epsilon)
+    return _search(functools.partial(_error_curve(setup, t_total, shared=False), scheme), epsilon)
 
 
 def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
@@ -531,15 +543,19 @@ def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
     1/epsilon available from one table. Each h is one task: one setup and one
     memoized error curve, which every scheme and epsilon searches.
     """
+    check(len(observables) == 1, "observables",
+          f"query-count searches one observable, got {len(observables)}")
     (observable,) = observables
     schemes = [SplittingScheme(s) for s in schemes]
-    if not all(0.0 < e < 1.0 for e in epsilons):
-        raise ValidationError("epsilons", f"entries must lie in (0, 1), got {list(epsilons)}")
+    check(all(0.0 < e < 1.0 for e in epsilons), "epsilons",
+          f"entries must lie in (0, 1), got {list(epsilons)}")
+    check(0.0 < t_total < math.inf, "t_total", f"horizon {t_total} must be finite and positive")
     grids = [sweep_grid(h, domain, "h_values") for h in sorted(h_values)]
     eps_all = sorted({float(e) for e in epsilons} | {float(e) / 4.0 for e in epsilons})
 
     def rows_for(grid: GridSpec) -> list[tuple]:
-        error_at = _error_curve(_build_setup(grid, potential, (observable,)), t_total)
+        error_at = _error_curve(_build_setup(grid, potential, (observable,)), t_total,
+                                shared=len(schemes) > 1)
         return [(eps, grid.h, scheme.value, "steps",
                  _search(functools.partial(error_at, scheme), eps))
                 for scheme in schemes for eps in eps_all]

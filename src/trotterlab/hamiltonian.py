@@ -60,6 +60,8 @@ class GridSpec:
         ValueError instead of being shifted or re-meshed."""
         if abs(b - a - PERIOD) > 1e-9 * PERIOD:
             raise ValueError(f"[{a}, {b}] is not one 2 pi period")
+        if not 0 < h < math.inf:
+            raise ValueError(f"need a finite h > 0, got {h}")
         exact = 1.0 / h
         n = round(exact)
         if n < 1 or abs(n - exact) > 1e-9 * exact:

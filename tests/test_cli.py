@@ -8,6 +8,7 @@ import pytest
 import trotterlab.cli
 import trotterlab.experiments
 import trotterlab.quantize
+from trotterlab import numkit
 from trotterlab.cli import (
     _DRIVERS,
     COMMAND_DEFAULTS,
@@ -40,7 +41,51 @@ PAPER_RUNS = {
 }
 
 
+@pytest.fixture
+def rejects(tmp_path, capsys, monkeypatch):
+    """rejects(command, doc, field): ``main`` exits 1 on the configuration ``doc``
+    (a dict or JSON text) with ``error: <field>: `` on stderr, before any
+    eigendecomposition and without writing a CSV; returns the stderr text.
+
+    The checks of the numbers a driver reads run in the driver, so only a run
+    through ``main`` shows that they reject a document before any compute."""
+    eigs = []
+    hermitian_eig = numkit.hermitian_eig
+    monkeypatch.setattr(numkit, "hermitian_eig",
+                        lambda matrix: eigs.append(matrix) or hermitian_eig(matrix))
+
+    def check(command, doc, field):
+        path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {field}: ")
+        assert "Traceback" not in stderr
+        assert not out.exists() and eigs == []
+        return stderr
+
+    return check
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Counts of the drivers' per-value checks: grids, wave packets and step counts."""
+    calls = {"sweep_grid": 0, "wavepacket": 0, "step_count": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(trotterlab.experiments, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(trotterlab.experiments, name, counted)
+    return calls
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+    def test_parse_builds_no_grid(self, command, check_calls):
+        # the document is parsed here; the driver checks the numbers it reads
+        parse_config("{}", command=command)
+        assert check_calls == {"sweep_grid": 0, "wavepacket": 0, "step_count": 0}
+
     def test_minimal_document_gives_defaults(self):
         cfg = parse_config('{"command": "sweep-s"}')
         expected = RunConfig(command="sweep-s", **COMMAND_DEFAULTS["sweep-s"])
@@ -51,18 +96,14 @@ class TestParseConfig:
         assert cfg.command == "commutator-scan"
         assert cfg.h_values == tuple(2.0**-k for k in range(3, 9))
 
-    def test_invalid_h_rejected(self):
-        with pytest.raises(ValidationError) as err:
-            parse_config('{"command": "sweep-s", "h": 2.0}')
-        assert err.value.field == "h"
+    def test_invalid_h_rejected(self, rejects):
+        rejects("sweep-s", '{"command": "sweep-s", "h": 2.0}', "h")
 
-    def test_off_lattice_h_rejected(self):
-        for doc, field in (('{"command": "sweep-s", "h": 0.0137}', "h"),
-                           ('{"command": "sweep-h", "h_values": [0.125, 0.0137]}', "h_values"),
-                           ('{"command": "query-count", "h_values": [0.0137]}', "h_values")):
-            with pytest.raises(ValidationError) as err:
-                parse_config(doc)
-            assert err.value.field == field
+    def test_off_lattice_h_rejected(self, rejects):
+        for command, doc, field in (("sweep-s", '{"h": 0.0137}', "h"),
+                                    ("sweep-h", '{"h_values": [0.125, 0.0137]}', "h_values"),
+                                    ("query-count", '{"h_values": [0.0137]}', "h_values")):
+            assert "not an integer" in rejects(command, doc, field)
 
     @pytest.mark.parametrize("command, doc, field", [
         pytest.param("long-time", '{"t_total": Infinity}', "t_total", id="t_total"),
@@ -82,23 +123,16 @@ class TestParseConfig:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field}:")
 
-    def test_domain_of_other_length_rejected(self, tmp_path, capsys, monkeypatch):
+    def test_domain_of_other_length_rejected(self, rejects):
         # [-pi, pi/2] gives integral N = 32 .. 256, yet cos x and cos_x wrap
         # discontinuously there: the run would fail all 8 h-flat checks
         # while its labels claim the cos potential and the cos_x observable
         doc = {"command": "sweep-h", "domain": [-math.pi, math.pi / 2],
                "h_values": [3 / 128, 3 / 256, 3 / 512, 3 / 1024]}
-        with pytest.raises(ValidationError) as err:
-            parse_config(json.dumps(doc))
-        assert err.value.field == "domain"
-        monkeypatch.setattr(trotterlab.cli, "_dispatch", lambda *args: pytest.fail("computed"))
-        path = tmp_path / "short.json"
-        path.write_text(json.dumps(doc))
-        assert main(["sweep-h", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: domain: ")
+        rejects("sweep-h", doc, "domain")
 
     @pytest.mark.parametrize("h, n", [(0.2, 5), (0.1, 10), (0.04, 25)])
-    def test_grid_without_frame_rejected(self, h, n):
+    def test_grid_without_frame_rejected(self, h, n, rejects):
         # domain [0, 2 pi] puts N = 1/h points on the grid; the commands that
         # evolve observables form their errors in the time-reversal frame,
         # which needs 4 | N, whatever the observable
@@ -107,32 +141,21 @@ class TestParseConfig:
                            ({"command": "sweep-s", "h": h}, "h"),
                            ({"command": "long-time", "h": h, "s_values": [0.5, 0.25]}, "h"),
                            ({"command": "query-count", "h_values": [h]}, "h_values")):
-            with pytest.raises(ValidationError) as err:
-                parse_config(json.dumps({**base, **doc}))
-            assert err.value.field == field
-            assert f"h={h:g} gives N = {n}" in str(err.value)
-            assert "divisible by 4" in str(err.value)
+            stderr = rejects(doc["command"], {**base, **doc}, field)
+            assert f"h={h:g} gives N = {n}" in stderr
+            assert "divisible by 4" in stderr
         # the commutator scan forms no error and accepts any N
-        parse_config(json.dumps({"domain": base["domain"], "command": "commutator-scan",
-                                 "h_values": [h]}))
+        assert trotterlab.experiments.canonical_grid(h, base["domain"], "h_values").N == n
 
-    def test_packet_at_domain_edge_rejected_before_compute(self, tmp_path, capsys):
+    def test_packet_at_domain_edge_rejected_before_compute(self, rejects):
         # at h = 1/4 the grid has N = 4 nodes and the packet is not negligible at
-        # the last one; the check runs in validation and names the field
+        # the last one; the sweep checks it before any compute and names the field
         for doc, field in (({"command": "sweep-h", "h_values": [0.125, 0.25]}, "h_values"),
                            ({"command": "sweep-s", "h": 0.25}, "h"),
                            ({"command": "long-time", "h": 0.25}, "h")):
-            with pytest.raises(ValidationError) as err:
-                parse_config(json.dumps(doc))
-            assert err.value.field == field
-            assert "h = 0.25" in str(err.value)
-        path = tmp_path / "edge.json"
-        path.write_text('{"h_values": [0.25]}')
-        assert main(["sweep-h", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
-        assert "error: h_values: " in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+            assert "h = 0.25" in rejects(doc["command"], doc, field)
         # the commutator scan and the query count evolve no packet
-        parse_config('{"command": "commutator-scan", "h_values": [0.25, 0.125, 0.0625]}')
+        assert len(trotterlab.experiments.commutator_scan([0.25, 0.125, 0.0625]).table.rows) == 15
 
     @pytest.mark.parametrize("command, doc, field", [
         pytest.param("commutator-scan", '{"h_values": [0.25, 1.0]}', "h_values",
@@ -140,25 +163,12 @@ class TestParseConfig:
         pytest.param("query-count", '{"h_values": [1.0]}', "h_values", id="query-count"),
         pytest.param("sweep-s", '{"h": 1.0}', "h", id="sweep-s"),
     ])
-    def test_single_node_grid_rejected_before_compute(self, command, doc, field,
-                                                      tmp_path, capsys):
+    def test_single_node_grid_rejected_before_compute(self, command, doc, field, rejects):
         # h = 1 on [-pi, pi] gives N = 1, where the finite-difference stencil is undefined
-        with pytest.raises(ValidationError) as err:
-            parse_config(doc, command=command)
-        assert err.value.field == field
-        assert "N = 1" in str(err.value)
-        path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
-        path.write_text(doc)
-        assert main([command, "--config", str(path), "--out", str(out)]) == 1
-        stderr = capsys.readouterr().err
-        assert stderr.startswith(f"error: {field}:")
-        assert "Traceback" not in stderr
-        assert not out.exists()
+        assert "N = 1" in rejects(command, doc, field)
 
-    def test_query_count_takes_one_observable(self):
-        with pytest.raises(ValidationError) as err:
-            parse_config('{"command": "query-count", "observables": ["cos_3x", "cos_x"]}')
-        assert err.value.field == "observables"
+    def test_query_count_takes_one_observable(self, rejects):
+        rejects("query-count", '{"observables": ["cos_3x", "cos_x"]}', "observables")
         assert parse_config('{"command": "query-count", "observables": ["cos_x"]}').observables \
             == ("cos_x",)
 
@@ -169,13 +179,10 @@ class TestParseConfig:
             assert err.value.field == key
             assert "unknown key" in str(err.value)
 
-    def test_step_that_does_not_divide_horizon_rejected(self):
-        with pytest.raises(ValidationError) as err:
-            parse_config('{"command": "sweep-h", "mode": "global", "s_fixed": 0.3}')
-        assert err.value.field == "s_fixed"
-        with pytest.raises(ValidationError) as err:
-            parse_config('{"command": "long-time", "s_values": [0.25, 0.3]}')
-        assert err.value.field == "s_values"
+    def test_step_that_does_not_divide_horizon_rejected(self, rejects):
+        assert "does not divide" in rejects("sweep-h", '{"mode": "global", "s_fixed": 0.3}',
+                                            "s_fixed")
+        assert "does not divide" in rejects("long-time", '{"s_values": [0.25, 0.3]}', "s_values")
 
     def test_bad_json_gives_position(self):
         with pytest.raises(ParseError) as err:
@@ -186,9 +193,8 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config('{"command": "sweep-s"}', command="sweep-h")
 
-    def test_negative_s_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_config('{"command": "sweep-s", "s_values": [0.1, -0.1]}')
+    def test_negative_s_rejected(self, rejects):
+        rejects("sweep-s", '{"command": "sweep-s", "s_values": [0.1, -0.1]}', "s_values")
 
     def test_bad_observable_rejected(self):
         with pytest.raises(ValidationError):
@@ -202,9 +208,8 @@ class TestParseConfig:
             parse_config('{"command": "sweep-h", "potential": "quartic"}')
         assert err.value.field == "potential"
 
-    def test_bad_n_values_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_config('{"command": "calculus-check", "N_values": [0]}')
+    def test_bad_n_values_rejected(self, rejects):
+        rejects("calculus-check", '{"command": "calculus-check", "N_values": [0]}', "N_values")
 
     @pytest.mark.parametrize("command, doc, field", [
         ("sweep-s", {"s_values": [0.0625, 0.03125, 0.0625]}, "s_values"),
@@ -471,6 +476,16 @@ class TestMain:
         assert main(["commutator-scan", "--out", str(out), "--threads", threads]) == 1
         assert "error: threads:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_h_checks_each_grid_once(self, check_calls, monkeypatch, tmp_path):
+        # the default sweep-h: 8 grids, one packet each and one step count,
+        # each checked once, by the driver (the stand-in setup and rows skip the compute)
+        monkeypatch.setattr(trotterlab.experiments, "_build_setup", lambda grid, *args: grid)
+        monkeypatch.setattr(trotterlab.experiments, "_error_rows",
+                            lambda grid, packet, schemes, s, n, with_unitary:
+                            [(s, grid.h, grid.N, "Lie1", "-", "unitary_error", 1.0)])
+        assert main(["sweep-h", "--out", str(tmp_path / "x.csv")]) == 0
+        assert check_calls == {"sweep_grid": 8, "wavepacket": 8, "step_count": 1}
 
     def test_threads_flag(self, tmp_path):
         _assert_threads_invariant(SMALL_SCAN, tmp_path)

@@ -228,6 +228,36 @@ class TestStepValidation:
         assert eig_calls == []
 
 
+class TestDriverValidation:
+    """Each driver checks the numbers it reads, before any eigendecomposition."""
+
+    @pytest.mark.parametrize("run, field", [
+        *[pytest.param(lambda t=t: query_count_study(epsilons=[0.03], h_values=[2.0**-4],
+                                                     t_total=t),
+                       "t_total", id=f"query_count_study-t_total={t}") for t in (0.0, -1.0, math.inf)],
+        *[pytest.param(lambda t=t: sweep_h(h_values=[2.0**-4], s_fixed=0.02, mode="global",
+                                           t_total=t),
+                       "t_total", id=f"sweep_h_global-t_total={t}") for t in (0.0, -1.0, math.inf)],
+        pytest.param(lambda: sweep_timestep(s_values=[0.25], h=2.0**-4, mode="lcoal"), "mode",
+                     id="sweep_timestep-mode"),
+        pytest.param(lambda: calculus_suite(N_values=[0]), "N_values", id="calculus_suite-N_values"),
+        pytest.param(lambda: query_count_study(epsilons=[0.03], h_values=[2.0**-4],
+                                               observables=("cos_3x", "cos_x")),
+                     "observables", id="query_count_study-observables"),
+        pytest.param(lambda: sweep_h(h_values=[0.0], s_fixed=0.1), "h_values", id="sweep_h-h=0"),
+        pytest.param(lambda: commutator_scan([0.0]), "h_values", id="commutator_scan-h=0"),
+        pytest.param(lambda: query_count(2.0, "Strang2", 2.0**-6), "epsilon",
+                     id="query_count-epsilon"),
+        pytest.param(lambda: query_count(0.03, "Strang2", 2.0**-6, t_total=-1.0), "t_total",
+                     id="query_count-t_total"),
+    ])
+    def test_bad_value_rejected_before_compute(self, eig_calls, run, field):
+        with pytest.raises(ValidationError) as err:
+            run()
+        assert err.value.field == field
+        assert eig_calls == []
+
+
 def _global_sweep(sweep: str, schemes) -> SweepTable:
     """A four-point global sweep of either kind, both observables."""
     common = {"mode": "global", "t_total": 1.0, "observables": ("cos_x", "momentum_fd"),
@@ -456,6 +486,21 @@ class TestQueryCount:
         query_count_study(epsilons=defaults["epsilons"], h_values=defaults["h_values"])
         assert sorted(eig_calls) == [64, 256]
         assert len(powers) == 21 and len(set(powers)) == 21
+
+    def test_schemes_share_each_step_power(self, monkeypatch):
+        # Lie1 and Strang2 read one power W_L^n of each (N, n) that either search
+        # visits: both searches double through n = 1, 2, 4, ... on every grid
+        powers = []
+        lie_power = experiments.lie_power
+
+        def counted(pair, s, n, frame):
+            powers.append((pair.grid.N, n))
+            return lie_power(pair, s, n, frame)
+
+        monkeypatch.setattr(experiments, "lie_power", counted)
+        query_count_study(epsilons=(3e-2, 1e-2), h_values=(2.0**-4, 2.0**-5),
+                          schemes=("Lie1", "Strang2"))
+        assert len(powers) == len(set(powers)) == 78
 
     def test_study_matches_single_searches(self):
         # the study's shared curves give the counts of separate query_count runs

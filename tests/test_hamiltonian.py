@@ -68,6 +68,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite h > 0"):
             GridSpec(0.0, 8, h)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+    def test_canonical_invalid_h(self, h):
+        # checked before N = 1/h is formed, so h = 0 divides nothing
+        with pytest.raises(ValueError, match="finite h > 0"):
+            GridSpec.canonical(-np.pi, np.pi, h)
+
     def test_invalid_domain(self):
         # a domain that is not one 2 pi period is not shifted onto one
         for a, b in ((0.0, 6.0), (1.0, 0.0)):
