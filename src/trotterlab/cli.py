@@ -1,18 +1,20 @@
 """Command-line entry point: configuration, dispatch, CSV emission.
 
-Configuration is a JSON object. ``COMMAND_DEFAULTS`` (defined in
-``experiments``, next to the drivers) is the one table of run defaults: a
-command reads exactly the keys of its entry plus ``out`` (``trotterlab
-<command> --help`` lists them), any other key is rejected by name, and the
-keys reach the command's driver under the same names. Output is a
-deterministic CSV (17 significant digits, LF line endings); fit reports go
-to standard output. With ``--assert`` the
-command's acceptance criteria are evaluated and a failing run exits with
-code 2, while crashes and invalid input exit with code 1.
+Configuration is a JSON object. ``COMMANDS`` is the one table of commands:
+each entry names the command's driver in ``experiments``, the driver
+arguments the command fixes and its help line. ``COMMAND_DEFAULTS`` (defined
+in ``experiments``, next to the drivers) is the one table of run defaults: a
+command reads exactly the keys of its entry (``trotterlab <command> --help``
+lists them), any other key is rejected by name, and the keys reach the
+command's driver under the same names. The output path is set by ``--out``
+alone. Output is a deterministic CSV (17 significant digits, LF line endings);
+fit reports go to standard output. With ``--assert`` the command's acceptance
+criteria are evaluated and a failing run exits with code 2, while crashes and
+invalid input exit with code 1.
 
-``parse_config`` checks the document: types, finite numbers, nonempty lists
-of distinct entries, unknown keys, the names of entries and each command's
-mode. The driver checks the numbers it reads, once and before any compute.
+``parse_config`` checks the document: types, finite numbers, lists of
+distinct entries, unknown keys and the names of entries. The driver checks
+the numbers it reads, empty lists among them, once and before any compute.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import experiments as xp
 from .errors import ParseError, TrotterlabError, ValidationError, check
@@ -31,13 +34,27 @@ from .experiments import COMMAND_DEFAULTS
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
-COMMANDS = tuple(COMMAND_DEFAULTS)
 
-# The experiments driver of each command, by name: _dispatch looks it up on
-# the module at call time, so a replaced module attribute is the one called.
-_DRIVERS = {"sweep-s": "sweep_timestep", "long-time": "sweep_timestep", "sweep-h": "sweep_h",
-            "commutator-scan": "commutator_scan", "calculus-check": "calculus_suite",
-            "query-count": "query_count_study"}
+class Command(NamedTuple):
+    driver: str    # looked up on experiments at call time, so a replaced attribute runs
+    fixed: dict    # driver arguments the command fixes; no configuration key sets them
+    help: str
+
+
+# The one table of commands, in the order of COMMAND_DEFAULTS. sweep-s and
+# long-time share one driver, which runs in either mode.
+COMMANDS = {
+    "sweep-s": Command("sweep_timestep", {"mode": "local"},
+                       "single-step observable error versus the step size s"),
+    "long-time": Command("sweep_timestep", {"mode": "global"},
+                         "fixed-horizon observable error versus s"),
+    "sweep-h": Command("sweep_h", {}, "unitary/observable errors versus the Planck constant"),
+    "commutator-scan": Command("commutator_scan", {},
+                               "norms of the h-scaled split operators and nested commutators"),
+    "calculus-check": Command("calculus_suite", {}, "quantization calculus defects versus N"),
+    "query-count": Command("query_count_study", {},
+                           "smallest step counts reaching a target error"),
+}
 
 # The list keys (those with a tuple default) and the keys whose values name a known entry.
 _LISTS = {key for table in COMMAND_DEFAULTS.values()
@@ -48,28 +65,12 @@ _CHOICES = {"potential": xp.POTENTIALS, "observables": xp.OBSERVABLES,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one experiment invocation. A key the command
-    does not read stays None; the defaults live in COMMAND_DEFAULTS."""
+    """One checked invocation: the command and exactly the keyword arguments
+    of its driver (every key it reads, defaults filled in, and the arguments
+    the command fixes)."""
 
     command: str
-    domain: tuple[float, float] | None = None
-    potential: str | None = None
-    observables: tuple[str, ...] | None = None
-    schemes: tuple[str, ...] | None = None
-    s_values: tuple[float, ...] | None = None
-    h: float | None = None
-    h_values: tuple[float, ...] | None = None
-    mode: str | None = None
-    t_total: float | None = None
-    s_fixed: float | None = None
-    N_values: tuple[int, ...] | None = None
-    epsilons: tuple[float, ...] | None = None
-    out: str | None = None
-
-
-def _keys(command: str) -> list[str]:
-    """The configuration keys ``command`` reads."""
-    return sorted(COMMAND_DEFAULTS[command]) + ["out"]
+    values: dict
 
 
 def _number(value, field: str) -> float:
@@ -80,12 +81,9 @@ def _number(value, field: str) -> float:
 
 
 def _value(key: str, value):
-    """One configuration value, converted to its RunConfig type and checked on its own."""
-    if key == "out":
-        check(value is None or isinstance(value, str), key, "needs a string path")
-        return value
+    """One configuration value, converted to its driver type and checked on its own."""
     if key in _LISTS:
-        check(isinstance(value, (list, tuple)) and len(value) > 0, key, "needs a nonempty list")
+        check(isinstance(value, (list, tuple)), key, "needs a list")
     items = value if key in _LISTS else [value]
     if key in _CHOICES:
         items = tuple(str(item) for item in items)
@@ -125,25 +123,16 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     check(cmd is not None, "command", "missing")
     check(cmd in COMMANDS, "command", f"unknown command {cmd!r}")
 
-    table, keys = COMMAND_DEFAULTS[cmd], _keys(cmd)
+    table = COMMAND_DEFAULTS[cmd]
     for key in sorted(doc):
-        check(key in keys, key, f"unknown key; {cmd} reads {', '.join(keys)}")
+        check(key in table, key, f"unknown key; {cmd} reads {', '.join(sorted(table))}")
     # the mode picks the per-mode defaults, so it is checked before they are read
     mode = _value("mode", doc["mode"]) if "mode" in doc else table.get("mode")
     values = {key: default[mode] if isinstance(default, dict) else default
               for key, default in table.items()}
     values.update(doc)
-    cfg = RunConfig(command=cmd, **{key: _value(key, value) for key, value in sorted(values.items())})
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    """The mode of sweep-s and of long-time, which share one driver of either mode."""
-    check(cfg.command != "sweep-s" or cfg.mode == "local", "mode",
-          "sweep-s is single-step; use long-time for global runs")
-    check(cfg.command != "long-time" or cfg.mode == "global", "mode",
-          "long-time is a fixed-horizon run")
+    values = {key: _value(key, value) for key, value in sorted(values.items())}
+    return RunConfig(cmd, {**values, **COMMANDS[cmd].fixed})
 
 
 # Acceptance thresholds of criteria 1-5 and 8, shared by --assert and the test gate.
@@ -183,22 +172,22 @@ def _slope_check(name, result: xp.ExperimentResult, key, lo, hi) -> CriterionChe
 
 def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[CriterionCheck]:
     """Acceptance checks for one command's result, against THRESHOLDS."""
-    t = THRESHOLDS
+    t, v = THRESHOLDS, cfg.values
     checks: list[CriterionCheck] = []
     if cfg.command in ("sweep-s", "long-time"):
-        for scheme in cfg.schemes:
-            for obs in cfg.observables:
+        for scheme in v["schemes"]:
+            for obs in v["observables"]:
                 checks.append(_slope_check(f"s-order/{scheme}/{obs}", result,
                                            f"{scheme}/{obs}/observable_error",
-                                           *t["s_order"][cfg.mode][scheme]))
+                                           *t["s_order"][v["mode"]][scheme]))
     elif cfg.command == "sweep-h":
-        for scheme in cfg.schemes:
+        for scheme in v["schemes"]:
             checks.append(_slope_check(f"unitary-growth/{scheme}", result,
                                        f"{scheme}/unitary_error", *t["unitary_growth"]))
-            for obs in cfg.observables:
+            for obs in v["observables"]:
                 checks.append(_slope_check(f"h-flat-slope/{scheme}/{obs}", result,
                                            f"{scheme}/{obs}/observable_error", *t["h_flat_slope"]))
-                values = [v for hval, v in result.table.series(
+                values = [err for hval, err in result.table.series(
                     "h", scheme=scheme, observable=obs, metric="observable_error")
                     if hval <= xp.FIT_WINDOW_H[1]]
                 ratio = max(values) / min(values) if values else math.inf
@@ -215,9 +204,9 @@ def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[Crite
         ok = all(map(math.isfinite, ratios)) and ratios[-1] <= ratios[0] + t["cv_gap_slack"]
         checks.append(CriterionCheck("cv-gap-bounded", ok, f"ratios={['%.4g' % r for r in ratios]}"))
     elif cfg.command == "query-count":
-        hs = sorted(cfg.h_values)
-        for scheme in cfg.schemes:
-            for eps in sorted(cfg.epsilons):
+        hs = sorted(v["h_values"])
+        for scheme in v["schemes"]:
+            for eps in sorted(v["epsilons"]):
                 counts, quarter = ({h: result.table.select(scheme=scheme, h=h, epsilon=e)[0][-1]
                                     for h in hs} for e in (eps, eps / 4.0))
                 if len(hs) >= 2:
@@ -232,16 +221,14 @@ def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[Crite
 
 
 def _dispatch(cfg: RunConfig, threads: int) -> xp.ExperimentResult:
-    driver = getattr(xp, _DRIVERS[cfg.command])
-    return driver(**{key: getattr(cfg, key) for key in COMMAND_DEFAULTS[cfg.command]},
-                  threads=threads)
+    return getattr(xp, COMMANDS[cfg.command].driver)(**cfg.values, threads=threads)
 
 
 def run(cfg: RunConfig, assert_criteria: bool = False, out: str | None = None,
         threads: int = 1, stream=None) -> int:
     """Execute a configuration; write CSV; return the process exit code."""
     stream = stream if stream is not None else sys.stdout
-    path = out or cfg.out or f"{cfg.command}.csv"
+    path = out or f"{cfg.command}.csv"
     if not Path(path).parent.is_dir():   # checked before the run, which may take minutes
         print(f"error: out: directory {Path(path).parent} does not exist", file=sys.stderr)
         return 1
@@ -279,16 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    summary = {
-        "sweep-s": "single-step observable error versus the step size s",
-        "long-time": "fixed-horizon observable error versus s",
-        "sweep-h": "unitary/observable errors versus the Planck constant",
-        "commutator-scan": "norms of the h-scaled split operators and nested commutators",
-        "calculus-check": "quantization calculus defects versus N",
-        "query-count": "smallest step counts reaching a target error",
-    }
-    for name in COMMANDS:
-        text = f"{summary[name]} (keys: {', '.join(_keys(name))})"
+    for name, command in COMMANDS.items():
+        text = f"{command.help} (keys: {', '.join(sorted(COMMAND_DEFAULTS[name]))})"
         cmd = sub.add_parser(name, help=text, description=text)
         cmd.add_argument("--config", help="JSON configuration file (defaults used when omitted)")
         cmd.add_argument("--assert", dest="assert_criteria", action="store_true",

@@ -5,10 +5,11 @@ symbols, sampled on each grid by ``hamiltonian.sample``; ``momentum_spectral``
 is a sampled sawtooth. The three sweeps and the step-count search share one
 per-grid setup (``_build_setup``: the pair, its frame, the frame observables
 and the eigendecomposition of H), below which h is read from the grid; the
-search reads one memoized error curve per grid for every target error.
-Each driver checks the numbers it reads (grids, packets, steps, horizon,
-target errors, N) once, before any eigendecomposition; the CLI checks only
-the document.
+one step-count driver, ``query_count_study``, reads one memoized error curve
+per grid for every scheme and target error. Each driver takes the CLI's
+configuration keys by name and checks the numbers it reads (empty lists,
+grids, packets, steps, horizon, target errors, N) once, before any
+eigendecomposition; the CLI checks only the document.
 
 Each driver returns an ``ExperimentResult`` holding a deterministic
 ``SweepTable`` (identical configuration gives bit-identical rows), the
@@ -60,7 +61,6 @@ __all__ = [
     "wavepacket",
     "commutator_scan",
     "calculus_suite",
-    "query_count",
     "query_count_study",
     "SWEEP_COLUMNS",
     "COMMAND_DEFAULTS",
@@ -117,10 +117,11 @@ _HORIZON = {**_EVOLVE, "t_total": 1.0}
 
 # The one table of run defaults, keyed by CLI command. Each key is a keyword
 # parameter of the command's driver, which takes its default from here; a
-# {mode: value} entry gives the default in each mode.
+# {mode: value} entry gives the default in each mode. sweep-s and long-time
+# fix their mode (cli.COMMANDS), so it is no key of theirs.
 COMMAND_DEFAULTS: dict[str, dict] = {
-    "sweep-s": {**_EVOLVE, "s_values": _S_LADDER, "h": 2.0**-6, "mode": "local"},
-    "long-time": {**_HORIZON, "s_values": _S_LADDER, "h": 2.0**-8, "mode": "global"},
+    "sweep-s": {**_EVOLVE, "s_values": _S_LADDER, "h": 2.0**-6},
+    "long-time": {**_HORIZON, "s_values": _S_LADDER, "h": 2.0**-8},
     "sweep-h": {**_HORIZON, "h_values": tuple(2.0**-k for k in range(3, 11)), "mode": "local",
                 "s_fixed": {"local": 0.1, "global": 0.02}},   # global: the long-horizon step
     "commutator-scan": {**_GRID, "h_values": tuple(2.0**-k for k in range(3, 9))},
@@ -247,6 +248,12 @@ def _map_rows(rows_for, items, threads: int) -> list[tuple]:
     return [row for chunk in _map_ordered(rows_for, items, threads) for row in chunk]
 
 
+def _nonempty(**lists) -> None:
+    """Raise ValidationError naming the first of ``lists`` that is empty."""
+    for key, items in lists.items():
+        check(len(items) > 0, key, "needs a nonempty list")
+
+
 def step_count(s: float, mode: str, t_total: float, field: str) -> int:
     """Steps of size s in one run: 1 in ``local`` mode, t_total / s in ``global``.
 
@@ -355,8 +362,7 @@ def _fit_table(table: SweepTable, x: str, window, floor: float) -> ExperimentRes
     return _fit_series(table, series, window, floor)
 
 
-def sweep_timestep(*, s_values: Sequence[float], h: float,
-                   mode: str = COMMAND_DEFAULTS["sweep-s"]["mode"],
+def sweep_timestep(*, s_values: Sequence[float], h: float, mode: str = "local",
                    t_total: float = _HORIZON["t_total"], domain=_GRID["domain"],
                    potential: str = _GRID["potential"],
                    observables: Sequence[str] = _EVOLVE["observables"],
@@ -368,6 +374,7 @@ def sweep_timestep(*, s_values: Sequence[float], h: float,
     ``global`` mode runs to t_total with n = t_total / s steps, which must
     be integral.
     """
+    _nonempty(s_values=s_values, observables=observables, schemes=schemes)
     schemes = [SplittingScheme(s) for s in schemes]
     steps = {s: step_count(s, mode, t_total, "s_values") for s in s_values}
     grid = sweep_grid(h, domain, "h")
@@ -393,6 +400,7 @@ def sweep_h(*, h_values: Sequence[float], s_fixed: float,
     ``local`` runs one step of size s_fixed; ``global`` runs to t_total,
     which s_fixed must divide.
     """
+    _nonempty(h_values=h_values, observables=observables, schemes=schemes)
     schemes = [SplittingScheme(s) for s in schemes]
     n = step_count(s_fixed, mode, t_total, "s_fixed")
     grids = [sweep_grid(h, domain, "h_values") for h in sorted(h_values)]
@@ -416,6 +424,7 @@ def commutator_scan(h_values: Sequence[float], domain=_GRID["domain"],
     spectral norms of A/h, B/h, [A/h, B/h] and both nested commutators;
     each is expected to scale like 1/h under the canonical meshing.
     """
+    _nonempty(h_values=h_values)
     metrics = ("norm_A_over_h", "norm_B_over_h", "norm_comm_AB",
                "norm_comm_A_AB", "norm_comm_B_AB")
     grids = [canonical_grid(h, domain, "h_values") for h in sorted(h_values)]
@@ -447,6 +456,7 @@ def calculus_suite(N_values: Sequence[int], threads: int = 1) -> ExperimentResul
     has one context, so each distinct operator is quantized once per grid and
     freed with it; a + b is one symbol, so sup|a + b| is sampled once per run.
     """
+    _nonempty(N_values=N_values)
     check(all(n >= 1 for n in N_values), "N_values", f"entries must be at least 1, got {N_values}")
     a, b = cosine_x(), cosine_xi()
     mixed = a + b
@@ -518,19 +528,6 @@ def _search(error_at: Callable[[int], float], epsilon: float) -> int:
     return high
 
 
-def query_count(epsilon: float, scheme, h: float, *,
-                domain=_GRID["domain"], potential: str = _GRID["potential"],
-                observable: str = _QUERY["observables"][0],
-                t_total: float = _HORIZON["t_total"]) -> int:
-    """Smallest step count n with observable error at most epsilon at t_total,
-    by the search of ``query_count_study`` on a setup of its own."""
-    check(0.0 < epsilon < 1.0, "epsilon", f"must lie in (0, 1), got {epsilon}")
-    check(0.0 < t_total < math.inf, "t_total", f"horizon {t_total} must be finite and positive")
-    scheme = SplittingScheme(scheme)
-    setup = _build_setup(sweep_grid(h, domain, "h"), potential, (observable,))
-    return _search(functools.partial(_error_curve(setup, t_total, shared=False), scheme), epsilon)
-
-
 def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
                       schemes: Sequence = _QUERY["schemes"], domain=_GRID["domain"],
                       potential: str = _GRID["potential"],
@@ -543,6 +540,7 @@ def query_count_study(*, epsilons: Sequence[float], h_values: Sequence[float],
     1/epsilon available from one table. Each h is one task: one setup and one
     memoized error curve, which every scheme and epsilon searches.
     """
+    _nonempty(epsilons=epsilons, h_values=h_values, observables=observables, schemes=schemes)
     check(len(observables) == 1, "observables",
           f"query-count searches one observable, got {len(observables)}")
     (observable,) = observables

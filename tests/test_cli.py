@@ -10,8 +10,8 @@ import trotterlab.experiments
 import trotterlab.quantize
 from trotterlab import numkit
 from trotterlab.cli import (
-    _DRIVERS,
     COMMAND_DEFAULTS,
+    COMMANDS,
     RunConfig,
     _dispatch,
     evaluate_criteria,
@@ -88,13 +88,13 @@ class TestParseConfig:
 
     def test_minimal_document_gives_defaults(self):
         cfg = parse_config('{"command": "sweep-s"}')
-        expected = RunConfig(command="sweep-s", **COMMAND_DEFAULTS["sweep-s"])
+        expected = RunConfig("sweep-s", {**COMMAND_DEFAULTS["sweep-s"], "mode": "local"})
         assert cfg == expected
 
     def test_empty_document_with_cli_command(self):
         cfg = parse_config("{}", command="commutator-scan")
         assert cfg.command == "commutator-scan"
-        assert cfg.h_values == tuple(2.0**-k for k in range(3, 9))
+        assert cfg.values["h_values"] == tuple(2.0**-k for k in range(3, 9))
 
     def test_invalid_h_rejected(self, rejects):
         rejects("sweep-s", '{"command": "sweep-s", "h": 2.0}', "h")
@@ -169,8 +169,8 @@ class TestParseConfig:
 
     def test_query_count_takes_one_observable(self, rejects):
         rejects("query-count", '{"observables": ["cos_3x", "cos_x"]}', "observables")
-        assert parse_config('{"command": "query-count", "observables": ["cos_x"]}').observables \
-            == ("cos_x",)
+        assert parse_config('{"command": "query-count", "observables": ["cos_x"]}') \
+            .values["observables"] == ("cos_x",)
 
     def test_unknown_key_rejected(self):
         for key in ("stepsize", "seed"):
@@ -203,7 +203,8 @@ class TestParseConfig:
             parse_config('{"command": "sweep-s", "observables": ["x_hat"]}')
 
     def test_potential_key_applied(self):
-        assert parse_config('{"command": "sweep-h", "potential": "zero"}').potential == "zero"
+        assert parse_config('{"command": "sweep-h", "potential": "zero"}') \
+            .values["potential"] == "zero"
         with pytest.raises(ValidationError) as err:
             parse_config('{"command": "sweep-h", "potential": "quartic"}')
         assert err.value.field == "potential"
@@ -230,11 +231,19 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith(f"error: {field}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key", [
+        pytest.param(command, key, id=f"{command}-{key}")
+        for command, table in COMMAND_DEFAULTS.items() for key, default in table.items()
+        if isinstance(default, tuple) and key != "domain"])
+    def test_empty_list_rejected(self, command, key, rejects):
+        # the driver names an empty list, before any compute
+        assert "nonempty" in rejects(command, {key: []}, key)
+
     def test_lte_s_preset_matches_paper_defaults(self):
         cfg = parse_config(json.dumps(PAPER_RUNS["lte_s"]))
         assert cfg.command == "sweep-s"
-        assert cfg.h == pytest.approx(1.0 / 64.0)
-        assert cfg.s_values == tuple(2.0**-k for k in range(4, 12))
+        assert cfg.values["h"] == pytest.approx(1.0 / 64.0)
+        assert cfg.values["s_values"] == tuple(2.0**-k for k in range(4, 12))
         assert cfg == parse_config("{}", command="sweep-s")
 
     def test_all_presets_parse(self):
@@ -245,7 +254,7 @@ class TestParseConfig:
             assert cfg == parse_config(json.dumps(mode), command=cfg.command)
 
     def test_defaults_pinned(self):
-        # the run defaults of every command, written out; None marks a key it does not read
+        # the driver arguments of every command at its defaults, written out
         evolve = {"domain": (-math.pi, math.pi), "potential": "cos",
                   "observables": ("cos_x", "momentum_fd"), "schemes": ("Lie1", "Strang2")}
         s_ladder = tuple(2.0**-k for k in range(4, 12))
@@ -264,9 +273,9 @@ class TestParseConfig:
         }
         assert sorted(expected) == sorted(COMMAND_DEFAULTS)
         for command, values in expected.items():
-            assert parse_config("{}", command=command) == RunConfig(command, **values)
+            assert parse_config("{}", command=command) == RunConfig(command, values)
         assert parse_config('{"mode": "global"}', command="sweep-h") == RunConfig(
-            "sweep-h", **{**expected["sweep-h"], "mode": "global", "s_fixed": 0.02})
+            "sweep-h", {**expected["sweep-h"], "mode": "global", "s_fixed": 0.02})
 
     @pytest.mark.parametrize("command, doc", [
         pytest.param(command, doc, id=f"{command}-{'-'.join(doc)}") for command, doc in (
@@ -285,9 +294,9 @@ class TestParseConfig:
 
     def test_global_sweep_h_default_step(self):
         cfg = parse_config('{"command": "sweep-h", "mode": "global"}')
-        assert cfg.s_fixed == pytest.approx(0.02)
+        assert cfg.values["s_fixed"] == pytest.approx(0.02)
         cfg = parse_config('{"command": "sweep-h"}')
-        assert cfg.s_fixed == pytest.approx(0.1)
+        assert cfg.values["s_fixed"] == pytest.approx(0.1)
 
 
 SMALL_SCAN = {"command": "commutator-scan",
@@ -392,12 +401,11 @@ class TestRun:
         text = stream.getvalue()
         assert "fit norm_A_over_h:" in text and "slope=" in text
 
-    def test_config_out_key_used(self, tmp_path):
-        doc = dict(SMALL_SCAN)
-        doc["out"] = str(tmp_path / "from_config.csv")
-        code = run(parse_config(json.dumps(doc)), stream=io.StringIO())
-        assert code == 0
-        assert (tmp_path / "from_config.csv").exists()
+    def test_config_out_key_rejected(self, rejects, tmp_path):
+        # --out is the one way to set the output path
+        path = tmp_path / "from_config.csv"
+        rejects("commutator-scan", {**SMALL_SCAN, "out": str(path)}, "out")
+        assert not path.exists()
 
     def test_unwritable_path_exit_one(self):
         cfg = parse_config(json.dumps(SMALL_SCAN))
@@ -412,9 +420,7 @@ class TestRun:
         cfg = parse_config(json.dumps(SMALL_SCAN))
         assert run(cfg, out=str(out), stream=io.StringIO()) == 1
         assert capsys.readouterr().err.startswith("error: out: ")
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**SMALL_SCAN, "out": str(out)}))
-        assert main(["commutator-scan", "--config", str(path)]) == 1
+        assert main(["commutator-scan", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: out: ")
 
     def test_out_naming_a_directory_rejected_before_compute(self, tmp_path, monkeypatch, capsys):
@@ -445,10 +451,12 @@ class TestMain:
             assert command in text
 
     def test_subcommand_help_lists_the_keys_it_reads(self, capsys):
-        expected = {"sweep-s": "domain, h, mode, observables, potential, s_values, schemes, out",
-                    "calculus-check": "N_values, out",
+        expected = {"sweep-s": "domain, h, observables, potential, s_values, schemes",
+                    "sweep-h": "domain, h_values, mode, observables, potential, s_fixed, "
+                               "schemes, t_total",
+                    "calculus-check": "N_values",
                     "query-count": "domain, epsilons, h_values, observables, potential, schemes, "
-                                   "t_total, out"}
+                                   "t_total"}
         for command, keys in expected.items():
             for argv in (["--help"], [command, "--help"]):
                 with pytest.raises(SystemExit):
@@ -514,23 +522,33 @@ def _assert_threads_invariant(doc, tmp_path):
 
 class TestDispatch:
     @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
-    def test_table_keys_are_driver_keywords(self, command):
-        # bind_partial raises TypeError on a key the driver does not take by name
-        driver = getattr(trotterlab.experiments, _DRIVERS[command])
-        inspect.signature(driver).bind_partial(**dict.fromkeys(COMMAND_DEFAULTS[command]),
-                                               threads=1)
+    def test_values_are_driver_keywords(self, command):
+        # the keys the command reads, with the arguments it fixes; bind raises
+        # TypeError on a key the driver does not take by name
+        values = parse_config("{}", command=command).values
+        assert sorted(values) == sorted({**COMMAND_DEFAULTS[command], **COMMANDS[command].fixed})
+        driver = getattr(trotterlab.experiments, COMMANDS[command].driver)
+        inspect.signature(driver).bind(**values, threads=1)
 
     @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
     def test_dispatch_calls_module_attribute(self, command, monkeypatch):
         # the driver is looked up on the module at call time, so a replaced
-        # attribute (as a profiler installs) is the one that runs
+        # attribute (as a profiler installs) is the one that runs, and it
+        # receives exactly the values of the configuration
         calls = []
-        monkeypatch.setattr(trotterlab.experiments, _DRIVERS[command],
+        monkeypatch.setattr(trotterlab.experiments, COMMANDS[command].driver,
                             lambda **kwargs: calls.append(kwargs) or "stub result")
         cfg = parse_config("{}", command=command)
         assert _dispatch(cfg, threads=3) == "stub result"
-        assert calls == [{**{key: getattr(cfg, key) for key in COMMAND_DEFAULTS[command]},
-                          "threads": 3}]
+        assert calls == [{**cfg.values, "threads": 3}]
+
+    @pytest.mark.parametrize("command", ["sweep-s", "long-time"])
+    @pytest.mark.parametrize("doc", [{"mode": "local"}, {"mode": "global"}, {"out": "x.csv"}],
+                             ids=lambda doc: "-".join(f"{k}={v}" for k, v in doc.items()))
+    def test_fixed_mode_and_out_not_keys(self, command, doc, rejects):
+        # the command fixes the mode, and --out alone sets the output path
+        field = next(iter(doc))
+        assert "unknown key" in rejects(command, doc, field)
 
 
 class TestCriteria:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import expm_hermitian, materialize, split_step
 
 import trotterlab.quantize
 from trotterlab import experiments, numkit
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonMonotone, TooFewPoints, Unreachable, ValidationError
+from trotterlab.evolve import SplittingScheme
 from trotterlab.experiments import (
     COMMAND_DEFAULTS,
     FIT_WINDOW_LOCAL_S,
@@ -15,12 +17,12 @@ from trotterlab.experiments import (
     commutator_scan,
     calculus_suite,
     fit_loglog_slope,
-    query_count,
     query_count_study,
     roundoff_floor,
     sweep_h,
     sweep_timestep,
 )
+from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.symbols import TorusSymbol
 
 
@@ -228,6 +230,19 @@ class TestStepValidation:
         assert eig_calls == []
 
 
+# Each driver, valid list arguments for it (the mode of sweep_timestep is not:
+# it is read after the lists) and the list keys it reads.
+DRIVER_LISTS = {
+    "sweep_timestep": ({"s_values": [0.25], "h": 2.0**-4, "mode": "lcoal"},
+                       ("s_values", "observables", "schemes")),
+    "sweep_h": ({"h_values": [2.0**-4], "s_fixed": 0.1}, ("h_values", "observables", "schemes")),
+    "commutator_scan": ({"h_values": [2.0**-4]}, ("h_values",)),
+    "calculus_suite": ({"N_values": [16]}, ("N_values",)),
+    "query_count_study": ({"epsilons": [0.03], "h_values": [2.0**-4]},
+                          ("epsilons", "h_values", "observables", "schemes")),
+}
+
+
 class TestDriverValidation:
     """Each driver checks the numbers it reads, before any eigendecomposition."""
 
@@ -246,16 +261,24 @@ class TestDriverValidation:
                      "observables", id="query_count_study-observables"),
         pytest.param(lambda: sweep_h(h_values=[0.0], s_fixed=0.1), "h_values", id="sweep_h-h=0"),
         pytest.param(lambda: commutator_scan([0.0]), "h_values", id="commutator_scan-h=0"),
-        pytest.param(lambda: query_count(2.0, "Strang2", 2.0**-6), "epsilon",
-                     id="query_count-epsilon"),
-        pytest.param(lambda: query_count(0.03, "Strang2", 2.0**-6, t_total=-1.0), "t_total",
-                     id="query_count-t_total"),
     ])
     def test_bad_value_rejected_before_compute(self, eig_calls, run, field):
         with pytest.raises(ValidationError) as err:
             run()
         assert err.value.field == field
         assert eig_calls == []
+
+    @pytest.mark.parametrize("driver, key", [
+        pytest.param(driver, key, id=f"{driver}-{key}")
+        for driver, (_, keys) in DRIVER_LISTS.items() for key in keys])
+    def test_empty_list_rejected_before_compute(self, eig_calls, driver, key):
+        # an empty list is named before any other value of the call is checked
+        kwargs, _ = DRIVER_LISTS[driver]
+        with pytest.raises(ValidationError) as err:
+            getattr(experiments, driver)(**{**kwargs, key: []})
+        assert err.value.field == key
+        assert eig_calls == []
+
 
 
 def _global_sweep(sweep: str, schemes) -> SweepTable:
@@ -424,20 +447,26 @@ class TestCalculusSuite:
         assert res.fits == {}   # two points cannot support a slope fit
 
 
+def _steps(result: ExperimentResult, epsilon: float) -> int:
+    """The one step count of ``result`` at target error ``epsilon``."""
+    (row,) = result.table.select(epsilon=epsilon)
+    return row[-1]
+
+
 class TestQueryCount:
     def test_trivial_epsilon(self):
-        # error is bounded by 2||O||, so eps >= 2 is reached with one step
-        assert query_count(0.99, "Strang2", 2.0**-4, observable="cos_x") == 1
+        # the one-step error of cos_x at h = 2^-4 lies below 0.99
+        res = query_count_study(epsilons=[0.99], h_values=[2.0**-4], observables=["cos_x"])
+        assert _steps(res, 0.99) == 1
 
     def test_minimality(self):
-        from trotterlab.evolve import (SplittingScheme, exact_unitary, lie_power,
-                                       observable_error, relative_propagator)
+        from trotterlab.evolve import (exact_unitary, lie_power, observable_error,
+                                       relative_propagator)
         from trotterlab.frame import FrameObservable, TimeReversalFrame
-        from trotterlab.hamiltonian import GridSpec, build_pair
         from trotterlab.experiments import OBSERVABLES
         from trotterlab.numkit import hermitian_eig
         eps, h = 1e-2, 2.0**-6
-        n = query_count(eps, "Strang2", h)
+        n = _steps(query_count_study(epsilons=[eps], h_values=[h]), eps)
         grid = GridSpec.canonical(-np.pi, np.pi, h)
         pair = build_pair(grid)
         frame = TimeReversalFrame.of(pair)
@@ -451,19 +480,20 @@ class TestQueryCount:
 
     def test_unreachable(self):
         with pytest.raises(Unreachable):
-            query_count(1e-13, "Lie1", 2.0**-4)
+            query_count_study(epsilons=[1e-13], h_values=[2.0**-4], schemes=["Lie1"])
 
     def test_non_monotone_curve_detected(self, monkeypatch):
-        # the search lands on n = 4, but the error rises past epsilon at n = 5
-        # (the stand-in power and propagator are the step count, which the error looks up)
+        # at epsilon = 0.1 the search lands on n = 4, but the error rises past
+        # epsilon at n = 5; its companion epsilon / 4 finds n = 6 first (the stand-in
+        # power and propagator are the step count, which the error looks up)
         errors = {1: 0.5, 2: 0.3, 3: 0.2, 4: 0.05, 5: 0.2}
         monkeypatch.setattr(experiments, "lie_power", lambda pair, s, n, frame: n)
         monkeypatch.setattr(experiments, "relative_propagator",
                             lambda pair, scheme, s, power, u, frame: power)
         monkeypatch.setattr(experiments, "observable_error",
                             lambda obs, v: errors.get(v, 0.01))
-        with pytest.raises(NonMonotone):
-            query_count(0.1, "Strang2", 2.0**-3)
+        with pytest.raises(NonMonotone, match="n=4 reaches error 0.1 but n=5 does not"):
+            query_count_study(epsilons=[0.1], h_values=[2.0**-3])
 
     def test_bad_epsilon_rejected_before_compute(self, eig_calls):
         with pytest.raises(ValidationError) as err:
@@ -502,13 +532,24 @@ class TestQueryCount:
                           schemes=("Lie1", "Strang2"))
         assert len(powers) == len(set(powers)) == 78
 
-    def test_study_matches_single_searches(self):
-        # the study's shared curves give the counts of separate query_count runs
-        res = query_count_study(epsilons=(3e-2,), h_values=(2.0**-4, 2.0**-5),
-                                schemes=("Lie1", "Strang2"))
+    def test_searches_match_linear_scan(self):
+        # every count of a two-scheme study is the smallest n whose error, formed
+        # densely from the stage product and expm, reaches its target
+        h = 2.0**-4
+        res = query_count_study(epsilons=(3e-2, 1e-2), h_values=(h,), schemes=("Lie1", "Strang2"))
         assert len(res.table.rows) == 8
-        for eps, h, scheme, _, steps in res.table.rows:
-            assert query_count(eps, scheme, h) == steps
+        grid = GridSpec.canonical(-np.pi, np.pi, h)
+        pair = build_pair(grid)
+        dense = materialize(experiments.OBSERVABLES["cos_3x"](grid))
+        u = expm_hermitian(pair.total, -1.0 / h)
+        exact = u.conj().T @ dense @ u
+        for scheme in SplittingScheme:
+            errors = []
+            for n in range(1, 1 + max(row[-1] for row in res.table.select(scheme=scheme.value))):
+                w = np.linalg.matrix_power(split_step(pair, scheme, 1.0 / n, h), n)
+                errors.append(np.linalg.norm(w.conj().T @ dense @ w - exact, 2))
+            for eps, _, _, _, steps in res.table.select(scheme=scheme.value):
+                assert steps == 1 + next(i for i, err in enumerate(errors) if err <= eps)
 
     def test_study_contains_quarter_epsilons(self):
         res = query_count_study(epsilons=(3e-2,), h_values=(2.0**-5,), schemes=("Strang2",))

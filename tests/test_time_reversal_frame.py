@@ -111,17 +111,19 @@ def no_eigensolve(monkeypatch):
     monkeypatch.setattr(numkit, "hermitian_eig", lambda matrix: pytest.fail("eigensolve ran"))
 
 
-# Each experiments entry point that forms errors, run on one grid of step size h
-# with a given potential, and the field that names h.
+# Each experiments entry point that forms errors, run on a grid of step size h
+# with a given potential, and the field that names h. The query count runs on h
+# alone, and with two schemes after a grid that admits the frame.
 ENTRY_POINTS = {
     "sweep_h": (lambda h, potential: experiments.sweep_h(
         h_values=[2.0**-3, h], s_fixed=0.1, potential=potential), "h_values"),
     "sweep_timestep": (lambda h, potential: experiments.sweep_timestep(
         s_values=[0.1], h=h, potential=potential), "h"),
-    "query_count": (lambda h, potential: experiments.query_count(
-        3e-2, "Strang2", h, potential=potential), "h"),
     "query_count_study": (lambda h, potential: experiments.query_count_study(
         epsilons=[3e-2], h_values=[h], potential=potential), "h_values"),
+    "query_count_study_two_grids": (lambda h, potential: experiments.query_count_study(
+        epsilons=[3e-2], h_values=[2.0**-3, h], schemes=["Lie1", "Strang2"],
+        potential=potential), "h_values"),
 }
 
 
@@ -241,8 +243,8 @@ class TestFrameIsUsed:
 
     @pytest.mark.parametrize("observable", FRAME_OBSERVABLES)
     def test_query_count_eigensolves_are_real(self, eig_dtypes, observable):
-        experiments.query_count(3e-2, "Strang2", 2.0**-4, observable=observable,
-                                domain=(-np.pi + 0.2, np.pi + 0.2))
+        experiments.query_count_study(epsilons=[3e-2], h_values=[2.0**-4],
+                                      observables=[observable], domain=(-np.pi + 0.2, np.pi + 0.2))
         assert eig_dtypes and set(eig_dtypes) == {np.dtype(np.float64)}
 
     def test_momentum_spectral_takes_the_frame(self, eig_dtypes):
@@ -269,5 +271,6 @@ def test_frame_forms_built_once_per_grid(monkeypatch):
     _dispatch(parse_config(json.dumps({}), command="sweep-h"), 1)
     assert sorted(calls) == sorted(2 * [2**k for k in range(3, 11)])
     calls.clear()
-    experiments.query_count(3e-2, "Strang2", 2.0**-4, observable="momentum_fd")
+    experiments.query_count_study(epsilons=[3e-2], h_values=[2.0**-4],
+                                  observables=["momentum_fd"])
     assert calls == [16, 16]
