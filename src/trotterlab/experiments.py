@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -457,6 +458,8 @@ def calculus_suite(N_values: Sequence[int], threads: int = 1) -> ExperimentResul
     freed with it; a + b is one symbol, so sup|a + b| is sampled once per run.
     """
     _nonempty(N_values=N_values)
+    check(all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in N_values),
+          "N_values", f"entries must be integers, got {N_values}")
     check(all(n >= 1 for n in N_values), "N_values", f"entries must be at least 1, got {N_values}")
     a, b = cosine_x(), cosine_xi()
     mixed = a + b

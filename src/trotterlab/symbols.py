@@ -102,6 +102,11 @@ class TorusSymbol:
         For a real symbol this is evenness in xi; op(a) is then real at every N."""
         return self._equals(np.conj(self.coeffs[::-1, :]))
 
+    def is_even(self) -> bool:
+        """True when a(-x, -xi) = a(x, xi): c_{-k,-kap} = c_{k,kap}. op(a) then
+        commutes with the index reversal j -> -j mod N at every N."""
+        return self._equals(self.coeffs[::-1, ::-1])
+
     def _equals(self, coeffs: np.ndarray) -> bool:
         scale = max(np.abs(self.coeffs).max(), 1.0)
         return bool(np.abs(self.coeffs - coeffs).max() <= _REALITY_TOL * scale)

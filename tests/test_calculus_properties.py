@@ -1,7 +1,7 @@
 """Property tests of the quantization and symbol-sampling kernels on any grid.
 
-Grid sizes N run over 3..40 (1..64 for the real typing), odd and
-non-power-of-two included. Coefficient lattices reach past N in both
+Grid sizes N run over 3..40 (1..64 for the real typing, 1..70 for the
+parity-block norms), odd and non-power-of-two included. Coefficient lattices reach past N in both
 directions, so the fold of k modulo N and the fold of kap over l are both
 exercised. Sample grids M x M run over every M up to 64, not only powers of
 two; a flowed symbol is evaluated on the same grid. Examples are
@@ -11,10 +11,26 @@ derandomized so that every run draws the same cases.
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import dense_quantize, dft_matrix, from_samples, pullback_samples
+from oracles import dense_quantize, dft_matrix, expm_hermitian, from_samples, pullback_samples
 
-from trotterlab.quantize import QuantizationContext, quantize
-from trotterlab.symbols import TorusSymbol, pullback_split_flow
+from trotterlab.numkit import spectral_norm
+from trotterlab.quantize import (
+    QuantizationContext,
+    commutator_remainder,
+    composition_remainder,
+    cv_gap,
+    egorov_remainder,
+    quantize,
+)
+from trotterlab.symbols import (
+    TorusSymbol,
+    cosine_x,
+    cosine_xi,
+    poisson_bracket,
+    product,
+    pullback_split_flow,
+    sine_x,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -175,3 +191,78 @@ def test_from_samples_recovers_band_limited_symbols(m, data, seed):
     back = from_samples(sym.evaluate(grid[:, None], grid[None, :]))
     assert back.order_x == back.order_xi == m // 4
     assert np.abs((back - sym).coeffs).max() <= 1e-12 * (2 * kx + 1) * (2 * kxi + 1)
+
+
+def even_symbol(seed: int, kx: int, kxi: int) -> TorusSymbol:
+    """A real symbol with a(-x, -xi) = a(x, xi): real coefficients, c_{-k,-kap} = c_{k,kap}."""
+    coeffs = random_symbol(seed, kx, kxi, real=True).coeffs.real
+    return TorusSymbol((coeffs + coeffs[::-1, ::-1]) / 2)
+
+
+def even_generator(seed: int, order: int, on_x: bool) -> TorusSymbol:
+    """A real even symbol of x alone or of xi alone (a cosine series)."""
+    return even_symbol(seed, order, 0) if on_x else even_symbol(seed, 0, order)
+
+
+@PROPERTY
+@given(n=st.integers(1, 70), seed=seeds, kx=st.integers(0, 3), kxi=st.integers(0, 3),
+       order=st.integers(0, 2), on_x=st.booleans(), t=st.floats(-1.0, 1.0))
+@example(n=1, seed=1, kx=2, kxi=1, order=1, on_x=True, t=0.5)
+@example(n=2, seed=2, kx=1, kxi=2, order=2, on_x=False, t=-0.7)   # the odd block is empty
+@example(n=6, seed=3, kx=3, kxi=3, order=2, on_x=True, t=0.9)     # N = 2 mod 4
+@example(n=33, seed=4, kx=1, kxi=1, order=1, on_x=False, t=0.5)
+@example(n=70, seed=5, kx=2, kxi=3, order=2, on_x=False, t=1.0)
+def test_parity_block_norms_match_dense_norms(n, seed, kx, kxi, order, on_x, t):
+    # every symbol is even, so each remainder is normed on its parity blocks;
+    # the oracle forms the same defect as one complex N x N matrix and takes
+    # its spectral norm whole
+    a, b = even_symbol(seed, kx, kxi), even_symbol(seed + 1, kxi, kx)
+    generator = even_generator(seed + 2, order, on_x)
+    ctx = QuantizationContext(n)
+    qa, qb = (quantize(sym, ctx).astype(np.complex128) for sym in (a, b))
+    bracket = quantize(poisson_bracket(a, b), ctx)
+    u = expm_hermitian(quantize(generator, ctx).astype(np.complex128), t / ctx.h)
+    flowed = pullback_split_flow(a, generator, t, max(256, 4 * n))
+    pairs = [
+        (composition_remainder(a, b, ctx),
+         spectral_norm(qa @ qb - quantize(product(a, b), ctx) - (ctx.h / 2j) * bracket)),
+        (commutator_remainder(a, b, ctx), spectral_norm(qa @ qb - qb @ qa - (ctx.h / 1j) * bracket)),
+        (cv_gap(a, ctx), spectral_norm(qa) - a.sup_abs()),
+        (egorov_remainder(a, generator, t, ctx),
+         spectral_norm(u @ qa @ u.conj().T - quantize(flowed, ctx))),
+    ]
+    for value, oracle in pairs:
+        assert abs(value - oracle) <= 1e-11 * n
+
+
+@PROPERTY
+@given(seed=seeds, kx=st.integers(0, 3), kxi=st.integers(0, 3), order=st.integers(0, 3),
+       on_x=st.booleans(), t=st.floats(-1.0, 1.0), m=st.integers(1, 64))
+def test_evenness_survives_the_calculus(seed, kx, kxi, order, on_x, t, m):
+    # products, brackets over i and flows under an even split generator of
+    # even symbols are even: the parity norms apply to every part of a defect
+    a, b = even_symbol(seed, kx, kxi), even_symbol(seed + 1, kxi, kx)
+    assert a.is_even() and b.is_even()
+    assert product(a, b).is_even()
+    assert (-1j * poisson_bracket(a, b)).is_even()
+    assert pullback_split_flow(a, even_generator(seed + 2, order, on_x), t, m).is_even()
+
+
+def test_odd_and_mixed_symbols_are_not_even():
+    assert cosine_x().is_even() and cosine_xi().is_even() and (cosine_x() + cosine_xi()).is_even()
+    assert not sine_x(2).is_even()
+    assert not (product(cosine_x(), cosine_xi()) + 0.5 * sine_x() + 0.3 * cosine_xi()).is_even()
+
+
+@PROPERTY
+@given(n=st.sampled_from([7, 16, 33]), seed=seeds, kx=st.integers(0, 3),
+       kxi=st.integers(0, 3), order=st.integers(1, 3), t=st.floats(-1.0, 1.0),
+       m=st.integers(2 * 33, 96))
+def test_quantize_folds_rows_of_x_generator_flows(n, seed, kx, kxi, order, t, m):
+    # a flow under an x-only generator has order M/2 in x, so 2 Kx + 1 > N and
+    # rows k = k' mod N fold onto each other before the mode sum
+    flowed = pullback_split_flow(random_symbol(seed, kx, kxi),
+                                 random_symbol(seed + 1, order, 0, real=True), t, m)
+    assert 2 * flowed.order_x + 1 > n
+    ctx = QuantizationContext(n)
+    assert np.abs(quantize(flowed, ctx) - dense_quantize(flowed, n)).max() <= 1e-10 * n

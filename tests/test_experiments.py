@@ -440,6 +440,51 @@ class TestCalculusSuite:
         calculus_suite([16, 32, 64, 128, 256, 512])
         assert calls["quantize"] <= 36 and calls["mixed_sup"] == 1
 
+    def test_product_formed_once_per_grid(self, monkeypatch):
+        # the composition and commutator defects both read op(a) op(b): each
+        # grid forms it once and hands the same array to both
+        calls, formed = [], []
+        op_product = trotterlab.quantize.QuantizationContext.op_product
+
+        def counted(ctx, a, b):
+            prod = op_product(ctx, a, b)
+            calls.append(ctx.N)
+            if not any(prod is seen for seen in formed):
+                formed.append(prod)
+            return prod
+
+        monkeypatch.setattr(trotterlab.quantize.QuantizationContext, "op_product", counted)
+        calculus_suite([16, 32, 64])
+        assert calls == [16, 16, 32, 32, 64, 64] and len(formed) == 3
+
+    @pytest.mark.parametrize("n", [16, 33, 64])
+    def test_norms_taken_on_parity_blocks(self, monkeypatch, n):
+        # every symbol of the suite is even, so each of its four defects is
+        # normed on two blocks of at most N/2 + 1: a fallback to a dense norm
+        # would show as a larger eigvalsh
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[0])
+            return eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        calculus_suite([n])
+        assert len(sizes) == 8 and max(sizes) <= n // 2 + 1
+
+    @pytest.mark.parametrize("entry", [16.0, True, "16"])
+    def test_non_integer_N_rejected_before_quantization(self, monkeypatch, entry):
+        calls = []
+        monkeypatch.setattr(trotterlab.quantize, "quantize", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError) as err:
+            calculus_suite([32, entry])
+        assert err.value.field == "N_values" and calls == []
+
+    def test_numpy_integer_N_accepted(self):
+        res = calculus_suite([np.int64(16), np.int32(32)])
+        assert res.table.rows == calculus_suite([16, 32]).table.rows
+
     def test_cv_rows_present(self):
         res = calculus_suite([16, 32])
         ratios = [v for _, v in res.table.series("N", metric="cv_gap_over_h")]

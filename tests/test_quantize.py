@@ -122,6 +122,16 @@ class TestQuantize:
         ctx = QuantizationContext(64)
         assert ctx.h * 2 * np.pi * 64 == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [16.0, True, "16", None])
+    def test_context_rejects_non_integer_n(self, n):
+        with pytest.raises(TypeError, match="integer N"):
+            QuantizationContext(n)
+
+    def test_context_accepts_numpy_integer_n(self):
+        ctx = QuantizationContext(np.int64(16))
+        assert ctx.h == QuantizationContext(16).h
+        assert np.array_equal(ctx.op(cosine_xi()), quantize(cosine_xi(), QuantizationContext(16)))
+
 
 class TestQuantizeSampled:
     """Samples quantize through the from_samples oracle at the default order M/4;
