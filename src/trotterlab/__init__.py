@@ -3,7 +3,7 @@ semiclassical grid Hamiltonians.
 
 Submodules
 ----------
-numkit       dense linear algebra (real symmetric eig and exp(i t M), norms, Hermiticity gate)
+numkit       dense linear algebra (polished SVD, real symmetric eig, norms, Hermiticity gate)
 fourier      transform conventions, circulants, factored diagonal operators, their dense form
 symbols      phase-space symbols on the unit torus and their calculus
 quantize     discrete Weyl quantization and semiclassical calculus checks

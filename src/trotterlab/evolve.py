@@ -1,25 +1,31 @@
 """Exact and split-step propagators with Heisenberg-picture error functionals.
 
-The exact propagator U(t) = e^{-i H t / h} comes from the cached
-eigendecomposition of H (real for the real symmetric H of the grid). Each
-split-step factor is diagonal in position or in the Fourier basis, so Lie's
-one-step matrix W_L = e^{-i B s/h} e^{-i A s/h} is assembled in
-O(N^2 log N), and G = W_L^n is formed by binary powering in O(N^3 log n).
-Strang's step is Lie's conjugated by the half potential step
-P = e^{-i B s/2h}: W_S = P^dag W_L P, so W_S^n = P^dag G P and one power per
-step size serves both schemes. U and the relative propagator V = W^n U^dag
-are the only propagators: the unitary and observable errors read V, and the
-split state W^n psi is V (U psi). Each function reads h from the grid it is
-given (``pair.grid.h``, ``grid.h`` or the frame's); step sizes are checked
-where they enter, in ``experiments.step_count``.
+Every propagator is formed as its real matrix in the basis R of the
+time-reversal frame (see ``frame``: 4 | N and an antisymmetric potential; the
+sweeps reject other grids and potentials before any compute), most of it in
+half-size arithmetic. H - c/2 anticommutes with T, so the frame form of
+-i (H - c/2) is [[0, B], [-B^T, 0]] with B real and N/2 x N/2. From the SVD
+B = X S Y^T, with X and Y polished to orthogonality once per grid, U(t) =
+e^{-i H t/h} is [[X cos(th S) X^T, X sin(th S) Y^T], [-Y sin(th S) X^T,
+Y cos(th S) Y^T]] at th = t/h: three half-size products per horizon.
 
-Every error is formed in the real basis R of the time-reversal frame (see
-``frame``: 4 | N and an antisymmetric potential; the sweeps reject other grids
-and potentials before any compute). U and G are projected into R once per
-sweep point, so V costs one real product per scheme and ||V - 1|| one real
-``eigvalsh``; an observable's error, from its frame form K = K_+ + i K_-, costs
-two real products per part of K and one ``eigvalsh``, complex only when both
-parts remain (``momentum_spectral``).
+Lie's step W_L = e^{-i B s/h} e^{-i A s/h} is formed in the frame in O(N^2):
+the kinetic factor from its circulant's first column, the potential factor as
+a rotation of row pairs. G = W_L^n is its float64 power by binary powering,
+given one Newton-Schulz polish for n > 1. Strang's step is Lie's conjugated by
+the half potential step P = e^{-i B s/2h}: W_S = P^dag W_L P, so W_S^n =
+P^dag G P and one power per step size serves both schemes. U and the relative
+propagator V = W^n U^dag are the only propagators: the unitary and observable
+errors read V, and the split state W^n psi is V (U psi). Each function reads h
+from the grid it is given (``pair.grid.h`` or the frame's); step sizes are
+checked where they enter, in ``experiments.step_count``.
+
+V costs one real product per scheme and ||V - 1|| one real ``eigvalsh``. An
+observable's error is the norm of V^T K V - K for its frame form
+K = K_+ + i K_-: a position observable's as the commutator K V - V K, formed
+in O(N^2), and a Fourier observable's by two real products per part of K; one
+``eigvalsh`` each, complex only when both parts of a Fourier observable remain
+(``momentum_spectral``).
 """
 
 from __future__ import annotations
@@ -33,12 +39,11 @@ from .errors import PacketTouchesBoundary, UnnormalizedState
 from .fourier import DiagonalKind, FactoredOperator, dft_cols, idft_cols
 from .frame import FrameObservable, TimeReversalFrame, real_product
 from .hamiltonian import GridSpec, HamiltonianPair
-from .numkit import EigenSystem, hermitian_norm, spectral_norm
+from .numkit import SingularSystem, hermitian_norm, polar_polish, spectral_norm
 
 __all__ = [
     "SplittingScheme",
     "exact_unitary",
-    "trotter_step_unitary",
     "lie_power",
     "relative_propagator",
     "observable_error",
@@ -58,43 +63,53 @@ class SplittingScheme(enum.Enum):
     STRANG2 = "Strang2"
 
 
-def exact_unitary(eig: EigenSystem, t: float, frame: TimeReversalFrame) -> np.ndarray:
-    """The real frame matrix Re R^dag (e^{i c t/2h} U) R of U = e^{-i H t / h},
-    from the EigenSystem of H and the frame of its grid, which carries h."""
-    return frame.project(eig.exp(-t / frame.h), frame.phase(t))
+def exact_unitary(spectrum: SingularSystem, t: float, frame: TimeReversalFrame) -> np.ndarray:
+    """The real frame matrix Re R^dag (e^{i c t/2h} U) R = e^{th M} of
+    U = e^{-i H t / h}, th = t/h, with M = [[0, B], [-B^T, 0]] the frame form of
+    -i (H - c/2): from the ``polished_svd`` B = X S Y^T of
+    ``frame.hamiltonian_block`` and the frame of the grid, which carries h."""
+    x, sigma, y = spectrum
+    angle = t / frame.h * sigma
+    cos, sin = np.cos(angle), np.sin(angle)
+    m = frame.size // 2
+    out = np.empty((frame.size, frame.size))
+    out[:m, :m] = (x * cos) @ x.T
+    out[:m, m:] = (x * sin) @ y.T
+    out[m:, :m] = -out[:m, m:].T
+    out[m:, m:] = (y * cos) @ y.T
+    return out
 
 
-def _apply_factors(factors, mat: np.ndarray) -> np.ndarray:
-    for factor in factors:
-        if factor.kind is DiagonalKind.POSITION:
-            mat = factor.diag[:, None] * mat
-        else:
-            mat = idft_cols(factor.diag[:, None] * dft_cols(mat))
-    return mat
-
-
-def trotter_step_unitary(pair: HamiltonianPair, s: float) -> np.ndarray:
-    """Dense matrix of Lie's split step W_L = e^{-i B s/h} e^{-i A s/h}: the
-    kinetic factor A first, then the potential B, assembled through the fast path."""
-    h = pair.grid.h
-    factors = [FactoredOperator(op.kind, np.exp(-1j * s / h * op.diag))
-               for op in (pair.kinetic, pair.potential)]
-    return _apply_factors(factors, np.eye(pair.grid.N, dtype=np.complex128))
+def _apply(op: FactoredOperator, mat: np.ndarray) -> np.ndarray:
+    if op.kind is DiagonalKind.POSITION:
+        return op.diag[:, None] * mat
+    return idft_cols(op.diag[:, None] * dft_cols(mat))
 
 
 def lie_power(pair: HamiltonianPair, s: float, n: int, frame: TimeReversalFrame) -> np.ndarray:
-    """The real frame matrix Re R^dag (e^{i c n s/2h} G) R of G = W_L^n, formed by
-    binary powering: the one step power behind both schemes. The complex G is
-    freed on return."""
-    power = np.linalg.matrix_power(trotter_step_unitary(pair, s), n)
-    return frame.project(power, frame.phase(n * s))
+    """The real frame matrix Re R^dag (e^{i c n s/2h} G) R of G = W_L^n: the one
+    step power behind both schemes.
+
+    The frame step e^{i c s/2h} W_L is the kinetic circulant of first column
+    F^-1 e^{-i a s/h} projected with its phase (``frame.project_circulant``),
+    its row pairs then rotated by the potential step (``frame.rotate``): O(N^2).
+    Its float64 power by binary powering drifts from orthogonality with every
+    product, which the observable error would read at first order; for n > 1
+    one ``polar_polish`` step removes the drift.
+    """
+    h = pair.grid.h
+    kinetic = idft_cols(np.exp(-1j * s / h * pair.kinetic.diag))
+    step = frame.rotate(s / h * pair.potential.diag.real,
+                        frame.project_circulant(kinetic, frame.phase(s)))
+    power = np.linalg.matrix_power(step, n)
+    return polar_polish(power) if n > 1 else power
 
 
 def relative_propagator(pair: HamiltonianPair, scheme: SplittingScheme, s: float,
                         power: np.ndarray, u: np.ndarray, frame: TimeReversalFrame) -> np.ndarray:
     """The real frame matrix R^dag V R of V = W^n U^dag for n steps of size s,
     with ``power`` = ``lie_power(pair, s, n, frame)`` and ``u`` =
-    ``exact_unitary(eig, n * s, frame)``: the phases of G and U cancel.
+    ``exact_unitary(spectrum, n * s, frame)``: the phases of G and U cancel.
 
     Lie1 gives V = G U^T and Strang2 V = P^T (G (P U^T)), as W_S^n = P^dag G P
     with the half potential step P = e^{-i B s/2h}, which rotates row pairs in
@@ -111,14 +126,18 @@ def observable_error(observable: FrameObservable, v: np.ndarray) -> float:
     """Spectral-norm distance between split and exact Heisenberg evolution at t = n s.
 
     Taken as ||V^T K V - K|| with V the real ``relative_propagator`` and
-    K = K_+ + i K_- the observable's frame form: ``hermitian_norm`` of the
-    symmetric defect of K_+ alone, ``spectral_norm`` of the antisymmetric one of
-    K_- alone, and ``hermitian_norm`` of the complex sum when both remain.
+    K = K_+ + i K_- the observable's frame form, from the defects of its parts
+    (``FrameObservable.defects``). A position observable's are commutators
+    K V - V K, without symmetry: ``spectral_norm`` of their sum. Otherwise
+    ``hermitian_norm`` of the symmetric defect of K_+ alone, ``spectral_norm``
+    of the antisymmetric one of K_- alone, and ``hermitian_norm`` of the
+    complex sum when both remain.
     """
     plus, minus = observable.defects(v)
-    if minus is None:
-        return hermitian_norm(plus)
-    return spectral_norm(minus) if plus is None else hermitian_norm(plus + 1j * minus)
+    defect = minus if plus is None else plus if minus is None else plus + 1j * minus
+    if plus is None or observable.operator.kind is DiagonalKind.POSITION:
+        return spectral_norm(defect)
+    return hermitian_norm(defect)
 
 
 def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float) -> np.ndarray:
@@ -156,6 +175,6 @@ def expectation_error(observables: Iterable[FrameObservable], v: np.ndarray, u: 
         raise UnnormalizedState(f"state norm {norm} is not 1 within 1e-10")
     exact_state = real_product(u, frame.to_frame(psi[:, None]))
     states = frame.from_frame(np.column_stack((real_product(v, exact_state), exact_state)))
-    values = (np.einsum("ij,ij->j", states.conj(), _apply_factors((obs.operator,), states)).real
+    values = (np.einsum("ij,ij->j", states.conj(), _apply(obs.operator, states)).real
               for obs in observables)
     return [abs(split - exact) for split, exact in values]

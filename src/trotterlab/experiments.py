@@ -4,12 +4,13 @@ The potentials and the symbol-class observables of the sweeps are torus
 symbols, sampled on each grid by ``hamiltonian.sample``; ``momentum_spectral``
 is a sampled sawtooth. The three sweeps and the step-count search share one
 per-grid setup (``_build_setup``: the pair, its frame, the frame observables
-and the eigendecomposition of H), below which h is read from the grid; the
+and the exact propagator at each horizon, from one SVD of the half-size block
+of H in the frame), below which h is read from the grid; the
 one step-count driver, ``query_count_study``, reads one memoized error curve
 per grid for every scheme and target error. Each driver takes the CLI's
 configuration keys by name and checks the numbers it reads (empty lists,
 grids, packets, steps, horizon, target errors, N) once, before any
-eigendecomposition; the CLI checks only the document.
+decomposition; the CLI checks only the document.
 
 Each driver returns an ``ExperimentResult`` holding a deterministic
 ``SweepTable`` (identical configuration gives bit-identical rows), the
@@ -22,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -240,6 +240,9 @@ def _fit_series(table: SweepTable, series: dict[str, list], window=None,
 def _map_ordered(fn, items, threads: int):
     if threads <= 1:
         return [fn(item) for item in items]
+    # imported here: it costs every CLI start about 10 ms, and one thread needs no pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -310,31 +313,32 @@ def wavepacket(grid: GridSpec, field: str) -> np.ndarray:
 
 def _build_setup(grid: GridSpec, potential: str, observables) -> tuple:
     """Per-grid data of a sweep or a step-count search: the split pair, its frame,
-    the frame forms of the observables by name and the EigenSystem of H. A
-    potential without the frame's antisymmetry raises ValidationError naming
-    ``potential``; every check runs before the eigendecomposition."""
+    the frame forms of the observables by name and the exact propagator
+    t -> ``exact_unitary`` at horizon t, from one ``polished_svd`` of the
+    frame's ``hamiltonian_block``. It keeps the last U it formed: the points of
+    a global sweep, which share the horizon t_total, form it once. A potential
+    without the frame's antisymmetry raises ValidationError naming
+    ``potential``; every check runs before the SVD."""
     pair = build_pair(grid, potential=POTENTIALS[potential])
     try:
         frame = TimeReversalFrame.of(pair)
     except ValueError as err:
         raise ValidationError("potential", f"{potential!r}: {err}") from None
     forms = {name: FrameObservable(OBSERVABLES[name](grid), frame) for name in observables}
-    return pair, frame, forms, numkit.hermitian_eig(pair.total)
+    spectrum = numkit.polished_svd(frame.hamiltonian_block(pair))
+    return pair, frame, forms, functools.lru_cache(maxsize=1)(
+        lambda t: exact_unitary(spectrum, t, frame))
 
 
 def _error_rows(setup: tuple, packet: np.ndarray, schemes, s: float, n: int,
                 with_unitary: bool = False) -> list[tuple]:
     """Error rows of one sweep point: n steps of size s on one grid setup.
-    Every scheme reads the one step power G = W_L^n of the point; U and G are
-    projected into the time-reversal frame before any product."""
-    pair, frame, observables, eig = setup
+    Every scheme reads the one step power G = W_L^n of the point and the
+    setup's U at t = n s, both real matrices in the time-reversal frame."""
+    pair, frame, observables, unitary = setup
     grid = pair.grid
-    u = exact_unitary(eig, n * s, frame)
+    u = unitary(n * s)
     power = lie_power(pair, s, n, frame)
-    # Each frame form K is formed once per grid, here: in the space that the
-    # power's freed complex temporaries left, which keeps the peak RSS down.
-    for obs in observables.values():
-        obs.parts
     out = []
     for scheme in schemes:
         v = relative_propagator(pair, scheme, s, power, u, frame)
@@ -490,9 +494,9 @@ def _error_curve(setup: tuple, t_total: float,
     observable at t_total, after n steps of size t_total / n: the searches of
     every target error on the grid read it. A curve ``shared`` by several schemes
     keeps each step power W_L^n (one N x N real matrix per n) for the others."""
-    pair, frame, observables, eig = setup
+    pair, frame, observables, unitary = setup
     (obs,) = observables.values()
-    u = exact_unitary(eig, t_total, frame)
+    u = unitary(t_total)
 
     def power(n: int) -> np.ndarray:
         return lie_power(pair, t_total / n, n, frame)

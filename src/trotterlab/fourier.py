@@ -84,10 +84,13 @@ class FactoredOperator:
 
 
 def circulant(first_column) -> np.ndarray:
-    """Circulant ``F^-1 diag(F c) F`` gathered exactly as c[(i - j) mod N], in c's dtype."""
+    """Circulant ``F^-1 diag(F c) F`` gathered exactly as c[(i - j) mod N], in c's dtype.
+    Row i is the window u[N - i : 2N - i] of u[t] = c[-t mod N], so the gather
+    copies N windows of one length-2N vector, with no N x N index array."""
     col = _as_vector(first_column)
-    idx = np.arange(col.size)
-    return col[np.subtract.outer(idx, idx) % col.size]
+    n = col.size
+    wrapped = col[-np.arange(2 * n) % n]
+    return np.lib.stride_tricks.sliding_window_view(wrapped, n)[n:0:-1].copy()
 
 
 def materialize(op: FactoredOperator) -> np.ndarray:

@@ -9,8 +9,12 @@ potential step P = e^{-i B s/2h} and V = W^n U^dag (its phases cancel at
 t = n s). T^2 = (-1)^{N/2}; for 4 | N the columns (e_j + s_j e_{j+N/2})/sqrt 2
 and i (e_j - s_j e_{j+N/2})/sqrt 2, j < N/2, s_j = (-1)^j, are an orthonormal
 basis R of T-fixed vectors, and R^dag X R is real for every X that commutes
-with T. R is sparse: each change of basis costs O(N^2) by slicing, and
-``evolve`` runs everything after the complex step power in real arithmetic.
+with T. R is sparse: each change of basis costs O(N^2) by slicing. A
+circulant's frame matrix is gathered from its first column, block by block as
+Toeplitz windows, and the potential step rotates row pairs, so ``evolve``
+forms its propagators in real arithmetic from the start. H - c/2
+anticommutes with T, so -i (H - c/2) has the real antisymmetric frame form
+[[0, B], [-B^T, 0]], with B of size N/2 (``hamiltonian_block``).
 
 The frame depends on H alone, and records its grid's h for the phases: odd N
 and N = 2 mod 4 (no T-fixed basis) and a potential without the antisymmetry
@@ -45,9 +49,21 @@ __all__ = ["TimeReversalFrame", "FrameObservable", "real_product", "FRAME_RTOL"]
 # h = 1/N a hundredth of the round-off floor 1e-11 N.
 FRAME_RTOL = 1e-13
 
+# The row signs s_i = (-1)^i of the even and the odd rows, as a column.
+_ROW_SIGNS = np.array([[1.0], [-1.0]])
+
 
 def _matches(x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> bool:
     return bool(np.abs(x - y).max() <= FRAME_RTOL * np.abs(scale).max())
+
+
+def _require_real(diag: np.ndarray, what: str) -> None:
+    """A factored operator is Hermitian iff its diagonal is real: raise NonHermitian
+    when the imaginary part exceeds HERMITICITY_RTOL of the largest entry."""
+    imag = np.abs(diag.imag).max()
+    if imag > HERMITICITY_RTOL * np.abs(diag).max():
+        raise NonHermitian(f"{what} diagonal has imaginary part {imag:.3e}; "
+                           f"relative tolerance {HERMITICITY_RTOL:.1e}")
 
 
 def _parity(values: np.ndarray, partner: np.ndarray) -> int | None:
@@ -55,12 +71,24 @@ def _parity(values: np.ndarray, partner: np.ndarray) -> int | None:
     return next((sign for sign in (1, -1) if _matches(partner, sign * values, values)), None)
 
 
-def _pair_rows(p: np.ndarray, q: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """[[p, q], [-q, p]] mat, with p and q diagonal N/2 x N/2 blocks."""
-    m = p.size
-    top, bottom = mat[:m], mat[m:]
-    p, q = p[:, None], q[:, None]
-    return np.concatenate((p * top + q * bottom, p * bottom - q * top))
+def _swap_commutator(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """K mat - mat K for K = [[0, q], [-q, 0]], with q a diagonal N/2 x N/2 block."""
+    m = q.size
+    (a, b), (c, d) = (mat[:m, :m], mat[:m, m:]), (mat[m:, :m], mat[m:, m:])
+    rows, cols = q[:, None], q          # q scales rows in K mat and columns in mat K
+    out = np.empty_like(mat)
+    out[:m, :m] = rows * c + b * cols
+    out[:m, m:] = rows * d - a * cols
+    out[m:, :m] = d * cols - rows * a
+    out[m:, m:] = -(rows * b + c * cols)
+    return out
+
+
+def _toeplitz(values: np.ndarray, m: int) -> np.ndarray:
+    """The m x m views [..., i, j] -> values[..., i - j + m - 1] of rows of length 2m - 1."""
+    step = values.strides[-1]
+    return np.lib.stride_tricks.as_strided(values[..., m - 1:], values.shape[:-1] + (m, m),
+                                           values.strides[:-1] + (step, -step), writeable=False)
 
 
 def real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -81,10 +109,14 @@ class TimeReversalFrame:
     @classmethod
     def of(cls, pair: HamiltonianPair) -> "TimeReversalFrame":
         """The frame of a grid pair, read from its kinetic and potential diagonals.
-        Raises ValueError when 4 does not divide N or a diagonal lacks its symmetry."""
+        Raises ValueError when 4 does not divide N or a diagonal lacks its symmetry,
+        and NonHermitian when a diagonal is not real: the frame's real arithmetic
+        reads the real parts alone."""
         n, m = pair.grid.N, pair.grid.N // 2
         if n % 4:
             raise ValueError(f"N = {n}; the time-reversal frame needs N divisible by 4")
+        _require_real(pair.kinetic.diag, "kinetic")
+        _require_real(pair.potential.diag, "potential")
         a, b = pair.kinetic.diag.real, pair.potential.diag.real
         c = a[0] + a[m]
         # Y A Y^dag = c - A moves a[k] to a[k + N/2]; Y B Y^dag = -B moves b[j] to b[j + N/2]
@@ -110,21 +142,41 @@ class TimeReversalFrame:
             return _parity(d, np.roll(d, n // 2))
         return _parity(d, d[(n // 2 - np.arange(n)) % n])
 
-    def project(self, mat: np.ndarray, phase: complex = 1.0) -> np.ndarray:
-        """Re R^dag (phase mat) R, the real frame matrix of a T-commuting phase mat."""
-        m, sig = self.size // 2, self._signs
-        x11, x12, x21, x22 = mat[:m, :m], mat[:m, m:], mat[m:, :m], mat[m:, m:]
-        x22 = (sig * x22) * sig.T               # S X22 S, with S = diag(s_j)
-        x12, x21 = x12 * sig.T, sig * x21       # X12 S and S X21
-        same_plus, same_minus = phase * (x11 + x22), phase * (x11 - x22)
-        cross_plus, cross_minus = phase * (x12 + x21), phase * (x12 - x21)
-        out = np.empty((self.size, self.size))
-        out[:m, :m] = same_plus.real + cross_plus.real
-        out[m:, m:] = same_plus.real - cross_plus.real
-        out[:m, m:] = cross_minus.imag - same_minus.imag
-        out[m:, :m] = same_minus.imag + cross_minus.imag
-        out *= 0.5
+    def project_circulant(self, column: np.ndarray, phase: complex = 1.0) -> np.ndarray:
+        """Re R^dag (phase C) R, the real frame matrix of a T-commuting phase C, for
+        the circulant C[i, j] = column[(i - j) mod N], in O(N^2) from the column.
+
+        With k = i - j (|k| < N/2), a = phase column[k] and b = phase
+        column[k + N/2], each block of the frame matrix is a Toeplitz matrix
+        whose row i reads a + s_i b (top blocks) or a - s_i b (bottom blocks),
+        s_i = (-1)^i: its real part at even k on the diagonal blocks, its
+        imaginary part at odd k off them. The rows of each sign are copied from
+        strided views of those vectors.
+        """
+        n, m = self.size, self.size // 2
+        k = np.arange(1 - m, m)
+        a, b = phase * column[k % n], phase * column[(k + m) % n]
+        plus, minus = a + _ROW_SIGNS * b, a - _ROW_SIGNS * b
+        even = k % 2 == 0
+        values = np.stack((np.where(even, plus.real, 0.0), np.where(even, 0.0, -plus.imag),
+                           np.where(even, 0.0, minus.imag), np.where(even, minus.real, 0.0)))
+        blocks = _toeplitz(values, m).reshape(2, 2, 2, m, m)   # block row, block col, sign, i, j
+        out = np.empty((n, n))
+        quads = out.reshape(2, m, 2, m)                        # block row, i, block col, j
+        for row in (0, 1):                                     # s_i = 1 on even i, -1 on odd i
+            quads[:, row::2] = blocks[:, :, row, row::2].transpose(0, 2, 1, 3)
         return out
+
+    def hamiltonian_block(self, pair: HamiltonianPair) -> np.ndarray:
+        """B of the frame form [[0, B], [-B^T, 0]] of -i (H - c/2), real N/2 x N/2,
+        from the pair's diagonals: the kinetic circulant's block and the
+        potential's (b_top - b_bottom)/2 on the diagonal. The eigenvalues of H
+        are c/2 +- the singular values of B."""
+        m = self.size // 2
+        block = self.project_circulant(fourier.idft_cols(pair.kinetic.diag), -1j)[:m, m:]
+        b = pair.potential.diag.real
+        block[np.diag_indices(m)] += (b[:m] - b[m:]) / 2.0
+        return block
 
     def to_frame(self, vecs: np.ndarray) -> np.ndarray:
         """R^dag v of each column of an N x k block."""
@@ -140,9 +192,17 @@ class TimeReversalFrame:
 
     def rotate(self, theta: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """R^dag P R mat for the diagonal P = e^{-i theta} with theta[j + N/2] = -theta[j]
-        (a potential step): a rotation of each row pair (j, j + N/2) by theta[j]."""
-        half = theta[: self.size // 2]
-        return _pair_rows(np.cos(half), np.sin(half), mat)
+        (a potential step): a rotation of each row pair (j, j + N/2) by theta[j],
+        [[cos, sin], [-sin, cos]] mat with diagonal N/2 x N/2 blocks."""
+        m = self.size // 2
+        cos, sin = np.cos(theta[:m])[:, None], np.sin(theta[:m])[:, None]
+        top, bottom = mat[:m], mat[m:]
+        out = np.empty(mat.shape, np.result_type(cos, mat))
+        np.multiply(cos, top, out=out[:m])
+        out[:m] += sin * bottom
+        np.multiply(cos, bottom, out=out[m:])
+        out[m:] -= sin * top
+        return out
 
 
 @dataclass(frozen=True)
@@ -155,37 +215,34 @@ class FrameObservable:
     frame: TimeReversalFrame
 
     def __post_init__(self):
-        diag = self.operator.diag
-        imag = np.abs(diag.imag).max()
-        if imag > HERMITICITY_RTOL * np.abs(diag).max():
-            raise NonHermitian(f"observable diagonal has imaginary part {imag:.3e}; "
-                               f"relative tolerance {HERMITICITY_RTOL:.1e}")
+        _require_real(self.operator.diag, "observable")
 
     @cached_property
     def parts(self) -> tuple:
-        """(K_+, K_-), formed on first use and kept, so that a grid's first step
-        power meets no dense K; a part is None when T's parity zeroes it (K_+ when
-        O anticommutes with T, K_- when it commutes). A Fourier diagonal is
-        projected as a dense circulant; a position diagonal d keeps the diagonal
-        blocks (p, 0) of K_+ and (0, q) of K_-, p = (d_top + d_bottom)/2 and
-        q = (d_top - d_bottom)/2, with K = [[p, q], [-q, p]]."""
+        """(K_+, K_-), formed on first use and kept; a part is None when T's
+        parity zeroes it (K_+ when O anticommutes with T, K_- when it commutes).
+        A Fourier diagonal is projected from its circulant's first column, as a
+        dense frame matrix. A position diagonal d has K = [[p, q], [-q, p]] with
+        diagonal blocks p = (d_top + d_bottom)/2 and q = (d_top - d_bottom)/2:
+        K_+ is kept as p and K_- as q."""
         op, frame, m = self.operator, self.frame, self.frame.size // 2
         diag, parity = op.diag.real, frame.parity(op)
         if op.kind is DiagonalKind.POSITION:
-            zero = np.zeros(m)
-            return (((diag[:m] + diag[m:]) / 2.0, zero) if parity != -1 else None,
-                    (zero, (diag[:m] - diag[m:]) / 2.0) if parity != 1 else None)
-        dense = fourier.materialize(FactoredOperator(op.kind, diag))
-        return (frame.project(dense) if parity != -1 else None,
-                frame.project(dense, -1j) if parity != 1 else None)
+            return ((diag[:m] + diag[m:]) / 2.0 if parity != -1 else None,
+                    (diag[:m] - diag[m:]) / 2.0 if parity != 1 else None)
+        column = fourier.idft_cols(diag)
+        return (frame.project_circulant(column) if parity != -1 else None,
+                frame.project_circulant(column, -1j) if parity != 1 else None)
 
     def defects(self, v: np.ndarray) -> list:
-        """V^T K V - K of each part of K (None for a dropped part) for the real
-        frame matrix V; diagonal blocks apply to V in O(N^2) and form K anew."""
-        out = []
-        for k in self.parts:
-            if isinstance(k, tuple):
-                out.append(v.T @ _pair_rows(*k, v) - _pair_rows(*k, np.eye(self.frame.size)))
-            else:
-                out.append(None if k is None else v.T @ (k @ v) - k)
-        return out
+        """The defect of each part of K (None for a dropped part) under the real
+        orthogonal frame matrix V: V^T K V - K of a dense part, and for a
+        position observable the commutator K V - V K, formed in O(N^2), which
+        has the norm of V^T K V - K = V^T (K V - V K)."""
+        plus, minus = self.parts
+        if self.operator.kind is not DiagonalKind.POSITION:
+            return [None if k is None else v.T @ (k @ v) - k for k in (plus, minus)]
+        if plus is not None:
+            d = np.concatenate((plus, plus))
+            plus = (d[:, None] - d) * v
+        return [plus, None if minus is None else _swap_commutator(minus, v)]

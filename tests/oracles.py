@@ -9,10 +9,12 @@ sums the complex quantization of a symbol one lattice point at a time,
 and ``from_samples`` truncates such samples to a coefficient lattice by one
 2-D DFT. ``stage_factors`` and ``split_step`` write a split step as its
 product of stages, Strang's as the three-stage
-e^{-i B s/2h} e^{-i A s/h} e^{-i B s/2h}. ``frame_basis`` writes the basis R
-of the time-reversal frame as a dense unitary, and ``lift`` takes a real frame
-matrix back to the complex matrix it stands for. The library reaches the same
-results by cheaper routes.
+e^{-i B s/2h} e^{-i A s/h} e^{-i B s/2h}, ``apply_stages`` applies them to a
+block by FFT, and ``trotter_step_unitary`` is Lie's complex step on any N.
+``frame_basis`` writes the basis R of the time-reversal frame as a dense
+unitary, ``project`` takes a complex matrix into the frame through it, and
+``lift`` takes a real frame matrix back to the complex matrix it stands for.
+The library reaches the same results by cheaper routes.
 """
 
 import numpy as np
@@ -60,16 +62,28 @@ def stage_factors(pair, scheme: SplittingScheme, s: float, h: float) -> list[Fac
             for name, frac in STAGES[scheme]]
 
 
-def split_step(pair, scheme: SplittingScheme, s: float, h: float) -> np.ndarray:
-    """Dense matrix of one split step, its stages applied to the identity one
-    at a time (a Fourier-diagonal stage by FFT along the columns)."""
-    mat = np.eye(pair.grid.N, dtype=np.complex128)
-    for factor in stage_factors(pair, scheme, s, h):
+def apply_stages(factors: list[FactoredOperator], mat: np.ndarray) -> np.ndarray:
+    """The stages applied to every column of ``mat``, one at a time (a
+    Fourier-diagonal stage by FFT along the columns)."""
+    for factor in factors:
         if factor.kind is DiagonalKind.POSITION:
             mat = factor.diag[:, None] * mat
         else:
             mat = np.fft.ifft(factor.diag[:, None] * np.fft.fft(mat, axis=0), axis=0)
     return mat
+
+
+def split_step(pair, scheme: SplittingScheme, s: float, h: float) -> np.ndarray:
+    """Dense matrix of one split step, its stages applied to the identity."""
+    return apply_stages(stage_factors(pair, scheme, s, h),
+                        np.eye(pair.grid.N, dtype=np.complex128))
+
+
+def trotter_step_unitary(pair, s: float) -> np.ndarray:
+    """Complex matrix of Lie's split step W_L = e^{-i B s/h} e^{-i A s/h} on any
+    N, assembled by FFT: the step whose power ``evolve.lie_power`` forms in the
+    time-reversal frame."""
+    return split_step(pair, SplittingScheme.LIE1, s, pair.grid.h)
 
 
 def frame_basis(n: int) -> np.ndarray:
@@ -80,6 +94,13 @@ def frame_basis(n: int) -> np.ndarray:
     signs = (-1.0) ** np.arange(m)
     plus, minus = eye[:, :m] + signs * eye[:, m:], eye[:, :m] - signs * eye[:, m:]
     return np.hstack((plus, 1j * minus)) / np.sqrt(2.0)
+
+
+def project(frame, mat: np.ndarray, phase: complex = 1.0) -> np.ndarray:
+    """Re R^dag (phase mat) R through the dense basis: the real frame matrix of
+    a phase mat that commutes with T."""
+    basis = frame_basis(frame.size)
+    return (basis.conj().T @ (phase * mat) @ basis).real
 
 
 def lift(frame, real: np.ndarray, t: float = 0.0) -> np.ndarray:

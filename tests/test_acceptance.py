@@ -21,7 +21,7 @@ from trotterlab.cli import _dispatch, evaluate_criteria, parse_config
 from trotterlab.evolve import SplittingScheme, lie_power, relative_propagator
 from trotterlab.frame import TimeReversalFrame
 from trotterlab.hamiltonian import GridSpec, build_pair
-from trotterlab.numkit import hermitian_eig, spectral_norm
+from trotterlab.numkit import spectral_norm
 from trotterlab.quantize import QuantizationContext, quantize
 from trotterlab.symbols import cosine_x, cosine_xi, product, sine_x
 

@@ -2,6 +2,10 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,14 +49,14 @@ PAPER_RUNS = {
 def rejects(tmp_path, capsys, monkeypatch):
     """rejects(command, doc, field): ``main`` exits 1 on the configuration ``doc``
     (a dict or JSON text) with ``error: <field>: `` on stderr, before any
-    eigendecomposition and without writing a CSV; returns the stderr text.
+    decomposition of H and without writing a CSV; returns the stderr text.
 
     The checks of the numbers a driver reads run in the driver, so only a run
     through ``main`` shows that they reject a document before any compute."""
     eigs = []
-    hermitian_eig = numkit.hermitian_eig
-    monkeypatch.setattr(numkit, "hermitian_eig",
-                        lambda matrix: eigs.append(matrix) or hermitian_eig(matrix))
+    polished_svd = numkit.polished_svd
+    monkeypatch.setattr(numkit, "polished_svd",
+                        lambda matrix: eigs.append(matrix) or polished_svd(matrix))
 
     def check(command, doc, field):
         path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
@@ -507,6 +511,19 @@ class TestMain:
     ], ids=lambda doc: doc["command"])
     def test_threads_flag_sweeps(self, doc, tmp_path):
         _assert_threads_invariant(doc, tmp_path)
+
+
+def test_cli_import_leaves_thread_pool_out():
+    # concurrent.futures (with logging) costs every CLI start about 10 ms, and
+    # only --threads > 1 uses it: a fresh interpreter that imports the CLI
+    # must not load it
+    src = str(Path(trotterlab.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, trotterlab.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def _assert_threads_invariant(doc, tmp_path):

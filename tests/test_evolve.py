@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import STAGES, expm_hermitian, lift, materialize, split_step
+from oracles import STAGES, expm_hermitian, lift, materialize, split_step, trotter_step_unitary
 
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonHermitian, PacketTouchesBoundary, UnnormalizedState
@@ -13,12 +13,11 @@ from trotterlab.evolve import (
     lie_power,
     observable_error,
     relative_propagator,
-    trotter_step_unitary,
 )
 from trotterlab.frame import FrameObservable, TimeReversalFrame
 from trotterlab.experiments import OBSERVABLES, POTENTIALS
 from trotterlab.hamiltonian import GridSpec, HamiltonianPair, build_pair, momentum_observable
-from trotterlab.numkit import hermitian_eig, spectral_norm, unitary_distance
+from trotterlab.numkit import hermitian_eig, polished_svd, spectral_norm, unitary_distance
 
 cos_x = OBSERVABLES["cos_x"]
 
@@ -39,14 +38,19 @@ def commuting_pair(grid):
 
 def exact(hamiltonian, t, h):
     """U(t) = e^{-i H t / h} from the eigendecomposition of H, as a complex matrix."""
-    return hermitian_eig(hamiltonian).exp(-t / h)
+    return expm_hermitian(hamiltonian, -t / h)
+
+
+def spectrum(pair, frame):
+    """The polished SVD of the frame's half-size block of H, as a sweep forms it."""
+    return polished_svd(frame.hamiltonian_block(pair))
 
 
 def propagators(pair, scheme, s, n):
     """V = W^n U^dag and U at t = n s in the time-reversal frame, as a sweep
     forms them, and the frame."""
     frame = TimeReversalFrame.of(pair)
-    u = exact_unitary(hermitian_eig(pair.total), n * s, frame)
+    u = exact_unitary(spectrum(pair, frame), n * s, frame)
     power = lie_power(pair, s, n, frame)
     return relative_propagator(pair, scheme, s, power, u, frame), u, frame
 
@@ -102,10 +106,11 @@ class TestExactUnitary:
         # the frame phases e^{i c t/2h} compose as U does, so the real frame
         # matrices compose too
         h, grid, pair = setup
-        eig, frame = hermitian_eig(pair.total), TimeReversalFrame.of(pair)
-        u1 = exact_unitary(eig, 0.3, frame)
-        u2 = exact_unitary(eig, 0.2, frame)
-        u12 = exact_unitary(eig, 0.5, frame)
+        frame = TimeReversalFrame.of(pair)
+        svd = spectrum(pair, frame)
+        u1 = exact_unitary(svd, 0.3, frame)
+        u2 = exact_unitary(svd, 0.2, frame)
+        u12 = exact_unitary(svd, 0.5, frame)
         assert spectral_norm(u1 @ u2 - u12) <= 1e-8 * grid.N
         assert spectral_norm(lift(frame, u12, 0.5) - exact(pair.total, 0.5, h)) <= 1e-11 * grid.N
 
@@ -114,8 +119,13 @@ class TestExactUnitary:
         u = exact(pair.total, 0.7, h)
         assert spectral_norm(u.conj().T @ u - np.eye(grid.N)) <= 1e-9 * grid.N
 
-    def test_rejects_non_hermitian(self):
-        # exact_unitary takes an EigenSystem; the eigendecomposition holds the gate
+    def test_rejects_non_hermitian(self, setup):
+        # exact_unitary reads the SVD of the frame's block of H, and the frame
+        # reads the pair's diagonals: a diagonal that is not real is rejected there
+        h, grid, pair = setup
+        leaky = FactoredOperator(DiagonalKind.POSITION, pair.potential.diag + 1e-3j)
+        with pytest.raises(NonHermitian, match="potential"):
+            TimeReversalFrame.of(HamiltonianPair(pair.kinetic, leaky, grid))
         bad = np.zeros((4, 4))
         bad[0, 1] = 1.0
         with pytest.raises(NonHermitian):
@@ -345,7 +355,7 @@ class TestExpectationError:
 class TestNonPowerOfTwoGrid:
     def test_full_stack_on_n_ten(self):
         # h = 0.1 on [-pi, pi] gives N = 10 and h = 1/25 gives the odd
-        # N = 25; the FFT step needs no frame and handles any length
+        # N = 25; the FFT step of the oracles needs no frame and handles any length
         for h, n in ((0.1, 10), (1.0 / 25, 25)):
             grid = GridSpec.canonical(-np.pi, np.pi, h)
             assert grid.N == n

@@ -27,16 +27,16 @@ from trotterlab.symbols import TorusSymbol
 
 
 @pytest.fixture
-def eig_calls(monkeypatch):
-    """The grid size of every eigendecomposition of H that a driver makes."""
+def svd_calls(monkeypatch):
+    """The grid size N of every SVD of the half-size block of H that a driver makes."""
     calls = []
-    hermitian_eig = numkit.hermitian_eig
+    polished_svd = numkit.polished_svd
 
     def counted(matrix):
-        calls.append(matrix.shape[0])
-        return hermitian_eig(matrix)
+        calls.append(2 * matrix.shape[0])
+        return polished_svd(matrix)
 
-    monkeypatch.setattr(numkit, "hermitian_eig", counted)
+    monkeypatch.setattr(numkit, "polished_svd", counted)
     return calls
 
 
@@ -192,13 +192,13 @@ class TestSweepH:
                       mode="local", observables=("cos_x",), schemes=("Lie1",))
         assert -0.25 <= res.fits["Lie1/cos_x/observable_error"].slope <= 0.25
 
-    def test_packet_checked_on_every_grid_before_compute(self, eig_calls):
+    def test_packet_checked_on_every_grid_before_compute(self, svd_calls):
         # h = 1/4 gives N = 4, where the packet reaches the domain edge; the
-        # finer grid sorted before it must not be eigendecomposed first
+        # finer grid sorted before it must not be decomposed first
         with pytest.raises(ValidationError) as err:
             sweep_h(h_values=[2.0**-6, 0.25], s_fixed=0.1)
         assert err.value.field == "h_values" and "h = 0.25" in str(err.value)
-        assert eig_calls == []
+        assert svd_calls == []
 
     def test_global_mode_rejects_non_divisor_before_compute(self, monkeypatch):
         # 0.3 does not divide t = 1: three steps would stop at t = 0.9
@@ -220,14 +220,14 @@ class TestStepValidation:
         (lambda s: sweep_h(h_values=[2.0**-4], s_fixed=s), "s_fixed"),
         (lambda s: sweep_h(h_values=[2.0**-4], s_fixed=s, mode="global"), "s_fixed"),
     ], ids=["sweep_timestep", "sweep_timestep_global", "sweep_h", "sweep_h_global"])
-    def test_bad_step_rejected_before_compute(self, eig_calls, run, field, s):
+    def test_bad_step_rejected_before_compute(self, svd_calls, run, field, s):
         # a step that is not finite and positive is named as such in either
         # mode, not reported as a non-divisor of t or raised after the eigensolve
         with pytest.raises(ValidationError) as err:
             run(s)
         assert err.value.field == field
         assert "finite positive" in str(err.value)
-        assert eig_calls == []
+        assert svd_calls == []
 
 
 # Each driver, valid list arguments for it (the mode of sweep_timestep is not:
@@ -244,7 +244,7 @@ DRIVER_LISTS = {
 
 
 class TestDriverValidation:
-    """Each driver checks the numbers it reads, before any eigendecomposition."""
+    """Each driver checks the numbers it reads, before any decomposition."""
 
     @pytest.mark.parametrize("run, field", [
         *[pytest.param(lambda t=t: query_count_study(epsilons=[0.03], h_values=[2.0**-4],
@@ -262,22 +262,22 @@ class TestDriverValidation:
         pytest.param(lambda: sweep_h(h_values=[0.0], s_fixed=0.1), "h_values", id="sweep_h-h=0"),
         pytest.param(lambda: commutator_scan([0.0]), "h_values", id="commutator_scan-h=0"),
     ])
-    def test_bad_value_rejected_before_compute(self, eig_calls, run, field):
+    def test_bad_value_rejected_before_compute(self, svd_calls, run, field):
         with pytest.raises(ValidationError) as err:
             run()
         assert err.value.field == field
-        assert eig_calls == []
+        assert svd_calls == []
 
     @pytest.mark.parametrize("driver, key", [
         pytest.param(driver, key, id=f"{driver}-{key}")
         for driver, (_, keys) in DRIVER_LISTS.items() for key in keys])
-    def test_empty_list_rejected_before_compute(self, eig_calls, driver, key):
+    def test_empty_list_rejected_before_compute(self, svd_calls, driver, key):
         # an empty list is named before any other value of the call is checked
         kwargs, _ = DRIVER_LISTS[driver]
         with pytest.raises(ValidationError) as err:
             getattr(experiments, driver)(**{**kwargs, key: []})
         assert err.value.field == key
-        assert eig_calls == []
+        assert svd_calls == []
 
 
 
@@ -313,6 +313,33 @@ class TestOneStepPowerPerPoint:
         monkeypatch.setattr(np.linalg, "matrix_power", counted)
         _global_sweep(sweep, schemes)
         assert len(powers) == 4
+
+
+class TestOnePropagatorPerHorizon:
+    """A grid's setup makes one SVD and forms U once per distinct horizon."""
+
+    @pytest.fixture
+    def horizons(self, monkeypatch):
+        calls = []
+        exact_unitary = experiments.exact_unitary
+
+        def counted(spectrum, t, frame):
+            calls.append(t)
+            return exact_unitary(spectrum, t, frame)
+
+        monkeypatch.setattr(experiments, "exact_unitary", counted)
+        return calls
+
+    def test_default_long_time_forms_u_once(self, svd_calls, horizons):
+        # every step size of the long-time run reaches the one horizon t_total
+        sweep_timestep(mode="global", **COMMAND_DEFAULTS["long-time"])
+        assert svd_calls == [256] and horizons == [1.0]
+
+    def test_default_sweep_s_forms_u_per_step_size(self, svd_calls, horizons):
+        # a single step of size s reaches the horizon s: one U per step size
+        defaults = COMMAND_DEFAULTS["sweep-s"]
+        sweep_timestep(mode="local", **defaults)
+        assert svd_calls == [64] and sorted(horizons) == sorted(defaults["s_values"])
 
 
 class TestGridRelation:
@@ -509,14 +536,14 @@ class TestQueryCount:
                                        relative_propagator)
         from trotterlab.frame import FrameObservable, TimeReversalFrame
         from trotterlab.experiments import OBSERVABLES
-        from trotterlab.numkit import hermitian_eig
+        from trotterlab.numkit import polished_svd
         eps, h = 1e-2, 2.0**-6
         n = _steps(query_count_study(epsilons=[eps], h_values=[h]), eps)
         grid = GridSpec.canonical(-np.pi, np.pi, h)
         pair = build_pair(grid)
         frame = TimeReversalFrame.of(pair)
         obs = FrameObservable(OBSERVABLES["cos_3x"](grid), frame)
-        u = exact_unitary(hermitian_eig(pair.total), 1.0, frame)
+        u = exact_unitary(polished_svd(frame.hamiltonian_block(pair)), 1.0, frame)
         err_at = lambda m: observable_error(obs, relative_propagator(
             pair, SplittingScheme.STRANG2, 1.0 / m, lie_power(pair, 1.0 / m, m, frame), u, frame))
         assert err_at(n) <= eps
@@ -540,14 +567,14 @@ class TestQueryCount:
         with pytest.raises(NonMonotone, match="n=4 reaches error 0.1 but n=5 does not"):
             query_count_study(epsilons=[0.1], h_values=[2.0**-3])
 
-    def test_bad_epsilon_rejected_before_compute(self, eig_calls):
+    def test_bad_epsilon_rejected_before_compute(self, svd_calls):
         with pytest.raises(ValidationError) as err:
             query_count_study(epsilons=[0.03, 2.0], h_values=[2.0**-6])
         assert err.value.field == "epsilons"
-        assert eig_calls == []
+        assert svd_calls == []
 
-    def test_default_study_shares_setup_and_error_curve(self, monkeypatch, eig_calls):
-        # one eigendecomposition per grid, and one step power per distinct
+    def test_default_study_shares_setup_and_error_curve(self, monkeypatch, svd_calls):
+        # one SVD per grid, and one step power per distinct
         # (N, n) that the searches of every epsilon and its companion visit
         powers = []
         lie_power = experiments.lie_power
@@ -559,7 +586,7 @@ class TestQueryCount:
         monkeypatch.setattr(experiments, "lie_power", counted)
         defaults = COMMAND_DEFAULTS["query-count"]
         query_count_study(epsilons=defaults["epsilons"], h_values=defaults["h_values"])
-        assert sorted(eig_calls) == [64, 256]
+        assert sorted(svd_calls) == [64, 256]
         assert len(powers) == 21 and len(set(powers)) == 21
 
     def test_schemes_share_each_step_power(self, monkeypatch):

@@ -8,6 +8,8 @@ from trotterlab.errors import NonFinite, NonHermitian
 from trotterlab.numkit import (
     EigenSystem,
     hermitian_eig,
+    polar_polish,
+    polished_svd,
     spectral_norm,
 )
 
@@ -62,8 +64,8 @@ class TestHermitianEig:
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_complex_input(self):
-        # the eigendecomposition and its exp are real-only: a complex Hermitian
-        # matrix is refused, naming its dtype, rather than decomposed
+        # the eigendecomposition is real-only: a complex Hermitian matrix is
+        # refused, naming its dtype, rather than decomposed
         rng = np.random.default_rng(6)
         for m in (random_hermitian(rng, 4), np.eye(3, dtype=complex)):
             with pytest.raises(TypeError, match="complex128"):
@@ -79,6 +81,36 @@ class TestHermitianEig:
         eig = hermitian_eig(m)
         assert isinstance(eig, EigenSystem)
         assert np.abs(reconstruct(eig) - m).max() < 1e-12
+
+
+class TestPolishedSvd:
+    def test_reconstruction_and_orthogonal_factors(self):
+        # B = X diag(sigma) Y^T, sigma descending, X and Y orthogonal at round-off
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 32):
+            b = rng.standard_normal((n, n))
+            x, sigma, y = polished_svd(b)
+            assert np.abs((x * sigma) @ y.T - b).max() <= 1e-14 * n * spectral_norm(b)
+            assert np.all(np.diff(sigma) <= 0) and np.all(sigma >= 0)
+            for q in (x, y):
+                assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-15 * n
+
+    def test_polish_squares_the_departure(self):
+        # X^T X = 1 + E falls to 1 - (3/4) E^2 + E^3/4, and an entry of E^2 is
+        # at most n max|E|^2: a departure of about 1e-6 falls below n 1e-12
+        n = 16
+        rng = np.random.default_rng(13)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        x = q @ (np.eye(n) + 5e-7 * random_symmetric(rng, n))
+        before = np.abs(x.T @ x - np.eye(n)).max()
+        after = np.abs(polar_polish(x).T @ polar_polish(x) - np.eye(n)).max()
+        assert 1e-7 < before < 1e-5 and after <= n * before**2
+
+    def test_rejects_complex_and_nan(self):
+        with pytest.raises(TypeError, match="complex128"):
+            polished_svd(np.eye(3, dtype=complex))
+        with pytest.raises(NonFinite):
+            polished_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestExpmHermitian:

@@ -1,12 +1,13 @@
 """Property tests of the propagator-power engine.
 
 The propagators and errors run in the time-reversal frame, so their grid
-sizes N are the multiples of 4 up to 40, non-powers of two included; the
-norms of ``numkit`` take any N in 3..40. Grids keep the canonical relation
-N = 1/h on [-pi, pi]. Examples are derandomized so that every run draws the
-same cases. The real frame matrices, lifted by the dense basis R, and the
-frame errors are checked against complex dense oracles within the round-off
-floor 1e-11 N. The expectation error, read from V (U psi), is checked against
+sizes N are the multiples of 4 up to 40 (64 for the step power and the block
+U), non-powers of two included; the norms of ``numkit`` take any N in 3..40.
+Grids keep the canonical relation N = 1/h, on [-pi, pi] or on a random
+domain offset. Examples are derandomized so that every run draws the same
+cases. The real frame matrices, lifted by the dense basis R, and the frame
+errors are checked against complex dense oracles within the round-off floor
+1e-11 N; the polished step power is checked for orthogonality at round-off. The expectation error, read from V (U psi), is checked against
 a state stepped one split step at a time and against the dense Heisenberg
 form. Random real diagonals commute with T only by accident, so they
 exercise the complex frame form K = K_+ + i K_-.
@@ -16,11 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expm_hermitian, lift, materialize, split_step, stage_factors
+from oracles import (
+    apply_stages,
+    expm_hermitian,
+    lift,
+    materialize,
+    project,
+    split_step,
+    stage_factors,
+    trotter_step_unitary,
+)
 
 from trotterlab.evolve import (
     SplittingScheme,
-    _apply_factors,
     exact_unitary,
     expectation_error,
     lie_power,
@@ -33,8 +42,8 @@ from trotterlab.experiments import OBSERVABLES
 from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.numkit import (
     UNITARY_EIG_MIN,
-    hermitian_eig,
     hermitian_norm,
+    polished_svd,
     spectral_norm,
     unitary_distance,
 )
@@ -43,20 +52,28 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
 sizes = st.integers(3, 40)
 frame_sizes = st.integers(1, 10).map(lambda quarter: 4 * quarter)
+wide_frame_sizes = st.integers(1, 16).map(lambda quarter: 4 * quarter)
+offsets = st.floats(-np.pi, np.pi)
 schemes = st.sampled_from(list(SplittingScheme))
 step_sizes = st.floats(0.01, 0.5)
+step_counts = st.sampled_from([0, 1, 2, 3, 50])
 
 
-def grid_pair(n: int):
-    grid = GridSpec(-np.pi, n, 1.0 / n)
+def grid_pair(n: int, offset: float = 0.0):
+    grid = GridSpec(-np.pi + offset, n, 1.0 / n)
     return grid, build_pair(grid)
+
+
+def spectrum(pair, frame):
+    """The polished SVD of the frame's half-size block of H, as a sweep forms it."""
+    return polished_svd(frame.hamiltonian_block(pair))
 
 
 def frame_setup(n: int, plan_t: float):
     """Grid, pair, frame, and U at time plan_t as the real frame matrix."""
     grid, pair = grid_pair(n)
     frame = TimeReversalFrame.of(pair)
-    return grid, pair, frame, exact_unitary(hermitian_eig(pair.total), plan_t, frame)
+    return grid, pair, frame, exact_unitary(spectrum(pair, frame), plan_t, frame)
 
 
 def propagator(pair, scheme, s, count, u, frame) -> np.ndarray:
@@ -70,7 +87,7 @@ def stepped(pair, scheme, s, count) -> np.ndarray:
     factors = stage_factors(pair, scheme, s, pair.grid.h)
     walk = np.eye(pair.grid.N, dtype=np.complex128)
     for _ in range(count):
-        walk = _apply_factors(factors, walk)
+        walk = apply_stages(factors, walk)
     return walk
 
 
@@ -110,15 +127,56 @@ def test_propagator_equals_powered_stage_product(n, scheme, s, count):
 
 
 @PROPERTY
-@given(n=frame_sizes, times=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
-def test_cached_eig_propagator_matches_expm(n, times):
-    grid, pair, frame, _ = frame_setup(n, 0.0)
-    eig = hermitian_eig(pair.total)
+@given(n=wide_frame_sizes, offset=offsets,
+       times=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+def test_block_propagator_matches_expm(n, offset, times):
+    # U from the SVD B = X S Y^T of the frame's block of H, against expm of the
+    # dense H; c/2 +- S are the eigenvalues of H
+    grid, pair = grid_pair(n, offset)
+    frame = TimeReversalFrame.of(pair)
+    svd = spectrum(pair, frame)
+    eigenvalues = np.concatenate((frame.energy_shift - svd.sigma, frame.energy_shift + svd.sigma))
+    assert np.abs(np.sort(eigenvalues) - np.linalg.eigvalsh(pair.total)).max() <= 1e-11 * n
     for t in times:
-        cached = exact_unitary(eig, t, frame)
+        block = exact_unitary(svd, t, frame)
         oracle = expm_hermitian(pair.total, -t / grid.h)
-        assert spectral_norm(lift(frame, cached, t) - oracle) <= 1e-11 * n
-        assert spectral_norm(cached.T @ cached - np.eye(n)) <= 1e-11 * n
+        assert spectral_norm(lift(frame, block, t) - oracle) <= 1e-11 * n
+        assert spectral_norm(block.T @ block - np.eye(n)) <= 1e-11 * n
+
+
+@PROPERTY
+@given(n=wide_frame_sizes, offset=offsets, s=st.sampled_from([0.01, 0.1, 0.37, 1.0]),
+       count=step_counts)
+def test_real_power_matches_projected_complex_power(n, offset, s, count):
+    # the frame-native step raised in float64 (and polished for n > 1), against
+    # the frame projection of the complex power of Lie's FFT-assembled step
+    grid, pair = grid_pair(n, offset)
+    frame = TimeReversalFrame.of(pair)
+    oracle = project(frame, np.linalg.matrix_power(trotter_step_unitary(pair, s), count),
+                     frame.phase(count * s))
+    assert np.abs(lie_power(pair, s, count, frame) - oracle).max() <= 1e-11 * n
+
+
+# Orthogonality of the polished power, fixed from a round-off argument before
+# the first run. Each entry of a float64 product of two matrices with unit rows
+# and columns carries a rounding error of about sqrt(N) u (u = eps/2, errors of
+# random sign). The polish X (3 - X^T X)/2 takes two such products, which
+# leaves about 1.5 sqrt(N) u in each entry of G; an entry of G^T G - 1 sums N
+# such errors times entries of size 1/sqrt(N), about 3 sqrt(N) u, and the test's
+# own product adds sqrt(N) u: 2 sqrt(N) eps in all. The largest of N^2 such
+# entries lies within about 4 standard deviations; a factor 2 of margin gives
+# 16 sqrt(N) eps. The input's departure d enters only as (3/4) d^2.
+POLISHED_ORTHOGONALITY = 16.0 * np.finfo(np.float64).eps
+
+
+@PROPERTY
+@given(n=wide_frame_sizes, offset=offsets, s=st.sampled_from([0.01, 0.1, 0.37, 1.0]),
+       count=st.sampled_from([0, 1, 2, 3, 50, 2048]))
+def test_polished_power_is_orthogonal(n, offset, s, count):
+    # unpolished, the power at n = 2048 departs by about 3e-13 at N = 16..512
+    grid, pair = grid_pair(n, offset)
+    power = lie_power(pair, s, count, TimeReversalFrame.of(pair))
+    assert np.abs(power.T @ power - np.eye(n)).max() <= POLISHED_ORTHOGONALITY * np.sqrt(n)
 
 
 @PROPERTY
@@ -151,15 +209,15 @@ def test_relative_form_equals_two_sided_difference(n, scheme, s, count, build):
 @PROPERTY
 @given(n=frame_sizes, times=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
 def test_real_engine_matches_complex_expm(n, times):
-    # H is real symmetric, so its eigenvectors stay float64 and U is a float64
-    # frame matrix; a fall back to complex arithmetic shows as complex128
+    # the frame's block of H is real, so its singular vectors stay float64 and U
+    # is a float64 frame matrix; a fall back to complex arithmetic shows as complex128
     grid, pair, frame, _ = frame_setup(n, 0.0)
     assert pair.total.dtype == np.float64
-    eig = hermitian_eig(pair.total)
-    assert eig.eigenvectors.dtype == np.float64
+    svd = spectrum(pair, frame)
+    assert svd.x.dtype == svd.y.dtype == np.float64
     for t in times:
         oracle = expm_hermitian(pair.total.astype(np.complex128), -t / grid.h)
-        cached = exact_unitary(eig, t, frame)
+        cached = exact_unitary(svd, t, frame)
         assert cached.dtype == np.float64
         assert spectral_norm(lift(frame, cached, t) - oracle) <= 1e-11 * n
 

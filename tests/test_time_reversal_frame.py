@@ -20,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import expm_hermitian, frame_basis, lift, materialize, split_step
 
-import trotterlab.fourier
 from trotterlab import experiments, numkit
 from trotterlab.cli import _dispatch, parse_config
 from trotterlab.errors import ValidationError
@@ -30,9 +29,10 @@ from trotterlab.evolve import (
     lie_power,
     relative_propagator,
 )
+from trotterlab.fourier import DiagonalKind
 from trotterlab.frame import FrameObservable, TimeReversalFrame
 from trotterlab.hamiltonian import GridSpec, build_pair
-from trotterlab.numkit import hermitian_eig, spectral_norm
+from trotterlab.numkit import polished_svd, spectral_norm
 from trotterlab.symbols import constant, cosine_x
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -107,8 +107,9 @@ def test_frame_errors_match_stage_product(quarter, delta, scheme, s, count, name
 
 @pytest.fixture
 def no_eigensolve(monkeypatch):
-    """Fails any eigendecomposition of H: a rejection must come before it."""
-    monkeypatch.setattr(numkit, "hermitian_eig", lambda matrix: pytest.fail("eigensolve ran"))
+    """Fails any decomposition of H (the SVD of its frame block): a rejection
+    must come before it."""
+    monkeypatch.setattr(numkit, "polished_svd", lambda matrix: pytest.fail("SVD ran"))
 
 
 # Each experiments entry point that forms errors, run on a grid of step size h
@@ -151,8 +152,9 @@ def test_potential_without_antisymmetry_rejected(monkeypatch, no_eigensolve, ent
 @pytest.mark.parametrize("n", [4, 8, 12, 64])
 @pytest.mark.parametrize("delta", [0.0, 0.37, -2.9])
 def test_frame_matches_dense_basis(n, delta):
-    # R is unitary and T-fixed (Y conj(R) = R); the sliced changes of basis
-    # match the dense R; the real V is R^dag V R of the complex V
+    # R is unitary and T-fixed (Y conj(R) = R); the sliced changes of basis and
+    # the gathered projection of a circulant match the dense R; the real V is
+    # R^dag V R of the complex V
     rng = np.random.default_rng(n)
     basis = frame_basis(n)
     assert np.abs(basis.conj().T @ basis - np.eye(n)).max() <= 1e-15
@@ -162,17 +164,18 @@ def test_frame_matches_dense_basis(n, delta):
     grid = shifted_grid(n, delta)
     pair = build_pair(grid)
     frame = TimeReversalFrame.of(pair)
-    mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    column = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     phase = np.exp(0.7j)
-    assert np.abs(frame.project(mat, phase) - (basis.conj().T @ (phase * mat) @ basis).real).max() \
-        <= 1e-14 * n
+    circulant = np.array([np.roll(column, j) for j in range(n)]).T    # [i, j] = c[i - j]
+    assert np.abs(frame.project_circulant(column, phase)
+                  - (basis.conj().T @ (phase * circulant) @ basis).real).max() <= 1e-14 * n
     block = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     assert np.abs(frame.to_frame(block) - basis.conj().T @ block).max() <= 1e-14
     assert np.abs(frame.from_frame(block) - basis @ block).max() <= 1e-14
-    eig = hermitian_eig(pair.total)
+    svd = polished_svd(frame.hamiltonian_block(pair))
     for scheme in SplittingScheme:
         real_v = relative_propagator(pair, scheme, 0.3, lie_power(pair, 0.3, 5, frame),
-                                     exact_unitary(eig, 5 * 0.3, frame), frame)
+                                     exact_unitary(svd, 5 * 0.3, frame), frame)
         complex_v = (np.linalg.matrix_power(split_step(pair, scheme, 0.3, grid.h), 5)
                      @ expm_hermitian(pair.total, 5 * 0.3 / grid.h))
         assert real_v.dtype == np.float64
@@ -205,11 +208,15 @@ def test_observable_classes():
         form = FrameObservable(build(grid), frame)
         assert tuple(part is not None for part in form.parts) == \
             {-1: (False, True), 1: (True, False), None: (True, True)}[parities[name]]
-        # the defects of the kept parts make up V^T K V - K with K = R^dag O R
+        # the defects of the kept parts make up V^T K V - K with K = R^dag O R,
+        # for a position observable as the commutator K V - V K = V (V^T K V - K)
         k = basis.conj().T @ materialize(form.operator) @ basis
         got = sum(d * weight for d, weight in zip(form.defects(rotation), (1.0, 1j))
                   if d is not None)
-        assert np.abs(got - (rotation.T @ k @ rotation - k)).max() <= 1e-13 * 32
+        want = rotation.T @ k @ rotation - k
+        if form.operator.kind is DiagonalKind.POSITION:
+            want = rotation @ want
+        assert np.abs(got - want).max() <= 1e-13 * 32
 
 
 class TestFrameIsUsed:
@@ -257,20 +264,35 @@ class TestFrameIsUsed:
 
 
 def test_frame_forms_built_once_per_grid(monkeypatch):
-    # one circulant for the kinetic part and one per Fourier-diagonal
-    # observable (momentum_fd) on each of the 8 default grids, and the same
-    # for a query count, whatever the number of trial step counts
-    calls = []
-    circulant = trotterlab.fourier.circulant
+    # besides the one step of each step power, one projected circulant for the
+    # kinetic part of H and one per Fourier-diagonal observable (momentum_fd) on
+    # each of the 8 default grids, and the same for a query count, whatever the
+    # number of trial step counts
+    calls, powers = [], []
+    project_circulant = TimeReversalFrame.project_circulant
+    lie_power = experiments.lie_power
 
-    def counted(column):
+    def counted(frame, column, phase=1.0):
         calls.append(len(column))
-        return circulant(column)
+        return project_circulant(frame, column, phase)
 
-    monkeypatch.setattr(trotterlab.fourier, "circulant", counted)
+    def counted_power(pair, s, n, frame):
+        powers.append(pair.grid.N)
+        return lie_power(pair, s, n, frame)
+
+    monkeypatch.setattr(TimeReversalFrame, "project_circulant", counted)
+    monkeypatch.setattr(experiments, "lie_power", counted_power)
+
+    def forms() -> list:
+        rest = list(calls)
+        for n in powers:
+            rest.remove(n)
+        return sorted(rest)
+
     _dispatch(parse_config(json.dumps({}), command="sweep-h"), 1)
-    assert sorted(calls) == sorted(2 * [2**k for k in range(3, 11)])
+    assert forms() == sorted(2 * [2**k for k in range(3, 11)])
     calls.clear()
+    powers.clear()
     experiments.query_count_study(epsilons=[3e-2], h_values=[2.0**-4],
                                   observables=["momentum_fd"])
-    assert calls == [16, 16]
+    assert len(powers) > 1 and forms() == [16, 16]
