@@ -92,8 +92,6 @@ def _value(key: str, value):
                   f"unknown id {name!r}; choose from {sorted(_CHOICES[key])}")
     else:
         items = tuple(_number(item, key) for item in items)
-        if key == "domain":
-            check(len(items) == 2 and items[1] > items[0], key, "needs [a, b] with b > a")
         if key == "N_values":
             check(all(v == int(v) for v in items), key, "entries must be integers")
             items = tuple(int(v) for v in items)
@@ -135,7 +133,7 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     return RunConfig(cmd, {**values, **COMMANDS[cmd].fixed})
 
 
-# Acceptance thresholds of criteria 1-5 and 8, shared by --assert and the test gate.
+# Acceptance thresholds of criteria 1-5, 7 and 8, shared by --assert and the test gate.
 THRESHOLDS = {
     "s_order": {"local": {"Lie1": (1.8, 2.2), "Strang2": (2.7, 3.3)},
                 "global": {"Lie1": (0.8, 1.2), "Strang2": (1.8, 2.2)}},
@@ -145,6 +143,7 @@ THRESHOLDS = {
     "cv_gap_slack": 1e-9,             # last cv_gap/h ratio <= first + slack
     "query_spread": 1,                # max - min step count over h
     "quarter_eps_ratio": (1.5, 2.7),  # steps(eps/4) / steps(eps)
+    "domination_slack": 1e-12,        # expectation error <= observable error + slack
 }
 
 
@@ -170,6 +169,18 @@ def _slope_check(name, result: xp.ExperimentResult, key, lo, hi) -> CriterionChe
     return _in_range(name, fit.slope, lo, hi)
 
 
+def _domination_check(result: xp.ExperimentResult, slack: float) -> CriterionCheck:
+    """Criterion 7: at every sweep point the expectation error of an observable
+    stays within ``slack`` of its operator-norm error, which bounds it."""
+    point = slice(xp.SWEEP_COLUMNS.index("metric"))   # s, h, N, scheme, observable
+    bound = {row[point]: row[-1] for row in result.table.select(metric="observable_error")}
+    gaps = [row[-1] - bound[row[point]]
+            for row in result.table.select(metric="expectation_error")]
+    worst = max(gaps, default=math.nan)   # no rows: nan fails the comparison
+    return CriterionCheck("expectation-domination", worst <= slack,
+                          f"rows={len(gaps)} max(exp-obs)={worst:.6g} target<={slack:g}")
+
+
 def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[CriterionCheck]:
     """Acceptance checks for one command's result, against THRESHOLDS."""
     t, v = THRESHOLDS, cfg.values
@@ -180,6 +191,7 @@ def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[Crite
                 checks.append(_slope_check(f"s-order/{scheme}/{obs}", result,
                                            f"{scheme}/{obs}/observable_error",
                                            *t["s_order"][v["mode"]][scheme]))
+        checks.append(_domination_check(result, t["domination_slack"]))
     elif cfg.command == "sweep-h":
         for scheme in v["schemes"]:
             checks.append(_slope_check(f"unitary-growth/{scheme}", result,
@@ -194,6 +206,7 @@ def evaluate_criteria(cfg: RunConfig, result: xp.ExperimentResult) -> list[Crite
                 checks.append(CriterionCheck(f"h-flat-ratio/{scheme}/{obs}",
                                              ratio <= t["h_flat_ratio"],
                                              f"max/min={ratio:.6g} target<={t['h_flat_ratio']:g}"))
+        checks.append(_domination_check(result, t["domination_slack"]))
     elif cfg.command == "commutator-scan":
         for metric in sorted(result.excluded):   # every metric, fitted or not
             checks.append(_slope_check(f"norm-scaling/{metric}", result, metric, *t["norm_scaling"]))

@@ -3,12 +3,12 @@
 The potentials and the symbol-class observables of the sweeps are torus
 symbols, sampled on each grid by ``hamiltonian.sample``; ``momentum_spectral``
 is a sampled sawtooth. The three sweeps and the step-count search share one
-per-grid setup (``_build_setup``: the pair, its frame, the frame observables
-and the exact propagator at each horizon, from one SVD of the half-size block
-of H in the frame), below which h is read from the grid; the
-one step-count driver, ``query_count_study``, reads one memoized error curve
-per grid for every scheme and target error. Each driver takes the CLI's
-configuration keys by name and checks the numbers it reads (empty lists,
+per-grid setup (``_build_setup``: the time-reversal frame, which holds the
+grid's H and h, the frame observables, which norm their own errors, and the
+exact propagator at each horizon, from one SVD of the half-size block of H in
+the frame); the one step-count driver, ``query_count_study``, reads one
+memoized error curve per grid for every scheme and target error. Each driver
+takes the CLI's configuration keys by name and checks the numbers it reads (empty lists,
 grids, packets, steps, horizon, target errors, N) once, before any
 decomposition; the CLI checks only the document.
 
@@ -33,13 +33,11 @@ from . import quantize as qz
 from .errors import (NonMonotone, PacketTouchesBoundary, TooFewPoints, Unreachable,
                      ValidationError, check)
 from .evolve import (
-    ROUNDOFF_FLOOR_PER_DIM,
     SplittingScheme,
     exact_unitary,
     expectation_error,
     gaussian_wavepacket,
     lie_power,
-    observable_error,
     relative_propagator,
 )
 from .fourier import FactoredOperator
@@ -132,9 +130,12 @@ COMMAND_DEFAULTS: dict[str, dict] = {
 }
 _QUERY = COMMAND_DEFAULTS["query-count"]
 
+ROUNDOFF_FLOOR_PER_DIM = 1e-11
+
 
 def roundoff_floor(n: int) -> float:
-    """Error level below which dense-algebra results are pure round-off."""
+    """Error level 1e-11 N below which dense-algebra results are pure round-off;
+    slope fits exclude the points under it."""
     return ROUNDOFF_FLOOR_PER_DIM * n
 
 
@@ -280,13 +281,17 @@ def step_count(s: float, mode: str, t_total: float, field: str) -> int:
 def canonical_grid(h: float, domain, field: str) -> GridSpec:
     """GridSpec.canonical on ``domain``; a non-integral N, or N < 2, which the
     finite-difference stencil cannot use, raises ValidationError naming ``field``;
-    a domain that is not one 2 pi period of the potential and observables
-    raises it naming ``domain``."""
-    length = domain[1] - domain[0]
+    a domain that is not a pair [a, b] spanning one 2 pi period of the potential
+    and observables raises it naming ``domain``."""
+    try:
+        a, b = domain
+        length = b - a
+    except (TypeError, ValueError):
+        raise ValidationError("domain", f"needs a pair [a, b] of numbers, got {domain!r}") from None
     check(abs(length - PERIOD) <= 1e-9 * PERIOD, "domain", f"length b - a = {length:.17g} "
           "must be 2 pi, one period of the potential and observables")
     try:
-        grid = GridSpec.canonical(domain[0], domain[1], h)
+        grid = GridSpec.canonical(a, b, h)
     except ValueError as err:
         raise ValidationError(field, str(err)) from None
     check(grid.N >= 2, field, f"h={h} gives N = {grid.N}; the grid needs N >= 2")
@@ -312,21 +317,20 @@ def wavepacket(grid: GridSpec, field: str) -> np.ndarray:
 
 
 def _build_setup(grid: GridSpec, potential: str, observables) -> tuple:
-    """Per-grid data of a sweep or a step-count search: the split pair, its frame,
-    the frame forms of the observables by name and the exact propagator
-    t -> ``exact_unitary`` at horizon t, from one ``polished_svd`` of the
-    frame's ``hamiltonian_block``. It keeps the last U it formed: the points of
+    """Per-grid data of a sweep or a step-count search: the frame of the grid's
+    split pair, which holds H, the frame forms of the observables by name and
+    the exact propagator t -> ``exact_unitary`` at horizon t, from one
+    ``polished_svd`` of the frame's ``hamiltonian_block``. It keeps the last U it formed: the points of
     a global sweep, which share the horizon t_total, form it once. A potential
     without the frame's antisymmetry raises ValidationError naming
     ``potential``; every check runs before the SVD."""
-    pair = build_pair(grid, potential=POTENTIALS[potential])
     try:
-        frame = TimeReversalFrame.of(pair)
+        frame = TimeReversalFrame.of(build_pair(grid, potential=POTENTIALS[potential]))
     except ValueError as err:
         raise ValidationError("potential", f"{potential!r}: {err}") from None
     forms = {name: FrameObservable(OBSERVABLES[name](grid), frame) for name in observables}
-    spectrum = numkit.polished_svd(frame.hamiltonian_block(pair))
-    return pair, frame, forms, functools.lru_cache(maxsize=1)(
+    spectrum = numkit.polished_svd(frame.hamiltonian_block())
+    return frame, forms, functools.lru_cache(maxsize=1)(
         lambda t: exact_unitary(spectrum, t, frame))
 
 
@@ -335,21 +339,18 @@ def _error_rows(setup: tuple, packet: np.ndarray, schemes, s: float, n: int,
     """Error rows of one sweep point: n steps of size s on one grid setup.
     Every scheme reads the one step power G = W_L^n of the point and the
     setup's U at t = n s, both real matrices in the time-reversal frame."""
-    pair, frame, observables, unitary = setup
-    grid = pair.grid
-    u = unitary(n * s)
-    power = lie_power(pair, s, n, frame)
+    frame, observables, unitary = setup
+    point = (s, frame.h, frame.size)
+    u, power = unitary(n * s), lie_power(frame, s, n)
     out = []
     for scheme in schemes:
-        v = relative_propagator(pair, scheme, s, power, u, frame)
+        v = relative_propagator(frame, scheme, s, power, u)
         if with_unitary:
-            out.append((s, grid.h, grid.N, scheme.value, "-", "unitary_error",
-                        numkit.unitary_distance(v)))
+            out.append((*point, scheme.value, "-", "unitary_error", numkit.unitary_distance(v)))
         exp_errs = expectation_error(observables.values(), v, u, packet, frame)
         for (name, obs), exp_err in zip(observables.items(), exp_errs):
-            err = observable_error(obs, v)
-            out.append((s, grid.h, grid.N, scheme.value, name, "observable_error", err))
-            out.append((s, grid.h, grid.N, scheme.value, name, "expectation_error", exp_err))
+            out.append((*point, scheme.value, name, "observable_error", obs.error(v)))
+            out.append((*point, scheme.value, name, "expectation_error", exp_err))
     return out
 
 
@@ -494,19 +495,18 @@ def _error_curve(setup: tuple, t_total: float,
     observable at t_total, after n steps of size t_total / n: the searches of
     every target error on the grid read it. A curve ``shared`` by several schemes
     keeps each step power W_L^n (one N x N real matrix per n) for the others."""
-    pair, frame, observables, unitary = setup
+    frame, observables, unitary = setup
     (obs,) = observables.values()
     u = unitary(t_total)
 
     def power(n: int) -> np.ndarray:
-        return lie_power(pair, t_total / n, n, frame)
+        return lie_power(frame, t_total / n, n)
 
     power = functools.cache(power) if shared else power
 
     @functools.cache
     def error_at(scheme: SplittingScheme, n: int) -> float:
-        return observable_error(obs, relative_propagator(pair, scheme, t_total / n, power(n),
-                                                         u, frame))
+        return obs.error(relative_propagator(frame, scheme, t_total / n, power(n), u))
 
     return error_at
 

@@ -9,20 +9,21 @@ potential step P = e^{-i B s/2h} and V = W^n U^dag (its phases cancel at
 t = n s). T^2 = (-1)^{N/2}; for 4 | N the columns (e_j + s_j e_{j+N/2})/sqrt 2
 and i (e_j - s_j e_{j+N/2})/sqrt 2, j < N/2, s_j = (-1)^j, are an orthonormal
 basis R of T-fixed vectors, and R^dag X R is real for every X that commutes
-with T. R is sparse: each change of basis costs O(N^2) by slicing. A
-circulant's frame matrix is gathered from its first column, block by block as
-Toeplitz windows, and the potential step rotates row pairs, so ``evolve``
-forms its propagators in real arithmetic from the start. H - c/2
+with T. R is sparse: each change of basis costs O(N^2) by slicing. A Fourier
+diagonal's frame matrix is gathered from its circulant's first column, block
+by block as Toeplitz windows, and the potential step rotates row pairs, so
+``evolve`` forms its propagators in real arithmetic from the start. H - c/2
 anticommutes with T, so -i (H - c/2) has the real antisymmetric frame form
 [[0, B], [-B^T, 0]], with B of size N/2 (``hamiltonian_block``).
 
-The frame depends on H alone, and records its grid's h for the phases: odd N
-and N = 2 mod 4 (no T-fixed basis) and a potential without the antisymmetry
-(V is not real in R) raise ValueError. A Hermitian observable has the frame
-form R^dag O R = K_+ + i K_-, K_+ real symmetric and K_- real antisymmetric:
-only K_+ remains when O commutes with T (``momentum_fd``), only K_- when it
-anticommutes (``cos_x``, ``cos_3x``), and both otherwise
-(``momentum_spectral``, an arbitrary diagonal).
+The frame is the sweep kernel's one per-grid input: it keeps H's two real
+diagonals and the grid's h, for the phases. Odd N and N = 2 mod 4 (no T-fixed
+basis) and a potential without the antisymmetry (V is not real in R) raise
+ValueError. A Hermitian observable has the frame form R^dag O R = K_+ + i K_-,
+K_+ real symmetric and K_- real antisymmetric: only K_+ remains when O
+commutes with T (``momentum_fd``), only K_- when it anticommutes (``cos_x``,
+``cos_3x``), and both otherwise (``momentum_spectral``, an arbitrary
+diagonal); ``FrameObservable.error`` picks the defect and the norm of each.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fourier
+from . import fourier, numkit
 from .errors import NonHermitian
 from .fourier import DiagonalKind, FactoredOperator
 from .hamiltonian import HamiltonianPair
@@ -96,15 +97,18 @@ def real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     return mat @ z.real + 1j * (mat @ z.imag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeReversalFrame:
-    """The basis R of T-fixed vectors on a grid of ``size`` N (4 | N);
-    ``energy_shift`` is c/2, with T H T^-1 = c - H, and ``h`` the grid's
-    Planck constant."""
+    """The basis R of T-fixed vectors on a grid of ``size`` N (4 | N), with the
+    grid's H: ``energy_shift`` is c/2, with T H T^-1 = c - H, ``h`` the grid's
+    Planck constant, and ``kinetic`` and ``potential`` the real Fourier and
+    position diagonals of H's two parts."""
 
     size: int
     energy_shift: float
     h: float
+    kinetic: np.ndarray
+    potential: np.ndarray
 
     @classmethod
     def of(cls, pair: HamiltonianPair) -> "TimeReversalFrame":
@@ -123,7 +127,7 @@ class TimeReversalFrame:
         if not (_matches(np.roll(a, m), c - a, a) and _matches(np.roll(b, m), -b, b)):
             raise ValueError(f"on N = {n} nodes the potential is not antisymmetric under the "
                              "half-period shift, b[j + N/2] = -b[j] (or a[k + N/2] != c - a[k])")
-        return cls(n, c / 2.0, pair.grid.h)
+        return cls(n, c / 2.0, pair.grid.h, a, b)
 
     @property
     def _signs(self) -> np.ndarray:
@@ -142,9 +146,10 @@ class TimeReversalFrame:
             return _parity(d, np.roll(d, n // 2))
         return _parity(d, d[(n // 2 - np.arange(n)) % n])
 
-    def project_circulant(self, column: np.ndarray, phase: complex = 1.0) -> np.ndarray:
+    def project_fourier(self, diag: np.ndarray, phase: complex = 1.0) -> np.ndarray:
         """Re R^dag (phase C) R, the real frame matrix of a T-commuting phase C, for
-        the circulant C[i, j] = column[(i - j) mod N], in O(N^2) from the column.
+        the Fourier-diagonal C = F^-1 diag(d) F, in O(N^2) from its circulant's
+        first column F^-1 d: C[i, j] = column[(i - j) mod N].
 
         With k = i - j (|k| < N/2), a = phase column[k] and b = phase
         column[k + N/2], each block of the frame matrix is a Toeplitz matrix
@@ -154,6 +159,7 @@ class TimeReversalFrame:
         strided views of those vectors.
         """
         n, m = self.size, self.size // 2
+        column = fourier.idft_cols(diag)
         k = np.arange(1 - m, m)
         a, b = phase * column[k % n], phase * column[(k + m) % n]
         plus, minus = a + _ROW_SIGNS * b, a - _ROW_SIGNS * b
@@ -167,15 +173,14 @@ class TimeReversalFrame:
             quads[:, row::2] = blocks[:, :, row, row::2].transpose(0, 2, 1, 3)
         return out
 
-    def hamiltonian_block(self, pair: HamiltonianPair) -> np.ndarray:
+    def hamiltonian_block(self) -> np.ndarray:
         """B of the frame form [[0, B], [-B^T, 0]] of -i (H - c/2), real N/2 x N/2,
-        from the pair's diagonals: the kinetic circulant's block and the
-        potential's (b_top - b_bottom)/2 on the diagonal. The eigenvalues of H
-        are c/2 +- the singular values of B."""
+        from H's two diagonals: the kinetic's block and the potential's
+        (b_top - b_bottom)/2 on the diagonal. The eigenvalues of H are
+        c/2 +- the singular values of B."""
         m = self.size // 2
-        block = self.project_circulant(fourier.idft_cols(pair.kinetic.diag), -1j)[:m, m:]
-        b = pair.potential.diag.real
-        block[np.diag_indices(m)] += (b[:m] - b[m:]) / 2.0
+        block = self.project_fourier(self.kinetic, -1j)[:m, m:]
+        block[np.diag_indices(m)] += (self.potential[:m] - self.potential[m:]) / 2.0
         return block
 
     def to_frame(self, vecs: np.ndarray) -> np.ndarray:
@@ -221,28 +226,36 @@ class FrameObservable:
     def parts(self) -> tuple:
         """(K_+, K_-), formed on first use and kept; a part is None when T's
         parity zeroes it (K_+ when O anticommutes with T, K_- when it commutes).
-        A Fourier diagonal is projected from its circulant's first column, as a
-        dense frame matrix. A position diagonal d has K = [[p, q], [-q, p]] with
-        diagonal blocks p = (d_top + d_bottom)/2 and q = (d_top - d_bottom)/2:
-        K_+ is kept as p and K_- as q."""
+        A Fourier diagonal is projected as a dense frame matrix. A position
+        diagonal d has K = [[p, q], [-q, p]] with diagonal blocks
+        p = (d_top + d_bottom)/2 and q = (d_top - d_bottom)/2: K_+ is kept as p
+        and K_- as q."""
         op, frame, m = self.operator, self.frame, self.frame.size // 2
         diag, parity = op.diag.real, frame.parity(op)
         if op.kind is DiagonalKind.POSITION:
             return ((diag[:m] + diag[m:]) / 2.0 if parity != -1 else None,
                     (diag[:m] - diag[m:]) / 2.0 if parity != 1 else None)
-        column = fourier.idft_cols(diag)
-        return (frame.project_circulant(column) if parity != -1 else None,
-                frame.project_circulant(column, -1j) if parity != 1 else None)
+        return (frame.project_fourier(diag) if parity != -1 else None,
+                frame.project_fourier(diag, -1j) if parity != 1 else None)
 
-    def defects(self, v: np.ndarray) -> list:
-        """The defect of each part of K (None for a dropped part) under the real
-        orthogonal frame matrix V: V^T K V - K of a dense part, and for a
-        position observable the commutator K V - V K, formed in O(N^2), which
-        has the norm of V^T K V - K = V^T (K V - V K)."""
+    def error(self, v: np.ndarray) -> float:
+        """||V^T K V - K||, the distance between split and exact Heisenberg
+        evolution, for V the real ``relative_propagator``. A position
+        observable's defect is the commutator K V - V K = V (V^T K V - K),
+        formed in O(N^2), without symmetry: ``spectral_norm``. A Fourier one's
+        is V^T K V - K, two real products per part: ``hermitian_norm`` when K_+
+        remains (complex when K_- does too), ``spectral_norm`` of the
+        antisymmetric defect of K_- alone."""
         plus, minus = self.parts
-        if self.operator.kind is not DiagonalKind.POSITION:
-            return [None if k is None else v.T @ (k @ v) - k for k in (plus, minus)]
-        if plus is not None:
-            d = np.concatenate((plus, plus))
-            plus = (d[:, None] - d) * v
-        return [plus, None if minus is None else _swap_commutator(minus, v)]
+        position = self.operator.kind is DiagonalKind.POSITION
+        if position:
+            if plus is not None:
+                d = np.concatenate((plus, plus))
+                plus = (d[:, None] - d) * v
+            minus = None if minus is None else _swap_commutator(minus, v)
+        else:
+            plus, minus = (None if k is None else v.T @ (k @ v) - k for k in (plus, minus))
+        defect = minus if plus is None else plus if minus is None else plus + 1j * minus
+        if plus is None or position:
+            return numkit.spectral_norm(defect)
+        return numkit.hermitian_norm(defect)

@@ -1,15 +1,16 @@
 """Acceptance gate: one test per shipped criterion, at stated tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
-line per criterion. Criteria 1-5 and 8 run the CLI's own configuration
+line per criterion. Criteria 1-5, 7 and 8 run the CLI's own configuration
 of their command (its defaults, through ``parse_config``) and are judged
 by ``cli.evaluate_criteria``, the evaluator and threshold table of
 ``trotterlab <command> --assert``. The heavy sweeps (criteria 1-3) are
 computed once in module-scoped fixtures and reused by the domination
-check (criterion 7).
+check (criterion 7), which judges their ``expectation-domination`` checks.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -46,9 +47,11 @@ def run_command(command, **doc):
     return cfg, result, seconds
 
 
-def judge(num, name, runs, time_bound):
-    """Report the CLI criteria of ``runs`` as one acceptance line."""
-    checks = [c for cfg, result, _ in runs for c in evaluate_criteria(cfg, result)]
+def judge(num, name, runs, time_bound, only=None):
+    """Report the CLI criteria of ``runs`` (those named ``only``, if given) as
+    one acceptance line."""
+    checks = [c for cfg, result, _ in runs for c in evaluate_criteria(cfg, result)
+              if only is None or c.name == only]
     seconds = sum(t for _, _, t in runs)
     ok = bool(checks) and all(c.passed for c in checks) and seconds < time_bound
     detail = " ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}[{c.detail}]" for c in checks)
@@ -126,24 +129,9 @@ def test_criterion_6_quantization_specializations():
 
 
 def test_criterion_7_expectation_domination(local_s, global_s, h_local, h_global):
-    worst = -np.inf
-    rows = 0
-    for _, result, _ in (local_s, global_s, h_local, h_global):
-        table = result.table
-        idx = {name: table.columns.index(name) for name in table.columns}
-        exp_rows = {}
-        obs_rows = {}
-        for row in table.rows:
-            key = (row[idx["s"]], row[idx["h"]], row[idx["scheme"]], row[idx["observable"]])
-            if row[idx["metric"]] == "expectation_error":
-                exp_rows[key] = row[idx["value"]]
-            elif row[idx["metric"]] == "observable_error":
-                obs_rows[key] = row[idx["value"]]
-        for key, exp_err in exp_rows.items():
-            rows += 1
-            worst = max(worst, exp_err - obs_rows[key])
-    ok = rows > 0 and worst <= 1e-12
-    report(7, "expectation-domination", ok, f"rows={rows} max(exp-obs)={worst:.2e}")
+    # the four runs' times are judged by criteria 1-3; this check has no time bound
+    runs = [local_s, global_s, h_local, h_global]
+    judge(7, "expectation-domination", runs, math.inf, only="expectation-domination")
 
 
 def test_criterion_8_query_count_h_independence():
@@ -161,8 +149,8 @@ def test_criterion_9_oracle_equivalence():
             for scheme in SplittingScheme:
                 # one step with U = 1 in the time-reversal frame (Lie's step itself,
                 # or its half-step conjugate), lifted as e^{-i c s/2h} R V R^dag
-                real = relative_propagator(pair, scheme, s, lie_power(pair, s, 1, frame),
-                                           np.eye(grid.N), frame)
+                real = relative_propagator(frame, scheme, s, lie_power(frame, s, 1),
+                                           np.eye(grid.N))
                 fast = lift(frame, real, s)
                 ua = expm_hermitian(materialize(pair.kinetic), -s / h)
                 ub = expm_hermitian(materialize(pair.potential), -s / h)

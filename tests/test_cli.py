@@ -16,6 +16,7 @@ from trotterlab import numkit
 from trotterlab.cli import (
     COMMAND_DEFAULTS,
     COMMANDS,
+    THRESHOLDS,
     RunConfig,
     _dispatch,
     evaluate_criteria,
@@ -24,6 +25,7 @@ from trotterlab.cli import (
     run,
 )
 from trotterlab.errors import ParseError, ValidationError
+from trotterlab.experiments import ExperimentResult, SweepTable
 
 
 # The paper's run documents, one per command, as a user writes them.
@@ -134,6 +136,11 @@ class TestParseConfig:
         doc = {"command": "sweep-h", "domain": [-math.pi, math.pi / 2],
                "h_values": [3 / 128, 3 / 256, 3 / 512, 3 / 1024]}
         rejects("sweep-h", doc, "domain")
+
+    @pytest.mark.parametrize("domain", [[0], [-math.pi, math.pi, 9.0]], ids=["one", "three"])
+    def test_domain_not_a_pair_rejected(self, domain, rejects):
+        # the driver checks the shape of the domain, for a document as for a direct call
+        assert "needs a pair [a, b]" in rejects("sweep-s", {"domain": domain}, "domain")
 
     @pytest.mark.parametrize("h, n", [(0.2, 5), (0.1, 10), (0.04, 25)])
     def test_grid_without_frame_rejected(self, h, n, rejects):
@@ -569,6 +576,24 @@ class TestDispatch:
 
 
 class TestCriteria:
+    def test_expectation_domination(self):
+        # criterion 7 on a small sweep-s: every expectation error lies below its
+        # observable error; raised above it by twice the slack, every row fails
+        cfg = parse_config(json.dumps({"command": "sweep-s", "h": 2.0**-5,
+                                       "s_values": [0.25, 0.125, 0.0625]}))
+        result = _dispatch(cfg, threads=1)
+        name = "expectation-domination"
+        (check,) = [c for c in evaluate_criteria(cfg, result) if c.name == name]
+        assert check.passed and check.detail.startswith("rows=12 ")
+        bound = {row[:5]: row[6] for row in result.table.select(metric="observable_error")}
+        slack = THRESHOLDS["domination_slack"]
+        raised = [row[:6] + (bound[row[:5]] + 2 * slack,) if row[5] == "expectation_error"
+                  else row for row in result.table.rows]
+        for rows in (raised, []):
+            broken = ExperimentResult(SweepTable.build(result.table.columns, rows))
+            (check,) = [c for c in evaluate_criteria(cfg, broken) if c.name == name]
+            assert not check.passed
+
     def test_commutator_criteria_names(self):
         cfg = parse_config(json.dumps(SMALL_SCAN))
         result = _dispatch(cfg, threads=1)

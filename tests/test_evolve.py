@@ -11,7 +11,6 @@ from trotterlab.evolve import (
     expectation_error,
     gaussian_wavepacket,
     lie_power,
-    observable_error,
     relative_propagator,
 )
 from trotterlab.frame import FrameObservable, TimeReversalFrame
@@ -41,32 +40,31 @@ def exact(hamiltonian, t, h):
     return expm_hermitian(hamiltonian, -t / h)
 
 
-def spectrum(pair, frame):
+def spectrum(frame):
     """The polished SVD of the frame's half-size block of H, as a sweep forms it."""
-    return polished_svd(frame.hamiltonian_block(pair))
+    return polished_svd(frame.hamiltonian_block())
 
 
 def propagators(pair, scheme, s, n):
     """V = W^n U^dag and U at t = n s in the time-reversal frame, as a sweep
     forms them, and the frame."""
     frame = TimeReversalFrame.of(pair)
-    u = exact_unitary(spectrum(pair, frame), n * s, frame)
-    power = lie_power(pair, s, n, frame)
-    return relative_propagator(pair, scheme, s, power, u, frame), u, frame
+    u = exact_unitary(spectrum(frame), n * s, frame)
+    power = lie_power(frame, s, n)
+    return relative_propagator(frame, scheme, s, power, u), u, frame
 
 
 def obs_error(obs, pair, scheme, s, n):
     """The observable error of a factored observable, through its frame form."""
     v, _, frame = propagators(pair, scheme, s, n)
-    return observable_error(FrameObservable(obs, frame), v)
+    return FrameObservable(obs, frame).error(v)
 
 
 def library_step(pair, scheme, s):
     """The library's one-step matrix of a scheme, lifted from the frame: V at
     n = 1 with U = 1 (Lie's step itself, or its half-step conjugate for Strang)."""
     frame = TimeReversalFrame.of(pair)
-    v = relative_propagator(pair, scheme, s, lie_power(pair, s, 1, frame), np.eye(pair.grid.N),
-                            frame)
+    v = relative_propagator(frame, scheme, s, lie_power(frame, s, 1), np.eye(pair.grid.N))
     return lift(frame, v, s)
 
 
@@ -107,7 +105,7 @@ class TestExactUnitary:
         # matrices compose too
         h, grid, pair = setup
         frame = TimeReversalFrame.of(pair)
-        svd = spectrum(pair, frame)
+        svd = spectrum(frame)
         u1 = exact_unitary(svd, 0.3, frame)
         u2 = exact_unitary(svd, 0.2, frame)
         u12 = exact_unitary(svd, 0.5, frame)
@@ -330,7 +328,7 @@ class TestExpectationError:
             forms = [FrameObservable(obs, frame) for obs in observables]
             errors = expectation_error(forms, v, u, psi, frame)
             for form, err in zip(forms, errors, strict=True):
-                assert err <= observable_error(form, v) + 1e-12
+                assert err <= form.error(v) + 1e-12
 
     def test_matches_matrix_expectation(self, setup):
         h, grid, pair = setup

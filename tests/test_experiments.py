@@ -9,6 +9,7 @@ from trotterlab import experiments, numkit
 from trotterlab.cli import THRESHOLDS
 from trotterlab.errors import NonMonotone, TooFewPoints, Unreachable, ValidationError
 from trotterlab.evolve import SplittingScheme
+from trotterlab.frame import FrameObservable, TimeReversalFrame
 from trotterlab.experiments import (
     COMMAND_DEFAULTS,
     FIT_WINDOW_LOCAL_S,
@@ -382,6 +383,24 @@ class TestGridRelation:
             sweep()
         assert err.value.field == "domain"
 
+    # a domain of one entry or of three is neither indexed out of range nor truncated
+    @pytest.mark.parametrize("domain", [(0.0,), (0.0, 2 * math.pi, 9.0), 0.0, ("0", "6.3")],
+                             ids=["one", "three", "number", "strings"])
+    @pytest.mark.parametrize("sweep", [
+        lambda domain: sweep_timestep(s_values=[0.1], h=2.0**-4, domain=domain),
+        lambda domain: sweep_h(h_values=[2.0**-4], s_fixed=0.1, domain=domain),
+        lambda domain: commutator_scan([2.0**-4], domain=domain),
+        lambda domain: query_count_study(epsilons=[0.1], h_values=[2.0**-4], domain=domain),
+    ], ids=["sweep_timestep", "sweep_h", "commutator_scan", "query_count_study"])
+    def test_domain_not_a_pair_rejected_before_compute(self, monkeypatch, sweep, domain):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("grid built before the domain was validated")
+
+        monkeypatch.setattr(experiments, "build_pair", no_compute)
+        with pytest.raises(ValidationError) as err:
+            sweep(domain)
+        assert err.value.field == "domain" and "needs a pair [a, b]" in str(err.value)
+
 
 @pytest.fixture(scope="module")
 def scan():
@@ -532,9 +551,7 @@ class TestQueryCount:
         assert _steps(res, 0.99) == 1
 
     def test_minimality(self):
-        from trotterlab.evolve import (exact_unitary, lie_power, observable_error,
-                                       relative_propagator)
-        from trotterlab.frame import FrameObservable, TimeReversalFrame
+        from trotterlab.evolve import exact_unitary, lie_power, relative_propagator
         from trotterlab.experiments import OBSERVABLES
         from trotterlab.numkit import polished_svd
         eps, h = 1e-2, 2.0**-6
@@ -543,9 +560,9 @@ class TestQueryCount:
         pair = build_pair(grid)
         frame = TimeReversalFrame.of(pair)
         obs = FrameObservable(OBSERVABLES["cos_3x"](grid), frame)
-        u = exact_unitary(polished_svd(frame.hamiltonian_block(pair)), 1.0, frame)
-        err_at = lambda m: observable_error(obs, relative_propagator(
-            pair, SplittingScheme.STRANG2, 1.0 / m, lie_power(pair, 1.0 / m, m, frame), u, frame))
+        u = exact_unitary(polished_svd(frame.hamiltonian_block()), 1.0, frame)
+        err_at = lambda m: obs.error(relative_propagator(
+            frame, SplittingScheme.STRANG2, 1.0 / m, lie_power(frame, 1.0 / m, m), u))
         assert err_at(n) <= eps
         if n > 1:
             assert err_at(n - 1) > eps
@@ -559,11 +576,10 @@ class TestQueryCount:
         # epsilon at n = 5; its companion epsilon / 4 finds n = 6 first (the stand-in
         # power and propagator are the step count, which the error looks up)
         errors = {1: 0.5, 2: 0.3, 3: 0.2, 4: 0.05, 5: 0.2}
-        monkeypatch.setattr(experiments, "lie_power", lambda pair, s, n, frame: n)
+        monkeypatch.setattr(experiments, "lie_power", lambda frame, s, n: n)
         monkeypatch.setattr(experiments, "relative_propagator",
-                            lambda pair, scheme, s, power, u, frame: power)
-        monkeypatch.setattr(experiments, "observable_error",
-                            lambda obs, v: errors.get(v, 0.01))
+                            lambda frame, scheme, s, power, u: power)
+        monkeypatch.setattr(FrameObservable, "error", lambda obs, v: errors.get(v, 0.01))
         with pytest.raises(NonMonotone, match="n=4 reaches error 0.1 but n=5 does not"):
             query_count_study(epsilons=[0.1], h_values=[2.0**-3])
 
@@ -579,9 +595,9 @@ class TestQueryCount:
         powers = []
         lie_power = experiments.lie_power
 
-        def counted(pair, s, n, frame):
-            powers.append((pair.grid.N, n))
-            return lie_power(pair, s, n, frame)
+        def counted(frame, s, n):
+            powers.append((frame.size, n))
+            return lie_power(frame, s, n)
 
         monkeypatch.setattr(experiments, "lie_power", counted)
         defaults = COMMAND_DEFAULTS["query-count"]
@@ -595,9 +611,9 @@ class TestQueryCount:
         powers = []
         lie_power = experiments.lie_power
 
-        def counted(pair, s, n, frame):
-            powers.append((pair.grid.N, n))
-            return lie_power(pair, s, n, frame)
+        def counted(frame, s, n):
+            powers.append((frame.size, n))
+            return lie_power(frame, s, n)
 
         monkeypatch.setattr(experiments, "lie_power", counted)
         query_count_study(epsilons=(3e-2, 1e-2), h_values=(2.0**-4, 2.0**-5),

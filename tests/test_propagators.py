@@ -33,7 +33,6 @@ from trotterlab.evolve import (
     exact_unitary,
     expectation_error,
     lie_power,
-    observable_error,
     relative_propagator,
 )
 from trotterlab.fourier import DiagonalKind, FactoredOperator
@@ -64,22 +63,22 @@ def grid_pair(n: int, offset: float = 0.0):
     return grid, build_pair(grid)
 
 
-def spectrum(pair, frame):
+def spectrum(frame):
     """The polished SVD of the frame's half-size block of H, as a sweep forms it."""
-    return polished_svd(frame.hamiltonian_block(pair))
+    return polished_svd(frame.hamiltonian_block())
 
 
 def frame_setup(n: int, plan_t: float):
     """Grid, pair, frame, and U at time plan_t as the real frame matrix."""
     grid, pair = grid_pair(n)
     frame = TimeReversalFrame.of(pair)
-    return grid, pair, frame, exact_unitary(spectrum(pair, frame), plan_t, frame)
+    return grid, pair, frame, exact_unitary(spectrum(frame), plan_t, frame)
 
 
 def propagator(pair, scheme, s, count, u, frame) -> np.ndarray:
     """V = W^n U^dag in the frame as a sweep forms it, from the Lie power."""
-    power = lie_power(pair, s, count, frame)
-    return relative_propagator(pair, scheme, s, power, u, frame)
+    power = lie_power(frame, s, count)
+    return relative_propagator(frame, scheme, s, power, u)
 
 
 def stepped(pair, scheme, s, count) -> np.ndarray:
@@ -134,7 +133,7 @@ def test_block_propagator_matches_expm(n, offset, times):
     # dense H; c/2 +- S are the eigenvalues of H
     grid, pair = grid_pair(n, offset)
     frame = TimeReversalFrame.of(pair)
-    svd = spectrum(pair, frame)
+    svd = spectrum(frame)
     eigenvalues = np.concatenate((frame.energy_shift - svd.sigma, frame.energy_shift + svd.sigma))
     assert np.abs(np.sort(eigenvalues) - np.linalg.eigvalsh(pair.total)).max() <= 1e-11 * n
     for t in times:
@@ -154,7 +153,7 @@ def test_real_power_matches_projected_complex_power(n, offset, s, count):
     frame = TimeReversalFrame.of(pair)
     oracle = project(frame, np.linalg.matrix_power(trotter_step_unitary(pair, s), count),
                      frame.phase(count * s))
-    assert np.abs(lie_power(pair, s, count, frame) - oracle).max() <= 1e-11 * n
+    assert np.abs(lie_power(frame, s, count) - oracle).max() <= 1e-11 * n
 
 
 # Orthogonality of the polished power, fixed from a round-off argument before
@@ -175,7 +174,7 @@ POLISHED_ORTHOGONALITY = 16.0 * np.finfo(np.float64).eps
 def test_polished_power_is_orthogonal(n, offset, s, count):
     # unpolished, the power at n = 2048 departs by about 3e-13 at N = 16..512
     grid, pair = grid_pair(n, offset)
-    power = lie_power(pair, s, count, TimeReversalFrame.of(pair))
+    power = lie_power(TimeReversalFrame.of(pair), s, count)
     assert np.abs(power.T @ power - np.eye(n)).max() <= POLISHED_ORTHOGONALITY * np.sqrt(n)
 
 
@@ -201,7 +200,7 @@ def test_relative_form_equals_two_sided_difference(n, scheme, s, count, build):
     u_dense = expm_hermitian(pair.total, -count * s / grid.h)
     direct = spectral_norm(w.conj().T @ dense @ w - u_dense.conj().T @ dense @ u_dense)
     v = propagator(pair, scheme, s, count, u, frame)
-    got = observable_error(FrameObservable(obs, frame), v)
+    got = FrameObservable(obs, frame).error(v)
     assert got == pytest.approx(direct, abs=1e-11 * n)
     assert unitary_distance(v) == pytest.approx(spectral_norm(w - u_dense), abs=1e-11 * n)
 
@@ -213,7 +212,7 @@ def test_real_engine_matches_complex_expm(n, times):
     # is a float64 frame matrix; a fall back to complex arithmetic shows as complex128
     grid, pair, frame, _ = frame_setup(n, 0.0)
     assert pair.total.dtype == np.float64
-    svd = spectrum(pair, frame)
+    svd = spectrum(frame)
     assert svd.x.dtype == svd.y.dtype == np.float64
     for t in times:
         oracle = expm_hermitian(pair.total.astype(np.complex128), -t / grid.h)
@@ -254,7 +253,7 @@ def test_factored_observable_error_equals_dense_form(n, scheme, s, count, kind, 
     v_frame = propagator(pair, scheme, s, count, u, frame)
     v = lift(frame, v_frame)
     direct = spectral_norm(v.conj().T @ dense @ v - dense)
-    assert observable_error(form, v_frame) == pytest.approx(direct, abs=1e-11 * n)
+    assert form.error(v_frame) == pytest.approx(direct, abs=1e-11 * n)
 
 
 @PROPERTY

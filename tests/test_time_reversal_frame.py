@@ -29,11 +29,11 @@ from trotterlab.evolve import (
     lie_power,
     relative_propagator,
 )
-from trotterlab.fourier import DiagonalKind
+from trotterlab.fourier import DiagonalKind, FactoredOperator
 from trotterlab.frame import FrameObservable, TimeReversalFrame
-from trotterlab.hamiltonian import GridSpec, build_pair
+from trotterlab.hamiltonian import GridSpec, build_pair, sample
 from trotterlab.numkit import polished_svd, spectral_norm
-from trotterlab.symbols import constant, cosine_x
+from trotterlab.symbols import constant, cosine_x, cosine_xi, sine_xi
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -164,18 +164,18 @@ def test_frame_matches_dense_basis(n, delta):
     grid = shifted_grid(n, delta)
     pair = build_pair(grid)
     frame = TimeReversalFrame.of(pair)
-    column = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     phase = np.exp(0.7j)
-    circulant = np.array([np.roll(column, j) for j in range(n)]).T    # [i, j] = c[i - j]
-    assert np.abs(frame.project_circulant(column, phase)
+    circulant = materialize(FactoredOperator(DiagonalKind.FOURIER, diag))   # F^-1 diag(d) F
+    assert np.abs(frame.project_fourier(diag, phase)
                   - (basis.conj().T @ (phase * circulant) @ basis).real).max() <= 1e-14 * n
     block = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     assert np.abs(frame.to_frame(block) - basis.conj().T @ block).max() <= 1e-14
     assert np.abs(frame.from_frame(block) - basis @ block).max() <= 1e-14
-    svd = polished_svd(frame.hamiltonian_block(pair))
+    svd = polished_svd(frame.hamiltonian_block())
     for scheme in SplittingScheme:
-        real_v = relative_propagator(pair, scheme, 0.3, lie_power(pair, 0.3, 5, frame),
-                                     exact_unitary(svd, 5 * 0.3, frame), frame)
+        real_v = relative_propagator(frame, scheme, 0.3, lie_power(frame, 0.3, 5),
+                                     exact_unitary(svd, 5 * 0.3, frame))
         complex_v = (np.linalg.matrix_power(split_step(pair, scheme, 0.3, grid.h), 5)
                      @ expm_hermitian(pair.total, 5 * 0.3 / grid.h))
         assert real_v.dtype == np.float64
@@ -196,27 +196,49 @@ def test_frame_chosen_from_operator_data():
             TimeReversalFrame.of(build_pair(shifted_grid(16, 0.0), potential=potential))
 
 
+# The parts of K = K_+ + i K_- that remain for each T-parity of the observable.
+KEPT_PARTS = {-1: (False, True), 1: (True, False), None: (True, True)}
+
+# A sampled observable of each (kind, T-parity) case: +1 commutes with T, -1
+# anticommutes, None neither. A position diagonal commutes when d[j + N/2] = d[j]
+# (cos 2x), a Fourier one when d[N/2 - k] = d[k] (sin 2 pi xi, cos 2 pi xi odd).
+PARITY_CASES = {
+    (DiagonalKind.POSITION, 1): COS_2X,
+    (DiagonalKind.POSITION, -1): cosine_x(),
+    (DiagonalKind.POSITION, None): cosine_x() + cosine_x(2, amplitude=0.5),
+    (DiagonalKind.FOURIER, 1): sine_xi(),
+    (DiagonalKind.FOURIER, -1): cosine_xi(),
+    (DiagonalKind.FOURIER, None): cosine_xi() + sine_xi(),
+}
+
+
 def test_observable_classes():
     # the parity of T picks which real parts of K = K_+ + i K_- remain
     grid = shifted_grid(32, 0.61)
     frame = TimeReversalFrame.of(build_pair(grid))
     parities = {name: frame.parity(build(grid)) for name, build in experiments.OBSERVABLES.items()}
     assert parities == {"cos_x": -1, "cos_3x": -1, "momentum_fd": 1, "momentum_spectral": None}
-    basis = frame_basis(32)
-    rotation = np.linalg.qr(np.random.default_rng(32).standard_normal((32, 32)))[0]
     for name, build in experiments.OBSERVABLES.items():
         form = FrameObservable(build(grid), frame)
-        assert tuple(part is not None for part in form.parts) == \
-            {-1: (False, True), 1: (True, False), None: (True, True)}[parities[name]]
-        # the defects of the kept parts make up V^T K V - K with K = R^dag O R,
-        # for a position observable as the commutator K V - V K = V (V^T K V - K)
-        k = basis.conj().T @ materialize(form.operator) @ basis
-        got = sum(d * weight for d, weight in zip(form.defects(rotation), (1.0, 1j))
-                  if d is not None)
-        want = rotation.T @ k @ rotation - k
-        if form.operator.kind is DiagonalKind.POSITION:
-            want = rotation @ want
-        assert np.abs(got - want).max() <= 1e-13 * 32
+        assert tuple(part is not None for part in form.parts) == KEPT_PARTS[parities[name]]
+
+
+@pytest.mark.parametrize("kind, parity", sorted(PARITY_CASES, key=str))
+def test_error_matches_dense_defect(kind, parity):
+    # ||V^T K V - K|| with K = R^dag O R through the dense basis, for random
+    # orthogonal V: a position observable's error is formed from the commutator
+    # K V - V K = V (V^T K V - K), a Fourier one's from V^T K V - K of each part
+    grid = shifted_grid(32, 0.61)
+    frame = TimeReversalFrame.of(build_pair(grid))
+    form = FrameObservable(sample(PARITY_CASES[kind, parity], grid), frame)
+    assert form.operator.kind is kind and frame.parity(form.operator) == parity
+    assert tuple(part is not None for part in form.parts) == KEPT_PARTS[parity]
+    basis = frame_basis(32)
+    k = basis.conj().T @ materialize(form.operator) @ basis
+    rng = np.random.default_rng(32)
+    for _ in range(3):
+        v = np.linalg.qr(rng.standard_normal((32, 32)))[0]
+        assert form.error(v) == pytest.approx(spectral_norm(v.T @ k @ v - k), abs=1e-13 * 32)
 
 
 class TestFrameIsUsed:
@@ -269,18 +291,18 @@ def test_frame_forms_built_once_per_grid(monkeypatch):
     # each of the 8 default grids, and the same for a query count, whatever the
     # number of trial step counts
     calls, powers = [], []
-    project_circulant = TimeReversalFrame.project_circulant
+    project_fourier = TimeReversalFrame.project_fourier
     lie_power = experiments.lie_power
 
-    def counted(frame, column, phase=1.0):
-        calls.append(len(column))
-        return project_circulant(frame, column, phase)
+    def counted(frame, diag, phase=1.0):
+        calls.append(len(diag))
+        return project_fourier(frame, diag, phase)
 
-    def counted_power(pair, s, n, frame):
-        powers.append(pair.grid.N)
-        return lie_power(pair, s, n, frame)
+    def counted_power(frame, s, n):
+        powers.append(frame.size)
+        return lie_power(frame, s, n)
 
-    monkeypatch.setattr(TimeReversalFrame, "project_circulant", counted)
+    monkeypatch.setattr(TimeReversalFrame, "project_fourier", counted)
     monkeypatch.setattr(experiments, "lie_power", counted_power)
 
     def forms() -> list:
