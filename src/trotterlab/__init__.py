@@ -8,8 +8,8 @@ fourier      transform conventions, circulants, factored diagonal operators, the
 symbols      phase-space symbols on the unit torus and their calculus
 quantize     discrete Weyl quantization and semiclassical calculus checks
 hamiltonian  grids on one 2 pi period; every sweep operator a torus symbol sampled there
-evolve       the propagators U(t) and V = W^n U^dag, observable and expectation errors
-frame        the time-reversal frame every error is formed in (4 | N, antisymmetric potential)
+evolve       the propagators U(t) and V = W^n U^dag, the sweeps' coherent state
+frame        the time-reversal frame every error is formed in; each observable's two errors
 experiments  the run defaults, one driver per command, slope fits, machine-readable tables
 cli          command-line front end, JSON configuration and its validation
 """

@@ -1,4 +1,4 @@
-"""Exact and split-step propagators and the expectation error.
+"""Exact and split-step propagators, and the sweeps' coherent state.
 
 Every propagator is formed as its real matrix in the basis R of the
 time-reversal frame (see ``frame``: 4 | N and an antisymmetric potential; the
@@ -17,21 +17,19 @@ given one Newton-Schulz polish for n > 1. Strang's step is Lie's conjugated by
 the half potential step P = e^{-i B s/2h}: W_S = P^dag W_L P, so W_S^n =
 P^dag G P and one power per step size serves both schemes. U and the relative
 propagator V = W^n U^dag are the only propagators: the unitary error
-||V - 1|| and each observable's error (``FrameObservable.error``) read V, and
-the split state W^n psi is V (U psi). V costs one real product per scheme.
+||V - 1|| and each observable's two errors (``frame.FrameObservable``) read
+V, which costs one real product per scheme.
 Step sizes are checked where they enter, in ``experiments.step_count``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 import numpy as np
 
-from .errors import PacketTouchesBoundary, UnnormalizedState
-from .fourier import DiagonalKind, FactoredOperator, dft_cols, idft_cols
-from .frame import FrameObservable, TimeReversalFrame, real_product
+from .errors import PacketTouchesBoundary
+from .frame import TimeReversalFrame
 from .hamiltonian import GridSpec
 from .numkit import SingularSystem, polar_polish
 
@@ -41,7 +39,6 @@ __all__ = [
     "lie_power",
     "relative_propagator",
     "gaussian_wavepacket",
-    "expectation_error",
 ]
 
 
@@ -67,12 +64,6 @@ def exact_unitary(spectrum: SingularSystem, t: float, frame: TimeReversalFrame) 
     out[m:, :m] = -out[:m, m:].T
     out[m:, m:] = (y * cos) @ y.T
     return out
-
-
-def _apply(op: FactoredOperator, mat: np.ndarray) -> np.ndarray:
-    if op.kind is DiagonalKind.POSITION:
-        return op.diag[:, None] * mat
-    return idft_cols(op.diag[:, None] * dft_cols(mat))
 
 
 def lie_power(frame: TimeReversalFrame, s: float, n: int) -> np.ndarray:
@@ -127,24 +118,3 @@ def gaussian_wavepacket(grid: GridSpec, x0: float, p0: float) -> np.ndarray:
             f"normalized boundary amplitude {edge:.3e} exceeds 1e-8; "
             "move x0 inward or shrink the packet")
     return psi
-
-
-def expectation_error(observables: Iterable[FrameObservable], v: np.ndarray, u: np.ndarray,
-                      state: np.ndarray, frame: TimeReversalFrame) -> list[float]:
-    """|<W^n psi, O W^n psi> - <U psi, O U psi>| of each observable, for a unit state.
-
-    The exact state U psi and the split state W^n psi = V (U psi) are formed in
-    the frame and lifted back by R (their common phase e^{i c t/2h} drops out),
-    then each observable is applied to both as one N x 2 block by FFT. Each
-    error is bounded by its operator-norm error (Cauchy-Schwarz); acceptance
-    criterion 7 checks it. A state off the unit sphere raises before any compute.
-    """
-    psi = np.asarray(state, dtype=np.complex128)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise UnnormalizedState(f"state norm {norm} is not 1 within 1e-10")
-    exact_state = real_product(u, frame.to_frame(psi[:, None]))
-    states = frame.from_frame(np.column_stack((real_product(v, exact_state), exact_state)))
-    values = (np.einsum("ij,ij->j", states.conj(), _apply(obs.operator, states)).real
-              for obs in observables)
-    return [abs(split - exact) for split, exact in values]

@@ -4,7 +4,7 @@ The potentials and the symbol-class observables of the sweeps are torus
 symbols, sampled on each grid by ``hamiltonian.sample``; ``momentum_spectral``
 is a sampled sawtooth. The three sweeps and the step-count search share one
 per-grid setup (``_build_setup``: the time-reversal frame, which holds the
-grid's H and h, the frame observables, which norm their own errors, and the
+grid's H and h, the frame observables, which form both of their errors, and the
 exact propagator at each horizon, from one SVD of the half-size block of H in
 the frame); the one step-count driver, ``query_count_study``, reads one
 memoized error curve per grid for every scheme and target error. Each driver
@@ -35,7 +35,6 @@ from .errors import (NonMonotone, PacketTouchesBoundary, TooFewPoints, Unreachab
 from .evolve import (
     SplittingScheme,
     exact_unitary,
-    expectation_error,
     gaussian_wavepacket,
     lie_power,
     relative_propagator,
@@ -338,7 +337,8 @@ def _error_rows(setup: tuple, packet: np.ndarray, schemes, s: float, n: int,
                 with_unitary: bool = False) -> list[tuple]:
     """Error rows of one sweep point: n steps of size s on one grid setup.
     Every scheme reads the one step power G = W_L^n of the point and the
-    setup's U at t = n s, both real matrices in the time-reversal frame."""
+    setup's U at t = n s, both real matrices in the time-reversal frame; each
+    observable forms its two errors from V and U."""
     frame, observables, unitary = setup
     point = (s, frame.h, frame.size)
     u, power = unitary(n * s), lie_power(frame, s, n)
@@ -347,10 +347,10 @@ def _error_rows(setup: tuple, packet: np.ndarray, schemes, s: float, n: int,
         v = relative_propagator(frame, scheme, s, power, u)
         if with_unitary:
             out.append((*point, scheme.value, "-", "unitary_error", numkit.unitary_distance(v)))
-        exp_errs = expectation_error(observables.values(), v, u, packet, frame)
-        for (name, obs), exp_err in zip(observables.items(), exp_errs):
+        for name, obs in observables.items():
             out.append((*point, scheme.value, name, "observable_error", obs.error(v)))
-            out.append((*point, scheme.value, name, "expectation_error", exp_err))
+            out.append((*point, scheme.value, name, "expectation_error",
+                        obs.expectation_error(v, u, packet)))
     return out
 
 

@@ -23,7 +23,8 @@ ValueError. A Hermitian observable has the frame form R^dag O R = K_+ + i K_-,
 K_+ real symmetric and K_- real antisymmetric: only K_+ remains when O
 commutes with T (``momentum_fd``), only K_- when it anticommutes (``cos_x``,
 ``cos_3x``), and both otherwise (``momentum_spectral``, an arbitrary
-diagonal); ``FrameObservable.error`` picks the defect and the norm of each.
+diagonal); ``FrameObservable.error`` picks the defect and the norm of each;
+``.expectation_error`` applies O to the lifted states, a second route to O.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from functools import cached_property
 import numpy as np
 
 from . import fourier, numkit
-from .errors import NonHermitian
+from .errors import NonHermitian, UnnormalizedState
 from .fourier import DiagonalKind, FactoredOperator
 from .hamiltonian import HamiltonianPair
 from .numkit import HERMITICITY_RTOL
 
-__all__ = ["TimeReversalFrame", "FrameObservable", "real_product", "FRAME_RTOL"]
+__all__ = ["TimeReversalFrame", "FrameObservable", "FRAME_RTOL"]
 
 # Relative tolerance of the symmetry checks that admit the frame and
 # classify observables. The pairs they compare (cos and cos 3x at x and
@@ -92,7 +93,7 @@ def _toeplitz(values: np.ndarray, m: int) -> np.ndarray:
                                            values.strides[:-1] + (step, -step), writeable=False)
 
 
-def real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     """mat @ z for a real mat and a complex z, without a complex copy of mat."""
     return mat @ z.real + 1j * (mat @ z.imag)
 
@@ -259,3 +260,24 @@ class FrameObservable:
         if plus is None or position:
             return numkit.spectral_norm(defect)
         return numkit.hermitian_norm(defect)
+
+    def expectation_error(self, v: np.ndarray, u: np.ndarray, psi: np.ndarray) -> float:
+        """|<W^n psi, O W^n psi> - <U psi, O U psi>| for a unit state psi and the
+        real V and U. U psi and W^n psi = V (U psi) are formed in the frame and
+        lifted by R (their phase e^{i c t/2h} drops out); O is applied to both as
+        one N x 2 block in the grid basis, by FFT if Fourier-diagonal, not through
+        the frame form of ``error``, which bounds this error (Cauchy-Schwarz;
+        criterion 7). A state off the unit sphere raises UnnormalizedState first."""
+        psi = np.asarray(psi, dtype=np.complex128)
+        norm = np.linalg.norm(psi)
+        if abs(norm - 1.0) > 1e-10:
+            raise UnnormalizedState(f"state norm {norm} is not 1 within 1e-10")
+        frame, diag = self.frame, self.operator.diag[:, None]
+        exact_state = _real_product(u, frame.to_frame(psi[:, None]))
+        states = frame.from_frame(np.column_stack((_real_product(v, exact_state), exact_state)))
+        if self.operator.kind is DiagonalKind.POSITION:
+            applied = diag * states
+        else:
+            applied = fourier.idft_cols(diag * fourier.dft_cols(states))
+        split, exact = np.einsum("ij,ij->j", states.conj(), applied).real
+        return abs(split - exact)

@@ -13,6 +13,7 @@ cyclic shift, so H is real symmetric; ``fourier.materialize`` forms it densely.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ PERIOD = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class GridSpec:
-    """N nodes on the 2 pi period from ``a_dom``, and the Planck constant h as given.
+    """N nodes on the 2 pi period from a finite ``a_dom``, and the Planck constant
+    h as given. An N that is not an integer (a bool or a float) raises TypeError.
 
     ``GridSpec.canonical`` builds grids on the canonical meshing N = 1/h.
     Direct construction accepts any (N, h) pair for desk-scale use and records
@@ -48,8 +50,12 @@ class GridSpec:
     h: float
 
     def __post_init__(self):
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
+            raise TypeError(f"need an integer N, got {self.N!r}")
         if self.N < 1:
             raise ValueError(f"need N >= 1, got {self.N}")
+        if not math.isfinite(self.a_dom):
+            raise ValueError(f"need a finite a_dom, got {self.a_dom}")
         if not 0 < self.h < math.inf:
             raise ValueError(f"need a finite h > 0, got {self.h}")
 
@@ -57,8 +63,8 @@ class GridSpec:
     def canonical(cls, a: float, b: float, h: float) -> "GridSpec":
         """Grid on [a, b], which must be one 2 pi period, with N = 1/h, which
         must be a positive integer within 1e-9 N: any other domain or h raises
-        ValueError instead of being shifted or re-meshed."""
-        if abs(b - a - PERIOD) > 1e-9 * PERIOD:
+        ValueError instead of being shifted or re-meshed (a NaN end too)."""
+        if not abs(b - a - PERIOD) <= 1e-9 * PERIOD:
             raise ValueError(f"[{a}, {b}] is not one 2 pi period")
         if not 0 < h < math.inf:
             raise ValueError(f"need a finite h > 0, got {h}")

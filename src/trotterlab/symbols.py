@@ -62,12 +62,6 @@ class TorusSymbol:
     def order_xi(self) -> int:
         return (self.coeffs.shape[1] - 1) // 2
 
-    def coefficient(self, k: int, kap: int) -> complex:
-        """Coefficient of exp(2i pi (k x + kap xi)); zero outside the lattice."""
-        if abs(k) > self.order_x or abs(kap) > self.order_xi:
-            return 0j
-        return complex(self.coeffs[k + self.order_x, kap + self.order_xi])
-
     def evaluate(self, x, xi):
         """Evaluate at (x, xi); broadcasts over array arguments.
 

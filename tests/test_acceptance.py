@@ -15,8 +15,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import dft_matrix, expm_hermitian, lift, materialize
-from test_quantize import brute_force_quantize
+from oracles import dense_quantize, dft_matrix, expm_hermitian, lift, materialize
 
 from trotterlab.cli import _dispatch, evaluate_criteria, parse_config
 from trotterlab.evolve import SplittingScheme, lie_power, relative_propagator
@@ -115,10 +114,10 @@ def test_criterion_6_quantization_specializations():
             f = dft_matrix(n)
             target = np.linalg.inv(f) @ np.diag(sym_xi.evaluate(0.0, np.arange(n) / n)) @ f
             err_xi = max(err_xi, float(np.abs(mat - target).max()) / n)
-        # mixed at N = 8 against the brute-force sum
+        # mixed at N = 8 against the dense sum over lattice points
         mixed = product(cosine_x(), cosine_xi())
         err_mixed = float(np.abs(quantize(mixed, QuantizationContext(8))
-                                 - brute_force_quantize(mixed, 8)).max())
+                                 - dense_quantize(mixed, 8)).max())
         return err_x, err_xi, err_mixed
 
     (err_x, err_xi, err_mixed), seconds = timed(check)

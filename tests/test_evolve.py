@@ -8,7 +8,6 @@ from trotterlab.fourier import DiagonalKind, FactoredOperator
 from trotterlab.evolve import (
     SplittingScheme,
     exact_unitary,
-    expectation_error,
     gaussian_wavepacket,
     lie_power,
     relative_propagator,
@@ -316,7 +315,7 @@ class TestExpectationError:
         obs = cos_x(grid)
         psi = gaussian_wavepacket(grid, 0.0, 0.5)
         v, u, frame = propagators(pair, SplittingScheme.LIE1, 0.2, 4)
-        assert expectation_error([FrameObservable(obs, frame)], v, u, psi, frame)[0] < 1e-10
+        assert FrameObservable(obs, frame).expectation_error(v, u, psi) < 1e-10
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_dominated_by_observable_error(self, setup, scheme):
@@ -325,10 +324,9 @@ class TestExpectationError:
         observables = (cos_x(grid), momentum_observable(grid))
         for s, n in ((0.25, 1), (0.1, 4)):
             v, u, frame = propagators(pair, scheme, s, n)
-            forms = [FrameObservable(obs, frame) for obs in observables]
-            errors = expectation_error(forms, v, u, psi, frame)
-            for form, err in zip(forms, errors, strict=True):
-                assert err <= form.error(v) + 1e-12
+            for obs in observables:
+                form = FrameObservable(obs, frame)
+                assert form.expectation_error(v, u, psi) <= form.error(v) + 1e-12
 
     def test_matches_matrix_expectation(self, setup):
         h, grid, pair = setup
@@ -338,8 +336,8 @@ class TestExpectationError:
         t_exact = heisenberg_exact(materialize(obs), pair.total, 0.4, h)
         direct = abs(np.vdot(psi, t_trot @ psi).real - np.vdot(psi, t_exact @ psi).real)
         v, u, frame = propagators(pair, SplittingScheme.LIE1, 0.2, 2)
-        got = expectation_error([FrameObservable(obs, frame)], v, u, psi, frame)
-        assert got == [pytest.approx(direct, abs=1e-12)]
+        got = FrameObservable(obs, frame).expectation_error(v, u, psi)
+        assert got == pytest.approx(direct, abs=1e-12)
 
     def test_unnormalized_state_rejected(self, setup):
         # the gate runs before the None propagators are touched
@@ -347,7 +345,7 @@ class TestExpectationError:
         frame = TimeReversalFrame.of(pair)
         form = FrameObservable(cos_x(grid), frame)
         with pytest.raises(UnnormalizedState):
-            expectation_error([form], None, None, np.ones(grid.N), frame)
+            form.expectation_error(None, None, np.ones(grid.N))
 
 
 class TestNonPowerOfTwoGrid:

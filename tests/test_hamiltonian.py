@@ -75,10 +75,25 @@ class TestGridSpec:
             GridSpec.canonical(-np.pi, np.pi, h)
 
     def test_invalid_domain(self):
-        # a domain that is not one 2 pi period is not shifted onto one
-        for a, b in ((0.0, 6.0), (1.0, 0.0)):
+        # a domain that is not one 2 pi period is not shifted onto one; with a
+        # NaN or infinite end, b - a - 2 pi is NaN, which no "> tolerance" test catches
+        for a, b in ((0.0, 6.0), (1.0, 0.0), (np.nan, np.nan), (np.inf, np.inf), (0.0, np.nan)):
             with pytest.raises(ValueError, match="2 pi period"):
                 GridSpec.canonical(a, b, 0.125)
+
+    @pytest.mark.parametrize("n", [8.5, 8.0, True])
+    def test_rejects_non_integer_n(self, n):
+        # 8.5 would lay out 9 nodes, and a float 8.0 fails the frame's slicing
+        with pytest.raises(TypeError, match="integer N"):
+            GridSpec(0.0, n, 0.125)
+
+    def test_accepts_numpy_integer_n(self):
+        assert GridSpec(0.0, np.int64(8), 0.125).nodes.size == 8
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_offset(self, a):
+        with pytest.raises(ValueError, match="finite a_dom"):
+            GridSpec(a, 8, 0.125)
 
 
 class TestFdKinetic:

@@ -31,7 +31,6 @@ from oracles import (
 from trotterlab.evolve import (
     SplittingScheme,
     exact_unitary,
-    expectation_error,
     lie_power,
     relative_propagator,
 )
@@ -269,7 +268,7 @@ def test_expectation_error_matches_stepping_and_dense(n, scheme, s, count, kind,
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi /= np.linalg.norm(psi)
     v = propagator(pair, scheme, s, count, u, frame)
-    got = expectation_error([FrameObservable(obs, frame)], v, u, psi, frame)[0]
+    got = FrameObservable(obs, frame).expectation_error(v, u, psi)
 
     dense = materialize(obs)
     exact_state = expm_hermitian(pair.total, -count * s / grid.h) @ psi

@@ -25,24 +25,6 @@ from trotterlab.symbols import (
 )
 
 
-def brute_force_quantize(symbol, n):
-    """Literal transcription of the coordinate sum with explicit loops."""
-    kx, kxi = symbol.order_x, symbol.order_xi
-    out = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(-kx, kx + 1):
-                for l in range(-8, 9):
-                    kap = j - m - l * n
-                    if abs(kap) > kxi:
-                        continue
-                    acc += (symbol.coefficient(k, kap) * (-1.0) ** (k * l)
-                            * np.exp(1j * np.pi * (j + m) * k / n))
-            out[m, j] = acc
-    return out
-
-
 class TestQuantize:
     def test_constant_is_identity(self):
         ctx = QuantizationContext(4)
@@ -66,14 +48,14 @@ class TestQuantize:
         n = 8
         sym = product(cosine_x(), cosine_xi())
         fast = quantize(sym, QuantizationContext(n))
-        assert np.abs(fast - brute_force_quantize(sym, n)).max() < 1e-10
+        assert np.abs(fast - dense_quantize(sym, n)).max() < 1e-10
 
     def test_wraparound_sign_matches_brute_force(self):
         # high-order symbol exercises nonzero l with odd k (the sign factor)
         n = 4
         sym = product(sine_x(3), cosine_xi(5))
         fast = quantize(sym, QuantizationContext(n))
-        assert np.abs(fast - brute_force_quantize(sym, n)).max() < 1e-10
+        assert np.abs(fast - dense_quantize(sym, n)).max() < 1e-10
 
     def test_x_only_specialization_exact(self):
         for n in (4, 8, 16):
@@ -115,7 +97,7 @@ class TestQuantize:
             coeffs = (coeffs + np.conj(coeffs[::-1, ::-1])) / 2   # real symbol
             sym = TorusSymbol(coeffs)
             fast = quantize(sym, QuantizationContext(n))
-            assert np.abs(fast - brute_force_quantize(sym, n)).max() < 1e-10
+            assert np.abs(fast - dense_quantize(sym, n)).max() < 1e-10
             assert np.abs(fast - fast.conj().T).max() < 1e-12
 
     def test_planck_constant_relation(self):
