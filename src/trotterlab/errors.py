@@ -21,6 +21,10 @@ class NotSplit(TrotterlabError):
     """A flow generator or a sampled symbol depends on both phase-space variables."""
 
 
+class NotOnePeriod(TrotterlabError, ValueError):
+    """A grid domain [a, b] does not span one 2 pi period."""
+
+
 class PacketTouchesBoundary(TrotterlabError):
     """Wavepacket amplitude at the domain boundary is not negligible."""
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import fourier, numkit
 from . import quantize as qz
-from .errors import (NonMonotone, PacketTouchesBoundary, TooFewPoints, Unreachable,
-                     ValidationError, check)
+from .errors import (NonMonotone, NotOnePeriod, PacketTouchesBoundary, TooFewPoints,
+                     Unreachable, ValidationError, check)
 from .evolve import (
     SplittingScheme,
     exact_unitary,
@@ -280,17 +280,15 @@ def step_count(s: float, mode: str, t_total: float, field: str) -> int:
 def canonical_grid(h: float, domain, field: str) -> GridSpec:
     """GridSpec.canonical on ``domain``; a non-integral N, or N < 2, which the
     finite-difference stencil cannot use, raises ValidationError naming ``field``;
-    a domain that is not a pair [a, b] spanning one 2 pi period of the potential
-    and observables raises it naming ``domain``."""
+    a domain that is not a pair [a, b] of numbers, or that GridSpec.canonical
+    finds off one 2 pi period, raises it naming ``domain``."""
+    pair = tuple(domain) if isinstance(domain, Iterable) else ()
+    check(len(pair) == 2 and all(isinstance(end, numbers.Real) for end in pair), "domain",
+          f"needs a pair [a, b] of numbers, got {domain!r}")
     try:
-        a, b = domain
-        length = b - a
-    except (TypeError, ValueError):
-        raise ValidationError("domain", f"needs a pair [a, b] of numbers, got {domain!r}") from None
-    check(abs(length - PERIOD) <= 1e-9 * PERIOD, "domain", f"length b - a = {length:.17g} "
-          "must be 2 pi, one period of the potential and observables")
-    try:
-        grid = GridSpec.canonical(a, b, h)
+        grid = GridSpec.canonical(*pair, h)
+    except NotOnePeriod as err:
+        raise ValidationError("domain", str(err)) from None
     except ValueError as err:
         raise ValidationError(field, str(err)) from None
     check(grid.N >= 2, field, f"h={h} gives N = {grid.N}; the grid needs N >= 2")
@@ -338,7 +336,8 @@ def _error_rows(setup: tuple, packet: np.ndarray, schemes, s: float, n: int,
     """Error rows of one sweep point: n steps of size s on one grid setup.
     Every scheme reads the one step power G = W_L^n of the point and the
     setup's U at t = n s, both real matrices in the time-reversal frame; each
-    observable forms its two errors from V and U."""
+    scheme lifts the packet's two states once, and each observable forms its
+    two errors from V and those states."""
     frame, observables, unitary = setup
     point = (s, frame.h, frame.size)
     u, power = unitary(n * s), lie_power(frame, s, n)
@@ -347,10 +346,11 @@ def _error_rows(setup: tuple, packet: np.ndarray, schemes, s: float, n: int,
         v = relative_propagator(frame, scheme, s, power, u)
         if with_unitary:
             out.append((*point, scheme.value, "-", "unitary_error", numkit.unitary_distance(v)))
+        states = frame.states(v, u, packet)
         for name, obs in observables.items():
             out.append((*point, scheme.value, name, "observable_error", obs.error(v)))
             out.append((*point, scheme.value, name, "expectation_error",
-                        obs.expectation_error(v, u, packet)))
+                        obs.expectation_error(states)))
     return out
 
 

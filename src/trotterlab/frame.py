@@ -196,6 +196,19 @@ class TimeReversalFrame:
         top, bottom = vecs[:m], vecs[m:]
         return np.concatenate((top + 1j * bottom, self._signs * (top - 1j * bottom))) / np.sqrt(2.0)
 
+    def states(self, v: np.ndarray, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """The N x 2 block [W^n psi, U psi] of a unit state psi and the real V and
+        U: U psi and W^n psi = V (U psi) formed in the frame and lifted by R
+        (their phase e^{i c t/2h} drops out), once per scheme for every
+        observable's ``expectation_error``. A state off the unit sphere raises
+        UnnormalizedState before any compute."""
+        psi = np.asarray(psi, dtype=np.complex128)
+        norm = np.linalg.norm(psi)
+        if abs(norm - 1.0) > 1e-10:
+            raise UnnormalizedState(f"state norm {norm} is not 1 within 1e-10")
+        exact_state = _real_product(u, self.to_frame(psi[:, None]))
+        return self.from_frame(np.column_stack((_real_product(v, exact_state), exact_state)))
+
     def rotate(self, theta: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """R^dag P R mat for the diagonal P = e^{-i theta} with theta[j + N/2] = -theta[j]
         (a potential step): a rotation of each row pair (j, j + N/2) by theta[j],
@@ -261,20 +274,12 @@ class FrameObservable:
             return numkit.spectral_norm(defect)
         return numkit.hermitian_norm(defect)
 
-    def expectation_error(self, v: np.ndarray, u: np.ndarray, psi: np.ndarray) -> float:
-        """|<W^n psi, O W^n psi> - <U psi, O U psi>| for a unit state psi and the
-        real V and U. U psi and W^n psi = V (U psi) are formed in the frame and
-        lifted by R (their phase e^{i c t/2h} drops out); O is applied to both as
-        one N x 2 block in the grid basis, by FFT if Fourier-diagonal, not through
-        the frame form of ``error``, which bounds this error (Cauchy-Schwarz;
-        criterion 7). A state off the unit sphere raises UnnormalizedState first."""
-        psi = np.asarray(psi, dtype=np.complex128)
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-10:
-            raise UnnormalizedState(f"state norm {norm} is not 1 within 1e-10")
-        frame, diag = self.frame, self.operator.diag[:, None]
-        exact_state = _real_product(u, frame.to_frame(psi[:, None]))
-        states = frame.from_frame(np.column_stack((_real_product(v, exact_state), exact_state)))
+    def expectation_error(self, states: np.ndarray) -> float:
+        """|<W^n psi, O W^n psi> - <U psi, O U psi>| from the frame's ``states``
+        block [W^n psi, U psi]. O is applied to both columns in the grid basis,
+        by FFT if Fourier-diagonal, not through the frame form of ``error``,
+        which bounds this error (Cauchy-Schwarz; criterion 7)."""
+        diag = self.operator.diag[:, None]
         if self.operator.kind is DiagonalKind.POSITION:
             applied = diag * states
         else:

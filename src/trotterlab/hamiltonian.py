@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .errors import NonHermitian, NotSplit
+from .errors import NonHermitian, NotOnePeriod, NotSplit
 from .fourier import DiagonalKind, FactoredOperator
 from .symbols import TorusSymbol, constant, cosine_x, cosine_xi
 
@@ -62,10 +62,12 @@ class GridSpec:
     @classmethod
     def canonical(cls, a: float, b: float, h: float) -> "GridSpec":
         """Grid on [a, b], which must be one 2 pi period, with N = 1/h, which
-        must be a positive integer within 1e-9 N: any other domain or h raises
-        ValueError instead of being shifted or re-meshed (a NaN end too)."""
+        must be a positive integer within 1e-9 N: any other domain (a NaN end
+        too) raises NotOnePeriod, any other h ValueError, instead of being
+        shifted or re-meshed."""
         if not abs(b - a - PERIOD) <= 1e-9 * PERIOD:
-            raise ValueError(f"[{a}, {b}] is not one 2 pi period")
+            raise NotOnePeriod(f"[{a}, {b}] has length b - a = {b - a:.17g}, not one 2 pi "
+                               "period of the potential and observables")
         if not 0 < h < math.inf:
             raise ValueError(f"need a finite h > 0, got {h}")
         exact = 1.0 / h

@@ -45,11 +45,11 @@ HERMITICITY_RTOL = 1e-10
 UNITARY_EIG_MIN = 1e-4
 
 
-def _as_square(matrix) -> np.ndarray:
+def _as_matrix(matrix, square: bool = True) -> np.ndarray:
     arr = np.asarray(matrix)
     arr = arr.astype(np.result_type(arr, np.float64), copy=False)   # real stays real
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
+        raise ValueError(f"expected a {'square ' if square else ''}matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFinite("matrix contains NaN or Inf entries")
     return arr
@@ -80,7 +80,7 @@ class EigenSystem:
 
 
 def _as_real_square(matrix, name: str) -> np.ndarray:
-    arr = _as_square(matrix)
+    arr = _as_matrix(matrix)
     if np.iscomplexobj(arr):
         raise TypeError(f"{name} takes a real matrix, got dtype {arr.dtype}")
     return arr
@@ -137,15 +137,19 @@ def spectral_norm(matrix) -> float:
     """Largest singular value (the l2 -> l2 operator norm) as sqrt(lambda_max(M^dag M)):
     one product and one ``eigvalsh`` instead of an SVD, at full relative accuracy
     for the largest singular value. M is first scaled by the power of two nearest
-    its largest entry, which is exact and keeps the squares finite and normal.
+    its largest entry, which is exact and keeps the squares finite and normal;
+    it is applied as two factors, since 2^1030 for a subnormal peak is not a
+    float. M may be rectangular; the Gram matrix is taken on its shorter side.
     """
-    arr = _as_square(matrix)
+    arr = _as_matrix(matrix, square=False)
     peak = float(np.abs(arr).max()) if arr.size else 0.0
     if peak == 0.0:
         return 0.0
     exponent = math.frexp(peak)[1]
-    scaled = arr * 2.0**-exponent
-    top = np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]
+    half = exponent // 2
+    scaled = arr * 2.0**-half * 2.0**(half - exponent)
+    gram = scaled.conj().T @ scaled if arr.shape[0] >= arr.shape[1] else scaled @ scaled.conj().T
+    top = np.linalg.eigvalsh(gram)[-1]
     return math.ldexp(math.sqrt(max(float(top), 0.0)), exponent)
 
 
@@ -156,7 +160,7 @@ def hermitian_norm(matrix) -> float:
     asymmetry of a matrix that is Hermitian in exact arithmetic drops out
     without forming (M + M^dag) / 2.
     """
-    return float(np.abs(np.linalg.eigvalsh(_as_square(matrix))).max())
+    return float(np.abs(np.linalg.eigvalsh(_as_matrix(matrix))).max())
 
 
 def unitary_distance(matrix) -> float:
@@ -166,7 +170,7 @@ def unitary_distance(matrix) -> float:
     sqrt(2 - lambda_min(V + V^dag)): one Hermitian eigenvalue problem instead
     of an SVD. Below ``UNITARY_EIG_MIN`` the ``spectral_norm`` of V - 1 is used.
     """
-    arr = _as_square(matrix)
+    arr = _as_matrix(matrix)
     dist = float(np.sqrt(max(2.0 - np.linalg.eigvalsh(arr + arr.conj().T)[0], 0.0)))
     if dist >= UNITARY_EIG_MIN:
         return dist

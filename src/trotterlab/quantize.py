@@ -26,11 +26,15 @@ are formed and normed in float64. The sup-norm and flow-conjugation defects
 of real symbols are Hermitian and take their norm by eigenvalues; the
 composition and commutator defects take it from their Gram matrix.
 
-An even symbol, a(-x, -xi) = a(x, xi), quantizes to a matrix that commutes
-with the index reversal j -> -j mod N. When every symbol of a defect is even
-(a and b; for Egorov a, the generator and the flowed symbol), so is the
-defect, and its norm is the larger norm of its two parity blocks, of sizes
-N/2 + 1 and N/2 at most. A defect with any other symbol is normed whole.
+Each defect is normed on the blocks of every symmetry its symbols certify
+(``_defect_norm``): the index reversal j -> -j mod N (even symbols) and, at
+even N, the roll X by N/2 and Xi = diag((-1)^j), which map c(k, kap) to
+(-1)^k c(k, kap) and (-1)^kap c(k, kap); ``TorusSymbol.shift_signs`` reads
+the signs from the lattice, and products and brackets multiply them. On the
+default suite (4 | N) the composition and commutator defects are normed as
+four real N/4 blocks, op(a + b) as one N/2 block, and the Egorov defect, of
+which only the [even, odd] quarter in the DFT basis is formed, as two
+N/2 x N/4 blocks.
 """
 
 from __future__ import annotations
@@ -78,8 +82,13 @@ class QuantizationContext:
         return self._kept(_key(symbol), lambda: quantize(symbol, self))
 
     def op_product(self, a: TorusSymbol, b: TorusSymbol) -> np.ndarray:
-        """``op(a) @ op(b)``, formed once per ordered pair of lattices."""
-        return self._kept((_key(a), _key(b)), lambda: self.op(a) @ self.op(b))
+        """``op(a) @ op(b)``, formed once per ordered pair of lattices; when op(a)
+        is diagonal (``a`` of x alone) by scaling the rows of op(b)."""
+        def form():
+            if a.is_x_only():
+                return np.diag(self.op(a))[:, None] * self.op(b)
+            return self.op(a) @ self.op(b)
+        return self._kept((_key(a), _key(b)), form)
 
     def _kept(self, key: tuple, form) -> np.ndarray:
         if key not in self._ops:
@@ -104,16 +113,17 @@ def quantize(symbol: TorusSymbol, ctx: QuantizationContext) -> np.ndarray:
     """
     n = ctx.N
     kx, kxi = symbol.order_x, symbol.order_xi
-    ks = np.arange(-kx, kx + 1)
+    # the sign and the twist below are 2N-periodic in k: sum the rows k mod 2N first
+    ks, coeffs = _fold_rows(np.arange(-kx, kx + 1), symbol.coeffs, 2 * n)
 
     # Fold the kap axis once: g[k, delta] = sum_l c(k, delta - l N) (-1)^(k l)
     # for delta in [0, N-1], over every l that reaches the lattice.
     deltas = np.arange(n)
-    g = np.zeros((2 * kx + 1, n), dtype=np.complex128)
+    g = np.zeros((ks.size, n), dtype=np.complex128)
     for l in range(math.ceil(-kxi / n), math.floor((n - 1 + kxi) / n) + 1):
         kap = deltas - l * n
         valid = np.abs(kap) <= kxi
-        g[:, valid] += (-1.0) ** (ks * l)[:, None] * symbol.coeffs[:, kap[valid] + kxi]
+        g[:, valid] += (-1.0) ** (ks * l)[:, None] * coeffs[:, kap[valid] + kxi]
 
     # Twist by exp(i pi k delta / N), looked up at the exact integer k delta
     # mod 2N; the twisted fold is N-periodic in delta (a shift by N flips both
@@ -121,10 +131,8 @@ def quantize(symbol: TorusSymbol, ctx: QuantizationContext) -> np.ndarray:
     # their modes: D[m, delta] = A[m, (m + delta) mod N].
     turns = np.exp(1j * np.pi * np.arange(2 * n) / n)
     g *= turns[np.multiply.outer(ks, deltas) % (2 * n)]
-    rows, row_of = np.unique(ks % n, return_inverse=True)
-    folded = np.zeros((rows.size, n), dtype=np.complex128)
-    np.add.at(folded, row_of, g)
-    modes = turns[np.multiply.outer(deltas, 2 * rows) % (2 * n)]
+    ks, folded = _fold_rows(ks, g, n)
+    modes = turns[np.multiply.outer(deltas, 2 * ks) % (2 * n)]
     # A[m, j] = [D, D][m, N - m + j]: row m of A starts N - m into row m of [D, D]
     if symbol.is_xi_hermitian():   # D = Re(modes folded), one real product
         twice = np.empty((n, 2 * n))
@@ -139,29 +147,74 @@ def quantize(symbol: TorusSymbol, ctx: QuantizationContext) -> np.ndarray:
                                            strides=(twice.strides[0] - step, step)).copy()
 
 
-def _parity_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two blocks of a matrix that commutes with the index reversal j -> -j mod N:
-    on the even basis e_0, e_{N/2} (even N) and (e_j + e_{-j}) / sqrt 2, and on
-    the odd basis (e_j - e_{-j}) / sqrt 2, 0 < j < N/2. With M[-m, -j] = M[m, j]
-    each entry is M[m, j] +- M[m, -j], read by N/2-sized gathers; the even
-    block scales the rows and columns of e_0 and e_{N/2} by 1 / sqrt 2."""
-    n = matrix.shape[0]
-    even, odd = np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)
-    scale = np.ones(even.size)
-    scale[[0, n // 2] if n % 2 == 0 else [0]] = math.sqrt(0.5)
-    block_even = matrix[np.ix_(even, even)] + matrix[np.ix_(even, -even % n)]
-    block_even *= np.multiply.outer(scale, scale)
-    return block_even, matrix[np.ix_(odd, odd)] - matrix[np.ix_(odd, -odd % n)]
+def _fold_rows(ks: np.ndarray, rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the consecutive indices ``ks`` summed modulo ``period``: the
+    first ``period`` indices and their sums, or the input when none repeats."""
+    if ks.size <= period:
+        return ks, rows
+    padded = np.pad(rows, ((0, -ks.size % period), (0, 0)))
+    return ks[:period], padded.reshape(-1, period, rows.shape[1]).sum(axis=0)
 
 
-def _defect_norm(defect: np.ndarray, symbols: tuple, hermitian: bool = False) -> float:
-    """Spectral norm of a defect formed from the operators of ``symbols``: by
-    eigenvalues when it is ``hermitian``, else from its Gram matrix; taken as
-    the larger norm of the two parity blocks when every symbol is even."""
+def _signs(*symbols: TorusSymbol) -> tuple:
+    """Signs of a product of the operators of ``symbols`` (or of the quantized
+    product or bracket of the symbols) under the half-period shifts X (x), Xi
+    (xi) and X Xi, the products of their ``shift_signs`` (0 where one is mixed),
+    and under the index reversal: 1 when every symbol is even, else 0."""
+    shifts = (math.prod(column) for column in zip(*(s.shift_signs() for s in symbols)))
+    return (*shifts, int(all(s.is_even() for s in symbols)))
+
+
+def _alternates(n: int, signs: tuple) -> bool:
+    """True when the defect anticommutes with diag((-1)^j) and 4 divides N: only
+    its [even, odd] and [odd, even] blocks, of size N/2, are nonzero."""
+    return n % 4 == 0 and signs[1] == -1
+
+
+def _block_norm(block: np.ndarray, x_sign: int, even: bool) -> float:
+    """Norm of the N/2 x N/2 [even, odd] block E of an alternating defect. The
+    roll by N/2 maps E to x_sign E, a roll by N/4 on either side, so with
+    x_sign nonzero ||E|| is the larger norm of A + B and A - B, for [A, B] its
+    top half. For an even defect the index reversal maps row p to -p and
+    column q to -q - 1 = N/2 - 1 - q, so ||E|| is the larger norm of L + R and
+    L - R over sqrt 2, for L its left half and R its reversed right half."""
+    m = block.shape[0] // 2
+    if x_sign:
+        return max(spectral_norm(block[:m, :m] + s * block[:m, m:]) for s in (1, -1))
+    if even:
+        left, right = block[:, :m], block[:, :m - 1:-1]
+        return max(spectral_norm(left + s * right) for s in (1, -1)) / math.sqrt(2.0)
+    return spectral_norm(block)
+
+
+def _defect_norm(defect: np.ndarray, signs: tuple, hermitian: bool = False) -> float:
+    """Spectral norm of a defect with ``signs`` (``_signs``), on the blocks of the
+    first rule that holds. It alternates: the [even, odd] block and, unless it
+    is ``hermitian``, the transposed [odd, even] block (``_block_norm``). It is
+    Hermitian and anticommutes with X Xi, which swaps the halves with the signs
+    (-1)^j, and 4 | N: the N/2 block C = D11 - D12 diag((-1)^j). It is even: its
+    two index-reversal blocks, on the bases e_0, e_{N/2} (even N) with
+    (e_j + e_{-j}) / sqrt 2 and (e_j - e_{-j}) / sqrt 2, 0 < j < N/2, each entry
+    D[m, j] +- D[m, -j]. Otherwise: whole. Off-diagonal blocks are normed from
+    the Gram matrix; a Hermitian defect, whole or on its index-reversal blocks,
+    from eigenvalues."""
+    n = defect.shape[0]
+    if _alternates(n, signs):
+        blocks = [defect[0::2, 1::2]] if hermitian else [defect[0::2, 1::2], defect[1::2, 0::2].T]
+        return max(_block_norm(block, signs[0], signs[3]) for block in blocks)
+    if n % 4 == 0 and signs[2] == -1 and hermitian:
+        m = n // 2
+        return spectral_norm(defect[:m, :m] - defect[:m, m:] * (-1.0) ** np.arange(m))
     norm = hermitian_norm if hermitian else spectral_norm
-    if not all(symbol.is_even() for symbol in symbols):
+    if not signs[3]:
         return norm(defect)
-    return max(norm(block) for block in _parity_blocks(defect) if block.size)
+    plus, minus = np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)
+    scale = np.ones(plus.size)
+    scale[[0, n // 2] if n % 2 == 0 else [0]] = math.sqrt(0.5)
+    block_plus = defect[np.ix_(plus, plus)] + defect[np.ix_(plus, -plus % n)]
+    block_plus *= np.multiply.outer(scale, scale)
+    block_minus = defect[np.ix_(minus, minus)] - defect[np.ix_(minus, -minus % n)]
+    return max(norm(block) for block in (block_plus, block_minus) if block.size)
 
 
 def _bracket_over_i(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContext) -> np.ndarray:
@@ -177,7 +230,7 @@ def composition_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationConte
     real, and the defect and its norm stay in float64.
     """
     defect = ctx.op_product(a, b) - ctx.op(product(a, b)) - (ctx.h / 2) * _bracket_over_i(a, b, ctx)
-    return _defect_norm(defect, (a, b))
+    return _defect_norm(defect, _signs(a, b))
 
 
 def commutator_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContext) -> float:
@@ -192,7 +245,7 @@ def commutator_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContex
     if not (a.is_real() and b.is_real()):
         raise ValueError("commutator defect is defined for real-valued symbols")
     prod = ctx.op_product(a, b)
-    return _defect_norm(prod - prod.conj().T - ctx.h * _bracket_over_i(a, b, ctx), (a, b))
+    return _defect_norm(prod - prod.conj().T - ctx.h * _bracket_over_i(a, b, ctx), _signs(a, b))
 
 
 def cv_gap(a: TorusSymbol, ctx: QuantizationContext) -> float:
@@ -204,7 +257,7 @@ def cv_gap(a: TorusSymbol, ctx: QuantizationContext) -> float:
     """
     if not a.is_real():
         raise ValueError("sup-norm gap is defined for real-valued symbols")
-    return _defect_norm(ctx.op(a), (a,), hermitian=True) - a.sup_abs()
+    return _defect_norm(ctx.op(a), _signs(a), hermitian=True) - a.sup_abs()
 
 
 def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
@@ -216,8 +269,10 @@ def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
     The flowed symbol interpolates M = max(256, 4 N) samples on the flowed
     axis (orders up to M/2 >= 2 N). B is diagonal or circulant; in its
     eigenbasis the conjugation is the entrywise phase e^{i t (w_k - w_l) / h}.
-    The DFT commutes with the index reversal, so the parity blocks hold in
-    that basis too.
+    The DFT commutes with the index reversal and swaps the two half-period
+    shifts, so the symmetry blocks hold in that basis too; when the defect
+    alternates there, only the [even, odd] quarter of F op F^-1 and of the
+    phases is formed.
     """
     if abs(t) > 1.0:
         raise ValueError(f"|t| <= 1 expected, got {t}")
@@ -227,11 +282,31 @@ def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
     b = ctx.op(generator)
     require_hermitian(b)
     qa, qf = ctx.op(a), ctx.op(flowed)
-    if generator.is_x_only():
-        w = np.diag(b).real
-    else:   # a circulant: its eigenvalues are the DFT of its first column
-        w = np.fft.fft(b[:, 0]).real
-        qa, qf = (np.fft.ifft(np.fft.fft(m, axis=0), axis=1) for m in (qa, qf))   # F M F^-1
+    # a symmetry counts when it leaves B fixed and a and the flowed symbol share its sign
+    signs = tuple(sa if sb == 1 and sa == sf else 0
+                  for sa, sb, sf in zip(_signs(a), _signs(generator), _signs(flowed)))
+    circulant = not generator.is_x_only()
+    if circulant:   # the DFT swaps the roll by N/2 and the signs (-1)^j
+        signs = (signs[1], signs[0], *signs[2:])
+    # B's eigenvalues: its diagonal, or for a circulant the DFT of its first column
+    w = np.fft.fft(b[:, 0]).real if circulant else np.diag(b).real
     phase = np.exp(1j * (t / ctx.h) * w)
+    if _alternates(ctx.N, signs):   # the [even, odd] block alone
+        qa, qf = ((_dft_quarter(m) if circulant else m[0::2, 1::2]) for m in (qa, qf))
+        return _block_norm(phase[0::2, None] * qa * phase[1::2].conj() - qf, signs[0], signs[3])
+    if circulant:
+        qa, qf = (np.fft.ifft(np.fft.fft(m, axis=0), axis=1) for m in (qa, qf))   # F M F^-1
     defect = phase[:, None] * qa * phase.conj()[None, :] - qf
-    return _defect_norm(defect, (a, generator, flowed), hermitian=True)
+    return _defect_norm(defect, signs, hermitian=True)
+
+
+def _dft_quarter(matrix: np.ndarray) -> np.ndarray:
+    """The [even, odd] block of F M F^-1 (F the DFT, ``fft`` along axis 0 and
+    ``ifft`` along axis 1) by two N/2-point transforms: even rows of F read the
+    sum of M's two row halves, odd columns of F^-1 the difference of its two
+    column halves twisted by e^{2 i pi j / N}."""
+    n = matrix.shape[0]
+    m = n // 2
+    rows = matrix[:m] + matrix[m:]
+    cols = (rows[:, :m] - rows[:, m:]) * np.exp(2j * np.pi * np.arange(m) / n)
+    return np.fft.ifft(np.fft.fft(cols, axis=0), axis=1) / 2.0

@@ -101,6 +101,23 @@ class TorusSymbol:
         commutes with the index reversal j -> -j mod N at every N."""
         return self._equals(self.coeffs[::-1, ::-1])
 
+    def shift_signs(self) -> tuple[int, int, int]:
+        """Signs s of a(x + 1/2, xi) = s a(x, xi), a(x, xi + 1/2) = s a(x, xi)
+        and a(x + 1/2, xi + 1/2) = s a(x, xi), read from the lattice: +1 when
+        k, kap or k + kap is even at every nonzero coefficient c(k, kap), -1
+        when it is odd at every one, 0 when mixed. At even N, op(a) then
+        commutes (+1) or anticommutes (-1) with the roll by N/2, with
+        diag((-1)^j) and with their product."""
+        mags = np.abs(self.coeffs)
+        tol = _REALITY_TOL * max(mags.max(), 1.0)
+        occupied = [(p, q) for p in (0, 1) for q in (0, 1)
+                    if mags[(self.order_x + p) % 2::2, (self.order_xi + q) % 2::2].max(initial=0.0) > tol]
+        signs = []
+        for in_x, in_xi in ((1, 0), (0, 1), (1, 1)):
+            flips = {(in_x * p + in_xi * q) % 2 for p, q in occupied}
+            signs.append(0 if len(flips) > 1 else -1 if flips == {1} else 1)
+        return tuple(signs)
+
     def _equals(self, coeffs: np.ndarray) -> bool:
         scale = max(np.abs(self.coeffs).max(), 1.0)
         return bool(np.abs(self.coeffs - coeffs).max() <= _REALITY_TOL * scale)
@@ -121,7 +138,9 @@ class TorusSymbol:
         Single-variable symbols are sampled at 4096 points along their axis;
         genuinely mixed symbols on a 1024 x 1024 lattice, as two matrix
         products E_x C E_xi^T (extrema of low-order trigonometric polynomials
-        are lattice-commensurate, so this is ample).
+        are lattice-commensurate, so this is ample). A real separable sum
+        f(x) + g(xi) takes the lattice's sup from two 1024-point samples:
+        max(max f + max g, -(min f + min g)).
         """
         if "_sup" not in self.__dict__:
             self.__dict__["_sup"] = self._sampled_sup()
@@ -133,8 +152,13 @@ class TorusSymbol:
             axes = (grid, 0.0) if self.is_x_only() else (0.0, grid)
             return float(np.abs(self.evaluate(*axes)).max())
         grid = np.arange(1024) / 1024
-        return float(np.abs(_modes(grid, self.order_x) @ self.coeffs
-                            @ _modes(grid, self.order_xi).T).max())
+        kx, kxi = self.order_x, self.order_xi
+        cross = np.delete(np.delete(self.coeffs, kx, axis=0), kxi, axis=1)
+        if self.is_real() and np.abs(cross).max() <= _REALITY_TOL:
+            f = (_modes(grid, kx) @ self.coeffs[:, kxi]).real
+            g = (_modes(grid, kxi) @ self.coeffs[kx]).real - self.coeffs[kx, kxi].real
+            return float(max(f.max() + g.max(), -(f.min() + g.min())))
+        return float(np.abs(_modes(grid, kx) @ self.coeffs @ _modes(grid, kxi).T).max())
 
     def __add__(self, other: "TorusSymbol") -> "TorusSymbol":
         kx = max(self.order_x, other.order_x)

@@ -1,7 +1,7 @@
 """Property tests of the quantization and symbol-sampling kernels on any grid.
 
 Grid sizes N run over 3..40 (1..64 for the real typing, 1..70 for the
-parity-block norms), odd and non-power-of-two included. Coefficient lattices reach past N in both
+symmetry-block norms), odd and non-power-of-two included. Coefficient lattices reach past N in both
 directions, so the fold of k modulo N and the fold of kap over l are both
 exercised. Sample grids M x M run over every M up to 64, not only powers of
 two; a flowed symbol is evaluated on the same grid. Examples are
@@ -193,31 +193,98 @@ def test_from_samples_recovers_band_limited_symbols(m, data, seed):
     assert np.abs((back - sym).coeffs).max() <= 1e-12 * (2 * kx + 1) * (2 * kxi + 1)
 
 
-def even_symbol(seed: int, kx: int, kxi: int) -> TorusSymbol:
-    """A real symbol with a(-x, -xi) = a(x, xi): real coefficients, c_{-k,-kap} = c_{k,kap}."""
+# A parity class (k mod 2, kap mod 2) of lattice points, or None for all of them.
+classes = st.sampled_from([None, (0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+def in_classes(symbol: TorusSymbol, *keep) -> TorusSymbol:
+    """The symbol's coefficients on the parity classes ``keep`` (all when None)."""
+    if None in keep:
+        return symbol
+    k = np.arange(-symbol.order_x, symbol.order_x + 1)[:, None] % 2
+    kap = np.arange(-symbol.order_xi, symbol.order_xi + 1)[None, :] % 2
+    mask = np.zeros(symbol.coeffs.shape, dtype=bool)
+    for p, q in keep:
+        mask |= (k == p) & (kap == q)
+    return TorusSymbol(np.where(mask, symbol.coeffs, 0.0))
+
+
+@PROPERTY
+@given(seed=seeds, kx=st.integers(0, 4), kxi=st.integers(0, 4),
+       keep=st.sets(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]), min_size=1))
+@example(seed=1, kx=2, kxi=2, keep={(1, 0), (0, 1)})   # cos 2 pi x + cos 2 pi xi: only X Xi has a sign
+def test_shift_signs_match_evaluation(seed, kx, kxi, keep):
+    # a(x + 1/2, xi), a(x, xi + 1/2) and a(x + 1/2, xi + 1/2) against +-a(x, xi)
+    # at random points: a sign must hold there, and a 0 must fail both ways
+    sym = in_classes(random_symbol(seed, kx, kxi), *keep)
+    rng = np.random.default_rng(seed)
+    x, xi = rng.random(32), rng.random(32)
+    value = sym.evaluate(x, xi)
+    tol = 1e-12 * max(np.abs(sym.coeffs).sum(), 1.0)
+    for sign, (dx, dxi) in zip(sym.shift_signs(), [(0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]):
+        shifted = sym.evaluate(x + dx, xi + dxi)
+        if sign:
+            assert np.abs(shifted - sign * value).max() <= tol
+        else:
+            assert min(np.abs(shifted - value).max(), np.abs(shifted + value).max()) > tol
+
+
+def even_symbol(seed: int, kx: int, kxi: int, keep=None) -> TorusSymbol:
+    """A real symbol with a(-x, -xi) = a(x, xi): real coefficients, c_{-k,-kap} = c_{k,kap},
+    on the parity class ``keep`` (all when None)."""
     coeffs = random_symbol(seed, kx, kxi, real=True).coeffs.real
-    return TorusSymbol((coeffs + coeffs[::-1, ::-1]) / 2)
+    return in_classes(TorusSymbol((coeffs + coeffs[::-1, ::-1]) / 2), keep)
 
 
-def even_generator(seed: int, order: int, on_x: bool) -> TorusSymbol:
-    """A real even symbol of x alone or of xi alone (a cosine series)."""
-    return even_symbol(seed, order, 0) if on_x else even_symbol(seed, 0, order)
+def even_generator(seed: int, order: int, on_x: bool, parity: int | None = None) -> TorusSymbol:
+    """A real even symbol of x alone or of xi alone (a cosine series), with
+    harmonics of one ``parity`` (all when None)."""
+    if on_x:
+        return even_symbol(seed, order, 0, None if parity is None else (parity, 0))
+    return even_symbol(seed, 0, order, None if parity is None else (0, parity))
 
 
 @PROPERTY
 @given(n=st.integers(1, 70), seed=seeds, kx=st.integers(0, 3), kxi=st.integers(0, 3),
-       order=st.integers(0, 2), on_x=st.booleans(), t=st.floats(-1.0, 1.0))
-@example(n=1, seed=1, kx=2, kxi=1, order=1, on_x=True, t=0.5)
-@example(n=2, seed=2, kx=1, kxi=2, order=2, on_x=False, t=-0.7)   # the odd block is empty
-@example(n=6, seed=3, kx=3, kxi=3, order=2, on_x=True, t=0.9)     # N = 2 mod 4
-@example(n=33, seed=4, kx=1, kxi=1, order=1, on_x=False, t=0.5)
-@example(n=70, seed=5, kx=2, kxi=3, order=2, on_x=False, t=1.0)
-def test_parity_block_norms_match_dense_norms(n, seed, kx, kxi, order, on_x, t):
-    # every symbol is even, so each remainder is normed on its parity blocks;
-    # the oracle forms the same defect as one complex N x N matrix and takes
-    # its spectral norm whole
-    a, b = even_symbol(seed, kx, kxi), even_symbol(seed + 1, kxi, kx)
-    generator = even_generator(seed + 2, order, on_x)
+       order=st.integers(0, 2), on_x=st.booleans(), t=st.floats(-1.0, 1.0),
+       a_keep=classes, b_keep=classes, g_parity=st.sampled_from([None, 0, 1]))
+@example(n=1, seed=1, kx=2, kxi=1, order=1, on_x=True, t=0.5,
+         a_keep=None, b_keep=None, g_parity=None)
+@example(n=2, seed=2, kx=1, kxi=2, order=2, on_x=False, t=-0.7,   # the odd block is empty
+         a_keep=None, b_keep=None, g_parity=None)
+@example(n=6, seed=3, kx=3, kxi=3, order=2, on_x=True, t=0.9,     # N = 2 mod 4
+         a_keep=None, b_keep=None, g_parity=None)
+@example(n=33, seed=4, kx=1, kxi=1, order=1, on_x=False, t=0.5,
+         a_keep=None, b_keep=None, g_parity=None)
+@example(n=70, seed=5, kx=2, kxi=3, order=2, on_x=False, t=1.0,
+         a_keep=None, b_keep=None, g_parity=None)
+# odd-k a and odd-kap b, as cos 2 pi x and cos 2 pi xi: composition and
+# commutator alternate, a + b anticommutes with X Xi, and Egorov under an
+# odd xi generator alternates in the DFT basis; at N odd, N = 2 mod 4 and 4 | N
+@example(n=15, seed=6, kx=3, kxi=2, order=2, on_x=False, t=0.5,
+         a_keep=(1, 0), b_keep=(0, 1), g_parity=1)
+@example(n=30, seed=7, kx=3, kxi=2, order=2, on_x=False, t=0.5,
+         a_keep=(1, 0), b_keep=(0, 1), g_parity=1)
+@example(n=36, seed=8, kx=3, kxi=2, order=2, on_x=False, t=0.5,
+         a_keep=(1, 0), b_keep=(0, 1), g_parity=1)
+# Egorov alternating with a sign under the roll as well (DFT and position
+# basis), under an odd x generator, and with a + b of one class
+@example(n=36, seed=9, kx=3, kxi=3, order=1, on_x=True, t=-0.8,
+         a_keep=(1, 1), b_keep=(0, 1), g_parity=0)
+@example(n=44, seed=10, kx=2, kxi=3, order=2, on_x=False, t=0.7,
+         a_keep=(1, 1), b_keep=(1, 0), g_parity=0)
+@example(n=40, seed=11, kx=3, kxi=3, order=2, on_x=True, t=0.6,
+         a_keep=(0, 1), b_keep=(1, 1), g_parity=1)
+@example(n=28, seed=12, kx=2, kxi=2, order=1, on_x=True, t=0.4,
+         a_keep=(1, 0), b_keep=(1, 0), g_parity=1)
+def test_parity_block_norms_match_dense_norms(n, seed, kx, kxi, order, on_x, t, a_keep, b_keep,
+                                              g_parity):
+    # every symbol is even; symbols on one parity class also have signs under
+    # the half-period shifts, so each remainder is normed on the blocks those
+    # certify; the oracle forms the same defect as one complex N x N matrix and
+    # takes its spectral norm whole
+    a, b = even_symbol(seed, kx, kxi, a_keep), even_symbol(seed + 1, kxi, kx, b_keep)
+    generator = even_generator(seed + 2, order, on_x, g_parity)
     ctx = QuantizationContext(n)
     qa, qb = (quantize(sym, ctx).astype(np.complex128) for sym in (a, b))
     bracket = quantize(poisson_bracket(a, b), ctx)
@@ -228,6 +295,7 @@ def test_parity_block_norms_match_dense_norms(n, seed, kx, kxi, order, on_x, t):
          spectral_norm(qa @ qb - quantize(product(a, b), ctx) - (ctx.h / 2j) * bracket)),
         (commutator_remainder(a, b, ctx), spectral_norm(qa @ qb - qb @ qa - (ctx.h / 1j) * bracket)),
         (cv_gap(a, ctx), spectral_norm(qa) - a.sup_abs()),
+        (cv_gap(a + b, ctx), spectral_norm(qa + qb) - (a + b).sup_abs()),
         (egorov_remainder(a, generator, t, ctx),
          spectral_norm(u @ qa @ u.conj().T - quantize(flowed, ctx))),
     ]

@@ -315,7 +315,7 @@ class TestExpectationError:
         obs = cos_x(grid)
         psi = gaussian_wavepacket(grid, 0.0, 0.5)
         v, u, frame = propagators(pair, SplittingScheme.LIE1, 0.2, 4)
-        assert FrameObservable(obs, frame).expectation_error(v, u, psi) < 1e-10
+        assert FrameObservable(obs, frame).expectation_error(frame.states(v, u, psi)) < 1e-10
 
     @pytest.mark.parametrize("scheme", [SplittingScheme.LIE1, SplittingScheme.STRANG2])
     def test_dominated_by_observable_error(self, setup, scheme):
@@ -326,7 +326,7 @@ class TestExpectationError:
             v, u, frame = propagators(pair, scheme, s, n)
             for obs in observables:
                 form = FrameObservable(obs, frame)
-                assert form.expectation_error(v, u, psi) <= form.error(v) + 1e-12
+                assert form.expectation_error(frame.states(v, u, psi)) <= form.error(v) + 1e-12
 
     def test_matches_matrix_expectation(self, setup):
         h, grid, pair = setup
@@ -336,16 +336,15 @@ class TestExpectationError:
         t_exact = heisenberg_exact(materialize(obs), pair.total, 0.4, h)
         direct = abs(np.vdot(psi, t_trot @ psi).real - np.vdot(psi, t_exact @ psi).real)
         v, u, frame = propagators(pair, SplittingScheme.LIE1, 0.2, 2)
-        got = FrameObservable(obs, frame).expectation_error(v, u, psi)
+        got = FrameObservable(obs, frame).expectation_error(frame.states(v, u, psi))
         assert got == pytest.approx(direct, abs=1e-12)
 
     def test_unnormalized_state_rejected(self, setup):
         # the gate runs before the None propagators are touched
         h, grid, pair = setup
         frame = TimeReversalFrame.of(pair)
-        form = FrameObservable(cos_x(grid), frame)
         with pytest.raises(UnnormalizedState):
-            form.expectation_error(None, None, np.ones(grid.N))
+            frame.states(None, None, np.ones(grid.N))
 
 
 class TestNonPowerOfTwoGrid:

@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from trotterlab.experiments import (
     sweep_timestep,
 )
 from trotterlab.hamiltonian import GridSpec, build_pair
-from trotterlab.symbols import TorusSymbol
+from trotterlab.symbols import TorusSymbol, cosine_x, cosine_xi
 
 
 @pytest.fixture
@@ -505,9 +507,12 @@ class TestCalculusSuite:
 
     @pytest.mark.parametrize("n", [16, 33, 64])
     def test_norms_taken_on_parity_blocks(self, monkeypatch, n):
-        # every symbol of the suite is even, so each of its four defects is
-        # normed on two blocks of at most N/2 + 1: a fallback to a dense norm
-        # would show as a larger eigvalsh
+        # every symbol of the suite is even, so at odd N each of its four
+        # defects is normed on two index-reversal blocks of at most N/2 + 1.
+        # When 4 divides N the half-period shifts cut deeper: composition,
+        # commutator and Egorov (in the DFT basis) alternate, so they are normed
+        # on blocks of N/4, and op(a + b) anticommutes with X Xi, one N/2 block.
+        # A fallback to index reversal or to a whole norm shows as a larger eigvalsh.
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -516,8 +521,33 @@ class TestCalculusSuite:
             return eigvalsh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        ctx = trotterlab.quantize.QuantizationContext(n)
+        a, b = cosine_x(), cosine_xi()
+        quarter, half = (n // 4 + 1, n // 2) if n % 4 == 0 else (n // 2 + 1, n // 2 + 1)
+        for remainder, bound in [
+            (lambda: trotterlab.quantize.composition_remainder(a, b, ctx), quarter),
+            (lambda: trotterlab.quantize.commutator_remainder(a, b, ctx), quarter),
+            (lambda: trotterlab.quantize.cv_gap(a + b, ctx), half),
+            (lambda: trotterlab.quantize.egorov_remainder(a, b, experiments.CALCULUS_T_FLOW, ctx),
+             quarter),
+        ]:
+            sizes.clear()
+            remainder()
+            assert sizes and max(sizes) <= bound
+        sizes.clear()
         calculus_suite([n])
-        assert len(sizes) == 8 and max(sizes) <= n // 2 + 1
+        assert len(sizes) == (11 if n % 4 == 0 else 8)
+
+    def test_rows_match_committed_reference(self):
+        # the benchmark's reference table, recorded from the dense-norm code,
+        # read only: every row within the round-off floor 1e-11 N
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "calculus.csv"
+        with open(path, newline="") as fh:
+            reference = {(int(r["N"]), r["metric"]): float(r["value"]) for r in csv.DictReader(fh)}
+        rows = calculus_suite([16, 32, 64, 128, 256, 512]).table.rows
+        assert {(n, metric) for n, _, metric, _ in rows} == set(reference)
+        for n, _, metric, value in rows:
+            assert abs(value - reference[n, metric]) <= 1e-11 * n, (n, metric)
 
     @pytest.mark.parametrize("entry", [16.0, True, "16"])
     def test_non_integer_N_rejected_before_quantization(self, monkeypatch, entry):

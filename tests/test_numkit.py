@@ -175,6 +175,31 @@ class TestSpectralNorm:
         oracle = np.linalg.svd(m, compute_uv=False)[0]
         assert spectral_norm(m) == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("peak", [1e-310, 5e-324, 1.7e308])
+    def test_extreme_peaks(self, peak):
+        # a subnormal largest entry needs a scale factor beyond the float range
+        m = np.array([[peak, 0.0], [0.0, peak / 4]])
+        assert spectral_norm(m) == peak
+        assert spectral_norm(1j * m) == peak
+
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (1, 5)])
+    def test_rectangular_matches_svd(self, shape):
+        # the Gram matrix of the shorter side: an N/2 x N/4 block norms as N/4
+        rng = np.random.default_rng(sum(shape))
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-12)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(matrix):
+            sizes.append(matrix.shape[0])
+            return eigvalsh(matrix)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counted)
+            spectral_norm(m)
+        assert sizes == [min(shape)]
+
     def test_empty_and_zero(self):
         assert spectral_norm(np.zeros((0, 0))) == 0.0
         assert spectral_norm(np.zeros((3, 3), dtype=complex)) == 0.0

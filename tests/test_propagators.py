@@ -268,7 +268,7 @@ def test_expectation_error_matches_stepping_and_dense(n, scheme, s, count, kind,
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi /= np.linalg.norm(psi)
     v = propagator(pair, scheme, s, count, u, frame)
-    got = FrameObservable(obs, frame).expectation_error(v, u, psi)
+    got = FrameObservable(obs, frame).expectation_error(frame.states(v, u, psi))
 
     dense = materialize(obs)
     exact_state = expm_hermitian(pair.total, -count * s / grid.h) @ psi

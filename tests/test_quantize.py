@@ -109,6 +109,14 @@ class TestQuantize:
         with pytest.raises(TypeError, match="integer N"):
             QuantizationContext(n)
 
+    @pytest.mark.parametrize("n", [5, 16, 33])
+    def test_diagonal_product_scales_rows(self, n):
+        # op(a) of an x-only a is diagonal: op(a) op(b) by row scaling is
+        # bit-identical to the matrix product
+        ctx = QuantizationContext(n)
+        a, b = cosine_x(2) + 0.3 * cosine_x(), product(cosine_x(), cosine_xi()) + cosine_xi(3)
+        assert np.array_equal(ctx.op_product(a, b), ctx.op(a) @ ctx.op(b))
+
     def test_context_accepts_numpy_integer_n(self):
         ctx = QuantizationContext(np.int64(16))
         assert ctx.h == QuantizationContext(16).h

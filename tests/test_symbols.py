@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import from_samples
@@ -70,6 +72,25 @@ class TestTorusSymbol:
         assert cosine_x().sup_abs() == pytest.approx(1.0, abs=1e-6)
         mixed = cosine_x() + cosine_xi()
         assert mixed.sup_abs() == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_separable_sup_matches_lattice(self, seed):
+        # a real f(x) + g(xi) takes the sup of the 1024 x 1024 lattice from two
+        # 1-D samples: same value as the lattice, and no 16 MB temporary
+        rng = np.random.default_rng(seed)
+        parts = [harmonic(k, 0, rng.standard_normal()) + harmonic(-k, 0, rng.standard_normal())
+                 for k in (1, 2, 3)]
+        parts += [harmonic(0, q, rng.standard_normal()) + harmonic(0, -q, rng.standard_normal())
+                  for q in (1, 2)]
+        sym = sum(parts[1:], parts[0]) + constant(rng.standard_normal())
+        sym = TorusSymbol((sym.coeffs + np.conj(sym.coeffs[::-1, ::-1])) / 2)   # real
+        lattice = np.abs(samples(sym, 1024)).max()
+        tracemalloc.start()
+        sup = sym.sup_abs()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert sup == pytest.approx(lattice, rel=1e-13)
+        assert peak < 1 << 20
 
     def test_coefficients_immutable(self):
         a = cosine_x()

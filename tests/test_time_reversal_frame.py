@@ -245,7 +245,7 @@ def test_error_matches_dense_defect(kind, parity):
         psi = unit_state(32, seed)
         split, exact = (basis @ mat @ basis.conj().T @ psi for mat in (v @ u, u))
         direct = abs(np.vdot(split, dense @ split).real - np.vdot(exact, dense @ exact).real)
-        assert form.expectation_error(v, u, psi) == pytest.approx(direct, abs=1e-13 * 32)
+        assert form.expectation_error(frame.states(v, u, psi)) == pytest.approx(direct, abs=1e-13 * 32)
 
 
 class TestFrameIsUsed:
