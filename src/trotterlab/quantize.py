@@ -32,7 +32,7 @@ even N, the roll X by N/2 and Xi = diag((-1)^j), which map c(k, kap) to
 (-1)^k c(k, kap) and (-1)^kap c(k, kap); ``TorusSymbol.shift_signs`` reads
 the signs from the lattice, and products and brackets multiply them. On the
 default suite (4 | N) the composition and commutator defects are normed as
-four real N/4 blocks, op(a + b) as one N/2 block, and the Egorov defect, of
+four real N/2 x N/4 blocks, op(a + b) as one N/2 block, and the Egorov defect, of
 which only the [even, odd] quarter in the DFT basis is formed, as two
 N/2 x N/4 blocks.
 """
@@ -83,9 +83,10 @@ class QuantizationContext:
 
     def op_product(self, a: TorusSymbol, b: TorusSymbol) -> np.ndarray:
         """``op(a) @ op(b)``, formed once per ordered pair of lattices; when op(a)
-        is diagonal (``a`` of x alone) by scaling the rows of op(b)."""
+        is diagonal (every coefficient of ``a`` off kap = 0 is exactly zero) by
+        scaling the rows of op(b)."""
         def form():
-            if a.is_x_only():
+            if not np.delete(a.coeffs, a.order_xi, axis=1).any():
                 return np.diag(self.op(a))[:, None] * self.op(b)
             return self.op(a) @ self.op(b)
         return self._kept((_key(a), _key(b)), form)
@@ -171,20 +172,17 @@ def _alternates(n: int, signs: tuple) -> bool:
     return n % 4 == 0 and signs[1] == -1
 
 
-def _block_norm(block: np.ndarray, x_sign: int, even: bool) -> float:
-    """Norm of the N/2 x N/2 [even, odd] block E of an alternating defect. The
-    roll by N/2 maps E to x_sign E, a roll by N/4 on either side, so with
-    x_sign nonzero ||E|| is the larger norm of A + B and A - B, for [A, B] its
-    top half. For an even defect the index reversal maps row p to -p and
-    column q to -q - 1 = N/2 - 1 - q, so ||E|| is the larger norm of L + R and
-    L - R over sqrt 2, for L its left half and R its reversed right half."""
+def _block_norm(block: np.ndarray, even: bool) -> float:
+    """Norm of the N/2 x N/2 [even, odd] block E of an alternating defect. For
+    an even defect the index reversal maps row p to -p and column q to
+    -q - 1 = N/2 - 1 - q, so ||E|| is the larger norm of L + R and L - R over
+    sqrt 2, for L its left half and R its reversed right half; otherwise E is
+    normed whole."""
+    if not even:
+        return spectral_norm(block)
     m = block.shape[0] // 2
-    if x_sign:
-        return max(spectral_norm(block[:m, :m] + s * block[:m, m:]) for s in (1, -1))
-    if even:
-        left, right = block[:, :m], block[:, :m - 1:-1]
-        return max(spectral_norm(left + s * right) for s in (1, -1)) / math.sqrt(2.0)
-    return spectral_norm(block)
+    left, right = block[:, :m], block[:, :m - 1:-1]
+    return max(spectral_norm(left + s * right) for s in (1, -1)) / math.sqrt(2.0)
 
 
 def _defect_norm(defect: np.ndarray, signs: tuple, hermitian: bool = False) -> float:
@@ -201,7 +199,7 @@ def _defect_norm(defect: np.ndarray, signs: tuple, hermitian: bool = False) -> f
     n = defect.shape[0]
     if _alternates(n, signs):
         blocks = [defect[0::2, 1::2]] if hermitian else [defect[0::2, 1::2], defect[1::2, 0::2].T]
-        return max(_block_norm(block, signs[0], signs[3]) for block in blocks)
+        return max(_block_norm(block, signs[3]) for block in blocks)
     if n % 4 == 0 and signs[2] == -1 and hermitian:
         m = n // 2
         return spectral_norm(defect[:m, :m] - defect[:m, m:] * (-1.0) ** np.arange(m))
@@ -293,7 +291,7 @@ def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
     phase = np.exp(1j * (t / ctx.h) * w)
     if _alternates(ctx.N, signs):   # the [even, odd] block alone
         qa, qf = ((_dft_quarter(m) if circulant else m[0::2, 1::2]) for m in (qa, qf))
-        return _block_norm(phase[0::2, None] * qa * phase[1::2].conj() - qf, signs[0], signs[3])
+        return _block_norm(phase[0::2, None] * qa * phase[1::2].conj() - qf, signs[3])
     if circulant:
         qa, qf = (np.fft.ifft(np.fft.fft(m, axis=0), axis=1) for m in (qa, qf))   # F M F^-1
     defect = phase[:, None] * qa * phase.conj()[None, :] - qf

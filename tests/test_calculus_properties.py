@@ -9,6 +9,7 @@ derandomized so that every run draws the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import dense_quantize, dft_matrix, expm_hermitian, from_samples, pullback_samples
@@ -284,7 +285,29 @@ def test_parity_block_norms_match_dense_norms(n, seed, kx, kxi, order, on_x, t, 
     # certify; the oracle forms the same defect as one complex N x N matrix and
     # takes its spectral norm whole
     a, b = even_symbol(seed, kx, kxi, a_keep), even_symbol(seed + 1, kxi, kx, b_keep)
-    generator = even_generator(seed + 2, order, on_x, g_parity)
+    assert_defects_match_dense_norms(a, b, even_generator(seed + 2, order, on_x, g_parity), t, n)
+
+
+@pytest.mark.parametrize("n", [15, 30, 16, 36])
+@pytest.mark.parametrize("a, b, generator", [
+    (sine_x(), cosine_xi(), cosine_xi()),
+    (sine_x() + 0.4 * cosine_x(3), cosine_xi() + 0.3 * cosine_xi(3), cosine_xi() + 0.5 * cosine_xi(3)),
+    (product(sine_x(), cosine_xi()) + 0.5 * product(cosine_x(), cosine_xi(3)), cosine_x(),
+     cosine_x()),
+], ids=["odd", "mixed-in-x", "mixed-in-x-and-xi"])
+def test_block_norms_of_defects_that_are_not_even(n, a, b, generator):
+    # a is odd (op(a) anticommutes with the index reversal) or neither even nor
+    # odd, so no defect below is even; at 4 | N the composition and commutator
+    # defects with b, and the Egorov defect of a under the generator (in the
+    # DFT basis for a generator of xi), still alternate, and their [even, odd]
+    # and [odd, even] blocks are normed whole
+    assert not a.is_even() and a.is_real()
+    assert_defects_match_dense_norms(a, b, generator, 0.5, n)
+
+
+def assert_defects_match_dense_norms(a, b, generator, t, n):
+    """Each remainder of a, b and the generator within 1e-11 N of the same
+    defect formed as one complex N x N matrix and normed whole."""
     ctx = QuantizationContext(n)
     qa, qb = (quantize(sym, ctx).astype(np.complex128) for sym in (a, b))
     bracket = quantize(poisson_bracket(a, b), ctx)

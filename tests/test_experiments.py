@@ -511,7 +511,7 @@ class TestCalculusSuite:
         # defects is normed on two index-reversal blocks of at most N/2 + 1.
         # When 4 divides N the half-period shifts cut deeper: composition,
         # commutator and Egorov (in the DFT basis) alternate, so they are normed
-        # on blocks of N/4, and op(a + b) anticommutes with X Xi, one N/2 block.
+        # on Gram matrices of N/4, and op(a + b) anticommutes with X Xi, one N/2 block.
         # A fallback to index reversal or to a whole norm shows as a larger eigvalsh.
         sizes = []
         eigvalsh = np.linalg.eigvalsh

@@ -117,6 +117,14 @@ class TestQuantize:
         a, b = cosine_x(2) + 0.3 * cosine_x(), product(cosine_x(), cosine_xi()) + cosine_xi(3)
         assert np.array_equal(ctx.op_product(a, b), ctx.op(a) @ ctx.op(b))
 
+    def test_nearly_diagonal_product_is_a_matrix_product(self):
+        # a xi coefficient far below any tolerance still leaves op(a) off the
+        # diagonal, so the product is formed in full
+        ctx = QuantizationContext(16)
+        a, b = cosine_x() + 1e-14 * cosine_xi(), cosine_xi(3)
+        assert np.count_nonzero(ctx.op(a) - np.diag(np.diag(ctx.op(a))))
+        assert np.array_equal(ctx.op_product(a, b), ctx.op(a) @ ctx.op(b))
+
     def test_context_accepts_numpy_integer_n(self):
         ctx = QuantizationContext(np.int64(16))
         assert ctx.h == QuantizationContext(16).h
