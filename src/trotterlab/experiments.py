@@ -472,7 +472,7 @@ def calculus_suite(N_values: Sequence[int], threads: int = 1) -> ExperimentResul
     def rows_for(n: int) -> list[tuple]:
         ctx = QuantizationContext(n)
         h = ctx.h
-        # Egorov first: its complex temporaries, the run's peak, meet only op(a), op(b)
+        # Egorov first: its complex temporaries meet no operator kept by another term
         egorov = qz.egorov_remainder(a, b, CALCULUS_T_FLOW, ctx)
         gap = qz.cv_gap(mixed, ctx)
         return [

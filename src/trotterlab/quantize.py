@@ -11,30 +11,43 @@ k runs over the coefficient lattice and l over the integers with
 x-only symbols produce position diagonals and xi-only symbols circulants.
 A symbol with a(x, -xi) = conj a(x, xi) (for a real symbol: even in xi)
 quantizes to a real matrix at every N, which ``quantize`` returns as float64;
-every other symbol gives complex128. On a (2 Kx + 1) x (2 Kxi + 1) lattice,
-``quantize`` costs O(Kx (N + Kxi)) to fold the l sum and O(r N^2) to sum the
-r <= min(2 Kx + 1, N) modes k mod N that occur, as one N x r by r x N product.
+every other symbol gives complex128.
+
+At even N ``quantize`` also forms one stride-2 block A[r0::2, c0::2] alone,
+and the whole matrix is the stride-1 case of the same routine. A block reads
+the diagonals delta = j - m of one parity, and its rows m = r0 + 2p the
+modes exp(2i pi k r0 / N) exp(2i pi k p / (N/2)). On a (2 Kx + 1) x
+(2 Kxi + 1) lattice the diagonals that reach it (at most 2 Kxi + 1) are
+folded once over l; the r = min(2 Kx + 1, 2 N) rows k are summed as one
+product with their modes when r < 32, else twisted by exp(2i pi k r0 / N),
+folded modulo the block size and summed by one inverse FFT.
+
+The DFT F (``fft`` along axis 0, ``ifft`` along axis 1) is covariant with
+this quantization: F op(a) F^-1 = op(a o rho) with rho(x, xi) = (-xi, x), the
+lattice coeffs[::-1, :].T. It maps a generator of xi to one of x.
 
 The *_remainder functions measure how well the discrete quantization obeys
 the standard semiclassical calculus (symbol composition, commutator vs
 Poisson bracket, sup-norm bound, conjugation vs classical flow) so the
 expected powers of h can be verified by parameter sweeps. Remainders on one
-``QuantizationContext`` share each distinct operator through ``ctx.op``. The
-bracket term enters as op({a, b} / i), so for real a, b even in xi every
-part of the composition, commutator and sup-norm defects is real and they
-are formed and normed in float64. The sup-norm and flow-conjugation defects
-of real symbols are Hermitian and take their norm by eigenvalues; the
-composition and commutator defects take it from their Gram matrix.
+``QuantizationContext`` share each distinct operator and block through
+``ctx.op``. The bracket term enters as op({a, b} / i), so for real a, b even
+in xi every part of the composition, commutator and sup-norm defects is real
+and they are formed and normed in float64. The sup-norm and flow-conjugation
+defects of real symbols are Hermitian and take their norm by eigenvalues;
+the composition and commutator defects take it from their Gram matrix.
 
 Each defect is normed on the blocks of every symmetry its symbols certify
 (``_defect_norm``): the index reversal j -> -j mod N (even symbols) and, at
 even N, the roll X by N/2 and Xi = diag((-1)^j), which map c(k, kap) to
 (-1)^k c(k, kap) and (-1)^kap c(k, kap); ``TorusSymbol.shift_signs`` reads
-the signs from the lattice, and products and brackets multiply them. On the
-default suite (4 | N) the composition and commutator defects are normed as
-four real N/2 x N/4 blocks, op(a + b) as one N/2 block, and the Egorov defect, of
-which only the [even, odd] quarter in the DFT basis is formed, as two
-N/2 x N/4 blocks.
+the signs from exact zeros of the lattice, and products and brackets
+multiply them. When 4 | N and a defect alternates (anticommutes with Xi),
+only its [even, odd] and [odd, even] blocks are formed, from the blocks of
+its operators; otherwise it is formed whole. On the default suite (4 | N)
+the composition defect is normed as four real N/2 x N/4 blocks, the
+commutator defect and the Egorov defect (of the rotated symbols) as two,
+and op(a + b) as one N/2 block of the whole matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import hermitian_norm, require_hermitian, spectral_norm
+from .errors import NonHermitian
+from .numkit import hermitian_norm, spectral_norm
 from .symbols import TorusSymbol, poisson_bracket, product, pullback_split_flow
 
 __all__ = [
@@ -58,11 +72,20 @@ __all__ = [
 ]
 
 
+# Fewest mode rows k that ``quantize`` sums by inverse FFT rather than as a
+# product. Measured with one BLAS thread on random real symbols with kxi = 1,
+# the [even, odd] block at N = 512 took 0.32-0.37 ms (product) against
+# 0.32-0.41 ms (FFT) at r = 31, 0.43-0.46 against 0.36-0.37 ms at r = 63 and
+# 8.7 against 0.54-0.57 ms at r = 1023; at N = 64 the product led at every r,
+# by at most 0.07 ms. The suite's symbols have r = 3, its flowed symbol r = 2N.
+_FFT_ROWS = 32
+
+
 @dataclass(frozen=True)
 class QuantizationContext:
     """Number of modes N; the Planck constant h = 1/(2 pi N) is derived.
-    ``op`` and ``op_product`` keep each matrix they form, read-only, as long
-    as the context."""
+    ``op`` and ``op_product`` keep each matrix or block they form, read-only,
+    as long as the context."""
 
     N: int
     _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -77,19 +100,35 @@ class QuantizationContext:
     def h(self) -> float:
         return 1.0 / (2.0 * math.pi * self.N)
 
-    def op(self, symbol: TorusSymbol) -> np.ndarray:
-        """``quantize(symbol, self)``, computed once per distinct coefficient lattice."""
-        return self._kept(_key(symbol), lambda: quantize(symbol, self))
+    def op(self, symbol: TorusSymbol, block: tuple[int, int] | None = None) -> np.ndarray:
+        """``quantize(symbol, self, block)``, computed once per distinct
+        coefficient lattice and block."""
+        return self._kept((_key(symbol), block), lambda: quantize(symbol, self, block))
 
-    def op_product(self, a: TorusSymbol, b: TorusSymbol) -> np.ndarray:
-        """``op(a) @ op(b)``, formed once per ordered pair of lattices; when op(a)
-        is diagonal (every coefficient of ``a`` off kap = 0 is exactly zero) by
-        scaling the rows of op(b)."""
+    def op_product(self, a: TorusSymbol, b: TorusSymbol,
+                   block: tuple[int, int] | None = None) -> np.ndarray:
+        """``op(a) @ op(b)``, or its block ``(r, c)`` (``quantize``) when op(a)
+        commutes (+1) or anticommutes (-1) with Xi = diag((-1)^j): then only
+        the block ``(r, s)`` of op(a) is nonzero in its rows, s = r or 1 - r,
+        and the block is the one N/2 product op(a)[r, s] op(b)[s, c]. Formed
+        once per ordered pair of lattices and block; when op(a) is diagonal
+        (every coefficient of ``a`` off kap = 0 is exactly zero) by scaling
+        the rows of op(b)."""
+        left = right = None
+        if block is not None:
+            sign = a.shift_signs()[1]
+            if not sign:
+                raise ValueError("a block of op(a) op(b) needs op(a) to commute or "
+                                 "anticommute with diag((-1)^j)")
+            r, c = block
+            inner = r if sign == 1 else 1 - r
+            left, right = (r, inner), (inner, c)
+
         def form():
             if not np.delete(a.coeffs, a.order_xi, axis=1).any():
-                return np.diag(self.op(a))[:, None] * self.op(b)
-            return self.op(a) @ self.op(b)
-        return self._kept((_key(a), _key(b)), form)
+                return np.diag(self.op(a, left))[:, None] * self.op(b, right)
+            return self.op(a, left) @ self.op(b, right)
+        return self._kept((_key(a), _key(b), block), form)
 
     def _kept(self, key: tuple, form) -> np.ndarray:
         if key not in self._ops:
@@ -103,58 +142,77 @@ def _key(symbol: TorusSymbol) -> tuple:
     return symbol.coeffs.shape, symbol.coeffs.tobytes()
 
 
-def quantize(symbol: TorusSymbol, ctx: QuantizationContext) -> np.ndarray:
-    """N x N matrix quantizing a torus symbol, in O(K N + r N^2).
+def quantize(symbol: TorusSymbol, ctx: QuantizationContext,
+             block: tuple[int, int] | None = None) -> np.ndarray:
+    """N x N matrix quantizing a torus symbol or, at even N, its N/2 x N/2
+    block ``(r0, c0)``: rows r0::2 and columns c0::2.
 
     With delta = j - m the phase splits as exp(i pi k (j + m) / N) =
     exp(i pi k delta / N) exp(2i pi k m / N), so each diagonal delta is a
-    sum over k of modes exp(2i pi k m / N), taken over the r rows k mod N
-    that occur. The result is float64 when ``symbol.is_xi_hermitian()``,
-    complex128 otherwise.
+    sum over k of modes exp(2i pi k m / N). A block reads the diagonals of
+    the parity of c0 - r0 alone, and only those within Kxi of a multiple of
+    N are nonzero. Its rows m = r0 + 2p read the modes
+    exp(2i pi k r0 / N) exp(2i pi k p / (N/2)); the whole matrix is the
+    stride-1 case, r0 = c0 = 0. Fewer than ``_FFT_ROWS`` rows k are summed
+    as one product with their modes, more as one inverse FFT of the rows
+    twisted by exp(2i pi k r0 / N) and folded modulo the block size. The
+    result is float64 when ``symbol.is_xi_hermitian()``, complex128 otherwise.
     """
     n = ctx.N
+    stride = 1 if block is None else 2
+    r0, c0 = block or (0, 0)
+    if n % stride:
+        raise ValueError(f"a stride-2 block needs an even N, got {n}")
+    size = n // stride
     kx, kxi = symbol.order_x, symbol.order_xi
-    # the sign and the twist below are 2N-periodic in k: sum the rows k mod 2N first
-    ks, coeffs = _fold_rows(np.arange(-kx, kx + 1), symbol.coeffs, 2 * n)
+    ks, coeffs = np.arange(-kx, kx + 1), symbol.coeffs
+    if ks.size > 2 * n:   # the sign and the twists below are 2N-periodic in k
+        ks, coeffs = np.arange(2 * n), _fold_rows(ks, coeffs, 2 * n)
 
-    # Fold the kap axis once: g[k, delta] = sum_l c(k, delta - l N) (-1)^(k l)
-    # for delta in [0, N-1], over every l that reaches the lattice.
-    deltas = np.arange(n)
-    g = np.zeros((ks.size, n), dtype=np.complex128)
+    # The block's diagonals are deltas[i] = d0 + stride i, i < size; those
+    # within kxi of 0 or N (i in cols) reach the lattice. Fold the kap axis
+    # once onto them: g[k, i] = sum_l c(k, deltas[i] - l N) (-1)^(k l).
+    deltas = np.arange((c0 - r0) % stride, n, stride)
+    cols = np.flatnonzero(np.minimum(deltas, n - deltas) <= kxi)
+    g = np.zeros((ks.size, cols.size), dtype=np.complex128)
     for l in range(math.ceil(-kxi / n), math.floor((n - 1 + kxi) / n) + 1):
-        kap = deltas - l * n
+        kap = deltas[cols] - l * n
         valid = np.abs(kap) <= kxi
         g[:, valid] += (-1.0) ** (ks * l)[:, None] * coeffs[:, kap[valid] + kxi]
 
     # Twist by exp(i pi k delta / N), looked up at the exact integer k delta
     # mod 2N; the twisted fold is N-periodic in delta (a shift by N flips both
-    # signs by (-1)^k). Fold k modulo N onto the r rows that occur and sum
-    # their modes: D[m, delta] = A[m, (m + delta) mod N].
+    # signs by (-1)^k). Sum the modes of the rows m = r0 + stride p into
+    # diags, the columns i in cols of D[p, i] = A[m, (m + deltas[i]) mod N].
     turns = np.exp(1j * np.pi * np.arange(2 * n) / n)
-    g *= turns[np.multiply.outer(ks, deltas) % (2 * n)]
-    ks, folded = _fold_rows(ks, g, n)
-    modes = turns[np.multiply.outer(deltas, 2 * ks) % (2 * n)]
-    # A[m, j] = [D, D][m, N - m + j]: row m of A starts N - m into row m of [D, D]
-    if symbol.is_xi_hermitian():   # D = Re(modes folded), one real product
-        twice = np.empty((n, 2 * n))
-        np.matmul(np.hstack((modes.real, -modes.imag)), np.vstack((folded.real, folded.imag)),
-                  out=twice[:, :n])
+    g *= turns[np.multiply.outer(ks, deltas[cols]) % (2 * n)]
+    real = symbol.is_xi_hermitian()   # D = Re(modes g)
+    if ks.size < _FFT_ROWS:
+        rows = r0 + stride * np.arange(size)
+        modes = turns[np.multiply.outer(rows, 2 * ks) % (2 * n)]
+        diags = (np.hstack((modes.real, -modes.imag)) @ np.vstack((g.real, g.imag)) if real
+                 else modes @ g)
     else:
-        twice = np.empty((n, 2 * n), dtype=np.complex128)
-        np.matmul(modes, folded, out=twice[:, :n])
-    twice[:, n:] = twice[:, :n]
-    step = twice.strides[1]
-    return np.lib.stride_tricks.as_strided(twice[:, n:], shape=(n, n),
-                                           strides=(twice.strides[0] - step, step)).copy()
+        if r0:
+            g *= turns[2 * r0 * ks % (2 * n)][:, None]
+        diags = size * np.fft.ifft(_fold_rows(ks, g, size), axis=0)
+        diags = diags.real if real else diags
+    # D[p, i] is the block's entry (p, q) with q = p + i - shift (mod size):
+    # shift = 0, except -1 for the [odd, even] block, where the diagonal
+    # deltas[i] = 1 + 2 i joins row 1 + 2p to column 2 (p + i + 1)
+    shift = (c0 - r0 - deltas[0]) // stride
+    out = np.zeros((size, size), dtype=diags.dtype)
+    p = np.arange(size)[:, None]
+    out[p, (p + cols - shift) % size] = diags
+    return out
 
 
-def _fold_rows(ks: np.ndarray, rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the consecutive indices ``ks`` summed modulo ``period``: the
-    first ``period`` indices and their sums, or the input when none repeats."""
-    if ks.size <= period:
-        return ks, rows
-    padded = np.pad(rows, ((0, -ks.size % period), (0, 0)))
-    return ks[:period], padded.reshape(-1, period, rows.shape[1]).sum(axis=0)
+def _fold_rows(ks: np.ndarray, rows: np.ndarray, period: int) -> np.ndarray:
+    """Rows of the consecutive indices ``ks`` summed modulo ``period``: row i
+    holds the sum over k = i mod ``period`` (zero where none occurs)."""
+    lead = ks[0] % period
+    padded = np.pad(rows, ((lead, -(lead + ks.size) % period), (0, 0)))
+    return padded.reshape(-1, period, rows.shape[1]).sum(axis=0)
 
 
 def _signs(*symbols: TorusSymbol) -> tuple:
@@ -185,10 +243,13 @@ def _block_norm(block: np.ndarray, even: bool) -> float:
     return max(spectral_norm(left + s * right) for s in (1, -1)) / math.sqrt(2.0)
 
 
-def _defect_norm(defect: np.ndarray, signs: tuple, hermitian: bool = False) -> float:
-    """Spectral norm of a defect with ``signs`` (``_signs``), on the blocks of the
-    first rule that holds. It alternates: the [even, odd] block and, unless it
-    is ``hermitian``, the transposed [odd, even] block (``_block_norm``). It is
+def _defect_norm(n: int, defect, signs: tuple, adjoint: int = 0) -> float:
+    """Spectral norm of a defect with ``signs`` (``_signs``), of which
+    ``defect(block)`` forms the block of ``quantize`` or, for None, the whole
+    matrix; ``adjoint`` is +1 when the defect is Hermitian, -1 when it is
+    anti-Hermitian, 0 otherwise. It is normed on the blocks of the first rule
+    that holds. It alternates: the [even, odd] block and, unless its adjoint
+    is +-itself, the transposed [odd, even] block (``_block_norm``). It is
     Hermitian and anticommutes with X Xi, which swaps the halves with the signs
     (-1)^j, and 4 | N: the N/2 block C = D11 - D12 diag((-1)^j). It is even: its
     two index-reversal blocks, on the bases e_0, e_{N/2} (even N) with
@@ -196,14 +257,14 @@ def _defect_norm(defect: np.ndarray, signs: tuple, hermitian: bool = False) -> f
     D[m, j] +- D[m, -j]. Otherwise: whole. Off-diagonal blocks are normed from
     the Gram matrix; a Hermitian defect, whole or on its index-reversal blocks,
     from eigenvalues."""
-    n = defect.shape[0]
     if _alternates(n, signs):
-        blocks = [defect[0::2, 1::2]] if hermitian else [defect[0::2, 1::2], defect[1::2, 0::2].T]
+        blocks = [defect((0, 1))] if adjoint else [defect((0, 1)), defect((1, 0)).T]
         return max(_block_norm(block, signs[3]) for block in blocks)
-    if n % 4 == 0 and signs[2] == -1 and hermitian:
+    defect = defect(None)
+    if n % 4 == 0 and signs[2] == -1 and adjoint == 1:
         m = n // 2
         return spectral_norm(defect[:m, :m] - defect[:m, m:] * (-1.0) ** np.arange(m))
-    norm = hermitian_norm if hermitian else spectral_norm
+    norm = hermitian_norm if adjoint == 1 else spectral_norm
     if not signs[3]:
         return norm(defect)
     plus, minus = np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)
@@ -215,11 +276,6 @@ def _defect_norm(defect: np.ndarray, signs: tuple, hermitian: bool = False) -> f
     return max(norm(block) for block in (block_plus, block_minus) if block.size)
 
 
-def _bracket_over_i(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContext) -> np.ndarray:
-    """op({a, b} / i): real when {a, b} is real and odd in xi."""
-    return ctx.op(-1j * poisson_bracket(a, b))
-
-
 def composition_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContext) -> float:
     """Norm defect of the leading composition rule; expected O(h^2).
 
@@ -227,8 +283,12 @@ def composition_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationConte
     term as (h / 2) op({a, b} / i): for real a, b even in xi every term is
     real, and the defect and its norm stay in float64.
     """
-    defect = ctx.op_product(a, b) - ctx.op(product(a, b)) - (ctx.h / 2) * _bracket_over_i(a, b, ctx)
-    return _defect_norm(defect, _signs(a, b))
+    ab, bracket = product(a, b), -1j * poisson_bracket(a, b)
+
+    def defect(block):
+        return (ctx.op_product(a, b, block) - ctx.op(ab, block)
+                - (ctx.h / 2) * ctx.op(bracket, block))
+    return _defect_norm(ctx.N, defect, _signs(a, b))
 
 
 def commutator_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContext) -> float:
@@ -236,14 +296,21 @@ def commutator_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContex
 
     Measures || [op(a), op(b)] - (h / i) op({a, b}) ||. For real symbols
     op(a) and op(b) are Hermitian, so the commutator is P - P^dag with
-    P = op(a) op(b), the product the composition defect reads too. For real
-    a, b even in xi the difference is real antisymmetric and its norm stays
-    in float64.
+    P = op(a) op(b), the product the composition defect reads too, and the
+    defect is anti-Hermitian: its [even, odd] block P[e, o] - P[o, e]^dag -
+    h op({a, b} / i)[e, o] holds its norm when it alternates. For real a, b
+    even in xi the difference is real antisymmetric and its norm stays in
+    float64.
     """
     if not (a.is_real() and b.is_real()):
         raise ValueError("commutator defect is defined for real-valued symbols")
-    prod = ctx.op_product(a, b)
-    return _defect_norm(prod - prod.conj().T - ctx.h * _bracket_over_i(a, b, ctx), _signs(a, b))
+    bracket = -1j * poisson_bracket(a, b)
+
+    def defect(block):
+        flipped = None if block is None else block[::-1]
+        return (ctx.op_product(a, b, block) - ctx.op_product(a, b, flipped).conj().T
+                - ctx.h * ctx.op(bracket, block))
+    return _defect_norm(ctx.N, defect, _signs(a, b), adjoint=-1)
 
 
 def cv_gap(a: TorusSymbol, ctx: QuantizationContext) -> float:
@@ -255,7 +322,7 @@ def cv_gap(a: TorusSymbol, ctx: QuantizationContext) -> float:
     """
     if not a.is_real():
         raise ValueError("sup-norm gap is defined for real-valued symbols")
-    return _defect_norm(ctx.op(a), _signs(a), hermitian=True) - a.sup_abs()
+    return _defect_norm(ctx.N, lambda block: ctx.op(a, block), _signs(a), adjoint=1) - a.sup_abs()
 
 
 def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
@@ -265,46 +332,29 @@ def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
     Measures || e^{i t B / h} op(a) e^{-i t B / h} - op(a o phi_t) || where
     B = op(generator) and phi_t is the split generator's Hamiltonian flow.
     The flowed symbol interpolates M = max(256, 4 N) samples on the flowed
-    axis (orders up to M/2 >= 2 N). B is diagonal or circulant; in its
-    eigenbasis the conjugation is the entrywise phase e^{i t (w_k - w_l) / h}.
-    The DFT commutes with the index reversal and swaps the two half-period
-    shifts, so the symmetry blocks hold in that basis too; when the defect
-    alternates there, only the [even, odd] quarter of F op F^-1 and of the
-    phases is formed.
+    axis (orders up to M/2 >= 2 N). For an x-only generator B is the diagonal
+    of its values w_j at x = j / N, and the conjugation is the entrywise phase
+    e^{i t (w_m - w_j) / h}. A generator of xi is made x-only by the DFT
+    covariance F op(s) F^-1 = op(s o rho), rho(x, xi) = (-xi, x): the norm of
+    the defect is that of its DFT conjugate, so a, the generator and the
+    flowed symbol are rotated and the x-only rule applies.
     """
     if abs(t) > 1.0:
         raise ValueError(f"|t| <= 1 expected, got {t}")
     if not a.is_real():
         raise ValueError("flow conjugation defect is defined for real-valued symbols")
     flowed = pullback_split_flow(a, generator, t, max(256, 4 * ctx.N))   # NotSplit guards here
-    b = ctx.op(generator)
-    require_hermitian(b)
-    qa, qf = ctx.op(a), ctx.op(flowed)
+    if not generator.is_real():
+        raise NonHermitian("flow generator must be real-valued")
+    if not generator.is_x_only():
+        a, generator, flowed = (TorusSymbol(s.coeffs[::-1, :].T) for s in (a, generator, flowed))
     # a symmetry counts when it leaves B fixed and a and the flowed symbol share its sign
     signs = tuple(sa if sb == 1 and sa == sf else 0
                   for sa, sb, sf in zip(_signs(a), _signs(generator), _signs(flowed)))
-    circulant = not generator.is_x_only()
-    if circulant:   # the DFT swaps the roll by N/2 and the signs (-1)^j
-        signs = (signs[1], signs[0], *signs[2:])
-    # B's eigenvalues: its diagonal, or for a circulant the DFT of its first column
-    w = np.fft.fft(b[:, 0]).real if circulant else np.diag(b).real
-    phase = np.exp(1j * (t / ctx.h) * w)
-    if _alternates(ctx.N, signs):   # the [even, odd] block alone
-        qa, qf = ((_dft_quarter(m) if circulant else m[0::2, 1::2]) for m in (qa, qf))
-        return _block_norm(phase[0::2, None] * qa * phase[1::2].conj() - qf, signs[3])
-    if circulant:
-        qa, qf = (np.fft.ifft(np.fft.fft(m, axis=0), axis=1) for m in (qa, qf))   # F M F^-1
-    defect = phase[:, None] * qa * phase.conj()[None, :] - qf
-    return _defect_norm(defect, signs, hermitian=True)
+    phase = np.exp(1j * (t / ctx.h) * generator.evaluate(np.arange(ctx.N) / ctx.N, 0.0).real)
 
-
-def _dft_quarter(matrix: np.ndarray) -> np.ndarray:
-    """The [even, odd] block of F M F^-1 (F the DFT, ``fft`` along axis 0 and
-    ``ifft`` along axis 1) by two N/2-point transforms: even rows of F read the
-    sum of M's two row halves, odd columns of F^-1 the difference of its two
-    column halves twisted by e^{2 i pi j / N}."""
-    n = matrix.shape[0]
-    m = n // 2
-    rows = matrix[:m] + matrix[m:]
-    cols = (rows[:, :m] - rows[:, m:]) * np.exp(2j * np.pi * np.arange(m) / n)
-    return np.fft.ifft(np.fft.fft(cols, axis=0), axis=1) / 2.0
+    def defect(block):
+        rows, cols = (slice(None), slice(None)) if block is None else \
+            (slice(block[0], None, 2), slice(block[1], None, 2))
+        return phase[rows, None] * ctx.op(a, block) * phase[cols].conj() - ctx.op(flowed, block)
+    return _defect_norm(ctx.N, defect, signs, adjoint=1)

@@ -105,13 +105,12 @@ class TorusSymbol:
         """Signs s of a(x + 1/2, xi) = s a(x, xi), a(x, xi + 1/2) = s a(x, xi)
         and a(x + 1/2, xi + 1/2) = s a(x, xi), read from the lattice: +1 when
         k, kap or k + kap is even at every nonzero coefficient c(k, kap), -1
-        when it is odd at every one, 0 when mixed. At even N, op(a) then
-        commutes (+1) or anticommutes (-1) with the roll by N/2, with
-        diag((-1)^j) and with their product."""
-        mags = np.abs(self.coeffs)
-        tol = _REALITY_TOL * max(mags.max(), 1.0)
+        when it is odd at every one, 0 when mixed. A coefficient counts when it
+        is not exactly zero: a sign decides which blocks of op(a) are formed at
+        all. At even N, op(a) then commutes (+1) or anticommutes (-1) with the
+        roll by N/2, with diag((-1)^j) and with their product."""
         occupied = [(p, q) for p in (0, 1) for q in (0, 1)
-                    if mags[(self.order_x + p) % 2::2, (self.order_xi + q) % 2::2].max(initial=0.0) > tol]
+                    if self.coeffs[(self.order_x + p) % 2::2, (self.order_xi + q) % 2::2].any()]
         signs = []
         for in_x, in_xi in ((1, 0), (0, 1), (1, 1)):
             flips = {(in_x * p + in_xi * q) % 2 for p, q in occupied}

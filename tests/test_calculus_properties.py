@@ -1,9 +1,10 @@
 """Property tests of the quantization and symbol-sampling kernels on any grid.
 
 Grid sizes N run over 3..40 (1..64 for the real typing, 1..70 for the
-symmetry-block norms), odd and non-power-of-two included. Coefficient lattices reach past N in both
-directions, so the fold of k modulo N and the fold of kap over l are both
-exercised. Sample grids M x M run over every M up to 64, not only powers of
+symmetry-block norms, the even 2..80 for the stride-2 blocks), odd and
+non-power-of-two included. Coefficient lattices reach past N in both
+directions, so the folds of k (modulo 2N, and modulo the block size before
+an inverse-FFT mode sum) and the fold of kap over l are all exercised. Sample grids M x M run over every M up to 64, not only powers of
 two; a flowed symbol is evaluated on the same grid. Examples are
 derandomized so that every run draws the same cases.
 """
@@ -70,6 +71,47 @@ def test_quantize_matches_coordinate_sum(shape, seed):
     sym = random_symbol(seed, kx, kxi)
     fast = quantize(sym, QuantizationContext(n))
     assert np.abs(fast - dense_quantize(sym, n)).max() <= 1e-10
+
+
+@PROPERTY
+@given(n=st.integers(1, 40).map(lambda half: 2 * half), seed=seeds,
+       kx=st.one_of(st.integers(0, 6), st.integers(16, 90)), kxi=st.integers(0, 44),
+       real=st.booleans())
+@example(n=8, seed=1, kx=2, kxi=1, real=True)      # 4 | N, product sum
+@example(n=10, seed=2, kx=3, kxi=7, real=False)    # N = 2 mod 4, product sum
+@example(n=20, seed=3, kx=40, kxi=2, real=True)    # FFT sum, rows folded mod 2N first
+@example(n=18, seed=4, kx=20, kxi=9, real=False)   # FFT sum, N = 2 mod 4
+@example(n=2, seed=5, kx=16, kxi=3, real=True)     # blocks of one entry
+def test_blocks_match_slices_of_the_whole_matrix(n, seed, kx, kxi, real):
+    # each stride-2 block (r0, c0) is the slice [r0::2, c0::2] of the whole
+    # matrix, whether the min(2 Kx + 1, 2 N) mode rows are summed as a product
+    # (fewer than 32) or by inverse FFT, for every N = 0 or 2 mod 4
+    sym = random_symbol(seed, kx, kxi, real=real)
+    ctx = QuantizationContext(n)
+    whole = quantize(sym, ctx)
+    scale = np.abs(sym.coeffs).sum()
+    for r0 in (0, 1):
+        for c0 in (0, 1):
+            block = quantize(sym, ctx, (r0, c0))
+            assert block.shape == (n // 2, n // 2) and block.dtype == whole.dtype
+            assert np.abs(block - whole[r0::2, c0::2]).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(n=st.integers(1, 40), seed=seeds, kx=st.integers(0, 22), kxi=st.integers(0, 22))
+@example(n=15, seed=1, kx=2, kxi=3)
+@example(n=16, seed=2, kx=3, kxi=2)
+@example(n=20, seed=3, kx=1, kxi=30)   # rotated lattice summed by FFT, wider than 2N
+def test_dft_conjugation_rotates_the_symbol(n, seed, kx, kxi):
+    # F op(a) F^-1 = op(a o rho) with rho(x, xi) = (-xi, x), F the DFT (fft
+    # along the rows, ifft along the columns): the rotated lattice is
+    # coeffs[::-1, :].T, at odd and even N
+    sym = random_symbol(seed, kx, kxi)
+    ctx = QuantizationContext(n)
+    op = quantize(sym, ctx).astype(np.complex128)
+    rotated = quantize(TorusSymbol(sym.coeffs[::-1, :].T), ctx)
+    conjugated = np.fft.ifft(np.fft.fft(op, axis=0), axis=1)
+    assert np.abs(conjugated - rotated).max() <= 1e-13 * spectral_norm(op)
 
 
 def with_xi_parity(symbol: TorusSymbol, parity: str) -> TorusSymbol:
@@ -350,8 +392,9 @@ def test_odd_and_mixed_symbols_are_not_even():
        kxi=st.integers(0, 3), order=st.integers(1, 3), t=st.floats(-1.0, 1.0),
        m=st.integers(2 * 33, 96))
 def test_quantize_folds_rows_of_x_generator_flows(n, seed, kx, kxi, order, t, m):
-    # a flow under an x-only generator has order M/2 in x, so 2 Kx + 1 > N and
-    # rows k = k' mod N fold onto each other before the mode sum
+    # a flow under an x-only generator has order M/2 in x, so 2 Kx + 1 > N:
+    # rows fold modulo 2N, and at N = 16 and 33, whose 2N rows are summed by
+    # inverse FFT, modulo N before it
     flowed = pullback_split_flow(random_symbol(seed, kx, kxi),
                                  random_symbol(seed + 1, order, 0, real=True), t, m)
     assert 2 * flowed.order_x + 1 > n

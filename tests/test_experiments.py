@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -470,40 +471,47 @@ class TestCalculusSuite:
         assert res.fits["egorov_remainder"].slope >= 1.8
 
     def test_each_operator_quantized_once(self, monkeypatch):
-        # per grid: a, b, a b, {a, b} / i, a + b and the flowed symbol, each
-        # quantized once; sup|a + b| sampled once for the whole run
-        calls = {"quantize": 0, "mixed_sup": 0}
+        # per grid (4 | N), each (lattice, block) a defect reads is quantized
+        # once: op(a + b) whole; the [even, odd] blocks of the rotated a (the
+        # lattice of b) and of the rotated flowed symbol; the [even, even] and
+        # [odd, odd] blocks of the diagonal op(a) and the [odd, even] block of
+        # b, and both alternating blocks of a b and {a, b} / i. sup|a + b| is
+        # sampled once for the whole run
+        calls, mixed_sup = [], []
         quantize, sampled_sup = trotterlab.quantize.quantize, TorusSymbol._sampled_sup
 
-        def counted_quantize(symbol, ctx):
-            calls["quantize"] += 1
-            return quantize(symbol, ctx)
+        def counted_quantize(symbol, ctx, block=None):
+            calls.append((ctx.N, symbol.coeffs.shape, symbol.coeffs.tobytes(), block))
+            return quantize(symbol, ctx, block)
 
         def counted_sup(symbol):
-            calls["mixed_sup"] += not (symbol.is_x_only() or symbol.is_xi_only())
+            mixed_sup.append(not (symbol.is_x_only() or symbol.is_xi_only()))
             return sampled_sup(symbol)
 
         monkeypatch.setattr(trotterlab.quantize, "quantize", counted_quantize)
         monkeypatch.setattr(TorusSymbol, "_sampled_sup", counted_sup)
         calculus_suite([16, 32, 64, 128, 256, 512])
-        assert calls["quantize"] <= 36 and calls["mixed_sup"] == 1
+        assert len(calls) == len(set(calls)) == 10 * 6 and sum(mixed_sup) == 1
+        assert [n for n, *_, block in calls if block is None] == [16, 32, 64, 128, 256, 512]
 
     def test_product_formed_once_per_grid(self, monkeypatch):
-        # the composition and commutator defects both read op(a) op(b): each
-        # grid forms it once and hands the same array to both
+        # the composition and commutator defects both read the [even, odd] and
+        # [odd, even] blocks of op(a) op(b): each grid forms each block once and
+        # hands the same array to both
         calls, formed = [], []
         op_product = trotterlab.quantize.QuantizationContext.op_product
 
-        def counted(ctx, a, b):
-            prod = op_product(ctx, a, b)
-            calls.append(ctx.N)
+        def counted(ctx, a, b, block=None):
+            prod = op_product(ctx, a, b, block)
+            calls.append((ctx.N, block))
             if not any(prod is seen for seen in formed):
                 formed.append(prod)
             return prod
 
         monkeypatch.setattr(trotterlab.quantize.QuantizationContext, "op_product", counted)
         calculus_suite([16, 32, 64])
-        assert calls == [16, 16, 32, 32, 64, 64] and len(formed) == 3
+        assert calls == [(n, block) for n in (16, 32, 64) for block in [(0, 1), (1, 0)] * 2]
+        assert len(formed) == 6
 
     @pytest.mark.parametrize("n", [16, 33, 64])
     def test_norms_taken_on_parity_blocks(self, monkeypatch, n):
@@ -511,8 +519,10 @@ class TestCalculusSuite:
         # defects is normed on two index-reversal blocks of at most N/2 + 1.
         # When 4 divides N the half-period shifts cut deeper: composition,
         # commutator and Egorov (in the DFT basis) alternate, so they are normed
-        # on Gram matrices of N/4, and op(a + b) anticommutes with X Xi, one N/2 block.
-        # A fallback to index reversal or to a whole norm shows as a larger eigvalsh.
+        # on Gram matrices of N/4 (the anti-Hermitian commutator and the
+        # Hermitian Egorov defect on their [even, odd] block alone), and
+        # op(a + b) anticommutes with X Xi, one N/2 block. A fallback to index
+        # reversal or to a whole norm shows as a larger or an extra eigvalsh.
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -536,7 +546,21 @@ class TestCalculusSuite:
             assert sizes and max(sizes) <= bound
         sizes.clear()
         calculus_suite([n])
-        assert len(sizes) == (11 if n % 4 == 0 else 8)
+        assert len(sizes) == (9 if n % 4 == 0 else 8)
+
+    def test_traced_peak_of_the_largest_grid(self):
+        # at 4 | N the defects are formed on their N/2 blocks from the start:
+        # no N x N array but op(a + b) of cv_gap (2 MB at N = 512) and its
+        # quantization temporaries. Forming each operator whole and slicing
+        # its blocks traced a 22 MB peak
+        calculus_suite([16])
+        tracemalloc.start()
+        try:
+            calculus_suite([512])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14e6
 
     def test_rows_match_committed_reference(self):
         # the benchmark's reference table, recorded from the dense-norm code,

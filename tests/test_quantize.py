@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import dense_quantize, dft_matrix, expm_hermitian, from_samples, pullback_samples
 
+import trotterlab.quantize
 from trotterlab.errors import NotSplit
 from trotterlab.numkit import spectral_norm
 from trotterlab.quantize import (
@@ -249,6 +250,38 @@ class TestCalculusRemainders:
         for n in (8, 16, 32, 64, 128, 256):
             ctx = QuantizationContext(n)
             assert spectral_norm(quantize(sym, ctx)) <= sup + 25.0 * ctx.h
+
+
+class TestSignCertificates:
+    """A shift sign decides which blocks of a defect are formed at all, so it
+    is certified only by exact zeros in the other parity classes."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_tiny_off_class_coefficient_falls_back(self, monkeypatch, n):
+        # 1e-14 cos 2 pi xi leaves a with no sign under X or Xi: every defect
+        # with a is formed whole and normed on its index-reversal blocks, and
+        # matches the dense norm of the same defect
+        a, b = cosine_x() + 1e-14 * cosine_xi(), cosine_xi()
+        assert a.shift_signs() == (0, 0, -1) and cosine_x().shift_signs() == (-1, 1, -1)
+        blocks = []
+
+        def recorded(symbol, ctx, block=None):
+            blocks.append(block)
+            return quantize(symbol, ctx, block)
+
+        monkeypatch.setattr(trotterlab.quantize, "quantize", recorded)
+        ctx, t = QuantizationContext(n), 0.5
+        values = [composition_remainder(a, b, ctx), commutator_remainder(a, b, ctx),
+                  egorov_remainder(a, b, t, ctx)]
+        assert blocks and set(blocks) == {None}
+        qa, qb, bracket = (dense_quantize(sym, n) for sym in (a, b, poisson_bracket(a, b)))
+        u = expm_hermitian(qb, t / ctx.h)
+        flowed = pullback_split_flow(a, b, t, max(256, 4 * n))
+        oracles = [spectral_norm(qa @ qb - dense_quantize(product(a, b), n) - (ctx.h / 2j) * bracket),
+                   spectral_norm(qa @ qb - qb @ qa - (ctx.h / 1j) * bracket),
+                   spectral_norm(u @ qa @ u.conj().T - dense_quantize(flowed, n))]
+        for value, oracle in zip(values, oracles):
+            assert abs(value - oracle) <= 1e-11 * n
 
 
 class TestRemaindersAgainstDenseOracles:
