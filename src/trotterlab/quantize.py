@@ -18,9 +18,9 @@ and the whole matrix is the stride-1 case of the same routine. A block reads
 the diagonals delta = j - m of one parity, and its rows m = r0 + 2p the
 modes exp(2i pi k r0 / N) exp(2i pi k p / (N/2)). On a (2 Kx + 1) x
 (2 Kxi + 1) lattice the diagonals that reach it (at most 2 Kxi + 1) are
-folded once over l; the r = min(2 Kx + 1, 2 N) rows k are summed as one
-product with their modes when r < 32, else twisted by exp(2i pi k r0 / N),
-folded modulo the block size and summed by one inverse FFT.
+folded once over l; the r = min(2 Kx + 1, 2 N) rows k are twisted by
+exp(2i pi k r0 / N), folded modulo the block size and summed by one inverse
+FFT. A block that no diagonal reaches is zero.
 
 The DFT F (``fft`` along axis 0, ``ifft`` along axis 1) is covariant with
 this quantization: F op(a) F^-1 = op(a o rho) with rho(x, xi) = (-xi, x), the
@@ -37,15 +37,18 @@ and they are formed and normed in float64. The sup-norm and flow-conjugation
 defects of real symbols are Hermitian and take their norm by eigenvalues;
 the composition and commutator defects take it from their Gram matrix.
 
-Each defect is normed on the blocks of every symmetry its symbols certify
-(``_defect_norm``): the index reversal j -> -j mod N (even symbols) and, at
-even N, the roll X by N/2 and Xi = diag((-1)^j), which map c(k, kap) to
-(-1)^k c(k, kap) and (-1)^kap c(k, kap); ``TorusSymbol.shift_signs`` reads
-the signs from exact zeros of the lattice, and products and brackets
-multiply them. When 4 | N and a defect alternates (anticommutes with Xi),
-only its [even, odd] and [odd, even] blocks are formed, from the blocks of
-its operators; otherwise it is formed whole. On the default suite (4 | N)
-the composition defect is normed as four real N/2 x N/4 blocks, the
+Each defect is normed on the blocks of the symmetries its symbols certify
+(``_defect_norm``). At even N the roll X by N/2 and Xi = diag((-1)^j) map
+c(k, kap) to (-1)^k c(k, kap) and (-1)^kap c(k, kap); ``TorusSymbol.shift_signs``
+reads the signs from exact zeros of the lattice, and products and brackets
+multiply them. The rules apply when 4 | N. A defect that alternates
+(anticommutes with Xi) is formed only as its [even, odd] and [odd, even]
+blocks, from the blocks of its operators, and a block of an even defect (of
+symbols even under the index reversal j -> -j mod N) is normed on two
+N/2 x N/4 halves. A Hermitian defect that anticommutes with X Xi is normed
+on one N/2 block of the whole matrix. Every other defect, and every defect
+when 4 does not divide N, is formed and normed whole. On the default suite
+(4 | N) the composition defect is normed as four real N/2 x N/4 blocks, the
 commutator defect and the Egorov defect (of the rotated symbols) as two,
 and op(a + b) as one N/2 block of the whole matrix.
 """
@@ -70,15 +73,6 @@ __all__ = [
     "cv_gap",
     "egorov_remainder",
 ]
-
-
-# Fewest mode rows k that ``quantize`` sums by inverse FFT rather than as a
-# product. Measured with one BLAS thread on random real symbols with kxi = 1,
-# the [even, odd] block at N = 512 took 0.32-0.37 ms (product) against
-# 0.32-0.41 ms (FFT) at r = 31, 0.43-0.46 against 0.36-0.37 ms at r = 63 and
-# 8.7 against 0.54-0.57 ms at r = 1023; at N = 64 the product led at every r,
-# by at most 0.07 ms. The suite's symbols have r = 3, its flowed symbol r = 2N.
-_FFT_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -111,9 +105,7 @@ class QuantizationContext:
         commutes (+1) or anticommutes (-1) with Xi = diag((-1)^j): then only
         the block ``(r, s)`` of op(a) is nonzero in its rows, s = r or 1 - r,
         and the block is the one N/2 product op(a)[r, s] op(b)[s, c]. Formed
-        once per ordered pair of lattices and block; when op(a) is diagonal
-        (every coefficient of ``a`` off kap = 0 is exactly zero) by scaling
-        the rows of op(b)."""
+        once per ordered pair of lattices and block."""
         left = right = None
         if block is not None:
             sign = a.shift_signs()[1]
@@ -123,12 +115,8 @@ class QuantizationContext:
             r, c = block
             inner = r if sign == 1 else 1 - r
             left, right = (r, inner), (inner, c)
-
-        def form():
-            if not np.delete(a.coeffs, a.order_xi, axis=1).any():
-                return np.diag(self.op(a, left))[:, None] * self.op(b, right)
-            return self.op(a, left) @ self.op(b, right)
-        return self._kept((_key(a), _key(b), block), form)
+        return self._kept((_key(a), _key(b), block),
+                          lambda: self.op(a, left) @ self.op(b, right))
 
     def _kept(self, key: tuple, form) -> np.ndarray:
         if key not in self._ops:
@@ -153,10 +141,10 @@ def quantize(symbol: TorusSymbol, ctx: QuantizationContext,
     the parity of c0 - r0 alone, and only those within Kxi of a multiple of
     N are nonzero. Its rows m = r0 + 2p read the modes
     exp(2i pi k r0 / N) exp(2i pi k p / (N/2)); the whole matrix is the
-    stride-1 case, r0 = c0 = 0. Fewer than ``_FFT_ROWS`` rows k are summed
-    as one product with their modes, more as one inverse FFT of the rows
-    twisted by exp(2i pi k r0 / N) and folded modulo the block size. The
-    result is float64 when ``symbol.is_xi_hermitian()``, complex128 otherwise.
+    stride-1 case, r0 = c0 = 0. The rows k are twisted by
+    exp(2i pi k r0 / N), folded modulo the block size and summed by one
+    inverse FFT. The result is float64 when ``symbol.is_xi_hermitian()``,
+    complex128 otherwise.
     """
     n = ctx.N
     stride = 1 if block is None else 2
@@ -174,6 +162,9 @@ def quantize(symbol: TorusSymbol, ctx: QuantizationContext,
     # once onto them: g[k, i] = sum_l c(k, deltas[i] - l N) (-1)^(k l).
     deltas = np.arange((c0 - r0) % stride, n, stride)
     cols = np.flatnonzero(np.minimum(deltas, n - deltas) <= kxi)
+    real = symbol.is_xi_hermitian()   # then every entry is real
+    if not cols.size:   # no diagonal reaches the block
+        return np.zeros((size, size), dtype=np.float64 if real else np.complex128)
     g = np.zeros((ks.size, cols.size), dtype=np.complex128)
     for l in range(math.ceil(-kxi / n), math.floor((n - 1 + kxi) / n) + 1):
         kap = deltas[cols] - l * n
@@ -186,17 +177,10 @@ def quantize(symbol: TorusSymbol, ctx: QuantizationContext,
     # diags, the columns i in cols of D[p, i] = A[m, (m + deltas[i]) mod N].
     turns = np.exp(1j * np.pi * np.arange(2 * n) / n)
     g *= turns[np.multiply.outer(ks, deltas[cols]) % (2 * n)]
-    real = symbol.is_xi_hermitian()   # D = Re(modes g)
-    if ks.size < _FFT_ROWS:
-        rows = r0 + stride * np.arange(size)
-        modes = turns[np.multiply.outer(rows, 2 * ks) % (2 * n)]
-        diags = (np.hstack((modes.real, -modes.imag)) @ np.vstack((g.real, g.imag)) if real
-                 else modes @ g)
-    else:
-        if r0:
-            g *= turns[2 * r0 * ks % (2 * n)][:, None]
-        diags = size * np.fft.ifft(_fold_rows(ks, g, size), axis=0)
-        diags = diags.real if real else diags
+    if r0:
+        g *= turns[2 * r0 * ks % (2 * n)][:, None]
+    diags = size * np.fft.ifft(_fold_rows(ks, g, size), axis=0)
+    diags = diags.real if real else diags
     # D[p, i] is the block's entry (p, q) with q = p + i - shift (mod size):
     # shift = 0, except -1 for the [odd, even] block, where the diagonal
     # deltas[i] = 1 + 2 i joins row 1 + 2p to column 2 (p + i + 1)
@@ -224,12 +208,6 @@ def _signs(*symbols: TorusSymbol) -> tuple:
     return (*shifts, int(all(s.is_even() for s in symbols)))
 
 
-def _alternates(n: int, signs: tuple) -> bool:
-    """True when the defect anticommutes with diag((-1)^j) and 4 divides N: only
-    its [even, odd] and [odd, even] blocks, of size N/2, are nonzero."""
-    return n % 4 == 0 and signs[1] == -1
-
-
 def _block_norm(block: np.ndarray, even: bool) -> float:
     """Norm of the N/2 x N/2 [even, odd] block E of an alternating defect. For
     an even defect the index reversal maps row p to -p and column q to
@@ -248,32 +226,22 @@ def _defect_norm(n: int, defect, signs: tuple, adjoint: int = 0) -> float:
     ``defect(block)`` forms the block of ``quantize`` or, for None, the whole
     matrix; ``adjoint`` is +1 when the defect is Hermitian, -1 when it is
     anti-Hermitian, 0 otherwise. It is normed on the blocks of the first rule
-    that holds. It alternates: the [even, odd] block and, unless its adjoint
-    is +-itself, the transposed [odd, even] block (``_block_norm``). It is
-    Hermitian and anticommutes with X Xi, which swaps the halves with the signs
-    (-1)^j, and 4 | N: the N/2 block C = D11 - D12 diag((-1)^j). It is even: its
-    two index-reversal blocks, on the bases e_0, e_{N/2} (even N) with
-    (e_j + e_{-j}) / sqrt 2 and (e_j - e_{-j}) / sqrt 2, 0 < j < N/2, each entry
-    D[m, j] +- D[m, -j]. Otherwise: whole. Off-diagonal blocks are normed from
-    the Gram matrix; a Hermitian defect, whole or on its index-reversal blocks,
-    from eigenvalues."""
-    if _alternates(n, signs):
+    that holds. It alternates (anticommutes with Xi = diag((-1)^j)) and 4 | N,
+    so only its [even, odd] and [odd, even] blocks, of size N/2, are nonzero:
+    the [even, odd] block and, unless its adjoint is +-itself, the transposed
+    [odd, even] block (``_block_norm``). It is Hermitian and anticommutes with
+    X Xi, which swaps the halves with the signs (-1)^j, and 4 | N: the N/2
+    block C = D11 - D12 diag((-1)^j). Otherwise it is normed whole.
+    Off-diagonal blocks are normed from the Gram matrix, a whole Hermitian
+    defect from eigenvalues."""
+    if n % 4 == 0 and signs[1] == -1:
         blocks = [defect((0, 1))] if adjoint else [defect((0, 1)), defect((1, 0)).T]
         return max(_block_norm(block, signs[3]) for block in blocks)
     defect = defect(None)
     if n % 4 == 0 and signs[2] == -1 and adjoint == 1:
         m = n // 2
         return spectral_norm(defect[:m, :m] - defect[:m, m:] * (-1.0) ** np.arange(m))
-    norm = hermitian_norm if adjoint == 1 else spectral_norm
-    if not signs[3]:
-        return norm(defect)
-    plus, minus = np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)
-    scale = np.ones(plus.size)
-    scale[[0, n // 2] if n % 2 == 0 else [0]] = math.sqrt(0.5)
-    block_plus = defect[np.ix_(plus, plus)] + defect[np.ix_(plus, -plus % n)]
-    block_plus *= np.multiply.outer(scale, scale)
-    block_minus = defect[np.ix_(minus, minus)] - defect[np.ix_(minus, -minus % n)]
-    return max(norm(block) for block in (block_plus, block_minus) if block.size)
+    return (hermitian_norm if adjoint == 1 else spectral_norm)(defect)
 
 
 def composition_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContext) -> float:

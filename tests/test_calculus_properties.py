@@ -4,9 +4,10 @@ Grid sizes N run over 3..40 (1..64 for the real typing, 1..70 for the
 symmetry-block norms, the even 2..80 for the stride-2 blocks), odd and
 non-power-of-two included. Coefficient lattices reach past N in both
 directions, so the folds of k (modulo 2N, and modulo the block size before
-an inverse-FFT mode sum) and the fold of kap over l are all exercised. Sample grids M x M run over every M up to 64, not only powers of
-two; a flowed symbol is evaluated on the same grid. Examples are
-derandomized so that every run draws the same cases.
+the inverse-FFT mode sum) and the fold of kap over l are all exercised.
+Sample grids M x M run over every M up to 64, not only powers of two; a
+flowed symbol is evaluated on the same grid. Examples are derandomized so
+that every run draws the same cases.
 """
 
 import numpy as np
@@ -77,15 +78,16 @@ def test_quantize_matches_coordinate_sum(shape, seed):
 @given(n=st.integers(1, 40).map(lambda half: 2 * half), seed=seeds,
        kx=st.one_of(st.integers(0, 6), st.integers(16, 90)), kxi=st.integers(0, 44),
        real=st.booleans())
-@example(n=8, seed=1, kx=2, kxi=1, real=True)      # 4 | N, product sum
-@example(n=10, seed=2, kx=3, kxi=7, real=False)    # N = 2 mod 4, product sum
-@example(n=20, seed=3, kx=40, kxi=2, real=True)    # FFT sum, rows folded mod 2N first
-@example(n=18, seed=4, kx=20, kxi=9, real=False)   # FFT sum, N = 2 mod 4
+@example(n=8, seed=1, kx=2, kxi=1, real=True)      # 4 | N, fewer rows k than the block size
+@example(n=10, seed=2, kx=3, kxi=7, real=False)    # N = 2 mod 4, kap lattice wider than N
+@example(n=20, seed=3, kx=40, kxi=2, real=True)    # rows folded mod 2N first
+@example(n=18, seed=4, kx=20, kxi=9, real=False)   # N = 2 mod 4, rows folded mod the block size
 @example(n=2, seed=5, kx=16, kxi=3, real=True)     # blocks of one entry
+@example(n=16, seed=6, kx=20, kxi=0, real=True)    # x-only: no diagonal reaches [even, odd]
 def test_blocks_match_slices_of_the_whole_matrix(n, seed, kx, kxi, real):
     # each stride-2 block (r0, c0) is the slice [r0::2, c0::2] of the whole
-    # matrix, whether the min(2 Kx + 1, 2 N) mode rows are summed as a product
-    # (fewer than 32) or by inverse FFT, for every N = 0 or 2 mod 4
+    # matrix, for every N = 0 or 2 mod 4, whether the min(2 Kx + 1, 2 N) mode
+    # rows fill the block or not, and when no diagonal reaches it (zero)
     sym = random_symbol(seed, kx, kxi, real=real)
     ctx = QuantizationContext(n)
     whole = quantize(sym, ctx)

@@ -515,14 +515,14 @@ class TestCalculusSuite:
 
     @pytest.mark.parametrize("n", [16, 33, 64])
     def test_norms_taken_on_parity_blocks(self, monkeypatch, n):
-        # every symbol of the suite is even, so at odd N each of its four
-        # defects is normed on two index-reversal blocks of at most N/2 + 1.
-        # When 4 divides N the half-period shifts cut deeper: composition,
-        # commutator and Egorov (in the DFT basis) alternate, so they are normed
-        # on Gram matrices of N/4 (the anti-Hermitian commutator and the
-        # Hermitian Egorov defect on their [even, odd] block alone), and
-        # op(a + b) anticommutes with X Xi, one N/2 block. A fallback to index
-        # reversal or to a whole norm shows as a larger or an extra eigvalsh.
+        # when 4 divides N the half-period shifts cut the defects into blocks:
+        # composition, commutator and Egorov (in the DFT basis) alternate and
+        # their symbols are even, so they are normed on Gram matrices of N/4
+        # (the anti-Hermitian commutator and the Hermitian Egorov defect on
+        # their [even, odd] block alone), and op(a + b) anticommutes with X Xi,
+        # one N/2 block. A fallback to a whole norm shows as a larger or an
+        # extra eigvalsh. At odd N no rule applies: each of the four defects
+        # is normed whole, by one eigvalsh of size N.
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -533,7 +533,7 @@ class TestCalculusSuite:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         ctx = trotterlab.quantize.QuantizationContext(n)
         a, b = cosine_x(), cosine_xi()
-        quarter, half = (n // 4 + 1, n // 2) if n % 4 == 0 else (n // 2 + 1, n // 2 + 1)
+        quarter, half = (n // 4 + 1, n // 2) if n % 4 == 0 else (n, n)
         for remainder, bound in [
             (lambda: trotterlab.quantize.composition_remainder(a, b, ctx), quarter),
             (lambda: trotterlab.quantize.commutator_remainder(a, b, ctx), quarter),
@@ -546,7 +546,7 @@ class TestCalculusSuite:
             assert sizes and max(sizes) <= bound
         sizes.clear()
         calculus_suite([n])
-        assert len(sizes) == (9 if n % 4 == 0 else 8)
+        assert len(sizes) == (9 if n % 4 == 0 else 4)
 
     def test_traced_peak_of_the_largest_grid(self):
         # at 4 | N the defects are formed on their N/2 blocks from the start:

@@ -111,16 +111,20 @@ class TestQuantize:
             QuantizationContext(n)
 
     @pytest.mark.parametrize("n", [5, 16, 33])
-    def test_diagonal_product_scales_rows(self, n):
-        # op(a) of an x-only a is diagonal: op(a) op(b) by row scaling is
-        # bit-identical to the matrix product
+    def test_product_is_the_matrix_product(self, n):
+        # op(a) of an x-only a is diagonal, and op(a) op(b) is still the one
+        # matrix product: whole, and at even N each block that op_product
+        # forms is the slice of the whole product
         ctx = QuantizationContext(n)
         a, b = cosine_x(2) + 0.3 * cosine_x(), product(cosine_x(), cosine_xi()) + cosine_xi(3)
-        assert np.array_equal(ctx.op_product(a, b), ctx.op(a) @ ctx.op(b))
+        whole = ctx.op(a) @ ctx.op(b)
+        assert np.array_equal(ctx.op_product(a, b), whole)
+        for r, c in ([(0, 0), (0, 1), (1, 0), (1, 1)] if n % 2 == 0 else []):
+            assert np.abs(ctx.op_product(a, b, (r, c)) - whole[r::2, c::2]).max() <= 1e-13
 
     def test_nearly_diagonal_product_is_a_matrix_product(self):
         # a xi coefficient far below any tolerance still leaves op(a) off the
-        # diagonal, so the product is formed in full
+        # diagonal, and the product is the full matrix product
         ctx = QuantizationContext(16)
         a, b = cosine_x() + 1e-14 * cosine_xi(), cosine_xi(3)
         assert np.count_nonzero(ctx.op(a) - np.diag(np.diag(ctx.op(a))))
@@ -259,8 +263,8 @@ class TestSignCertificates:
     @pytest.mark.parametrize("n", [16, 32])
     def test_tiny_off_class_coefficient_falls_back(self, monkeypatch, n):
         # 1e-14 cos 2 pi xi leaves a with no sign under X or Xi: every defect
-        # with a is formed whole and normed on its index-reversal blocks, and
-        # matches the dense norm of the same defect
+        # with a is formed and normed whole, and matches the dense norm of the
+        # same defect
         a, b = cosine_x() + 1e-14 * cosine_xi(), cosine_xi()
         assert a.shift_signs() == (0, 0, -1) and cosine_x().shift_signs() == (-1, 1, -1)
         blocks = []
