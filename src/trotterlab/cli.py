@@ -117,8 +117,9 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     doc_command = doc.pop("command", None)
     if doc_command is not None and command is not None and doc_command != command:
         raise ValidationError("command", f"document says {doc_command!r}, invocation says {command!r}")
-    cmd = doc_command or command
-    check(cmd is not None, "command", "missing")
+    cmd = command if doc_command is None else doc_command
+    check(isinstance(cmd, str), "command",
+          "missing" if cmd is None else f"needs a command name, got {cmd!r}")
     check(cmd in COMMANDS, "command", f"unknown command {cmd!r}")
 
     table = COMMAND_DEFAULTS[cmd]

@@ -86,13 +86,6 @@ def _swap_commutator(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _toeplitz(values: np.ndarray, m: int) -> np.ndarray:
-    """The m x m views [..., i, j] -> values[..., i - j + m - 1] of rows of length 2m - 1."""
-    step = values.strides[-1]
-    return np.lib.stride_tricks.as_strided(values[..., m - 1:], values.shape[:-1] + (m, m),
-                                           values.strides[:-1] + (step, -step), writeable=False)
-
-
 def _real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     """mat @ z for a real mat and a complex z, without a complex copy of mat."""
     return mat @ z.real + 1j * (mat @ z.imag)
@@ -167,7 +160,9 @@ class TimeReversalFrame:
         even = k % 2 == 0
         values = np.stack((np.where(even, plus.real, 0.0), np.where(even, 0.0, -plus.imag),
                            np.where(even, 0.0, minus.imag), np.where(even, minus.real, 0.0)))
-        blocks = _toeplitz(values, m).reshape(2, 2, 2, m, m)   # block row, block col, sign, i, j
+        # the Toeplitz views [..., i, j] -> values[..., i - j + m - 1]
+        toeplitz = np.lib.stride_tricks.sliding_window_view(values, m, axis=-1)[..., ::-1]
+        blocks = toeplitz.reshape(2, 2, 2, m, m)               # block row, block col, sign, i, j
         out = np.empty((n, n))
         quads = out.reshape(2, m, 2, m)                        # block row, i, block col, j
         for row in (0, 1):                                     # s_i = 1 on even i, -1 on odd i

@@ -204,6 +204,14 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config('{"command": "sweep-s"}', command="sweep-h")
 
+    @pytest.mark.parametrize("doc", ['{"command": ["sweep-s"]}', '{"command": {}}',
+                                     '{"command": {"sweep-s": 1}}'])
+    def test_non_string_command_rejected(self, doc):
+        # a list or an object is rejected by name before the command table is read
+        with pytest.raises(ValidationError) as err:
+            parse_config(doc)
+        assert err.value.field == "command" and "needs a command name" in str(err.value)
+
     def test_negative_s_rejected(self, rejects):
         rejects("sweep-s", '{"command": "sweep-s", "s_values": [0.1, -0.1]}', "s_values")
 

@@ -1,17 +1,21 @@
 import csv
+import json
 import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import expm_hermitian, materialize, split_step
 
 import trotterlab.quantize
-from trotterlab import experiments, numkit
-from trotterlab.cli import THRESHOLDS
+from trotterlab import experiments, fourier, numkit
+from trotterlab.cli import THRESHOLDS, _dispatch, evaluate_criteria, parse_config
 from trotterlab.errors import NonMonotone, TooFewPoints, Unreachable, ValidationError
 from trotterlab.evolve import SplittingScheme
+from trotterlab.fourier import DiagonalKind
 from trotterlab.frame import FrameObservable, TimeReversalFrame
 from trotterlab.experiments import (
     COMMAND_DEFAULTS,
@@ -28,6 +32,9 @@ from trotterlab.experiments import (
 )
 from trotterlab.hamiltonian import GridSpec, build_pair
 from trotterlab.symbols import TorusSymbol, cosine_x, cosine_xi
+
+# Examples are derandomized so that every run draws the same domain offsets.
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
 
 
 @pytest.fixture
@@ -411,29 +418,22 @@ def scan():
 
 
 class TestMomentumRealizations:
-    def test_spectral_momentum_not_h_uniform(self):
-        # The spectral-derivative momentum has a sawtooth symbol whose
-        # Nyquist jump puts it outside the smooth symbol class: its
-        # worst-case errors grow like 1/h, unlike the central-difference
-        # realization used by the default sweeps. Recorded here as a fact.
-        hs = [2.0**-k for k in range(5, 9)]
-        res = sweep_h(h_values=hs, s_fixed=0.1, mode="local",
-                      observables=("momentum_spectral",), schemes=("Lie1",))
-        fit = res.fits["Lie1/momentum_spectral/observable_error"]
-        vals = [v for _, v in res.table.series(
-            "h", scheme="Lie1", observable="momentum_spectral",
-            metric="observable_error")]
-        assert fit.slope < -0.7
-        assert max(vals) / min(vals) > THRESHOLDS["h_flat_ratio"]
-
-    def test_fd_momentum_h_uniform(self):
-        hs = [2.0**-k for k in range(5, 9)]
-        res = sweep_h(h_values=hs, s_fixed=0.1, mode="local",
-                      observables=("momentum_fd",), schemes=("Lie1",))
-        vals = [v for _, v in res.table.series(
-            "h", scheme="Lie1", observable="momentum_fd",
-            metric="observable_error")]
-        assert max(vals) / min(vals) <= THRESHOLDS["h_flat_ratio"]
+    def test_flatness_check_fails_on_the_spectral_control(self):
+        # The spectral-derivative momentum has a sawtooth symbol whose Nyquist
+        # jump puts it outside the smooth symbol class: its worst-case errors
+        # grow like 1/h, unlike the central-difference realization of the
+        # default sweeps. Both run through the shipped sweep-h checks, which
+        # must fail on the control and pass on momentum_fd.
+        doc = {"command": "sweep-h", "h_values": [2.0**-k for k in range(5, 9)],
+               "schemes": ["Lie1"], "observables": ["momentum_spectral", "momentum_fd"]}
+        cfg = parse_config(json.dumps(doc))
+        result = _dispatch(cfg, threads=1)
+        passed = {check.name: check.passed for check in evaluate_criteria(cfg, result)}
+        for name in ("h-flat-slope", "h-flat-ratio"):
+            assert not passed[f"{name}/Lie1/momentum_spectral"]
+            assert passed[f"{name}/Lie1/momentum_fd"]
+        lo, hi = THRESHOLDS["unitary_growth"]
+        assert lo <= result.fits["Lie1/momentum_spectral/observable_error"].slope <= hi
 
 
 class TestCommutatorScan:
@@ -446,6 +446,44 @@ class TestCommutatorScan:
         series = dict(scan.table.series("h", metric="norm_comm_AB"))
         ratio = series[2.0**-4] / series[2.0**-3]
         assert 1.5 <= 1.0 / ratio <= 2.7 or 1.5 <= ratio <= 2.7
+
+    @PROPERTY
+    @given(delta=st.floats(0.0, 2 * math.pi))
+    @example(delta=0.0)
+    @example(delta=0.37)
+    @pytest.mark.parametrize("n", [5, 6, 10, 12, 16])
+    def test_rows_match_dense_oracle(self, n, delta):
+        # at N that 4 divides and N that it does not, on random domain offsets
+        domain = (-math.pi + delta, math.pi + delta)
+        scan = commutator_scan([1.0 / n], domain=domain)
+        grid = GridSpec.canonical(*domain, 1.0 / n)
+        pair = build_pair(grid)
+        a, b = (materialize(op) / grid.h for op in (pair.kinetic, pair.potential))
+        comm = a @ b - b @ a
+        expected = {"norm_A_over_h": a, "norm_B_over_h": b, "norm_comm_AB": comm,
+                    "norm_comm_A_AB": a @ comm - comm @ a, "norm_comm_B_AB": b @ comm - comm @ b}
+        for _, size, metric, value in scan.table.rows:
+            assert size == n
+            assert abs(value - np.linalg.norm(expected[metric], 2)) <= roundoff_floor(n), metric
+
+    def test_three_norms_and_one_dense_kinetic_per_grid(self, monkeypatch):
+        norms, dense = [], []
+        spectral_norm, materialize_op = numkit.spectral_norm, fourier.materialize
+
+        def counted_norm(matrix):
+            norms.append(matrix.shape[0])
+            return spectral_norm(matrix)
+
+        def counted_materialize(op):
+            dense.append(op.kind)
+            return materialize_op(op)
+
+        monkeypatch.setattr(numkit, "spectral_norm", counted_norm)
+        monkeypatch.setattr(fourier, "materialize", counted_materialize)
+        h_values = COMMAND_DEFAULTS["commutator-scan"]["h_values"]
+        commutator_scan(h_values)
+        assert sorted(norms) == sorted(3 * [round(1 / h) for h in h_values])   # each N
+        assert dense == [DiagonalKind.FOURIER] * len(h_values)
 
     def test_potential_self_commutator_vanishes(self):
         # [B/h, B/h] = 0 exactly
