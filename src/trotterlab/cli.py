@@ -240,22 +240,16 @@ def _dispatch(cfg: RunConfig, threads: int) -> xp.ExperimentResult:
 
 def run(cfg: RunConfig, assert_criteria: bool = False, out: str | None = None,
         threads: int = 1, stream=None) -> int:
-    """Execute a configuration; write CSV; return the process exit code."""
+    """Execute a configuration; write CSV; return the process exit code. An
+    ``out`` in a missing directory or naming one raises ValidationError before
+    the run, which may take minutes; a failed write raises its OSError."""
     stream = stream if stream is not None else sys.stdout
     path = out or f"{cfg.command}.csv"
-    if not Path(path).parent.is_dir():   # checked before the run, which may take minutes
-        print(f"error: out: directory {Path(path).parent} does not exist", file=sys.stderr)
-        return 1
-    if Path(path).is_dir():
-        print(f"error: out: {path} is a directory", file=sys.stderr)
-        return 1
+    check(Path(path).parent.is_dir(), "out", f"directory {Path(path).parent} does not exist")
+    check(not Path(path).is_dir(), "out", f"{path} is a directory")
     result = _dispatch(cfg, threads)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(result.table.csv_text())
-    except OSError as err:
-        print(f"error: cannot write {path}: {err}", file=sys.stderr)
-        return 1
+    with open(path, "w", newline="") as fh:
+        fh.write(result.table.csv_text())
     print(f"wrote {len(result.table.rows)} rows to {path}", file=stream)
     for key in sorted(result.fits):
         fit = result.fits[key]
@@ -267,9 +261,9 @@ def run(cfg: RunConfig, assert_criteria: bool = False, out: str | None = None,
     if not assert_criteria:
         return 0
     checks = evaluate_criteria(cfg, result)
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"criterion {check.name}: {status} ({check.detail})", file=stream)
+    for criterion in checks:
+        status = "PASS" if criterion.passed else "FAIL"
+        print(f"criterion {criterion.name}: {status} ({criterion.detail})", file=stream)
     return 0 if all(c.passed for c in checks) else 2
 
 

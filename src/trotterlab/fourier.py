@@ -8,8 +8,9 @@ transform is unnormalized,
 and the inverse carries the 1/N factor. Transforms run through numpy's
 pocketfft, which costs O(N log N) for every length N. ``materialize`` forms
 the dense matrix of a factored operator on demand: a diagonal, or a circulant
-gathered from its first column. The dense transform matrix, against which
-this fast path is checked, lives with the test oracles (``tests/oracles.py``).
+gathered from its first column, float64 when that column's imaginary part is
+``numkit.negligible`` at ``REAL_RTOL``. The dense transform matrix that checks
+this fast path lives with the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, NonFinite
+from .numkit import negligible
 
 __all__ = [
     "DiagonalKind",
@@ -100,6 +102,6 @@ def materialize(op: FactoredOperator) -> np.ndarray:
     if op.kind is DiagonalKind.POSITION:
         return np.diag(op.diag)
     col = idft_cols(op.diag)
-    if np.abs(col.imag).max() <= REAL_RTOL * np.abs(op.diag).max():
+    if negligible(col.imag, op.diag, REAL_RTOL):
         col = col.real
     return circulant(col)

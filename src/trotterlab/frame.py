@@ -19,11 +19,13 @@ anticommutes with T, so -i (H - c/2) has the real antisymmetric frame form
 The frame is the sweep kernel's one per-grid input: it keeps H's two real
 diagonals and the grid's h, for the phases. Odd N and N = 2 mod 4 (no T-fixed
 basis) and a potential without the antisymmetry (V is not real in R) raise
-ValueError. A Hermitian observable has the frame form R^dag O R = K_+ + i K_-,
-K_+ real symmetric and K_- real antisymmetric: only K_+ remains when O
-commutes with T (``momentum_fd``), only K_- when it anticommutes (``cos_x``,
-``cos_3x``), and both otherwise (``momentum_spectral``, an arbitrary
-diagonal); ``FrameObservable.error`` picks the defect and the norm of each;
+ValueError. Each symmetry and parity check asks ``numkit.negligible`` at
+``FRAME_RTOL``, and the reality of a diagonal at ``HERMITICITY_RTOL``. A
+Hermitian observable has the frame form R^dag O R = K_+ + i K_-, K_+ real
+symmetric and K_- real antisymmetric: only K_+ remains when O commutes with T
+(``momentum_fd``), only K_- when it anticommutes (``cos_x``, ``cos_3x``), and
+both otherwise (``momentum_spectral``, an arbitrary diagonal);
+``FrameObservable.error`` picks the defect and the norm of each;
 ``.expectation_error`` applies O to the lifted states, a second route to O.
 """
 
@@ -55,22 +57,12 @@ FRAME_RTOL = 1e-13
 _ROW_SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _matches(x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> bool:
-    return bool(np.abs(x - y).max() <= FRAME_RTOL * np.abs(scale).max())
-
-
 def _require_real(diag: np.ndarray, what: str) -> None:
     """A factored operator is Hermitian iff its diagonal is real: raise NonHermitian
-    when the imaginary part exceeds HERMITICITY_RTOL of the largest entry."""
-    imag = np.abs(diag.imag).max()
-    if imag > HERMITICITY_RTOL * np.abs(diag).max():
-        raise NonHermitian(f"{what} diagonal has imaginary part {imag:.3e}; "
+    unless the imaginary part is ``negligible`` at HERMITICITY_RTOL."""
+    if not numkit.negligible(diag.imag, diag, HERMITICITY_RTOL):
+        raise NonHermitian(f"{what} diagonal has imaginary part {np.abs(diag.imag).max():.3e}; "
                            f"relative tolerance {HERMITICITY_RTOL:.1e}")
-
-
-def _parity(values: np.ndarray, partner: np.ndarray) -> int | None:
-    """+1 when partner = values, -1 when partner = -values (within FRAME_RTOL), else None."""
-    return next((sign for sign in (1, -1) if _matches(partner, sign * values, values)), None)
 
 
 def _swap_commutator(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -118,7 +110,8 @@ class TimeReversalFrame:
         a, b = pair.kinetic.diag.real, pair.potential.diag.real
         c = a[0] + a[m]
         # Y A Y^dag = c - A moves a[k] to a[k + N/2]; Y B Y^dag = -B moves b[j] to b[j + N/2]
-        if not (_matches(np.roll(a, m), c - a, a) and _matches(np.roll(b, m), -b, b)):
+        if not (numkit.negligible(np.roll(a, m) - (c - a), a, FRAME_RTOL)
+                and numkit.negligible(np.roll(b, m) + b, b, FRAME_RTOL)):
             raise ValueError(f"on N = {n} nodes the potential is not antisymmetric under the "
                              "half-period shift, b[j + N/2] = -b[j] (or a[k + N/2] != c - a[k])")
         return cls(n, c / 2.0, pair.grid.h, a, b)
@@ -134,11 +127,13 @@ class TimeReversalFrame:
     def parity(self, observable: FactoredOperator) -> int | None:
         """+1 when the real-diagonal observable commutes with T, -1 when it
         anticommutes, None otherwise: a position diagonal needs
-        d[j + N/2] = +-d[j], a Fourier diagonal d[(N/2 - k) mod N] = +-d[k]."""
+        d[j + N/2] = +-d[j], a Fourier diagonal d[(N/2 - k) mod N] = +-d[k]
+        (the difference ``negligible`` at FRAME_RTOL)."""
         d, n = observable.diag.real, self.size
-        if observable.kind is DiagonalKind.POSITION:
-            return _parity(d, np.roll(d, n // 2))
-        return _parity(d, d[(n // 2 - np.arange(n)) % n])
+        partner = (np.roll(d, n // 2) if observable.kind is DiagonalKind.POSITION
+                   else d[(n // 2 - np.arange(n)) % n])
+        return next((sign for sign in (1, -1)
+                     if numkit.negligible(partner - sign * d, d, FRAME_RTOL)), None)
 
     def project_fourier(self, diag: np.ndarray, phase: complex = 1.0) -> np.ndarray:
         """Re R^dag (phase C) R, the real frame matrix of a T-commuting phase C, for

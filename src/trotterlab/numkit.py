@@ -1,8 +1,11 @@
 """Dense linear algebra: the SVD of a real square matrix with orthogonal
 factors polished by one Newton-Schulz step, the eigendecomposition of a real
 symmetric matrix, spectral norms from the Gram matrix or, for Hermitian input,
-from the eigenvalues of one triangle, ``||V - 1||`` of a unitary, and the
-Hermiticity gate.
+from the eigenvalues of one triangle, ``||V - 1||`` of a unitary, the
+Hermiticity gate, and ``negligible``, the one round-off rule of the gates that
+decide whether a symbol or a diagonal is real, even, of one variable or of a
+parity: a part is round-off when its largest modulus is at most ``rtol`` times
+that of the whole, so no verdict depends on the scale of the input.
 
 Matrices are plain square float64 or complex128 ``numpy.ndarray`` values;
 real input stays real, and the decompositions take real input only. All
@@ -29,6 +32,7 @@ __all__ = [
     "hermitian_norm",
     "unitary_distance",
     "require_hermitian",
+    "negligible",
 ]
 
 # Accepted relative distance between a matrix and its adjoint. Checked with
@@ -53,6 +57,12 @@ def _as_matrix(matrix, square: bool = True) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFinite("matrix contains NaN or Inf entries")
     return arr
+
+
+def negligible(part: np.ndarray, whole: np.ndarray, rtol: float) -> bool:
+    """True when ``part`` is empty or its largest modulus is at most ``rtol``
+    times the largest modulus of ``whole``: the part is round-off of the whole."""
+    return part.size == 0 or bool(np.abs(part).max() <= rtol * np.abs(whole).max())
 
 
 def require_hermitian(matrix) -> None:

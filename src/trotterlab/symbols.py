@@ -8,7 +8,8 @@ stored as its finite coefficient lattice. Products and Poisson brackets are
 computed exactly in coefficient space, so every calculus identity below is
 exact up to round-off. A pullback under a split classical flow leaves one
 axis's orders unchanged and is interpolated on the other from M grid
-samples, so it is again a ``TorusSymbol``.
+samples, so it is again a ``TorusSymbol``. The structure predicates (real,
+even, of one variable) ask ``numkit.negligible`` at ``_REALITY_TOL``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, NotSplit
+from .numkit import negligible
 
 __all__ = [
     "TorusSymbol",
@@ -32,6 +34,8 @@ __all__ = [
     "pullback_split_flow",
 ]
 
+# Relative size below which the coefficients that break a structure are round-off:
+# the calculus suite's flowed symbol is even to 5e-15 of its largest coefficient.
 _REALITY_TOL = 1e-12
 
 
@@ -89,17 +93,17 @@ class TorusSymbol:
 
     def is_real(self) -> bool:
         """True when the symbol is real-valued: c_{-k,-kap} = conj(c_{k,kap})."""
-        return self._equals(np.conj(self.coeffs[::-1, ::-1]))
+        return negligible(self.coeffs - np.conj(self.coeffs[::-1, ::-1]), self.coeffs, _REALITY_TOL)
 
     def is_xi_hermitian(self) -> bool:
         """True when a(x, -xi) = conj a(x, xi): c_{k,kap} = conj(c_{-k,kap}).
         For a real symbol this is evenness in xi; op(a) is then real at every N."""
-        return self._equals(np.conj(self.coeffs[::-1, :]))
+        return negligible(self.coeffs - np.conj(self.coeffs[::-1, :]), self.coeffs, _REALITY_TOL)
 
     def is_even(self) -> bool:
         """True when a(-x, -xi) = a(x, xi): c_{-k,-kap} = c_{k,kap}. op(a) then
         commutes with the index reversal j -> -j mod N at every N."""
-        return self._equals(self.coeffs[::-1, ::-1])
+        return negligible(self.coeffs - self.coeffs[::-1, ::-1], self.coeffs, _REALITY_TOL)
 
     def shift_signs(self) -> tuple[int, int, int]:
         """Signs s of a(x + 1/2, xi) = s a(x, xi), a(x, xi + 1/2) = s a(x, xi)
@@ -117,19 +121,13 @@ class TorusSymbol:
             signs.append(0 if len(flips) > 1 else -1 if flips == {1} else 1)
         return tuple(signs)
 
-    def _equals(self, coeffs: np.ndarray) -> bool:
-        scale = max(np.abs(self.coeffs).max(), 1.0)
-        return bool(np.abs(self.coeffs - coeffs).max() <= _REALITY_TOL * scale)
-
     def is_x_only(self) -> bool:
-        kxi = self.order_xi
-        off = np.delete(self.coeffs, kxi, axis=1)
-        return off.size == 0 or np.abs(off).max() <= _REALITY_TOL
+        """True when every coefficient with kap != 0 is ``negligible``."""
+        return negligible(np.delete(self.coeffs, self.order_xi, axis=1), self.coeffs, _REALITY_TOL)
 
     def is_xi_only(self) -> bool:
-        kx = self.order_x
-        off = np.delete(self.coeffs, kx, axis=0)
-        return off.size == 0 or np.abs(off).max() <= _REALITY_TOL
+        """True when every coefficient with k != 0 is ``negligible``."""
+        return negligible(np.delete(self.coeffs, self.order_x, axis=0), self.coeffs, _REALITY_TOL)
 
     def sup_abs(self) -> float:
         """sup |a| over the torus by dense sampling, kept on the (immutable) symbol.
@@ -153,7 +151,7 @@ class TorusSymbol:
         grid = np.arange(1024) / 1024
         kx, kxi = self.order_x, self.order_xi
         cross = np.delete(np.delete(self.coeffs, kx, axis=0), kxi, axis=1)
-        if self.is_real() and np.abs(cross).max() <= _REALITY_TOL:
+        if self.is_real() and negligible(cross, self.coeffs, _REALITY_TOL):
             f = (_modes(grid, kx) @ self.coeffs[:, kxi]).real
             g = (_modes(grid, kxi) @ self.coeffs[kx]).real - self.coeffs[kx, kxi].real
             return float(max(f.max() + g.max(), -(f.min() + g.min())))
@@ -230,8 +228,8 @@ def poisson_bracket(a: TorusSymbol, b: TorusSymbol) -> TorusSymbol:
 
 
 def _real_values(arr: np.ndarray, what: str) -> np.ndarray:
-    scale = max(np.abs(arr).max(), 1.0)
-    if np.abs(arr.imag).max() > 1e-10 * scale:
+    # a real generator's derivative samples carry imaginary round-off near 1e-16 of them
+    if not negligible(arr.imag, arr, 1e-10):
         raise ValueError(f"{what} must be real-valued")
     return arr.real
 

@@ -426,10 +426,23 @@ class TestRun:
         rejects("commutator-scan", {**SMALL_SCAN, "out": str(path)}, "out")
         assert not path.exists()
 
-    def test_unwritable_path_exit_one(self):
-        cfg = parse_config(json.dumps(SMALL_SCAN))
-        code = run(cfg, out="/nonexistent-dir/x.csv", stream=io.StringIO())
-        assert code == 1
+    def test_unwritable_path_exit_one(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps(SMALL_SCAN))
+        assert main(["commutator-scan", "--config", str(config),
+                     "--out", "/nonexistent-dir/x.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: out: ")
+
+        def failing_open(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+        # a write that fails after the run reaches main as its OSError
+        monkeypatch.setattr(trotterlab.cli, "open", failing_open, raising=False)
+        with pytest.raises(PermissionError):
+            run(parse_config(json.dumps(SMALL_SCAN)), out=str(tmp_path / "x.csv"),
+                stream=io.StringIO())
+        assert main(["commutator-scan", "--config", str(config),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: [Errno 13] Permission denied\n"
 
     def test_missing_out_directory_rejected_before_compute(self, tmp_path, monkeypatch, capsys):
         def no_run(cfg, threads):
@@ -437,17 +450,22 @@ class TestRun:
         monkeypatch.setattr(trotterlab.cli, "_dispatch", no_run)
         out = tmp_path / "missing" / "x.csv"
         cfg = parse_config(json.dumps(SMALL_SCAN))
-        assert run(cfg, out=str(out), stream=io.StringIO()) == 1
-        assert capsys.readouterr().err.startswith("error: out: ")
+        with pytest.raises(ValidationError) as err:
+            run(cfg, out=str(out), stream=io.StringIO())
+        assert err.value.field == "out"
+        assert str(err.value) == f"out: directory {out.parent} does not exist"
         assert main(["commutator-scan", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: out: ")
+        assert capsys.readouterr().err == f"error: out: directory {out.parent} does not exist\n"
 
     def test_out_naming_a_directory_rejected_before_compute(self, tmp_path, monkeypatch, capsys):
         def no_run(cfg, threads):
             raise AssertionError("the run started before the output path was checked")
         monkeypatch.setattr(trotterlab.cli, "_dispatch", no_run)
         cfg = parse_config(json.dumps(SMALL_SCAN))
-        assert run(cfg, out=str(tmp_path), stream=io.StringIO()) == 1
+        with pytest.raises(ValidationError, match="^out: ") as err:
+            run(cfg, out=str(tmp_path), stream=io.StringIO())
+        assert err.value.field == "out"
+        assert main(["commutator-scan", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: out: {tmp_path} is a directory\n"
 
     def test_any_grid_size_for_calculus_check(self, tmp_path):

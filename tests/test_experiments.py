@@ -485,15 +485,21 @@ class TestCommutatorScan:
         assert sorted(norms) == sorted(3 * [round(1 / h) for h in h_values])   # each N
         assert dense == [DiagonalKind.FOURIER] * len(h_values)
 
-    def test_potential_self_commutator_vanishes(self):
-        # [B/h, B/h] = 0 exactly
-        import numpy as np
-        from trotterlab.fourier import materialize
-        from trotterlab.hamiltonian import GridSpec, build_pair
-        from trotterlab.numkit import spectral_norm
-        grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-4)
-        b = materialize(build_pair(grid).potential) / grid.h
-        assert spectral_norm(b @ b - b @ b) == 0.0
+    @pytest.mark.parametrize("h", [1 / 7, 2.0**-4])
+    def test_diagonal_commutators_are_entrywise(self, h):
+        # the two identities the scan forms its commutators by, with B = diag(b)
+        # the potential over h and gap = b - b[:, None]: X B - B X = gap * X and
+        # B C - C B = -gap * C, at an odd and an even N
+        grid = GridSpec.canonical(-np.pi, np.pi, h)
+        b = build_pair(grid).potential.diag / grid.h
+        big_b, gap = np.diag(b), b - b[:, None]
+        rng = np.random.default_rng(grid.N)
+        x = rng.standard_normal((grid.N, grid.N))
+        c = rng.standard_normal((grid.N, grid.N)) + 1j * rng.standard_normal((grid.N, grid.N))
+        for mat, entrywise, dense in ((x, gap * x, x @ big_b - big_b @ x),
+                                      (c, -gap * c, big_b @ c - c @ big_b)):
+            tol = 1e-15 * np.abs(b).max() * np.abs(mat).max()
+            assert np.abs(entrywise - dense).max() <= tol
 
     def test_metric_set(self, scan):
         metrics = {row[2] for row in scan.table.rows}

@@ -224,28 +224,30 @@ def test_observable_classes():
 
 
 @pytest.mark.parametrize("kind, parity", sorted(PARITY_CASES, key=str))
-def test_error_matches_dense_defect(kind, parity):
+@pytest.mark.parametrize("n", [12, 20, 32])
+def test_error_matches_dense_defect(kind, parity, n):
     # ||V^T K V - K|| with K = R^dag O R through the dense basis, for random
     # orthogonal V: a position observable's error is formed from the commutator
     # K V - V K = V (V^T K V - K), a Fourier one's from V^T K V - K of each part.
     # For random orthogonal U and a unit state psi, the expectation error is
     # |<W^n psi, O W^n psi> - <U psi, O U psi>| with U and W^n = V U lifted by R.
-    grid = shifted_grid(32, 0.61)
+    # N = 12 and 20 have N/2 = 2 mod 4, N = 32 has 4 | N/2.
+    grid = shifted_grid(n, 0.61)
     frame = TimeReversalFrame.of(build_pair(grid))
     form = FrameObservable(sample(PARITY_CASES[kind, parity], grid), frame)
     assert form.operator.kind is kind and frame.parity(form.operator) == parity
     assert tuple(part is not None for part in form.parts) == KEPT_PARTS[parity]
-    basis = frame_basis(32)
+    basis = frame_basis(n)
     dense = materialize(form.operator)
     k = basis.conj().T @ dense @ basis
-    rng = np.random.default_rng(32)
+    rng = np.random.default_rng(n)
     for seed in range(3):
-        v, u = (np.linalg.qr(rng.standard_normal((32, 32)))[0] for _ in range(2))
-        assert form.error(v) == pytest.approx(spectral_norm(v.T @ k @ v - k), abs=1e-13 * 32)
-        psi = unit_state(32, seed)
+        v, u = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        assert form.error(v) == pytest.approx(spectral_norm(v.T @ k @ v - k), abs=1e-13 * n)
+        psi = unit_state(n, seed)
         split, exact = (basis @ mat @ basis.conj().T @ psi for mat in (v @ u, u))
         direct = abs(np.vdot(split, dense @ split).real - np.vdot(exact, dense @ exact).real)
-        assert form.expectation_error(frame.states(v, u, psi)) == pytest.approx(direct, abs=1e-13 * 32)
+        assert form.expectation_error(frame.states(v, u, psi)) == pytest.approx(direct, abs=1e-13 * n)
 
 
 class TestFrameIsUsed:
