@@ -99,15 +99,18 @@ def _value(key: str, value):
     return items if key in _LISTS else items[0]
 
 
-def parse_config(text: str, command: str | None = None) -> RunConfig:
-    """Parse a JSON configuration document and check it as a document; the
-    driver checks the values it reads.
+def parse_config(text: str | bytes, command: str | None = None) -> RunConfig:
+    """Parse a JSON configuration document, given as text or as UTF-8 bytes
+    (RFC 8259), and check it as a document; the driver checks the values it reads.
 
     ``command`` supplies the command when the document omits it (the CLI
     passes the subcommand); a command present in both must agree.
     """
     try:
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
         doc = json.loads(text) if text.strip() else {}
+    except UnicodeDecodeError as err:
+        raise ParseError(f"byte {err.start}: not UTF-8 ({err.reason})") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
     if not isinstance(doc, dict):
@@ -290,7 +293,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         check(args.threads >= 1, "threads", f"needs at least one worker, got {args.threads}")
-        text = Path(args.config).read_text() if args.config else "{}"
+        text = Path(args.config).read_bytes() if args.config else "{}"
         cfg = parse_config(text, command=args.command)
         return run(cfg, assert_criteria=args.assert_criteria, out=args.out,
                    threads=args.threads)

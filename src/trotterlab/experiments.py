@@ -165,8 +165,8 @@ class SweepTable:
         return [row for row in self.rows
                 if all(row[idx[name]] == value for name, value in filters.items())]
 
-    def series(self, x: str, y: str = "value", **filters) -> list[tuple[float, float]]:
-        xi, yi = self.columns.index(x), self.columns.index(y)
+    def series(self, x: str, **filters) -> list[tuple[float, float]]:
+        xi, yi = self.columns.index(x), self.columns.index("value")
         return [(row[xi], row[yi]) for row in self.select(**filters)]
 
     def csv_text(self) -> str:
@@ -177,8 +177,6 @@ class SweepTable:
 
 
 def _format_cell(cell) -> str:
-    if isinstance(cell, bool):
-        return str(cell)
     if isinstance(cell, (int, np.integer)):
         return str(int(cell))
     if isinstance(cell, (float, np.floating)):
@@ -463,7 +461,7 @@ def calculus_suite(N_values: Sequence[int], threads: int = 1) -> ExperimentResul
     Runs the canonical pair a = cos(2 pi x), b = cos(2 pi xi) through the
     quantization remainders at each N and fits the h-scaling of each. Each N
     has one context, so each distinct operator is quantized once per grid and
-    freed with it; a + b is one symbol, so sup|a + b| is sampled once per run.
+    freed with it.
     """
     _nonempty(N_values=N_values)
     check(all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in N_values),

@@ -41,8 +41,7 @@ class GridSpec:
     h as given. An N that is not an integer (a bool or a float) raises TypeError.
 
     ``GridSpec.canonical`` builds grids on the canonical meshing N = 1/h.
-    Direct construction accepts any (N, h) pair for desk-scale use and records
-    how far it sits from that relation in ``relation_residual``.
+    Direct construction accepts any (N, h) pair for desk-scale use.
     """
 
     a_dom: float
@@ -79,10 +78,6 @@ class GridSpec:
     @property
     def nodes(self) -> np.ndarray:
         return self.a_dom + PERIOD * np.arange(self.N) / self.N
-
-    @property
-    def relation_residual(self) -> float:
-        return self.N - 1.0 / self.h
 
 
 @dataclass(frozen=True)

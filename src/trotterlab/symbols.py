@@ -130,24 +130,13 @@ class TorusSymbol:
         return negligible(np.delete(self.coeffs, self.order_x, axis=0), self.coeffs, _REALITY_TOL)
 
     def sup_abs(self) -> float:
-        """sup |a| over the torus by dense sampling, kept on the (immutable) symbol.
-
-        Single-variable symbols are sampled at 4096 points along their axis;
-        genuinely mixed symbols on a 1024 x 1024 lattice, as two matrix
-        products E_x C E_xi^T (extrema of low-order trigonometric polynomials
-        are lattice-commensurate, so this is ample). A real separable sum
-        f(x) + g(xi) takes the lattice's sup from two 1024-point samples:
+        """sup |a| over the torus, sampled on a 1024 x 1024 lattice as two
+        matrix products E_x C E_xi^T (extrema of low-order trigonometric
+        polynomials are lattice-commensurate, so this is ample). A real
+        separable sum f(x) + g(xi), a real symbol of one variable included,
+        takes the lattice's sup from two 1024-point samples:
         max(max f + max g, -(min f + min g)).
         """
-        if "_sup" not in self.__dict__:
-            self.__dict__["_sup"] = self._sampled_sup()
-        return self.__dict__["_sup"]
-
-    def _sampled_sup(self) -> float:
-        if self.is_x_only() or self.is_xi_only():
-            grid = np.arange(4096) / 4096
-            axes = (grid, 0.0) if self.is_x_only() else (0.0, grid)
-            return float(np.abs(self.evaluate(*axes)).max())
         grid = np.arange(1024) / 1024
         kx, kxi = self.order_x, self.order_xi
         cross = np.delete(np.delete(self.coeffs, kx, axis=0), kxi, axis=1)

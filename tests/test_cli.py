@@ -505,6 +505,14 @@ class TestMain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_not_utf8_exit_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b'{"h": "\xff"}')
+        out = tmp_path / "bad.csv"
+        assert main(["sweep-s", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: byte 7: not UTF-8 (invalid start byte)\n"
+        assert not out.exists()
+
     def test_end_to_end_with_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "scan.json"
         cfg_path.write_text(json.dumps(SMALL_SCAN))

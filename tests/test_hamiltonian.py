@@ -46,7 +46,6 @@ class TestGridSpec:
     def test_canonical_relation(self):
         grid = GridSpec.canonical(-np.pi, np.pi, 2.0**-6)
         assert grid.N == 64
-        assert grid.relation_residual == pytest.approx(0.0, abs=1e-9)
 
     def test_nodes(self):
         grid = GridSpec(-np.pi, 4, 1.0)
