@@ -67,8 +67,8 @@ class GridSpec:
         if not abs(b - a - PERIOD) <= 1e-9 * PERIOD:
             raise NotOnePeriod(f"[{a}, {b}] has length b - a = {b - a:.17g}, not one 2 pi "
                                "period of the potential and observables")
-        if not 0 < h < math.inf:
-            raise ValueError(f"need a finite h > 0, got {h}")
+        if not 0 < h < math.inf or 1.0 / h == math.inf:
+            raise ValueError(f"need a finite h > 0 with a finite 1/h, got {h}")
         exact = 1.0 / h
         n = round(exact)
         if n < 1 or abs(n - exact) > 1e-9 * exact:

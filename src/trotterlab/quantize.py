@@ -29,13 +29,13 @@ lattice coeffs[::-1, :].T. It maps a generator of xi to one of x.
 The *_remainder functions measure how well the discrete quantization obeys
 the standard semiclassical calculus (symbol composition, commutator vs
 Poisson bracket, sup-norm bound, conjugation vs classical flow) so the
-expected powers of h can be verified by parameter sweeps. Remainders on one
-``QuantizationContext`` share each distinct operator and block through
-``ctx.op``. The bracket term enters as op({a, b} / i), so for real a, b even
-in xi every part of the composition, commutator and sup-norm defects is real
-and they are formed and normed in float64. The sup-norm and flow-conjugation
-defects of real symbols are Hermitian and take their norm by eigenvalues;
-the composition and commutator defects take it from their Gram matrix.
+expected powers of h can be verified by parameter sweeps. Each remainder
+quantizes the operators and blocks it reads. The bracket term enters as
+op({a, b} / i), so for real a, b even in xi every part of the composition,
+commutator and sup-norm defects is real and they are formed and normed in
+float64. The sup-norm and flow-conjugation defects of real symbols are
+Hermitian and take their norm by eigenvalues; the composition and
+commutator defects take it from their Gram matrix.
 
 Each defect is normed on the blocks of the symmetries its symbols certify
 (``_defect_norm``). At even N the roll X by N/2 and Xi = diag((-1)^j) map
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from .symbols import TorusSymbol, poisson_bracket, product, pullback_split_flow
 __all__ = [
     "QuantizationContext",
     "quantize",
+    "op_product",
     "composition_remainder",
     "commutator_remainder",
     "cv_gap",
@@ -77,12 +78,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuantizationContext:
-    """Number of modes N; the Planck constant h = 1/(2 pi N) is derived.
-    ``op`` and ``op_product`` keep each matrix or block they form, read-only,
-    as long as the context."""
+    """Number of modes N; the Planck constant h = 1/(2 pi N) is derived."""
 
     N: int
-    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
@@ -93,41 +91,6 @@ class QuantizationContext:
     @property
     def h(self) -> float:
         return 1.0 / (2.0 * math.pi * self.N)
-
-    def op(self, symbol: TorusSymbol, block: tuple[int, int] | None = None) -> np.ndarray:
-        """``quantize(symbol, self, block)``, computed once per distinct
-        coefficient lattice and block."""
-        return self._kept((_key(symbol), block), lambda: quantize(symbol, self, block))
-
-    def op_product(self, a: TorusSymbol, b: TorusSymbol,
-                   block: tuple[int, int] | None = None) -> np.ndarray:
-        """``op(a) @ op(b)``, or its block ``(r, c)`` (``quantize``) when op(a)
-        commutes (+1) or anticommutes (-1) with Xi = diag((-1)^j): then only
-        the block ``(r, s)`` of op(a) is nonzero in its rows, s = r or 1 - r,
-        and the block is the one N/2 product op(a)[r, s] op(b)[s, c]. Formed
-        once per ordered pair of lattices and block."""
-        left = right = None
-        if block is not None:
-            sign = a.shift_signs()[1]
-            if not sign:
-                raise ValueError("a block of op(a) op(b) needs op(a) to commute or "
-                                 "anticommute with diag((-1)^j)")
-            r, c = block
-            inner = r if sign == 1 else 1 - r
-            left, right = (r, inner), (inner, c)
-        return self._kept((_key(a), _key(b), block),
-                          lambda: self.op(a, left) @ self.op(b, right))
-
-    def _kept(self, key: tuple, form) -> np.ndarray:
-        if key not in self._ops:
-            mat = form()
-            mat.flags.writeable = False
-            self._ops[key] = mat
-        return self._ops[key]
-
-
-def _key(symbol: TorusSymbol) -> tuple:
-    return symbol.coeffs.shape, symbol.coeffs.tobytes()
 
 
 def quantize(symbol: TorusSymbol, ctx: QuantizationContext,
@@ -199,6 +162,24 @@ def _fold_rows(ks: np.ndarray, rows: np.ndarray, period: int) -> np.ndarray:
     return padded.reshape(-1, period, rows.shape[1]).sum(axis=0)
 
 
+def op_product(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContext,
+               block: tuple[int, int] | None = None) -> np.ndarray:
+    """op(a) op(b), or its block ``(r, c)`` (``quantize``) when op(a) commutes
+    (+1) or anticommutes (-1) with Xi = diag((-1)^j): then only the block
+    ``(r, s)`` of op(a) is nonzero in its rows, s = r or 1 - r, and the block
+    is the one N/2 product op(a)[r, s] op(b)[s, c]."""
+    left = right = None
+    if block is not None:
+        sign = a.shift_signs()[1]
+        if not sign:
+            raise ValueError("a block of op(a) op(b) needs op(a) to commute or "
+                             "anticommute with diag((-1)^j)")
+        r, c = block
+        inner = r if sign == 1 else 1 - r
+        left, right = (r, inner), (inner, c)
+    return quantize(a, ctx, left) @ quantize(b, ctx, right)
+
+
 def _signs(*symbols: TorusSymbol) -> tuple:
     """Signs of a product of the operators of ``symbols`` (or of the quantized
     product or bracket of the symbols) under the half-period shifts X (x), Xi
@@ -254,8 +235,8 @@ def composition_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationConte
     ab, bracket = product(a, b), -1j * poisson_bracket(a, b)
 
     def defect(block):
-        return (ctx.op_product(a, b, block) - ctx.op(ab, block)
-                - (ctx.h / 2) * ctx.op(bracket, block))
+        return (op_product(a, b, ctx, block) - quantize(ab, ctx, block)
+                - (ctx.h / 2) * quantize(bracket, ctx, block))
     return _defect_norm(ctx.N, defect, _signs(a, b))
 
 
@@ -276,8 +257,8 @@ def commutator_remainder(a: TorusSymbol, b: TorusSymbol, ctx: QuantizationContex
 
     def defect(block):
         flipped = None if block is None else block[::-1]
-        return (ctx.op_product(a, b, block) - ctx.op_product(a, b, flipped).conj().T
-                - ctx.h * ctx.op(bracket, block))
+        return (op_product(a, b, ctx, block) - op_product(a, b, ctx, flipped).conj().T
+                - ctx.h * quantize(bracket, ctx, block))
     return _defect_norm(ctx.N, defect, _signs(a, b), adjoint=-1)
 
 
@@ -290,7 +271,8 @@ def cv_gap(a: TorusSymbol, ctx: QuantizationContext) -> float:
     """
     if not a.is_real():
         raise ValueError("sup-norm gap is defined for real-valued symbols")
-    return _defect_norm(ctx.N, lambda block: ctx.op(a, block), _signs(a), adjoint=1) - a.sup_abs()
+    norm = _defect_norm(ctx.N, lambda block: quantize(a, ctx, block), _signs(a), adjoint=1)
+    return norm - a.sup_abs()
 
 
 def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
@@ -324,5 +306,6 @@ def egorov_remainder(a: TorusSymbol, generator: TorusSymbol, t: float,
     def defect(block):
         rows, cols = (slice(None), slice(None)) if block is None else \
             (slice(block[0], None, 2), slice(block[1], None, 2))
-        return phase[rows, None] * ctx.op(a, block) * phase[cols].conj() - ctx.op(flowed, block)
+        return (phase[rows, None] * quantize(a, ctx, block) * phase[cols].conj()
+                - quantize(flowed, ctx, block))
     return _defect_norm(ctx.N, defect, signs, adjoint=1)

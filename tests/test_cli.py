@@ -112,6 +112,17 @@ class TestParseConfig:
             assert "not an integer" in rejects(command, doc, field)
 
     @pytest.mark.parametrize("command, doc, field", [
+        ("sweep-s", {"h": 5e-324}, "h"),
+        ("commutator-scan", {"h_values": [5e-324]}, "h_values"),
+        ("long-time", {"s_values": [5e-324]}, "s_values"),
+        ("sweep-h", {"mode": "global", "s_fixed": 5e-324}, "s_fixed"),
+    ], ids=["h", "h_values", "s_values", "s_fixed"])
+    def test_finite_value_with_infinite_reciprocal_rejected(self, command, doc, field, rejects):
+        # 1/h and t/s overflow to inf for the smallest subnormal; N and the
+        # step count are rounded from them
+        assert "5e-324" in rejects(command, doc, field)
+
+    @pytest.mark.parametrize("command, doc, field", [
         pytest.param("long-time", '{"t_total": Infinity}', "t_total", id="t_total"),
         pytest.param("calculus-check", '{"N_values": [16, NaN]}', "N_values", id="N_values"),
         pytest.param("sweep-s", '{"domain": [-Infinity, 1]}', "domain", id="domain"),

@@ -514,12 +514,14 @@ class TestCalculusSuite:
         assert res.fits["commutator_remainder"].slope >= 2.7
         assert res.fits["egorov_remainder"].slope >= 1.8
 
-    def test_each_operator_quantized_once(self, monkeypatch):
-        # per grid (4 | N), each (lattice, block) a defect reads is quantized
-        # once: op(a + b) whole; the [even, odd] blocks of the rotated a (the
-        # lattice of b) and of the rotated flowed symbol; the [even, even] and
+    def test_only_whole_operator_is_op_a_plus_b(self, monkeypatch):
+        # per grid (4 | N) the defects read 10 distinct (lattice, block) pairs:
+        # op(a + b) whole; the [even, odd] blocks of the rotated a (the lattice
+        # of b) and of the rotated flowed symbol; the [even, even] and
         # [odd, odd] blocks of the diagonal op(a) and the [odd, even] block of
-        # b, and both alternating blocks of a b and {a, b} / i
+        # b, and both alternating blocks of a b and {a, b} / i. Each remainder
+        # quantizes what it reads, 16 blocks per grid; the one N x N operator,
+        # on which the memory bound rests, is op(a + b)
         calls = []
         quantize = trotterlab.quantize.quantize
 
@@ -529,27 +531,22 @@ class TestCalculusSuite:
 
         monkeypatch.setattr(trotterlab.quantize, "quantize", counted_quantize)
         calculus_suite([16, 32, 64, 128, 256, 512])
-        assert len(calls) == len(set(calls)) == 10 * 6
+        assert len(set(calls)) == 10 * 6 and len(calls) == 16 * 6
         assert [n for n, *_, block in calls if block is None] == [16, 32, 64, 128, 256, 512]
 
-    def test_product_formed_once_per_grid(self, monkeypatch):
+    def test_product_blocks_requested(self, monkeypatch):
         # the composition and commutator defects both read the [even, odd] and
-        # [odd, even] blocks of op(a) op(b): each grid forms each block once and
-        # hands the same array to both
-        calls, formed = [], []
-        op_product = trotterlab.quantize.QuantizationContext.op_product
+        # [odd, even] blocks of op(a) op(b), never the whole product
+        calls = []
+        op_product = trotterlab.quantize.op_product
 
-        def counted(ctx, a, b, block=None):
-            prod = op_product(ctx, a, b, block)
+        def counted(a, b, ctx, block=None):
             calls.append((ctx.N, block))
-            if not any(prod is seen for seen in formed):
-                formed.append(prod)
-            return prod
+            return op_product(a, b, ctx, block)
 
-        monkeypatch.setattr(trotterlab.quantize.QuantizationContext, "op_product", counted)
+        monkeypatch.setattr(trotterlab.quantize, "op_product", counted)
         calculus_suite([16, 32, 64])
         assert calls == [(n, block) for n in (16, 32, 64) for block in [(0, 1), (1, 0)] * 2]
-        assert len(formed) == 6
 
     @pytest.mark.parametrize("n", [16, 33, 64])
     def test_norms_taken_on_parity_blocks(self, monkeypatch, n):
@@ -587,10 +584,16 @@ class TestCalculusSuite:
         assert len(sizes) == (9 if n % 4 == 0 else 4)
 
     def test_traced_peak_of_the_largest_grid(self):
-        # at 4 | N the defects are formed on their N/2 blocks from the start:
-        # no N x N array but op(a + b) of cv_gap (2 MB at N = 512) and its
-        # quantization temporaries. Forming each operator whole and slicing
-        # its blocks traced a 22 MB peak
+        # at 4 | N the defects are formed on their N/2 blocks from the start,
+        # and no term keeps an operator for another. The largest live set is
+        # cv_gap's: op(a + b), the one N x N array (2.1 MB of float64 at
+        # N = 512), and at most three N/2 x N/2 float64 arrays of its norm
+        # (the block C, the scaled copy with one intermediate, or the Gram
+        # matrix: 3 x 0.52 MB), 3.7 MB in all; the other defects hold a few
+        # N/2 blocks (under 3 MB). 5 MB leaves 1.3 MB for the lattices, index
+        # arrays and Python objects. Keeping every operator and block for the
+        # grid traced 10.2 MB; forming each operator whole and slicing its
+        # blocks 22 MB
         calculus_suite([16])
         tracemalloc.start()
         try:
@@ -598,7 +601,7 @@ class TestCalculusSuite:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 14e6
+        assert peak <= 5e6
 
     def test_rows_match_committed_reference(self):
         # the benchmark's reference table, recorded from the dense-norm code,

@@ -11,6 +11,7 @@ from trotterlab.quantize import (
     composition_remainder,
     cv_gap,
     egorov_remainder,
+    op_product,
     quantize,
 )
 from trotterlab.symbols import (
@@ -117,23 +118,25 @@ class TestQuantize:
         # forms is the slice of the whole product
         ctx = QuantizationContext(n)
         a, b = cosine_x(2) + 0.3 * cosine_x(), product(cosine_x(), cosine_xi()) + cosine_xi(3)
-        whole = ctx.op(a) @ ctx.op(b)
-        assert np.array_equal(ctx.op_product(a, b), whole)
+        whole = quantize(a, ctx) @ quantize(b, ctx)
+        assert np.array_equal(op_product(a, b, ctx), whole)
         for r, c in ([(0, 0), (0, 1), (1, 0), (1, 1)] if n % 2 == 0 else []):
-            assert np.abs(ctx.op_product(a, b, (r, c)) - whole[r::2, c::2]).max() <= 1e-13
+            assert np.abs(op_product(a, b, ctx, (r, c)) - whole[r::2, c::2]).max() <= 1e-13
 
     def test_nearly_diagonal_product_is_a_matrix_product(self):
         # a xi coefficient far below any tolerance still leaves op(a) off the
         # diagonal, and the product is the full matrix product
         ctx = QuantizationContext(16)
         a, b = cosine_x() + 1e-14 * cosine_xi(), cosine_xi(3)
-        assert np.count_nonzero(ctx.op(a) - np.diag(np.diag(ctx.op(a))))
-        assert np.array_equal(ctx.op_product(a, b), ctx.op(a) @ ctx.op(b))
+        op_a = quantize(a, ctx)
+        assert np.count_nonzero(op_a - np.diag(np.diag(op_a)))
+        assert np.array_equal(op_product(a, b, ctx), op_a @ quantize(b, ctx))
 
     def test_context_accepts_numpy_integer_n(self):
         ctx = QuantizationContext(np.int64(16))
         assert ctx.h == QuantizationContext(16).h
-        assert np.array_equal(ctx.op(cosine_xi()), quantize(cosine_xi(), QuantizationContext(16)))
+        assert np.array_equal(quantize(cosine_xi(), ctx),
+                              quantize(cosine_xi(), QuantizationContext(16)))
 
 
 class TestQuantizeSampled:
